@@ -35,7 +35,6 @@ from .montecarlo import (
     BinnedImager,
     CountRecord,
     EstimationReport,
-    di_binned_model,
     ml_estimate,
     run_experiment,
     sample_counts,
@@ -88,7 +87,6 @@ __all__ = [
     "VortexExcitation",
     "amplitude_derivative_check",
     "centroid_mode_coupling",
-    "di_binned_model",
     "emission_amplitude",
     "fi_direct",
     "fi_spade",

@@ -78,10 +78,12 @@ _MAX_CELLS = 10_000
 class ConvergenceError(RuntimeError):
     """Adaptive refinement hit its depth limit before reaching tolerance.
 
-    Carries the best available estimate so callers can report it.
+    Carries the best available estimate so callers can report it (an
+    array when the rule integrates several outputs at once).
     """
 
-    def __init__(self, message: str, estimate: float | complex, error: float):
+    def __init__(self, message: str, estimate: float | complex | np.ndarray,
+                 error: float):
         super().__init__(message)
         self.estimate = estimate
         self.error = error

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _GAUSS_IDX, _WG, _WK, _XK, integrate_1d
+from .numerics import _GAUSS_IDX, _WG, _WK, _XK, ConvergenceError, integrate_1d
 
 _GRID_POINTS = 4096
 _GRID_HALFWIDTH_BW = 12.0   # grid span, units of the combined bandwidth
@@ -217,6 +217,12 @@ class _CompositeRule:
                 counter += 1
 
         final = sorted((item[2] for item in heap), key=lambda c: c[0])
+        if total_err > tol:
+            pooled_estimate = sum(cell_values(c)[0] for c in final) / (2.0 * math.pi)
+            raise ConvergenceError(
+                f"spectral composite rule exhausted its {_MAX_RULE_CELLS}-cell "
+                f"budget (error {total_err:.3e} > tol {tol:.3e})",
+                pooled_estimate, total_err)
         self.nodes = np.concatenate([c[2] for c in final])
         self.coeffs = np.concatenate([0.5 * (c[1] - c[0]) * _WK * c[3]
                                       for c in final])

@@ -47,7 +47,7 @@ PLANE_QFI_K2 = {0.5: 8.4406385926456053, 1.0: 16.431380667806756,
 PLANE_DI_K0 = {0.5: 0.67625464612300401, 1.0: 1.9999999999999394,
                2.0: 2.8120116994196507}
 PLANE_DI_K2 = {0.5: 4.8739889527086424, 1.0: 6.9743540354076012,
-               2.0: 1.1832568829835357}
+               2.0: 1.1832568830184358}
 VORTEX_QFI_ONAXIS = {0.5: 5.6808544448037885, 1.0: 2.0000000000000013}
 
 
@@ -200,10 +200,20 @@ def test_fi_direct_frozen_plane(ktilde, frozen):
         assert 0.0 <= report.error_estimate <= 2.1e-8  # tol * raw scale
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-def test_fi_direct_against_independent_oracle(s):
-    report = fi_direct(_plane(2.0, s), abs_tol=1e-10)
-    assert report.value == pytest.approx(di_fisher_fd(plane_sites(2.0), s), rel=1e-7)
+@pytest.mark.parametrize("amps,sites,s,x0", [
+    pytest.param(_plane, (2.0,), 0.5, 0.0, id="0.5"),
+    pytest.param(_plane, (2.0,), 1.0, 0.0, id="1.0"),
+    pytest.param(_plane, (2.0,), 2.0, 0.0, id="2.0"),
+    pytest.param(_vortex, (SQ2I, 0.3), 1.0, 0.0, id="vortex-psi0.3"),
+    pytest.param(_plane, (2.0,), 1.0, 0.7, id="x0-0.7"),
+    pytest.param(_plane, (2.0,), math.pi / 2.0, 0.0, id="dark-fringe"),
+    pytest.param(_plane, (2.0,), 6.0, 0.0, id="large-s"),
+])
+def test_fi_direct_against_independent_oracle(amps, sites, s, x0):
+    oracle_sites = plane_sites if amps is _plane else vortex_sites
+    report = fi_direct(amps(*sites, s, x0=x0), abs_tol=1e-10)
+    want = di_fisher_fd(oracle_sites(*sites), s, x0=x0)
+    assert report.value == pytest.approx(want, rel=1e-7)
 
 
 def test_fi_direct_saturates_qfi_for_collinear_plane():

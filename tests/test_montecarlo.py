@@ -11,7 +11,7 @@ from carsfisher import (
     EmitterScene,
     HermiteGaussBasis,
     PlaneWaveExcitation,
-    di_binned_model,
+    VortexExcitation,
     fi_direct,
     fi_spade,
     image_amplitudes,
@@ -21,6 +21,8 @@ from carsfisher import (
     sample_counts,
     spade_count_model,
 )
+
+from oracles import plane_sites, vortex_sites
 
 BASIS = HermiteGaussBasis(truncation_M=30)
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
@@ -107,10 +109,34 @@ def test_binned_imager_rejects_too_coarse_grid():
     BinnedImager(PLANE_K2, domain_s=1.0, nbins=8, check_discretization=False)
 
 
-def test_di_binned_model_is_the_imager_expectation():
-    model = di_binned_model(PLANE_K2, domain_s=1.0)
-    imager = BinnedImager(PLANE_K2, domain_s=1.0)
-    np.testing.assert_allclose(model(0.8), imager.expectations(0.8), rtol=1e-13)
+@pytest.mark.parametrize("exc,sites", [
+    pytest.param(PLANE_K2, plane_sites(2.0), id="plane"),
+    pytest.param(VortexExcitation(a=1.2, psi=0.3), vortex_sites(1.2, 0.3), id="vortex"),
+])
+def test_binned_imager_matches_full_tensor_rule(exc, sites):
+    # every bin integrated over the full 15x15 Gauss-Legendre tensor grid of
+    # the 2D intensity, without using the y-separability
+    domain_s, x0, s, nbins = 1.0, 0.7, 0.9, 32
+    imager = BinnedImager(exc, domain_s=domain_s, x0=x0,
+                          check_discretization=False)
+    half = domain_s / 2.0 + 2.5
+    edges_x = np.linspace(x0 - half, x0 + half, nbins + 1)
+    edges_y = np.linspace(-half, half, nbins + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    a1, a2 = sites(s, x0)
+    want = np.empty((nbins, nbins))
+    for i in range(nbins):
+        hx = 0.5 * (edges_x[i + 1] - edges_x[i])
+        xs = 0.5 * (edges_x[i] + edges_x[i + 1]) + hx * nodes
+        for j in range(nbins):
+            hy = 0.5 * (edges_y[j + 1] - edges_y[j])
+            ys = 0.5 * (edges_y[j] + edges_y[j + 1]) + hy * nodes
+            xx, yy = np.meshgrid(xs, ys, indexing="ij")
+            u1 = math.sqrt(2.0 / math.pi) * np.exp(-((xx - x0 + s / 2.0) ** 2 + yy**2))
+            u2 = math.sqrt(2.0 / math.pi) * np.exp(-((xx - x0 - s / 2.0) ** 2 + yy**2))
+            intensity = np.abs(a1 * u1 + a2 * u2) ** 2
+            want[i, j] = hx * hy * weights @ intensity @ weights
+    np.testing.assert_allclose(imager.expectations(s), want.ravel(), rtol=1e-12)
 
 
 def test_run_experiment_validation():

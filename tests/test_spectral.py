@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from carsfisher import (
+    ConvergenceError,
     PulseSpectrum,
     RamanResonance,
     normalize_phi,
@@ -136,3 +137,13 @@ def test_line_peaks_near_resonance_condition():
     om = np.linspace(100.0, 120.0, 2001)
     peak_omega = om[int(np.argmax(np.abs(phi(om))))]
     assert abs(peak_omega - 110.0) < 0.5
+
+
+def test_composite_rule_cell_budget_raises(monkeypatch):
+    from carsfisher import spectral
+
+    monkeypatch.setattr(spectral, "_MAX_RULE_CELLS", 8)
+    with pytest.raises(ConvergenceError, match="8-cell budget") as info:
+        normalize_phi(RES, PUMP, STOKES)
+    assert info.value.error > 0.0
+    assert np.all(np.isfinite(info.value.estimate))
