@@ -42,17 +42,12 @@ from .montecarlo import (
 )
 from .numerics import (
     ConvergenceError,
-    QuadratureSpec,
-    finite_difference,
     golden_section_max,
     integrate_1d,
-    integrate_2d,
-    sum_series,
 )
 from .psf_modes import (
     GaussianPsf,
     HermiteGaussBasis,
-    NumericPsf,
     PsfGeometry,
     centroid_mode_coupling,
     gamma_k,
@@ -60,7 +55,6 @@ from .psf_modes import (
     overlap_beta,
     overlap_delta,
     psf_geometry,
-    psf_gradient_x,
     psf_value,
 )
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, spectral_weight
@@ -77,12 +71,10 @@ __all__ = [
     "GaussianPsf",
     "HermiteGaussBasis",
     "ImageAmplitudes",
-    "NumericPsf",
     "PlaneWaveExcitation",
     "PsfGeometry",
     "PulseSpectrum",
     "QfiMatrix",
-    "QuadratureSpec",
     "RamanResonance",
     "VortexExcitation",
     "amplitude_derivative_check",
@@ -90,13 +82,11 @@ __all__ = [
     "emission_amplitude",
     "fi_direct",
     "fi_spade",
-    "finite_difference",
     "gamma_k",
     "golden_section_max",
     "hg_mode_value",
     "image_amplitudes",
     "integrate_1d",
-    "integrate_2d",
     "intensity_profile",
     "mean_photons_spade",
     "ml_estimate",
@@ -105,7 +95,6 @@ __all__ = [
     "overlap_beta",
     "overlap_delta",
     "psf_geometry",
-    "psf_gradient_x",
     "psf_value",
     "qfi_matrix",
     "qfi_plane_closed",
@@ -117,7 +106,6 @@ __all__ = [
     "spade_collinear_closed",
     "spade_count_model",
     "spectral_weight",
-    "sum_series",
     "vortex_closed_variants",
     "__version__",
 ]

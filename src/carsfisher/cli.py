@@ -48,9 +48,9 @@ from .fisher import (
     vortex_closed_variants,
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
-from .numerics import ConvergenceError
-from .psf_modes import GaussianPsf, HermiteGaussBasis, NumericPsf, psf_geometry, psf_value
-from .spectral import PulseSpectrum, RamanResonance, normalize_phi
+from .numerics import ConvergenceError, integrate_1d
+from .psf_modes import GaussianPsf, HermiteGaussBasis, psf_geometry, psf_value
+from .spectral import PulseSpectrum, RamanResonance, normalize_phi, phi_grid
 
 _SCHEMA_VERSION = 1
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
@@ -418,22 +418,67 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
     }
 
 
+def _quadrature_geometry(psf: GaussianPsf, s: float) -> dict:
+    """The geometry scalars by quadrature and central differences, without
+    the closed forms.
+
+    Every PSF copy is displaced along x, so each overlap integral is an
+    x-integral of the y = 0 factor e(x) times the common int f(y)^2 dy;
+    dividing every scalar by the computed int e(x)^2 dx cancels that factor.
+    """
+    h = 1e-5
+    support = 8.0
+
+    def e(x):
+        return psf_value(psf, x, 0.0)
+
+    def grad(x):
+        return (e(x + h) - e(x - h)) / (2.0 * h)
+
+    def q(f, half):
+        value, _ = integrate_1d(f, -half, half, abs_tol=1e-10, max_depth=40)
+        return value
+
+    n2 = q(lambda x: e(x) ** 2, support)
+    delta = {sep: q(lambda x: e(x + sep / 2.0) * e(x - sep / 2.0),
+                    support + sep / 2.0) / n2
+             for sep in (s - h, s, s + h)}
+
+    def mode(x, sep, sign, x0=0.0):
+        norm = math.sqrt(2.0 * n2 * (1.0 + sign * delta[sep]))
+        return (e(x - (x0 - sep / 2.0)) + sign * e(x - (x0 + sep / 2.0))) / norm
+
+    def d_sep(x, sign):
+        return (mode(x, s + h, sign) - mode(x, s - h, sign)) / (2.0 * h)
+
+    def d_cen(x, sign):
+        return (mode(x, s, sign, x0=h) - mode(x, s, sign, x0=-h)) / (2.0 * h)
+
+    half = support + s / 2.0 + 2.0 * h
+    out = {
+        "delta": delta[s],
+        "delta_prime": (delta[s + h] - delta[s - h]) / (2.0 * h),
+        "beta": q(lambda x: grad(x + s / 2.0) * grad(x - s / 2.0),
+                  support + s / 2.0) / n2,
+    }
+    for sign, tag in ((1.0, "plus2"), (-1.0, "minus2")):
+        out[f"eta_{tag}"] = q(lambda x: d_sep(x, sign) ** 2, half)
+        # centroid derivative with its component along the partner mode removed
+        coupling = q(lambda x: mode(x, s, -sign) * d_cen(x, sign), half)
+        out[f"xi_{tag}"] = q(lambda x: d_cen(x, sign) ** 2, half) - coupling**2
+    return out
+
+
 def _adjudicate_geometry(cfg: RunConfig) -> dict:
-    gaussian = GaussianPsf()
-
-    def evaluator(x, y):
-        return psf_value(gaussian, x, y)
-
-    numeric = NumericPsf(evaluator=evaluator)
+    psf = GaussianPsf()
     worst = {name: 0.0 for name in
              ("delta", "delta_prime", "beta", "eta_plus2", "eta_minus2",
               "xi_plus2", "xi_minus2")}
     for s in (0.3, 1.0, 2.0):
-        closed = psf_geometry(gaussian, s)
-        quad = psf_geometry(numeric, s)
+        closed = psf_geometry(psf, s)
+        quad = _quadrature_geometry(psf, s)
         for name in worst:
-            worst[name] = max(worst[name],
-                              abs(getattr(closed, name) - getattr(quad, name)))
+            worst[name] = max(worst[name], abs(getattr(closed, name) - quad[name]))
     max_dev = max(worst.values())
     return {
         "tolerance": 1e-7,
@@ -526,9 +571,7 @@ def cmd_spectral_dump(cfg: RunConfig) -> str:
                            bandwidth=cfg.stokes_bandwidth,
                            amplitude=cfg.stokes_amplitude)
     g, phi = normalize_phi(res, pump, stokes)
-    sigma = math.sqrt(2.0 * pump.bandwidth**2 + stokes.bandwidth**2)
-    center = 2.0 * pump.center - stokes.center
-    grid = np.linspace(center - 12.0 * sigma, center + 12.0 * sigma, 4096)
+    grid = phi_grid(pump, stokes)
     values = phi(grid)
     rows = [[float(w), v.real, v.imag, abs(v)] for w, v in zip(grid, values)]
     path = _out_path(cfg, "spectral", "csv")

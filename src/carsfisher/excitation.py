@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import GaussianPsf, overlap_delta, psf_geometry
+from .psf_modes import GaussianPsf, overlap_delta
 
 _FD_STEP = 1e-5
 
@@ -194,7 +194,7 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
     generic callables (provenance = "finite_difference").
     """
     s, x0 = scene.s, scene.x0
-    w = getattr(psf, "width_w", 1.0)
+    w = psf.width_w
     delta = overlap_delta(psf, s)
     x1 = x0 - s / 2.0
     x2 = x0 + s / 2.0
@@ -214,16 +214,11 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
     # d/dd of the normalization factors sqrt((1 +/- delta)/2) is
     # +/- delta' / (2 sqrt(2(1 +/- delta))); the antisymmetric branch is
     # written with expm1 so it survives s -> 0.
-    delta_prime = -s * delta / w  # Gaussian PSF
-    if not isinstance(psf, GaussianPsf):
-        geom = psf_geometry(psf, s)
-        delta_prime = geom.delta_prime
+    delta_prime = -s * delta / w
     if s == 0.0:
         ratio_m = 0.5 / w  # limit of -delta'/(2 sqrt(2(1-delta)))
-    elif isinstance(psf, GaussianPsf):
-        ratio_m = s * delta / (2.0 * math.sqrt(-2.0 * math.expm1(-s * s / 2.0))) / w
     else:
-        ratio_m = -delta_prime / (2.0 * math.sqrt(2.0 * (1.0 - delta)))
+        ratio_m = s * delta / (2.0 * math.sqrt(-2.0 * math.expm1(-s * s / 2.0))) / w
     ratio_p = delta_prime / (2.0 * math.sqrt(2.0 * (1.0 + delta)))
 
     sk = math.sqrt(kappa)
@@ -256,7 +251,7 @@ def amplitude_derivative_check(exc, scene: EmitterScene, psf=GaussianPsf()) -> f
     scale is the larger of the two mode-amplitude derivative magnitudes to
     keep the ratio meaningful when one mode is dark.
     """
-    w = getattr(psf, "width_w", 1.0)
+    w = psf.width_w
     h = _FD_STEP * w
     base = image_amplitudes(exc, scene, psf)
 

@@ -261,9 +261,6 @@ def fi_direct(amps: ImageAmplitudes, psf=GaussianPsf(), s: float | None = None,
     """
     if s is None:
         s = amps.s
-    if not isinstance(psf, GaussianPsf):
-        raise NotImplementedError("direct-imaging FI is implemented for the "
-                                  "Gaussian PSF image model")
     g = amps.g
     a1, a2 = (c / (math.sqrt(2.0) * g) for c in amps.site_amplitudes)
     g1, g2 = (c * amps.width_w / (math.sqrt(2.0) * g) for c in amps.site_gradients)

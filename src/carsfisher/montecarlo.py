@@ -145,7 +145,7 @@ class BinnedImager:
         self.g = g
         self.kappa = kappa
         self.psf = psf
-        self.width_w = getattr(psf, "width_w", 1.0)
+        self.width_w = psf.width_w
         half = (domain_s / 2.0 + self._FOV_MARGIN) * self.width_w
         center = x0 * self.width_w
         edges_x = np.linspace(center - half, center + half, nbins + 1)

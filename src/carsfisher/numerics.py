@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
-Adaptive Gauss-Kronrod quadrature in one and two dimensions, convergent
-series summation with caller-supplied tail bounds, low-order finite
-differences, and a couple of log-domain helpers.  Everything here is
-deterministic: adaptive subdivision uses a worst-error heap with an
+Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
+spectral composite rule reuses) and a golden-section maximizer.  Everything
+here is deterministic: adaptive subdivision uses a worst-error heap with an
 insertion counter as tie-break, and final sums are accumulated in
 insertion order, so repeated runs are bit-identical.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,24 +85,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance, depth limit, and domain for an adaptive integration.
-
-    ``domain`` is ``(a, b)`` for 1D or ``((ax, bx), (ay, by))`` for 2D.
-    """
-
-    abs_tol: float
-    max_depth: int
-    domain: tuple
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 def _gk_cell_1d(f, a: float, b: float):
@@ -191,129 +171,6 @@ def integrate_1d(
 def _ordered_sum(cells: dict):
     # Fixed (insertion-order) accumulation keeps results bit-reproducible.
     return sum(cells[k][0] for k in sorted(cells))
-
-
-def _gk_cell_2d(f, ax, bx, ay, by):
-    hx = 0.5 * (bx - ax)
-    hy = 0.5 * (by - ay)
-    x = 0.5 * (ax + bx) + hx * _XK
-    y = 0.5 * (ay + by) + hy * _XK
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    Z = np.asarray(f(X, Y))
-    vk = hx * hy * _WK @ Z @ _WK
-    sub = Z[np.ix_(_GAUSS_IDX, _GAUSS_IDX)]
-    vg = hx * hy * _WG @ sub @ _WG
-    return vk, abs(vk - vg)
-
-
-def integrate_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
-) -> tuple[float, float]:
-    """Adaptive tensor Gauss-Kronrod quadrature over a rectangle.
-
-    The integrand must accept meshgrid arrays.  Cells are bisected along
-    their longer edge, worst estimated error first.  Returns
-    (value, error_estimate) with ``error_estimate <= spec.abs_tol``, or
-    raises :class:`ConvergenceError`.
-    """
-    (ax, bx), (ay, by) = spec.domain
-    heap = []
-    cells = {}
-    val, err = _gk_cell_2d(f, ax, bx, ay, by)
-    cells[0] = (val, err)
-    total_err = err
-    if err > _ROUNDOFF_FLOOR * abs(val):
-        heapq.heappush(heap, (-err, 0, ax, bx, ay, by, 0))
-    counter = 1
-
-    while True:
-        if total_err <= spec.abs_tol:
-            # the incremental total drifts by cancellation; verify exactly
-            total_err = sum(c[1] for c in cells.values())
-            if total_err <= spec.abs_tol:
-                break
-        if not heap:
-            total_err = sum(c[1] for c in cells.values())
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"2D quadrature at the roundoff floor "
-                f"(error {total_err:.3e} > tol {spec.abs_tol:.3e})",
-                value, total_err)
-        if counter >= _MAX_CELLS:
-            total_err = sum(c[1] for c in cells.values())
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"2D quadrature exhausted its {_MAX_CELLS}-cell budget "
-                f"(error {total_err:.3e} > tol {spec.abs_tol:.3e})",
-                value, total_err)
-        neg_err, idx, cax, cbx, cay, cby, depth = heapq.heappop(heap)
-        if depth >= spec.max_depth:
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"2D quadrature stalled at depth {spec.max_depth} "
-                f"(error {total_err:.3e} > tol {spec.abs_tol:.3e})",
-                value, total_err)
-        total_err -= cells.pop(idx)[1]
-        if (cbx - cax) >= (cby - cay):
-            mid = 0.5 * (cax + cbx)
-            children = ((cax, mid, cay, cby), (mid, cbx, cay, cby))
-        else:
-            mid = 0.5 * (cay + cby)
-            children = ((cax, cbx, cay, mid), (cax, cbx, mid, cby))
-        for c in children:
-            val, err = _gk_cell_2d(f, *c)
-            cells[counter] = (val, err)
-            total_err += err
-            if err > _ROUNDOFF_FLOOR * abs(val):
-                heapq.heappush(heap, (-err, counter, *c, depth + 1))
-            counter += 1
-
-    return _ordered_sum(cells), sum(c[1] for c in cells.values())
-
-
-def sum_series(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int], float],
-    tol: float,
-    k_max: int = 500,
-) -> float:
-    """Sum term(0) + term(1) + ... until tail_bound(k) < tol.
-
-    ``tail_bound(k)`` must bound the magnitude of everything after index k
-    (geometric or Poisson-tail style).  Raises :class:`ConvergenceError` if
-    the bound never drops below ``tol`` within ``k_max`` terms.
-    """
-    acc = 0.0
-    for k in range(k_max + 1):
-        acc += term(k)
-        if tail_bound(k) < tol:
-            return acc
-    raise ConvergenceError(
-        f"series tail bound never met within k_max={k_max}", acc,
-        float(tail_bound(k_max)))
-
-
-def finite_difference(
-    f: Callable[[float], float],
-    x: float,
-    h: float = 1e-5,
-    order: str = "central2",
-):
-    """O(h^2) derivative estimate of f at x.
-
-    ``order`` is "central2" (symmetric stencil) or "forward2" (one-sided,
-    for domain boundaries such as a separation that cannot go negative).
-    """
-    if order == "central2":
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == "forward2":
-        return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h)
-    raise ValueError(f"unknown stencil order {order!r}")
-
-
-def log_factorial(k: int) -> float:
-    return math.lgamma(k + 1.0)
 
 
 def golden_section_max(

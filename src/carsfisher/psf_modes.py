@@ -10,26 +10,18 @@ overlap scalars (delta, beta, derivative-mode norms eta, xi) drive every
 Fisher-information expression downstream.  All separations, offsets, and
 waist ratios in the public API are dimensionless (in units of w); returned
 geometry scalars carry their physical 1/w and 1/w^2 factors.
-
-A :class:`NumericPsf` wraps an arbitrary evaluator and computes the same
-geometry by adaptive quadrature and finite differences; it doubles as an
-independent cross-check of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .numerics import QuadratureSpec, integrate_2d, log_factorial
 
 # Below this separation the symmetric/antisymmetric mode pair degenerates
 # numerically; closed forms switch to their exact limits.
 S_TINY = 1e-12
-_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -37,20 +29,6 @@ class GaussianPsf:
     """Gaussian amplitude PSF of 1/e half-width ``width_w``."""
 
     width_w: float = 1.0
-
-
-@dataclass(frozen=True)
-class NumericPsf:
-    """PSF defined by an arbitrary evaluator ``(x, y) -> amplitude``.
-
-    ``support_radius`` states where the evaluator is negligible; geometry
-    integrals run over a square extending that far beyond the outermost
-    emitter.  The evaluator need not be normalized — overlap scalars are
-    divided by the computed norm.
-    """
-
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    support_radius: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -87,20 +65,10 @@ class PsfGeometry:
     width_w: float = 1.0
 
 
-def psf_value(psf, x, y):
+def psf_value(psf: GaussianPsf, x, y):
     """Amplitude PSF at (x, y) (dimensionless coordinates, units of w)."""
-    if isinstance(psf, GaussianPsf):
-        w = psf.width_w
-        return math.sqrt(2.0 / math.pi) / w * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / w**2)
-    return psf.evaluator(x, y)
-
-
-def psf_gradient_x(psf, x, y):
-    """x-derivative of the amplitude PSF (physical 1/length units)."""
-    if isinstance(psf, GaussianPsf):
-        return -2.0 * np.asarray(x) / psf.width_w**2 * psf_value(psf, x, y)
-    h = _FD_STEP
-    return (psf.evaluator(np.asarray(x) + h, y) - psf.evaluator(np.asarray(x) - h, y)) / (2.0 * h)
+    w = psf.width_w
+    return math.sqrt(2.0 / math.pi) / w * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / w**2)
 
 
 def hg_mode_value(basis: HermiteGaussBasis, m: int, x, y):
@@ -137,7 +105,7 @@ def gamma_k(basis: HermiteGaussBasis, k: int, s: float) -> float:
         return 1.0 if k == 0 else 0.0
     if s < 0.0:
         raise ValueError("separation must be nonnegative")
-    log_g = -s * s / 8.0 + k * math.log(s / 2.0) - 0.5 * log_factorial(k)
+    log_g = -s * s / 8.0 + k * math.log(s / 2.0) - 0.5 * math.lgamma(k + 1.0)
     return math.exp(log_g)
 
 
@@ -165,16 +133,14 @@ def _sinh_minus_arg(x: float) -> float:
             return acc
 
 
-def overlap_delta(psf, s: float) -> float:
+def overlap_delta(psf: GaussianPsf, s: float) -> float:
     """Overlap of two PSF copies at dimensionless separation s."""
     if s < 0.0:
         raise ValueError("separation must be nonnegative")
-    if isinstance(psf, GaussianPsf):
-        return math.exp(-s * s / 2.0)
-    return _numeric_overlap(psf, s, derivative=False)
+    return math.exp(-s * s / 2.0)
 
 
-def overlap_beta(psf, s: float) -> float:
+def overlap_beta(psf: GaussianPsf, s: float) -> float:
     """Gradient cross-overlap int dx u0(r-r1) dx u0(r-r2) d^2r.
 
     For the Gaussian PSF this is (1 - s^2) exp(-s^2/2) / w^2 — positive at
@@ -184,41 +150,27 @@ def overlap_beta(psf, s: float) -> float:
     """
     if s < 0.0:
         raise ValueError("separation must be nonnegative")
-    if isinstance(psf, GaussianPsf):
-        return (1.0 - s * s) * math.exp(-s * s / 2.0) / psf.width_w**2
-    return _numeric_overlap(psf, s, derivative=True)
+    return (1.0 - s * s) * math.exp(-s * s / 2.0) / psf.width_w**2
 
 
-def centroid_mode_coupling(psf, s: float) -> float:
+def centroid_mode_coupling(psf: GaussianPsf, s: float) -> float:
     """Overlap of the antisymmetric mode with the centroid-derivative of
     the symmetric mode, W = delta' / sqrt(1 - delta^2).
 
     Tends to -1/w as s -> 0.  The sign convention pairs with
     <u+, d_x0 u-> = -W.
     """
-    if isinstance(psf, GaussianPsf):
-        w = psf.width_w
-        if s == 0.0:
-            return -1.0 / w
-        # 1 - delta^2 = -expm1(-s^2): exact, no cancellation at small s.
-        return -s * math.exp(-s * s / 2.0) / math.sqrt(-math.expm1(-s * s)) / w
-    geom = psf_geometry(psf, s)
-    denom = math.sqrt(max(1.0 - geom.delta**2, 0.0))
-    if denom == 0.0:
-        return -math.sqrt(geom.dk2)
-    return geom.delta_prime / denom
+    w = psf.width_w
+    if s == 0.0:
+        return -1.0 / w
+    # 1 - delta^2 = -expm1(-s^2): exact, no cancellation at small s.
+    return -s * math.exp(-s * s / 2.0) / math.sqrt(-math.expm1(-s * s)) / w
 
 
-def psf_geometry(psf, s: float) -> PsfGeometry:
+def psf_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
     """All overlap scalars of the displaced-PSF pair at separation s."""
     if s < 0.0:
         raise ValueError("separation must be nonnegative")
-    if isinstance(psf, GaussianPsf):
-        return _gaussian_geometry(psf, s)
-    return _numeric_geometry(psf, s)
-
-
-def _gaussian_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
     w = psf.width_w
     w2 = w * w
     x = s * s / 2.0
@@ -244,116 +196,3 @@ def _gaussian_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
                        beta=beta, eta_plus2=eta_p2, eta_minus2=eta_m2,
                        xi_plus2=xi_p2, xi_minus2=xi_m2, width_w=w)
 
-
-# ---------------------------------------------------------------------------
-# NumericPsf path: the same scalars from quadrature + finite differences.
-# Deliberately avoids the closed forms so it can serve as their cross-check.
-# ---------------------------------------------------------------------------
-
-_NUMERIC_TOL = 1e-10
-_NORM_CACHE: dict[int, float] = {}
-
-
-def _q2(f, L: float) -> float:
-    spec = QuadratureSpec(abs_tol=_NUMERIC_TOL, max_depth=40,
-                          domain=((-L, L), (-L, L)))
-    value, _ = integrate_2d(f, spec)
-    return value
-
-
-def _numeric_norm2(psf: NumericPsf) -> float:
-    key = id(psf.evaluator)
-    if key not in _NORM_CACHE:
-        ev = psf.evaluator
-        _NORM_CACHE[key] = _q2(lambda X, Y: ev(X, Y) ** 2, psf.support_radius)
-    return _NORM_CACHE[key]
-
-
-def _numeric_overlap(psf: NumericPsf, s: float, derivative: bool) -> float:
-    ev = psf.evaluator
-    L = psf.support_radius + s / 2.0
-    n2 = _numeric_norm2(psf)
-    h = _FD_STEP
-
-    if derivative:
-        def gx(X, Y, shift):
-            return (ev(X + shift + h, Y) - ev(X + shift - h, Y)) / (2.0 * h)
-
-        raw = _q2(lambda X, Y: gx(X, Y, s / 2.0) * gx(X, Y, -s / 2.0), L)
-    else:
-        raw = _q2(lambda X, Y: ev(X + s / 2.0, Y) * ev(X - s / 2.0, Y), L)
-    return raw / n2
-
-
-def _numeric_geometry(psf: NumericPsf, s: float) -> PsfGeometry:
-    if s < 1e-3:
-        # Mode-pair scalars are defined by their s -> 0 limits; extrapolate
-        # the even expansion f(s) = f0 + a s^2 + O(s^4) from two stations.
-        h = 1e-2
-        g1 = _numeric_geometry_at(psf, h)
-        g2 = _numeric_geometry_at(psf, 2.0 * h)
-
-        def rich(a, b):
-            return (4.0 * a - b) / 3.0
-
-        delta = _numeric_overlap(psf, s, derivative=False) if s > 0 else 1.0
-        beta = _numeric_overlap(psf, s, derivative=True)
-        # delta'(s) = -dk2 * s + O(s^3) (delta is even with curvature -dk2).
-        return PsfGeometry(
-            s=s, delta=delta, delta_prime=-g1.dk2 * s, dk2=g1.dk2, beta=beta,
-            eta_plus2=rich(g1.eta_plus2, g2.eta_plus2),
-            eta_minus2=rich(g1.eta_minus2, g2.eta_minus2),
-            xi_plus2=rich(g1.xi_plus2, g2.xi_plus2),
-            xi_minus2=rich(g1.xi_minus2, g2.xi_minus2),
-            width_w=1.0)
-    return _numeric_geometry_at(psf, s)
-
-
-def _numeric_geometry_at(psf: NumericPsf, s: float) -> PsfGeometry:
-    ev = psf.evaluator
-    L = psf.support_radius + s / 2.0 + 2.0 * _FD_STEP
-    n2 = _numeric_norm2(psf)
-    h = _FD_STEP
-
-    delta = _numeric_overlap(psf, s, derivative=False)
-    beta = _numeric_overlap(psf, s, derivative=True)
-    dk2 = _q2(lambda X, Y: ((ev(X + h, Y) - ev(X - h, Y)) / (2.0 * h)) ** 2,
-              psf.support_radius) / n2
-    delta_plus = _numeric_overlap(psf, s + h, derivative=False)
-    delta_minus = _numeric_overlap(psf, s - h, derivative=False)
-    delta_prime = (delta_plus - delta_minus) / (2.0 * h)
-
-    # Overlaps are precomputed so the integrands below stay cheap.
-    norms = {
-        s: math.sqrt(2.0 * n2 * (1.0 + delta)),
-        s + h: math.sqrt(2.0 * n2 * (1.0 + delta_plus)),
-        s - h: math.sqrt(2.0 * n2 * (1.0 + delta_minus)),
-        -s: math.sqrt(2.0 * n2 * (1.0 - delta)),
-        -(s + h): math.sqrt(2.0 * n2 * (1.0 - delta_plus)),
-        -(s - h): math.sqrt(2.0 * n2 * (1.0 - delta_minus)),
-    }
-
-    def mode(X, Y, sep, sign, x0=0.0):
-        u1 = ev(X - (x0 - sep / 2.0), Y)
-        u2 = ev(X - (x0 + sep / 2.0), Y)
-        return (u1 + sign * u2) / norms[sep if sign > 0 else -sep]
-
-    def d_sep(X, Y, sign):
-        return (mode(X, Y, s + h, sign) - mode(X, Y, s - h, sign)) / (2.0 * h)
-
-    def d_cen(X, Y, sign):
-        return (mode(X, Y, s, sign, x0=h) - mode(X, Y, s, sign, x0=-h)) / (2.0 * h)
-
-    eta_p2 = _q2(lambda X, Y: d_sep(X, Y, +1.0) ** 2, L)
-    eta_m2 = _q2(lambda X, Y: d_sep(X, Y, -1.0) ** 2, L)
-
-    norm_cp = _q2(lambda X, Y: d_cen(X, Y, +1.0) ** 2, L)
-    norm_cm = _q2(lambda X, Y: d_cen(X, Y, -1.0) ** 2, L)
-    w_p = _q2(lambda X, Y: mode(X, Y, s, -1.0) * d_cen(X, Y, +1.0), L)
-    w_m = _q2(lambda X, Y: mode(X, Y, s, +1.0) * d_cen(X, Y, -1.0), L)
-    xi_p2 = norm_cp - w_p**2
-    xi_m2 = norm_cm - w_m**2
-
-    return PsfGeometry(s=s, delta=delta, delta_prime=delta_prime, dk2=dk2,
-                       beta=beta, eta_plus2=eta_p2, eta_minus2=eta_m2,
-                       xi_plus2=xi_p2, xi_minus2=xi_m2, width_w=1.0)

@@ -93,6 +93,13 @@ def _combined_bandwidth(pump: PulseSpectrum, stokes: PulseSpectrum) -> float:
     return math.sqrt(2.0 * pump.bandwidth**2 + stokes.bandwidth**2)
 
 
+def phi_grid(pump: PulseSpectrum, stokes: PulseSpectrum) -> np.ndarray:
+    """The output-frequency grid on which ``normalize_phi`` normalizes Phi."""
+    center = _anti_stokes_center(pump, stokes)
+    span = _GRID_HALFWIDTH_BW * _combined_bandwidth(pump, stokes)
+    return np.linspace(center - span, center + span, _GRID_POINTS)
+
+
 def _inner_convolution(pump: PulseSpectrum, stokes: PulseSpectrum,
                        omega_minus: float) -> float:
     """K(w-) = Int dw'/2pi psi_pu(w' + w-) psi_St(w')."""
@@ -167,9 +174,8 @@ class _CompositeRule:
         hi = c_conv + _GRID_HALFWIDTH_BW * sigma_k
         edges = sorted({lo, hi, *_pole_knots(res, lo, hi)})
 
-        center_out = _anti_stokes_center(pump, stokes)
-        span_out = _GRID_HALFWIDTH_BW * _combined_bandwidth(pump, stokes)
-        pooled = np.linspace(center_out - span_out, center_out + span_out, 17)
+        grid = phi_grid(pump, stokes)
+        pooled = np.linspace(grid[0], grid[-1], 17)
 
         def make_cell(a: float, b: float):
             mid = 0.5 * (a + b)
@@ -248,9 +254,7 @@ def normalize_phi(res: RamanResonance, pump: PulseSpectrum,
 
     Raises ValueError on zero-signal input (g underflows).
     """
-    center = _anti_stokes_center(pump, stokes)
-    span = _GRID_HALFWIDTH_BW * _combined_bandwidth(pump, stokes)
-    grid = np.linspace(center - span, center + span, _GRID_POINTS)
+    grid = phi_grid(pump, stokes)
     rule = _CompositeRule(res, pump, stokes)
     pref = _prefactor(res, pump, stokes)
     g_phi = pref * rule.evaluate(grid)

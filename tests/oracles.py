@@ -48,6 +48,44 @@ def psf_1d(x: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
 
 
+def psf_geometry_fd(s: float, h: float = FD_STEP) -> dict:
+    """Overlap scalars of the PSF pair at x = -/+ s/2 from their definitions.
+
+    The copies' overlap, gradient overlaps and the normalized symmetric /
+    antisymmetric modes are sampled on the grid; separation and centroid
+    derivatives are central differences of the sampled fields.  The xi
+    norms drop the centroid derivative's component along the partner mode.
+    """
+
+    def copies(sep: float, x0: float = 0.0):
+        return psf_1d(_X - (x0 - sep / 2.0)), psf_1d(_X - (x0 + sep / 2.0))
+
+    def overlap(sep: float) -> float:
+        return inner(*copies(sep)).real
+
+    def mode(sign: float, sep: float, x0: float = 0.0) -> np.ndarray:
+        u1, u2 = copies(sep, x0)
+        v = u1 + sign * u2
+        return v / math.sqrt(inner(v, v).real)
+
+    def grad(center: float) -> np.ndarray:
+        return (psf_1d(_X - center + h) - psf_1d(_X - center - h)) / (2.0 * h)
+
+    out = {
+        "delta": overlap(s),
+        "delta_prime": (overlap(s + h) - overlap(s - h)) / (2.0 * h),
+        "dk2": inner(grad(0.0), grad(0.0)).real,
+        "beta": inner(grad(-s / 2.0), grad(s / 2.0)).real,
+    }
+    for sign, tag in ((1.0, "plus2"), (-1.0, "minus2")):
+        d_sep = (mode(sign, s + h) - mode(sign, s - h)) / (2.0 * h)
+        d_cen = (mode(sign, s, h) - mode(sign, s, -h)) / (2.0 * h)
+        out[f"eta_{tag}"] = inner(d_sep, d_sep).real
+        out[f"xi_{tag}"] = (inner(d_cen, d_cen).real
+                            - inner(mode(-sign, s), d_cen).real ** 2)
+    return out
+
+
 # --------------------------------------------------------------------------
 # site emission amplitudes for the two excitation families (w = 1)
 # --------------------------------------------------------------------------

@@ -146,6 +146,16 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert vortex["exactly_one_match"] is True
     assert vortex["selected"] == "psi_dependent"
     assert vortex["selected_matches"] is True
+    geometry = doc["mode_geometry"]
+    assert set(geometry) == {"tolerance", "grid", "max_deviation_per_scalar",
+                             "resolved_signs", "matches"}
+    assert geometry["tolerance"] == 1e-7
+    assert geometry["matches"] is True
+    deviations = geometry["max_deviation_per_scalar"]
+    assert set(deviations) == {"delta", "delta_prime", "beta", "eta_plus2",
+                               "eta_minus2", "xi_plus2", "xi_minus2"}
+    # far inside the tolerance, so the check cannot pass vacuously
+    assert all(dev < 1e-8 for dev in deviations.values()), deviations
     assert "output_path" not in doc["config"]
 
 

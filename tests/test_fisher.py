@@ -244,14 +244,6 @@ def test_offset_vortex_di_gap_and_spade_recovery():
     assert spade / qfi == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fi_direct_rejects_numeric_psf():
-    from carsfisher import NumericPsf
-
-    psf = NumericPsf(lambda x, y: np.exp(-(np.asarray(x)**2 + np.asarray(y)**2)))
-    with pytest.raises(NotImplementedError):
-        fi_direct(_plane(0.0, 1.0), psf)
-
-
 # ---------------------------------------------------------------------------
 # SPADE
 # ---------------------------------------------------------------------------

@@ -1,19 +1,11 @@
-"""Adaptive quadrature, series summation, and the small numeric helpers."""
+"""Adaptive 1D quadrature and the golden-section maximizer."""
 
 import math
 
 import numpy as np
 import pytest
 
-from carsfisher import (
-    ConvergenceError,
-    QuadratureSpec,
-    finite_difference,
-    golden_section_max,
-    integrate_1d,
-    integrate_2d,
-    sum_series,
-)
+from carsfisher import ConvergenceError, golden_section_max, integrate_1d
 
 
 def test_integrate_1d_polynomial_exact():
@@ -64,66 +56,11 @@ def test_integrate_1d_depth_limit_raises():
                      0.0, 1.0, abs_tol=1e-12, max_depth=2)
 
 
-def test_integrate_2d_polynomial_exact():
-    spec = QuadratureSpec(abs_tol=1e-12, max_depth=10,
-                          domain=((0.0, 2.0), (-1.0, 1.0)))
-    value, err = integrate_2d(lambda x, y: x**2 * y**4 + 1.0, spec)
-    exact = (8.0 / 3.0) * (2.0 / 5.0) + 4.0
-    assert value == pytest.approx(exact, abs=1e-12)
-    assert err <= 1e-12
-
-
-def test_integrate_2d_gaussian():
-    spec = QuadratureSpec(abs_tol=1e-11, max_depth=30,
-                          domain=((-7.0, 7.0), (-7.0, 7.0)))
-    value, _ = integrate_2d(lambda x, y: np.exp(-x * x - y * y), spec)
-    assert value == pytest.approx(math.pi, rel=1e-11)
-
-
-def test_integrate_2d_unreachable_tolerance_raises_quickly():
-    spec = QuadratureSpec(abs_tol=1e-30, max_depth=44,
-                          domain=((-8.0, 8.0), (-8.0, 8.0)))
-    with pytest.raises(ConvergenceError) as info:
-        integrate_2d(lambda x, y: np.exp(-x * x - y * y), spec)
-    assert info.value.estimate == pytest.approx(math.pi, rel=1e-10)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0, max_depth=10, domain=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=1e-8, max_depth=0, domain=(0.0, 1.0))
-
-
 def test_integrate_1d_deterministic():
     f = lambda x: np.sin(7.0 * x) ** 2 * np.exp(-0.3 * x * x)  # noqa: E731
     first = integrate_1d(f, -5.0, 5.0, abs_tol=1e-11)
     second = integrate_1d(f, -5.0, 5.0, abs_tol=1e-11)
     assert first == second  # bit-identical, not merely close
-
-
-def test_sum_series_geometric():
-    r = 0.7
-    total = sum_series(lambda k: r**k,
-                       lambda k: r ** (k + 1) / (1.0 - r), 1e-14)
-    assert total == pytest.approx(1.0 / (1.0 - r), abs=1e-13)
-
-
-def test_sum_series_tail_bound_never_met():
-    with pytest.raises(ConvergenceError):
-        sum_series(lambda k: 0.0, lambda k: 1.0, 1e-6, k_max=50)
-
-
-def test_finite_difference_central_and_forward():
-    d_central = finite_difference(math.exp, 0.0)
-    d_forward = finite_difference(math.exp, 0.0, order="forward2")
-    assert d_central == pytest.approx(1.0, abs=1e-9)
-    assert d_forward == pytest.approx(1.0, abs=1e-8)
-
-
-def test_finite_difference_unknown_stencil():
-    with pytest.raises(ValueError):
-        finite_difference(math.exp, 0.0, order="central4")
 
 
 def test_golden_section_quadratic_peak():

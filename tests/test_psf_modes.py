@@ -8,7 +8,6 @@ import pytest
 from carsfisher import (
     GaussianPsf,
     HermiteGaussBasis,
-    NumericPsf,
     centroid_mode_coupling,
     gamma_k,
     hg_mode_value,
@@ -24,11 +23,6 @@ from oracles import gamma_overlap, hg_1d
 
 PSF = GaussianPsf()
 BASIS = HermiteGaussBasis(truncation_M=30)
-
-
-def _gaussian_evaluator(x, y):
-    # same shape as GaussianPsf but routed through the quadrature path
-    return math.sqrt(2.0 / math.pi) * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2))
 
 
 def test_psf_value_origin_normalization():
@@ -95,13 +89,13 @@ def test_centroid_mode_coupling_limit_and_value():
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
-def test_numeric_psf_reproduces_gaussian_geometry(s):
+def test_geometry_matches_independent_oracle(s):
     closed = psf_geometry(PSF, s)
-    numeric = psf_geometry(NumericPsf(_gaussian_evaluator), s)
+    oracle = oracles.psf_geometry_fd(s)
     for field in ("delta", "delta_prime", "beta", "dk2",
                   "eta_plus2", "eta_minus2", "xi_plus2", "xi_minus2"):
-        assert getattr(numeric, field) == pytest.approx(
-            getattr(closed, field), rel=1e-6, abs=1e-8), field
+        assert getattr(closed, field) == pytest.approx(
+            oracle[field], rel=1e-6, abs=1e-8), field
 
 
 def test_hg_modes_orthonormal():
