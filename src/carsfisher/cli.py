@@ -18,7 +18,9 @@ Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
-and the fully resolved configuration.
+and the fully resolved configuration.  The table commands (figure2,
+figure3, convergence, spectral-dump, optimize-waist) write CSV only and
+reject format=json; adjudicate and simulate always write JSON.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence,
 4 closed-form adjudication mismatch.
@@ -54,6 +56,8 @@ from .spectral import PulseSpectrum, RamanResonance, normalize_phi, phi_grid
 
 _SCHEMA_VERSION = 1
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
+_CSV_ONLY = ("figure2", "figure3", "convergence", "spectral-dump",
+             "optimize-waist")
 
 
 class ConfigError(Exception):
@@ -631,6 +635,9 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides=overrides)
+        if args.command in _CSV_ONLY and cfg.format != "csv":
+            raise ConfigError(f"{args.command} writes CSV only; "
+                              f"format={cfg.format} is not supported")
         untouched = "family" not in cfg.explicit_keys
         if args.command == "figure2":
             if untouched:

@@ -257,8 +257,12 @@ def fi_direct(amps: ImageAmplitudes, psf=GaussianPsf(), s: float | None = None,
     |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum contribute zero
     (nodes and far tails; the removable-singularity limit is zero there).
     Raises ConvergenceError with the achieved estimate if the adaptive
-    quadrature stalls.
+    quadrature stalls, and ValueError if ``psf`` is not the PSF the
+    amplitudes were computed for (the width is taken from ``amps``).
     """
+    if psf.width_w != amps.width_w:
+        raise ValueError(f"psf width {psf.width_w!r} does not match the "
+                         f"amplitudes' width {amps.width_w!r}")
     if s is None:
         s = amps.s
     g = amps.g

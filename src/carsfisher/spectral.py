@@ -4,24 +4,27 @@ The emitted spectral mode is the two-pump/one-Stokes convolution filtered
 by a vibrational resonance:
 
     g Phi(w) = weight * a_pu^2 * a_St
-               * Int dw'/2pi Int dw-/2pi  psi_pu(w - w-) psi_pu(w' + w-)
-                 psi_St(w') / (w- - w_vib + i gamma_vib),
+               * Int dw-/2pi  psi_pu(w - w-) K(w-) / (w- - w_vib + i gamma_vib),
+
+    K(w-) = Int dw'/2pi  psi_pu(w' + w-) psi_St(w'),
 
 with Gaussian pulse profiles psi normalized to Int |psi|^2 dw/2pi = 1 (the
 profiles are real, so conjugation is a no-op; the coherent amplitudes are
-carried separately).  ``spectral_weight`` evaluates the double integral at
-a single frequency by literal nested adaptive quadrature — the +i gamma
-regularization keeps the integrand smooth, so no principal-value machinery
-is needed.
+carried separately).  For Gaussian pulses the inner convolution K is itself
+a Gaussian in w- of variance 2 (b_pu^2 + b_St^2), so it is evaluated in
+closed form; only the outer Gaussian x Lorentzian integral is numeric.  The
++i gamma regularization keeps that integrand smooth, so no principal-value
+machinery is needed.
 
-``normalize_phi`` needs g Phi on a dense frequency grid; re-running the
-nested quadrature per grid point would be prohibitively slow, so it builds
-one composite Gauss-Kronrod rule in the w- variable — refined against the
-pooled error over a sample of output frequencies, with extra knots around
-the resonance pole — precomputes the inner convolution on the rule nodes,
-and evaluates the whole grid as a weighted sum.  The returned Phi callable
-reuses the same rule, so its shape is exactly amplitude-independent and the
-extracted g obeys the g ~ a_pu^2 a_St scaling law by construction.
+``spectral_weight`` evaluates g Phi at a single frequency by adaptive
+quadrature of the outer integral.  ``normalize_phi`` needs g Phi on a dense
+frequency grid, so it builds one composite Gauss-Kronrod rule in the w-
+variable — refined against the pooled error over a sample of output
+frequencies, with extra knots around the resonance pole — with K and the
+Lorentzian precomputed on the rule nodes, and evaluates the whole grid as a
+weighted sum.  The returned Phi callable reuses the same rule, so its shape
+is exactly amplitude-independent and the extracted g obeys the
+g ~ a_pu^2 a_St scaling law by construction.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .numerics import _GAUSS_IDX, _WG, _WK, _XK, ConvergenceError, integrate_1d
 
 _GRID_POINTS = 4096
 _GRID_HALFWIDTH_BW = 12.0   # grid span, units of the combined bandwidth
-_SUPPORT_BW = 8.0           # quadrature span around stationary points
+_SUPPORT_BW = 8.0           # spectral_weight span around stationary points
 _MAX_RULE_CELLS = 4096
 
 
@@ -101,21 +104,17 @@ def phi_grid(pump: PulseSpectrum, stokes: PulseSpectrum) -> np.ndarray:
 
 
 def _inner_convolution(pump: PulseSpectrum, stokes: PulseSpectrum,
-                       omega_minus: float) -> float:
-    """K(w-) = Int dw'/2pi psi_pu(w' + w-) psi_St(w')."""
-    c_pump = pump.center - omega_minus
-    c_st = stokes.center
-    spread = _SUPPORT_BW * max(pump.bandwidth, stokes.bandwidth)
-    lo = min(c_pump, c_st) - spread
-    hi = max(c_pump, c_st) + spread
-    scale = (math.sqrt(2.0 * math.pi / (pump.bandwidth * stokes.bandwidth))
-             * min(pump.bandwidth, stokes.bandwidth))
+                       omega_minus) -> np.ndarray:
+    """K(w-) = Int dw'/2pi psi_pu(w' + w-) psi_St(w'), in closed form.
 
-    def f(wp):
-        return pump.profile(wp + omega_minus) * stokes.profile(wp)
-
-    value, _ = integrate_1d(f, lo, hi, abs_tol=1e-12 * scale, max_depth=40)
-    return value / (2.0 * math.pi)
+    The product of the two Gaussian profiles integrates to a Gaussian in w-
+    centred on c_pu - c_St with variance 2 (b_pu^2 + b_St^2); the prefactor
+    already includes the 1/2pi.  Vectorized over ``omega_minus``.
+    """
+    var = pump.bandwidth**2 + stokes.bandwidth**2
+    gap = np.asarray(omega_minus, dtype=float) - (pump.center - stokes.center)
+    return (math.sqrt(2.0 * pump.bandwidth * stokes.bandwidth / var)
+            * np.exp(-gap * gap / (4.0 * var)))
 
 
 def _prefactor(res: RamanResonance, pump: PulseSpectrum,
@@ -125,7 +124,8 @@ def _prefactor(res: RamanResonance, pump: PulseSpectrum,
 
 def spectral_weight(res: RamanResonance, pump: PulseSpectrum,
                     stokes: PulseSpectrum, omega: float) -> complex:
-    """g Phi at a single frequency via nested adaptive quadrature."""
+    """g Phi at a single frequency: adaptive quadrature of the outer w-
+    integral of the complex integrand, with K in closed form."""
     c_filter = omega - pump.center          # peak of psi_pu(w - w-) in w-
     c_conv = pump.center - stokes.center    # peak of the inner convolution
     sigma_k = math.hypot(pump.bandwidth, stokes.bandwidth)
@@ -134,26 +134,18 @@ def spectral_weight(res: RamanResonance, pump: PulseSpectrum,
     hi = max(c_filter, c_conv) + spread
     knots = _pole_knots(res, lo, hi)
 
-    k_peak = (math.sqrt(2.0 * math.pi / (pump.bandwidth * stokes.bandwidth))
-              * min(pump.bandwidth, stokes.bandwidth) / (2.0 * math.pi))
+    k_peak = float(_inner_convolution(pump, stokes, c_conv))
     p_peak = float(pump.profile(pump.center))
     # on-resonance pole contributes ~ pi * K * psi; off-resonance ~ sigma/gamma
     scale = k_peak * p_peak * min(math.pi, sigma_k / res.gamma_vib)
 
-    def integrand(wm_arr):
-        out = np.empty(wm_arr.shape, dtype=complex)
-        for i, wm in enumerate(wm_arr):
-            wm = float(wm)
-            lor = 1.0 / complex(wm - res.omega_vib, res.gamma_vib)
-            out[i] = (lor * float(pump.profile(omega - wm))
-                      * _inner_convolution(pump, stokes, wm))
-        return out
+    def integrand(wm):
+        return (pump.profile(omega - wm) * _inner_convolution(pump, stokes, wm)
+                / (wm - res.omega_vib + 1j * res.gamma_vib))
 
-    re, _ = integrate_1d(lambda w: integrand(w).real, lo, hi,
-                         abs_tol=1e-10 * scale, max_depth=48, breakpoints=knots)
-    im, _ = integrate_1d(lambda w: integrand(w).imag, lo, hi,
-                         abs_tol=1e-10 * scale, max_depth=48, breakpoints=knots)
-    return _prefactor(res, pump, stokes) * complex(re, im) / (2.0 * math.pi)
+    value, _ = integrate_1d(integrand, lo, hi, abs_tol=1e-10 * scale,
+                            max_depth=48, breakpoints=knots)
+    return _prefactor(res, pump, stokes) * complex(value) / (2.0 * math.pi)
 
 
 class _CompositeRule:
@@ -181,9 +173,8 @@ class _CompositeRule:
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
             nodes = mid + half * _XK
-            kvals = np.array([_inner_convolution(pump, stokes, float(x))
-                              for x in nodes])
-            core = kvals / (nodes - res.omega_vib + 1j * res.gamma_vib)
+            core = (_inner_convolution(pump, stokes, nodes)
+                    / (nodes - res.omega_vib + 1j * res.gamma_vib))
             return (a, b, nodes, core)
 
         def cell_values(cell):

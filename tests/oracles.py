@@ -200,7 +200,8 @@ def spade_fisher_fd(amps, s: float, modes: int, x0: float = 0.0,
 # spectral response: the two-pump/one-Stokes double convolution with the
 # inner frequency integral done in closed form (Gaussian x Gaussian), the
 # outer one by dense trapezoid.  Completely separate from the composite
-# Gauss-Kronrod machinery in the package.
+# Gauss-Kronrod machinery in the package.  The inner convolution also has
+# a literal dense-trapezoid version that pins the package's closed form.
 # --------------------------------------------------------------------------
 
 def _pulse_profile(omega, center: float, bandwidth: float) -> np.ndarray:
@@ -218,6 +219,24 @@ def _inner_convolution_closed(omega_minus, pump_center: float, pump_bw: float,
     amp = math.sqrt(2.0 * math.pi / (pump_bw * stokes_bw))
     gauss = math.sqrt(math.pi / (a + b)) * np.exp(-a * b * gap**2 / (a + b))
     return amp * gauss / (2.0 * math.pi)
+
+
+def inner_convolution_quadrature(omega_minus: float, pump_center: float,
+                                 pump_bw: float, stokes_center: float,
+                                 stokes_bw: float) -> float:
+    """K(w-) = (1/2pi) Int dw' psi_pu(w' + w-) psi_St(w') by a literal dense
+    trapezoid over w', wide enough that both profiles' tails vanish."""
+    c_pump = pump_center - omega_minus
+    spread = 16.0 * max(pump_bw, stokes_bw)
+    # the exact step, not wp[1] - wp[0]: differencing nodes near w' ~ 100
+    # loses ~1e-11 of a step this small
+    wp, step = np.linspace(min(c_pump, stokes_center) - spread,
+                           max(c_pump, stokes_center) + spread, 40_001,
+                           retstep=True)
+    vals = (_pulse_profile(wp + omega_minus, pump_center, pump_bw)
+            * _pulse_profile(wp, stokes_center, stokes_bw))
+    total = vals.sum() - 0.5 * (vals[0] + vals[-1])
+    return float(total * step / (2.0 * math.pi))
 
 
 def spectral_gphi_reference(omega: float, omega_vib: float, gamma_vib: float,

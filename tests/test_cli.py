@@ -103,6 +103,17 @@ def test_environment_overrides_file_and_flags_override_env(tmp_path, monkeypatch
     assert len(data) == 2 * 5  # two s-points, five mode cutoffs
 
 
+@pytest.mark.parametrize("command", ["figure2", "figure3", "convergence",
+                                     "spectral-dump", "optimize-waist"])
+def test_csv_only_commands_reject_json_format(tmp_path, capsys, command):
+    out = tmp_path / "table.json"
+    assert cli.main([command, "--format", "json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert command in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "bad.cfg", s_pionts=4)
     assert cli.main(["figure2", "--config", cfg]) == 2

@@ -231,6 +231,13 @@ def test_fi_direct_saturates_qfi_for_on_axis_vortex():
         assert abs(di - closed) / closed < 1e-6
 
 
+def test_fi_direct_rejects_mismatched_psf():
+    # the width comes from the amplitudes; a different PSF must not be
+    # silently ignored
+    with pytest.raises(ValueError, match="does not match"):
+        fi_direct(_plane(2.0, 1.0), GaussianPsf(width_w=2.0))
+
+
 def test_offset_vortex_di_gap_and_spade_recovery():
     # with the beam off axis, direct imaging loses phase information that
     # mode sorting retains

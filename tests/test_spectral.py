@@ -10,14 +10,21 @@ from carsfisher import (
     PulseSpectrum,
     RamanResonance,
     normalize_phi,
+    spectral,
     spectral_weight,
 )
 
-from oracles import spectral_g_reference, spectral_gphi_reference
+from oracles import (
+    inner_convolution_quadrature,
+    spectral_g_reference,
+    spectral_gphi_reference,
+)
 
 RES = RamanResonance(omega_vib=10.0, gamma_vib=0.5)
 PUMP = PulseSpectrum(center=100.0, bandwidth=1.0)
 STOKES = PulseSpectrum(center=90.0, bandwidth=1.0)
+# unequal bandwidths expose a pump/Stokes mix-up that b_pu = b_St would hide
+NARROW_STOKES = PulseSpectrum(center=90.0, bandwidth=0.4)
 
 # extracted signal strength for the default configuration, frozen
 G_DEFAULT = 0.43267600106726345
@@ -59,6 +66,37 @@ def test_spectral_weight_against_oracle(omega):
     assert got.imag == pytest.approx(want.imag, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("stokes", [STOKES, NARROW_STOKES],
+                         ids=["equal_bw", "unequal_bw"])
+@pytest.mark.parametrize("offset", [-3.0, -1.0, 0.0, 0.5, 3.0])
+def test_inner_convolution_against_quadrature(stokes, offset):
+    # offsets in standard deviations of K, whose variance is 2(b_pu^2 + b_St^2)
+    sigma = math.sqrt(2.0 * (PUMP.bandwidth**2 + stokes.bandwidth**2))
+    omega_minus = PUMP.center - stokes.center + offset * sigma
+    got = spectral._inner_convolution(PUMP, stokes, omega_minus)
+    want = inner_convolution_quadrature(omega_minus, PUMP.center,
+                                        PUMP.bandwidth, stokes.center,
+                                        stokes.bandwidth)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_spectral_layer_quadrature_count(monkeypatch):
+    # K is closed-form: the composite rule runs no adaptive quadrature, and a
+    # single-frequency weight is one complex outer integral
+    calls = []
+    integrate_1d = spectral.integrate_1d
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_1d(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate_1d", counting)
+    normalize_phi(RES, PUMP, STOKES)
+    assert len(calls) == 0
+    spectral_weight(RES, PUMP, STOKES, 110.0)
+    assert len(calls) == 1
+
+
 def test_normalize_phi_unit_norm():
     g, phi = normalize_phi(RES, PUMP, STOKES)
     om = np.linspace(86.0, 134.0, 48_001)
@@ -72,6 +110,12 @@ def test_normalize_phi_unit_norm():
 def test_normalize_phi_against_oracle():
     g, _ = normalize_phi(RES, PUMP, STOKES)
     assert g == pytest.approx(spectral_g_reference(**_oracle_kwargs()), rel=1e-9)
+
+
+def test_normalize_phi_unequal_bandwidths_against_oracle():
+    g, _ = normalize_phi(RES, PUMP, NARROW_STOKES)
+    want = spectral_g_reference(**_oracle_kwargs(stokes=NARROW_STOKES))
+    assert g == pytest.approx(want, rel=1e-8)
 
 
 def test_g_phi_routes_agree():
