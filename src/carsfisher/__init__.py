@@ -19,6 +19,7 @@ from .fisher import (
     FisherReport,
     QfiMatrix,
     fi_direct,
+    fi_direct_many,
     fi_spade,
     intensity_profile,
     mean_photons_spade,
@@ -44,6 +45,7 @@ from .numerics import (
     ConvergenceError,
     golden_section_max,
     integrate_1d,
+    integrate_1d_many,
 )
 from .psf_modes import (
     GaussianPsf,
@@ -81,12 +83,14 @@ __all__ = [
     "centroid_mode_coupling",
     "emission_amplitude",
     "fi_direct",
+    "fi_direct_many",
     "fi_spade",
     "gamma_k",
     "golden_section_max",
     "hg_mode_value",
     "image_amplitudes",
     "integrate_1d",
+    "integrate_1d_many",
     "intensity_profile",
     "mean_photons_spade",
     "ml_estimate",

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* figure2        — plane-wave sweep: QFI, direct-imaging FI, SPADE FI vs s
+* figure2        — plane-wave sweep: QFI, direct-imaging FI (with its
+                   quadrature error bound, fi_di_err), SPADE FI vs s
 * figure3        — vortex sweep over the vertical shift psi, with the
                    optimize-over-a envelope on the psi = 0 rows
 * convergence    — SPADE FI vs mode cutoff M at fixed ktilde
@@ -40,7 +41,7 @@ import numpy as np
 from . import __version__
 from .excitation import EmitterScene, PlaneWaveExcitation, VortexExcitation, image_amplitudes
 from .fisher import (
-    fi_direct,
+    fi_direct_many,
     fi_spade,
     optimize_waist,
     qfi_plane_closed,
@@ -54,7 +55,7 @@ from .numerics import ConvergenceError, integrate_1d
 from .psf_modes import GaussianPsf, HermiteGaussBasis, psf_geometry, psf_value
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, phi_grid
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 _CSV_ONLY = ("figure2", "figure3", "convergence", "spectral-dump",
              "optimize-waist")
@@ -108,6 +109,13 @@ class RunConfig:
     stokes_amplitude: float = 1.0
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if not self.tol > 0.0:
+            raise ConfigError("tol must be positive")
         if self.family not in ("plane", "vortex"):
             raise ConfigError(f"unknown family {self.family!r}")
         if self.format not in ("csv", "json"):
@@ -293,28 +301,35 @@ def _pick(report, cfg: RunConfig) -> float:
     return report.value if cfg.raw else report.normalized_value
 
 
+def _pick_error(report, cfg: RunConfig) -> float:
+    # error_estimate is raw; the sweeps use the default PSF width w = 1
+    if cfg.raw:
+        return report.error_estimate
+    return report.error_estimate / (2.0 * cfg.kappa * cfg.g**2)
+
+
 def cmd_figure2(cfg: RunConfig) -> str:
     """Plane-wave FI sweep: one row per (ktilde, s)."""
     if cfg.family != "plane":
         raise ConfigError("figure2 requires family=plane")
     psf = GaussianPsf()
     basis = HermiteGaussBasis(truncation_M=max(30, cfg.M))
+    s_grid = [float(s) for s in _s_grid(cfg)]
     rows = []
     for kt in cfg.ktilde_grid:
         exc = PlaneWaveExcitation(ktilde=float(kt))
-        for s in _s_grid(cfg):
-            s = float(s)
-            scene = EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)
-            amps = image_amplitudes(exc, scene, psf)
-            geom = psf_geometry(psf, s)
-            qfi = qfi_separation(amps, geom)
-            di = fi_direct(amps, psf, s, abs_tol=cfg.tol)
+        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+                 for s in s_grid]
+        for s, amps, di in zip(s_grid, curve,
+                               fi_direct_many(curve, psf, abs_tol=cfg.tol)):
+            qfi = qfi_separation(amps, psf_geometry(psf, s))
             spade = fi_spade(amps, basis, cfg.M, s)
             rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
-                         _pick(spade, cfg), cfg.M])
+                         _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
     path = _out_path(cfg, "figure2", "csv")
     _write_csv(path, "figure2", cfg,
-               ["s", "ktilde", "qfi", "fi_di", "fi_spade_M", "M"], rows,
+               ["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"],
+               rows,
                extra_comments=("note: the ktilde grid is a tool default; "
                                "override it with the ktilde_grid key",))
     return path
@@ -326,34 +341,32 @@ def cmd_figure3(cfg: RunConfig) -> str:
         raise ConfigError("figure3 requires family=vortex")
     psf = GaussianPsf()
     basis = HermiteGaussBasis(truncation_M=max(30, cfg.M))
-    s_grid = _s_grid(cfg)
+    s_grid = [float(s) for s in _s_grid(cfg)]
     # waist-optimized envelope, computed on the psi = 0 axis
     raw_scale = 2.0 * cfg.kappa * cfg.g**2
     envelope = {}
     for s, (a_star, q_star) in zip(
             s_grid, optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
                                    kappa=cfg.kappa, g=cfg.g)):
-        envelope[float(s)] = (a_star, q_star if cfg.raw else q_star / raw_scale)
+        envelope[s] = (a_star, q_star if cfg.raw else q_star / raw_scale)
     rows = []
     for psi in cfg.psi_grid:
         exc = VortexExcitation(a=cfg.a, psi=float(psi))
-        for s in s_grid:
-            s = float(s)
-            scene = EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)
-            amps = image_amplitudes(exc, scene, psf)
-            geom = psf_geometry(psf, s)
-            qfi = qfi_separation(amps, geom)
-            di = fi_direct(amps, psf, s, abs_tol=cfg.tol)
+        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+                 for s in s_grid]
+        for s, amps, di in zip(s_grid, curve,
+                               fi_direct_many(curve, psf, abs_tol=cfg.tol)):
+            qfi = qfi_separation(amps, psf_geometry(psf, s))
             spade = fi_spade(amps, basis, cfg.M, s)
             ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
             a_opt, q_opt = envelope[s]
             rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
-                         _pick(di, cfg), _pick(spade, cfg), ratio,
-                         a_opt, q_opt])
+                         _pick(di, cfg), _pick_error(di, cfg),
+                         _pick(spade, cfg), ratio, a_opt, q_opt])
     path = _out_path(cfg, "figure3", "csv")
     _write_csv(path, "figure3", cfg,
-               ["s", "psi", "a", "qfi", "fi_di", "fi_spade_M", "di_over_qfi",
-                "a_opt", "qfi_opt"], rows,
+               ["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
+                "di_over_qfi", "a_opt", "qfi_opt"], rows,
                extra_comments=("a_opt/qfi_opt: waist-optimized envelope "
                                "computed at psi=0, repeated for each s",))
     return path

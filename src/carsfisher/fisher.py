@@ -6,6 +6,10 @@ the two measurements of interest:
 
 * direct imaging (DI): spatially resolved intensity, FI by 1D quadrature
   of the x-profile (the Gaussian image factorizes exactly in y);
+  ``fi_direct_many`` integrates a whole list of scenes (one sweep curve) as
+  one lockstep quadrature batch, bit-identical to ``fi_direct`` per scene,
+  and every DI report carries its quadrature error bound, which the sweep
+  commands write as the ``fi_di_err`` column;
 * spatial-mode demultiplexing (SPADE): photon counting in Hermite-Gauss
   modes, FI by summing per-mode contributions.
 
@@ -24,13 +28,14 @@ two published vortex candidates the adjudication command arbitrates).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
-from .numerics import golden_section_max, integrate_1d
+from .numerics import golden_section_max, integrate_1d_many
 from .psf_modes import (
     GaussianPsf,
     HermiteGaussBasis,
@@ -248,51 +253,77 @@ def fi_direct(amps: ImageAmplitudes, psf=GaussianPsf(), s: float | None = None,
               abs_tol: float = 1e-8) -> FisherReport:
     """Direct-imaging FI for the separation, F = int (d_d I)^2 / I.
 
+    The one-member case of :func:`fi_direct_many`; ``s``, when given,
+    replaces the separation recorded in ``amps``.
+    """
+    if s is not None:
+        amps = dataclasses.replace(amps, s=s)
+    return fi_direct_many([amps], psf, abs_tol)[0]
+
+
+def fi_direct_many(amps_seq, psf=GaussianPsf(),
+                   abs_tol: float = 1e-8) -> list[FisherReport]:
+    """Direct-imaging FI for the separation, F = int (d_d I)^2 / I, for
+    each scene in ``amps_seq``.
+
     Both emitters sit on y = 0, so I and d_d I share the y-factor
     exp(-2 y^2) and the plane integral is sqrt(pi/2) times an x-integral
     (the window |y| <= 8 makes erf exactly 1 at double precision); with the
     PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  Integrates in
     PSF-width units with amplitudes scaled by sqrt(2) g, so the quadrature
     tolerance applies to the normalized value.  Points where the x-profile
-    |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum contribute zero
-    (nodes and far tails; the removable-singularity limit is zero there).
-    Raises ConvergenceError with the achieved estimate if the adaptive
-    quadrature stalls, and ValueError if ``psf`` is not the PSF the
-    amplitudes were computed for (the width is taken from ``amps``).
+    |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum, or underflows
+    to zero, contribute zero (nodes and far tails; the removable-singularity
+    limit is zero there).  The x-integrals form one lockstep batch
+    (``integrate_1d_many``): each is refined exactly as it would be alone,
+    so every report equals the one-scene value bit for bit.  Raises
+    ConvergenceError naming the first scene whose quadrature stalls, with
+    its estimate, and ValueError if ``psf`` is not the PSF the amplitudes
+    were computed for (the width is taken from each ``amps``).
     """
-    if psf.width_w != amps.width_w:
-        raise ValueError(f"psf width {psf.width_w!r} does not match the "
-                         f"amplitudes' width {amps.width_w!r}")
-    if s is None:
-        s = amps.s
-    g = amps.g
-    a1, a2 = (c / (math.sqrt(2.0) * g) for c in amps.site_amplitudes)
-    g1, g2 = (c * amps.width_w / (math.sqrt(2.0) * g) for c in amps.site_gradients)
-    x1 = amps.x0 - s / 2.0
-    x2 = amps.x0 + s / 2.0
-    half = max(8.0, s / 2.0 + 8.0)
-    lo_x, hi_x = amps.x0 - half, amps.x0 + half
+    amps_seq = list(amps_seq)
+    if not amps_seq:
+        return []
+    params = []
+    for amps in amps_seq:
+        if psf.width_w != amps.width_w:
+            raise ValueError(f"psf width {psf.width_w!r} does not match the "
+                             f"amplitudes' width {amps.width_w!r}")
+        root2g = math.sqrt(2.0) * amps.g
+        a1, a2 = (c / root2g for c in amps.site_amplitudes)
+        g1, g2 = (c * amps.width_w / root2g for c in amps.site_gradients)
+        half = max(8.0, amps.s / 2.0 + 8.0)
+        params.append((a1, a2, g1, g2, amps.x0 - amps.s / 2.0,
+                       amps.x0 + amps.s / 2.0, amps.x0 - half, amps.x0 + half))
+    a1, a2, g1, g2, x1, x2, lo_x, hi_x = (np.array(col) for col in zip(*params))
 
-    def profiles(xx):
-        e1 = np.exp(-(xx - x1) ** 2)
-        e2 = np.exp(-(xx - x2) ** 2)
-        amp = a1 * e1 + a2 * e2
-        damp = (0.5 * (g2 * e2 - g1 * e1)
-                - (a1 * (xx - x1) * e1 - a2 * (xx - x2) * e2))
+    def profiles(rows, xx):
+        r = rows[:, None]
+        e1 = np.exp(-(xx - x1[r]) ** 2)
+        e2 = np.exp(-(xx - x2[r]) ** 2)
+        amp = a1[r] * e1 + a2[r] * e2
+        damp = (0.5 * (g2[r] * e2 - g1[r] * e1)
+                - (a1[r] * (xx - x1[r]) * e1 - a2[r] * (xx - x2[r]) * e2))
         return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * damp).real
 
-    coarse_i, _ = profiles(np.linspace(lo_x, hi_x, _DI_COARSE_N))
-    floor = _DI_GUARD * float(coarse_i.max())
+    members = np.arange(len(amps_seq))
+    coarse_x = np.linspace(lo_x, hi_x, _DI_COARSE_N, axis=1)
+    floor = _DI_GUARD * profiles(members, coarse_x)[0].max(axis=1)
     weight = math.sqrt(2.0 / math.pi)
 
-    def integrand(xx):
-        inten, d_inten = profiles(xx)
+    def integrand(rows, xx):
+        inten, d_inten = profiles(rows, xx)
         out = np.zeros_like(inten)
-        np.divide(d_inten * d_inten, inten, out=out, where=inten >= floor)
+        # the second test matters only when the whole profile underflows
+        # (floor 0): a zero intensity then contributes zero, not 0/0
+        np.divide(d_inten * d_inten, inten, out=out,
+                  where=(inten >= floor[rows][:, None]) & (inten > 0.0))
         return weight * out
 
-    norm, err = integrate_1d(integrand, lo_x, hi_x, abs_tol=abs_tol, max_depth=44)
-    return _report(max(norm, 0.0), amps, "di_quadrature", error_norm=err)
+    results = integrate_1d_many(integrand, lo_x, hi_x, abs_tol=abs_tol,
+                                max_depth=44)
+    return [_report(max(norm, 0.0), amps, "di_quadrature", error_norm=err)
+            for amps, (norm, err) in zip(amps_seq, results)]
 
 
 def _spade_mode_stats(amps: ImageAmplitudes, basis: HermiteGaussBasis,
@@ -394,16 +425,12 @@ def small_s_coefficients(family: str, params: dict | None = None,
     psf = GaussianPsf()
     basis = HermiteGaussBasis(truncation_M=modes)
     s_pts = np.linspace(0.01, 0.05, 9)
-    f_di = np.empty_like(s_pts)
-    f_qfi = np.empty_like(s_pts)
-    f_spade = np.empty_like(s_pts)
-    for i, s in enumerate(s_pts):
-        scene = EmitterScene(s=float(s))
-        amps = image_amplitudes(exc, scene, psf)
-        geom = psf_geometry(psf, float(s))
-        f_qfi[i] = qfi_separation(amps, geom).normalized_value
-        f_di[i] = fi_direct(amps, psf, float(s)).normalized_value
-        f_spade[i] = fi_spade(amps, basis, modes, float(s)).normalized_value
+    scenes = [image_amplitudes(exc, EmitterScene(s=float(s)), psf) for s in s_pts]
+    f_di = np.array([r.normalized_value for r in fi_direct_many(scenes, psf)])
+    f_qfi = np.array([qfi_separation(amps, psf_geometry(psf, amps.s)).normalized_value
+                      for amps in scenes])
+    f_spade = np.array([fi_spade(amps, basis, modes).normalized_value
+                        for amps in scenes])
 
     basis_fn = s_pts**2 / 2.0
     denom = float(basis_fn @ basis_fn)

@@ -5,6 +5,13 @@ spectral composite rule reuses) and a golden-section maximizer.  Everything
 here is deterministic: adaptive subdivision uses a worst-error heap with an
 insertion counter as tie-break, and final sums are accumulated in
 insertion order, so repeated runs are bit-identical.
+
+The quadrature runs a lockstep batch of integrals (``integrate_1d_many``):
+each member refines on its own heap, budget and depth limit, while the
+cells every active member splits in a round share one integrand call.
+Because each member makes the splits it would make alone, a batch returns
+the one-member (``integrate_1d``) results bit for bit; it only trades
+per-cell Python and numpy call overhead for one call per round.
 """
 
 from __future__ import annotations
@@ -87,15 +94,104 @@ class ConvergenceError(RuntimeError):
         self.error = error
 
 
-def _gk_cell_1d(f, a: float, b: float):
-    """One Gauss-Kronrod pass on [a, b]; returns (K15 value, |K15-G7|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    y = np.asarray(f(x))
-    vk = half * np.sum(_WK * y)
-    vg = half * np.sum(_WG * y[_GAUSS_IDX])
-    return vk, abs(vk - vg)
+def _gk_cells(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """One Gauss-Kronrod pass on each cell [lo[i], hi[i]] of member rows[i],
+    all in one integrand call; returns (K15 values, |K15-G7|) per cell."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _XK
+    y = np.broadcast_to(np.asarray(f(rows, x)), x.shape)
+    vk = half * np.add.reduce(_WK * y, axis=1)
+    vg = half * np.add.reduce(_WG * y[:, _GAUSS_IDX], axis=1)
+    return vk, np.abs(vk - vg)
+
+
+class _Member:
+    """Adaptive state of one integral in a lockstep batch."""
+
+    __slots__ = ("heap", "cells", "counter", "total_err")
+
+    def __init__(self):
+        self.heap = []
+        self.cells = {}
+        self.counter = 0
+        self.total_err = 0.0
+
+    def add(self, lo: float, hi: float, depth: int, val, err):
+        self.cells[self.counter] = (val, err)
+        self.total_err += err
+        # cells at the roundoff floor cannot improve; keep their error but
+        # stop splitting them so an unreachable tolerance fails fast
+        if err > _ROUNDOFF_FLOOR * abs(val):
+            heapq.heappush(self.heap, (-err, self.counter, lo, hi, depth))
+        self.counter += 1
+
+    def exact_error(self):
+        return sum(c[1] for c in self.cells.values())
+
+
+def integrate_1d_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
+    abs_tol: float = 1e-10,
+    max_depth: int = 50,
+    breakpoints: Sequence[float] = (),
+) -> list[tuple[float | complex, float]]:
+    """Adaptive 1D quadrature of a batch of integrals, refined in lockstep.
+
+    Member i integrates ``f(rows, x)`` over [a[i], b[i]], where the integrand
+    receives cell abscissae ``x`` of shape (n, 15) together with ``rows``,
+    the member index of each of the n cells, and returns values of that
+    shape; their dtype is shared, so a real member of a complex batch is
+    summed in complex arithmetic.  ``breakpoints`` seeds every member's
+    initial subdivision (useful for integrands with a known sharp feature).
+    Each member keeps its own worst-error heap, tolerance test, cell budget
+    and depth limit, and makes exactly the splits it would make alone; per
+    round, the cells of all unconverged members are evaluated in one
+    integrand call.
+    Returns (value, error_estimate) per member; raises
+    :class:`ConvergenceError` naming the first member whose tolerance is
+    unreachable at ``max_depth`` bisections, with that member's estimate.
+    """
+    members = [_Member() for _ in a]
+    # (member, lo, hi, depth) of every cell the next integrand call fills
+    pending = []
+    for i, (lo_i, hi_i) in enumerate(zip(a, b)):
+        edges = [lo_i] + sorted(x for x in breakpoints if lo_i < x < hi_i) + [hi_i]
+        pending.extend((i, lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:]))
+
+    active = range(len(members))
+    while pending:
+        rows, lo, hi, _ = zip(*pending)
+        vals, errs = _gk_cells(f, np.array(rows), np.array(lo), np.array(hi))
+        for k, cell in enumerate(pending):
+            members[cell[0]].add(*cell[1:], vals[k], errs[k])
+        pending = []
+        still_active = []
+        for i in active:
+            m = members[i]
+            if m.total_err <= abs_tol:
+                # the incremental total drifts by cancellation; verify exactly
+                m.total_err = m.exact_error()
+                if m.total_err <= abs_tol:
+                    continue
+            if not m.heap:
+                _fail(i, m, "at the roundoff floor", m.exact_error(), abs_tol)
+            if m.counter >= _MAX_CELLS:
+                _fail(i, m, f"exhausted its {_MAX_CELLS}-cell budget",
+                      m.exact_error(), abs_tol)
+            _, idx, lo_c, hi_c, depth_c = heapq.heappop(m.heap)
+            if depth_c >= max_depth:
+                _fail(i, m, f"stalled at depth {max_depth}", m.total_err, abs_tol)
+            m.total_err -= m.cells.pop(idx)[1]
+            mid = 0.5 * (lo_c + hi_c)
+            pending.append((i, lo_c, mid, depth_c + 1))
+            pending.append((i, mid, hi_c, depth_c + 1))
+            still_active.append(i)
+        active = still_active
+
+    return [(_ordered_sum(m.cells), m.exact_error()) for m in members]
 
 
 def integrate_1d(
@@ -108,64 +204,21 @@ def integrate_1d(
 ) -> tuple[float | complex, float]:
     """Adaptive 1D quadrature of a vectorized integrand over [a, b].
 
-    ``breakpoints`` seeds the initial subdivision (useful for integrands
-    with a known sharp feature).  Returns (value, error_estimate); raises
-    :class:`ConvergenceError` if the tolerance is unreachable at
-    ``max_depth`` bisections.
+    The one-member case of :func:`integrate_1d_many`: ``f`` receives the
+    cell abscissae as an array and must evaluate elementwise.  Returns
+    (value, error_estimate); raises :class:`ConvergenceError` if the
+    tolerance is unreachable at ``max_depth`` bisections.
     """
-    edges = [a] + sorted(x for x in breakpoints if a < x < b) + [b]
-    heap = []
-    cells = {}
-    counter = 0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk_cell_1d(f, lo, hi)
-        cells[counter] = (val, err)
-        total_err += err
-        # cells at the roundoff floor cannot improve; keep their error but
-        # stop splitting them so an unreachable tolerance fails fast
-        if err > _ROUNDOFF_FLOOR * abs(val):
-            heapq.heappush(heap, (-err, counter, lo, hi, 0))
-        counter += 1
+    return integrate_1d_many(lambda rows, x: f(x), (a,), (b,), abs_tol,
+                             max_depth, breakpoints)[0]
 
-    while True:
-        if total_err <= abs_tol:
-            # the incremental total drifts by cancellation; verify exactly
-            total_err = sum(c[1] for c in cells.values())
-            if total_err <= abs_tol:
-                break
-        if not heap:
-            total_err = sum(c[1] for c in cells.values())
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"1D quadrature at the roundoff floor "
-                f"(error {total_err:.3e} > tol {abs_tol:.3e})",
-                value, total_err)
-        if counter >= _MAX_CELLS:
-            total_err = sum(c[1] for c in cells.values())
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"1D quadrature exhausted its {_MAX_CELLS}-cell budget "
-                f"(error {total_err:.3e} > tol {abs_tol:.3e})",
-                value, total_err)
-        neg_err, idx, lo, hi, depth = heapq.heappop(heap)
-        if depth >= max_depth:
-            value = _ordered_sum(cells)
-            raise ConvergenceError(
-                f"1D quadrature stalled at depth {max_depth} "
-                f"(error {total_err:.3e} > tol {abs_tol:.3e})",
-                value, total_err)
-        total_err -= cells.pop(idx)[1]
-        mid = 0.5 * (lo + hi)
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            val, err = _gk_cell_1d(f, lo2, hi2)
-            cells[counter] = (val, err)
-            total_err += err
-            if err > _ROUNDOFF_FLOOR * abs(val):
-                heapq.heappush(heap, (-err, counter, lo2, hi2, depth + 1))
-            counter += 1
 
-    return _ordered_sum(cells), sum(c[1] for c in cells.values())
+def _fail(index: int, member: _Member, reason: str, error: float,
+          abs_tol: float):
+    raise ConvergenceError(
+        f"1D quadrature member {index} {reason} "
+        f"(error {error:.3e} > tol {abs_tol:.3e})",
+        _ordered_sum(member.cells), error)
 
 
 def _ordered_sum(cells: dict):

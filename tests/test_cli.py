@@ -35,14 +35,14 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=1" in lines[0]
+    assert "schema=2" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
     assert "s_points=4" in lines[2]
 
     header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    assert lines[header_idx] == "s,ktilde,qfi,fi_di,fi_spade_M,M"
+    assert lines[header_idx] == "s,ktilde,qfi,fi_di,fi_di_err,fi_spade_M,M"
     data = [ln for ln in lines[header_idx + 1:] if ln]
     assert len(data) == 2 * 4  # ktilde grid x s grid
     first = data[0].split(",")
@@ -74,16 +74,64 @@ def test_figure3_defaults_to_vortex_family(tmp_path):
     assert cli.main(["figure3", "--config", cfg, "--out", str(out)]) == 0
     lines = _read_lines(out)
     header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    assert lines[header_idx] == ("s,psi,a,qfi,fi_di,fi_spade_M,di_over_qfi,"
-                                 "a_opt,qfi_opt")
+    assert lines[header_idx] == ("s,psi,a,qfi,fi_di,fi_di_err,fi_spade_M,"
+                                 "di_over_qfi,a_opt,qfi_opt")
     data = [ln.split(",") for ln in lines[header_idx + 1:] if ln]
     assert len(data) == 2 * 3
     # the waist-optimized envelope is computed once (psi = 0) and repeated
     for row_a, row_b in zip(data[:3], data[3:]):
-        assert row_a[7:] == row_b[7:]
+        assert row_a[8:] == row_b[8:]
     # on-axis rows: direct imaging saturates the bound
     for row in data[:3]:
-        assert float(row[6]) == pytest.approx(1.0, abs=1e-5)
+        assert float(row[7]) == pytest.approx(1.0, abs=1e-5)
+
+
+def _table(path):
+    lines = _read_lines(path)
+    header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    header = lines[header_idx].split(",")
+    return [dict(zip(header, map(float, ln.split(","))))
+            for ln in lines[header_idx + 1:] if ln]
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("figure2", dict(s_min=0.01, s_max=6.0, s_points=7, ktilde_grid="0,4")),
+    ("figure3", dict(s_min=0.01, s_max=6.0, s_points=7, psi_grid="0,0.3",
+                     a_min=0.3, a_max=3.0)),
+])
+def test_sweep_di_error_column_is_within_tol(tmp_path, command, settings):
+    cfg = _write_cfg(tmp_path, "sweep.cfg", M=8, **settings)
+    norm, raw = tmp_path / "norm.csv", tmp_path / "raw.csv"
+    assert cli.main([command, "--config", cfg, "--tol", "1e-7",
+                     "--out", str(norm)]) == 0
+    assert cli.main([command, "--config", cfg, "--tol", "1e-7", "--raw",
+                     "--out", str(raw)]) == 0
+    rows, raw_rows = _table(norm), _table(raw)
+    assert len(rows) == 14
+    assert all(0.0 <= row["fi_di_err"] <= 1e-7 for row in rows)
+    assert any(row["fi_di_err"] > 0.0 for row in rows)
+    # --raw scales the bound like the value: by 2 kappa g^2 = 2
+    for row, raw_row in zip(rows, raw_rows):
+        assert raw_row["fi_di_err"] == 2.0 * row["fi_di_err"]
+        assert raw_row["fi_di"] == 2.0 * row["fi_di"]
+
+
+@pytest.mark.parametrize("flags,settings", [
+    pytest.param(["--tol", "0"], {}, id="tol-0"),
+    pytest.param(["--tol", "-1"], {}, id="tol-negative"),
+    pytest.param(["--tol", "nan"], {}, id="tol-nan"),
+    pytest.param(["--tol", "inf"], {}, id="tol-inf"),
+    pytest.param([], {"s_min": "nan"}, id="s_min-nan"),
+    pytest.param([], {"s_max": "inf"}, id="s_max-inf"),
+    pytest.param([], {"ktilde_grid": "0,nan"}, id="grid-nan"),
+    pytest.param([], {"mu": "inf"}, id="mu-inf"),
+])
+def test_bad_numbers_are_rejected_before_output(tmp_path, capsys, flags, settings):
+    cfg = _figure2_cfg(tmp_path, **settings)
+    out = tmp_path / "x.csv"
+    assert cli.main(["figure2", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_environment_overrides_file_and_flags_override_env(tmp_path, monkeypatch):
@@ -151,7 +199,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carsfisher import fisher
 from carsfisher import (
     EmitterScene,
     FisherReport,
@@ -14,6 +17,7 @@ from carsfisher import (
     QfiMatrix,
     VortexExcitation,
     fi_direct,
+    fi_direct_many,
     fi_spade,
     image_amplitudes,
     intensity_profile,
@@ -236,6 +240,57 @@ def test_fi_direct_rejects_mismatched_psf():
     # silently ignored
     with pytest.raises(ValueError, match="does not match"):
         fi_direct(_plane(2.0, 1.0), GaussianPsf(width_w=2.0))
+
+
+def test_fi_direct_many_shares_integrand_calls(monkeypatch):
+    # one figure2 curve must refine its 120 integrals in lockstep rounds,
+    # not one integrand call per cell of every point
+    calls = 0
+    batch = fisher.integrate_1d_many
+
+    def counting(f, *args, **kwargs):
+        def counted(rows, x):
+            nonlocal calls
+            calls += 1
+            return f(rows, x)
+
+        return batch(counted, *args, **kwargs)
+
+    monkeypatch.setattr(fisher, "integrate_1d_many", counting)
+    curve = [_plane(2.0, float(s)) for s in np.linspace(0.01, 3.0, 120)]
+    reports = fi_direct_many(curve, PSF)
+    assert len(reports) == len(curve)
+    assert 0 < calls < len(curve)
+
+
+def test_fi_direct_underflowed_profile_is_zero():
+    # a narrow vortex far off both sites: every intensity underflows to 0,
+    # which used to give 0/0 at every node and a ConvergenceError
+    amps = _vortex(0.5, 0.0, 19.0)
+    assert amps.n_total < 1e-300
+    assert fi_direct(amps).value == 0.0
+
+
+_scenes = st.tuples(
+    st.one_of(st.tuples(st.just("plane"), st.floats(0.0, 4.0), st.just(0.0)),
+              st.tuples(st.just("vortex"), st.floats(0.5, 1.0), st.floats(-0.3, 0.3))),
+    st.floats(1e-6, 20.0),                   # s
+    st.floats(-1.0, 1.0),                    # x0
+    st.floats(0.05, 1.0, exclude_max=True),  # kappa < 1
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(_scenes, min_size=1, max_size=4))
+def test_fi_direct_many_is_per_scene_fi_direct_and_below_qfi(scenes):
+    curve = [_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
+             else _vortex(p, psi, s, x0=x0, kappa=kappa)
+             for (family, p, psi), s, x0, kappa in scenes]
+    reports = fi_direct_many(curve, PSF)
+    assert reports == [fi_direct(amps, PSF) for amps in curve]  # bit for bit
+    for amps, di in zip(curve, reports):
+        qfi = qfi_separation(amps, psf_geometry(PSF, amps.s))
+        assert di.normalized_value <= qfi.normalized_value + 1e-8
 
 
 def test_offset_vortex_di_gap_and_spade_recovery():

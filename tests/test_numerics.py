@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from carsfisher import ConvergenceError, golden_section_max, integrate_1d
+from carsfisher import (
+    ConvergenceError,
+    golden_section_max,
+    integrate_1d,
+    integrate_1d_many,
+)
 
 
 def test_integrate_1d_polynomial_exact():
@@ -61,6 +66,74 @@ def test_integrate_1d_deterministic():
     first = integrate_1d(f, -5.0, 5.0, abs_tol=1e-11)
     second = integrate_1d(f, -5.0, 5.0, abs_tol=1e-11)
     assert first == second  # bit-identical, not merely close
+
+
+def _stacked(functions, dtype):
+    """A batch integrand f(rows, x) that evaluates member i with functions[i]."""
+
+    def f(rows, x):
+        out = np.empty(x.shape, dtype=dtype)
+        for i, fn in enumerate(functions):
+            sel = rows == i
+            out[sel] = fn(x[sel])
+        return out
+
+    return f
+
+
+# a polynomial the first Kronrod cell integrates exactly, an oscillatory
+# integrand that needs many rounds of refinement, and a complex one
+_BATCH = (
+    (lambda x: 5 * x**4 - 3 * x**2 + 2, -1.0, 2.0),
+    (lambda x: np.cos(40.0 * x) * np.exp(-0.2 * x * x), -6.0, 5.0),
+    (lambda x: np.exp(3j * x - x * x), -8.0, 8.0),
+)
+
+
+@pytest.mark.parametrize("dtype,size", [(float, 2), (complex, 3)])
+def test_integrate_1d_many_equals_one_call_per_member(dtype, size):
+    # the batch shares one output dtype, so a real member of a complex
+    # batch is compared with its values cast to complex
+    batch = _BATCH[:size]
+    functions, lo, hi = zip(*batch)
+    calls = {"batch": 0}
+
+    def counted(rows, x):
+        calls["batch"] += 1
+        return _stacked(functions, dtype)(rows, x)
+
+    together = integrate_1d_many(counted, lo, hi, abs_tol=1e-11)
+    alone = []
+    for fn, a, b in batch:
+        calls[a] = 0
+
+        def counted_alone(x, fn=fn, key=a):
+            calls[key] += 1
+            return np.asarray(fn(x), dtype=dtype)
+
+        alone.append(integrate_1d(counted_alone, a, b, abs_tol=1e-11))
+    assert together == alone  # bit-identical, not merely close
+    assert all(type(v) is type(w) for (v, _), (w, _) in zip(together, alone))
+    assert calls[-1.0] == 1          # converged on its first cell
+    assert calls[-6.0] >= 10         # many rounds of refinement
+    # one integrand call per round, however many members are still active
+    assert calls["batch"] == max(calls[a] for _, a, _ in batch)
+
+
+def test_integrate_1d_many_names_the_member_that_fails():
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 0.37))  # noqa: E731
+    gaussian = lambda x: np.exp(-x * x)  # noqa: E731
+    batch = [_BATCH[0], (singular, 0.0, 1.0), (gaussian, -8.0, 8.0)]
+    functions, lo, hi = zip(*batch)
+    for fn, a, b in (batch[0], batch[2]):
+        integrate_1d(fn, a, b, abs_tol=1e-10, max_depth=12)  # these converge
+    with pytest.raises(ConvergenceError) as alone:
+        integrate_1d(singular, 0.0, 1.0, abs_tol=1e-10, max_depth=12)
+    with pytest.raises(ConvergenceError, match="member 1 stalled at depth 12") as info:
+        integrate_1d_many(_stacked(functions, float), lo, hi, abs_tol=1e-10,
+                          max_depth=12)
+    assert info.value.estimate == alone.value.estimate
+    assert info.value.error == alone.value.error
 
 
 def test_golden_section_quadratic_peak():
