@@ -34,7 +34,6 @@ from .fisher import (
 )
 from .montecarlo import (
     BinnedImager,
-    CountRecord,
     EstimationReport,
     ml_estimate,
     run_experiment,
@@ -44,6 +43,7 @@ from .montecarlo import (
 from .numerics import (
     ConvergenceError,
     golden_section_max,
+    golden_section_max_many,
     integrate_1d,
     integrate_1d_many,
 )
@@ -66,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinnedImager",
     "ConvergenceError",
-    "CountRecord",
     "EmitterScene",
     "EstimationReport",
     "FisherReport",
@@ -87,6 +86,7 @@ __all__ = [
     "fi_spade",
     "gamma_k",
     "golden_section_max",
+    "golden_section_max_many",
     "hg_mode_value",
     "image_amplitudes",
     "integrate_1d",

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import GaussianPsf, overlap_delta
+from .psf_modes import _require_finite, GaussianPsf, overlap_delta
 
 _FD_STEP = 1e-5
 
@@ -54,6 +54,10 @@ class PlaneWaveExcitation:
     ktilde: float | None = None
 
     def __post_init__(self):
+        _require_finite("PlaneWaveExcitation", k_pu_x=self.k_pu_x,
+                        k_pu_y=self.k_pu_y, k_St_x=self.k_St_x,
+                        k_St_y=self.k_St_y,
+                        ktilde=0.0 if self.ktilde is None else self.ktilde)
         derived = self.k_St_x - 2.0 * self.k_pu_x
         if self.ktilde is None:
             object.__setattr__(self, "ktilde", derived)
@@ -83,6 +87,7 @@ class VortexExcitation:
     psi: float = 0.0
 
     def __post_init__(self):
+        _require_finite("VortexExcitation", a=self.a, psi=self.psi)
         if not self.a > 0.0:
             raise ValueError("waist ratio a must be positive")
 
@@ -98,6 +103,8 @@ class EmitterScene:
     kappa: float = 1.0
 
     def __post_init__(self):
+        _require_finite("EmitterScene", s=self.s, x0=self.x0, g=self.g,
+                        kappa=self.kappa)
         if self.s < 0.0:
             raise ValueError("separation must be nonnegative")
         if not self.g > 0.0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
-from .numerics import golden_section_max, integrate_1d_many
+from .numerics import golden_section_max_many, integrate_1d_many
 from .psf_modes import (
     GaussianPsf,
     HermiteGaussBasis,
@@ -47,7 +47,7 @@ from .psf_modes import (
 )
 
 _VALID_METHODS = frozenset({
-    "qfi_general", "qfi_closed", "di_quadrature", "di_closed",
+    "qfi_general", "qfi_closed", "di_quadrature",
     "spade_series", "spade_closed",
 })
 
@@ -449,23 +449,26 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     Maximizes the (adjudicated) closed-form vortex QFI over a at each s:
     coarse 64-point log-spaced scan, then golden-section refinement of the
     bracketing interval to |delta a| < 1e-6; grid ties resolve to the
-    smaller a.  Q_d* is reported in raw units (1/length^2).
+    smaller a.  The refinements of all separations run in lockstep, each
+    making the steps it would make alone.  Q_d* is reported in raw units
+    (1/length^2).
     """
     lo, hi = a_bounds
     if not (0.0 < lo < hi):
         raise ValueError("a_bounds must be a positive increasing interval")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
-    results: list[tuple[float, float]] = []
-    for s in s_grid:
-        s = float(s)
+    s_values = [float(s) for s in s_grid]
 
-        def q_of_a(a):
-            return qfi_vortex_closed(float(a), psi, s, kappa, g, w).value
+    def q(s, a):
+        return qfi_vortex_closed(float(a), psi, s, kappa, g, w).value
 
-        values = np.array([q_of_a(a) for a in grid])
+    b_lo, b_hi = [], []
+    for s in s_values:
+        values = np.array([q(s, a) for a in grid])
         best = int(np.argmax(values))  # first max -> smaller a on ties
-        b_lo = grid[best - 1] if best > 0 else lo
-        b_hi = grid[best + 1] if best < len(grid) - 1 else hi
-        a_star = golden_section_max(q_of_a, float(b_lo), float(b_hi), x_tol=1e-6)
-        results.append((a_star, q_of_a(a_star)))
-    return results
+        b_lo.append(grid[best - 1] if best > 0 else lo)
+        b_hi.append(grid[best + 1] if best < len(grid) - 1 else hi)
+    a_star = golden_section_max_many(
+        lambda rows, x: [q(s_values[r], a) for r, a in zip(rows, x)],
+        b_lo, b_hi, x_tol=1e-6)
+    return [(a, q(s, a)) for s, a in zip(s_values, a_star)]

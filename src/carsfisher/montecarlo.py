@@ -8,6 +8,14 @@ aggregate count per channel, runs maximum-likelihood estimation of the
 separation, and the spread of the per-batch estimates is compared against
 the Cramer-Rao bound 1/(mu F).
 
+All batches of a campaign are estimated in lockstep: their counts form one
+batches x channels array, the model and its logarithm are evaluated once
+per scan point for every batch, and the golden-section refinement makes
+one model pass per round for all batches still refining.  Each batch's
+log-likelihood is still its own dot product and each batch makes the
+search steps it would make alone, so the estimates equal the one-batch
+search (``ml_estimate``) bit for bit.
+
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
 """
@@ -21,27 +29,12 @@ import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
 from .fisher import fi_direct, mean_photons_spade
-from .numerics import _WK, _XK, golden_section_max
+from .numerics import _WK, _XK, golden_section_max_many
 from .psf_modes import GaussianPsf, HermiteGaussBasis
 
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
 _BIN_FI_REL_TOL = 0.02
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Observed photon count in one measurement channel."""
-
-    channel_id: int
-    count: int
-    expected: float = 0.0
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("photon count must be nonnegative")
-        if self.expected < 0.0:
-            raise ValueError("expected count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -64,45 +57,78 @@ class EstimationReport:
     method: str = "spade"
 
 
-def sample_counts(expected_per_channel, rng_seed) -> list[CountRecord]:
-    """Independent Poisson draws per channel; reproducible for a seed."""
+def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
+    """Independent Poisson draws per channel (an integer array);
+    reproducible for a seed."""
     expected = np.asarray(expected_per_channel, dtype=float)
     if np.any(expected < 0.0):
         raise ValueError("negative expected count")
     rng = np.random.Generator(np.random.Philox(rng_seed))
-    counts = rng.poisson(expected)
-    return [CountRecord(channel_id=i, count=int(c), expected=float(e))
-            for i, (c, e) in enumerate(zip(counts, expected))]
+    return rng.poisson(expected)
 
 
-def ml_estimate(records, model, search_interval) -> float:
-    """Maximum-likelihood separation from Poisson counts.
+def ml_estimate(counts, model, search_interval) -> float:
+    """Maximum-likelihood separation from the Poisson counts of one batch.
 
-    model(s) must return the expected count per channel in record order
+    model(s) must return the expected count per channel in count order
     (including any repetition factor).  Maximizes the Poisson log-likelihood
     sum(n_c ln N_c - N_c) with a 256-point scan and golden-section
     refinement of the bracketing interval; exact scan ties resolve toward
-    the interval midpoint.
+    the interval midpoint.  The one-batch case of the search
+    ``run_experiment`` runs for all its batches at once.
     """
-    counts = np.asarray([r.count for r in records], dtype=float)
-    if not np.any(counts > 0):
+    return _ml_search(np.asarray(counts)[None, :], model, search_interval)[0]
+
+
+def _log_terms(model, s: float):
+    """(ln max(N, floor), sum N) of the expectations N = model(s)."""
+    n = np.asarray(model(s), dtype=float)
+    return np.log(np.maximum(n, _LOG_FLOOR)), n.sum()
+
+
+def _ml_search(counts, model, search_interval) -> list[float]:
+    """ML separations of the batches (rows) of ``counts``, in lockstep.
+
+    Each batch's log-likelihood at s is the dot product of its counts with
+    ln N(s), minus sum N(s).  The scan evaluates the model and its
+    logarithm once per point for every batch; the golden-section rounds
+    evaluate them once per distinct abscissa (batches that share a bracket
+    share abscissae, and so can different step sequences from one bracket).
+    """
+    counts = np.asarray(counts, dtype=float)
+    if not np.all(np.any(counts > 0, axis=1)):
         raise ValueError("all counts are zero: separation not identifiable")
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not hi > lo:
         raise ValueError("search interval must be increasing")
-
-    def loglike(s):
-        n = np.asarray(model(float(s)), dtype=float)
-        return float(counts @ np.log(np.maximum(n, _LOG_FLOOR)) - n.sum())
+    batches = list(counts)  # row views: one dot product per (batch, point)
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
-    values = np.array([loglike(s) for s in scan])
-    peaks = np.flatnonzero(values == values.max())
+    values = np.empty((len(batches), len(scan)))
+    for j, s in enumerate(scan):
+        log_n, total = _log_terms(model, float(s))
+        values[:, j] = [row @ log_n - total for row in batches]
+
     mid = 0.5 * (lo + hi)
-    best = int(peaks[np.argmin(np.abs(scan[peaks] - mid))])
-    b_lo = scan[best - 1] if best > 0 else lo
-    b_hi = scan[best + 1] if best < len(scan) - 1 else hi
-    return golden_section_max(loglike, float(b_lo), float(b_hi), x_tol=1e-6)
+    b_lo, b_hi = [], []
+    for row in values:
+        peaks = np.flatnonzero(row == row.max())
+        best = int(peaks[np.argmin(np.abs(scan[peaks] - mid))])
+        b_lo.append(scan[best - 1] if best > 0 else lo)
+        b_hi.append(scan[best + 1] if best < len(scan) - 1 else hi)
+
+    terms = {}
+
+    def loglike(rows, x):
+        out = []
+        for row, s in zip(rows, x):
+            if s not in terms:
+                terms[s] = _log_terms(model, s)
+            log_n, total = terms[s]
+            out.append(batches[row] @ log_n - total)
+        return out
+
+    return golden_section_max_many(loglike, b_lo, b_hi, x_tol=1e-6)
 
 
 def spade_count_model(exc, basis: HermiteGaussBasis, modes: int,
@@ -201,28 +227,24 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
                    search_interval, fisher_per_shot: float,
                    n_total: float = 0.0, method: str = "spade") -> EstimationReport:
     """Simulate `batches` campaigns of mu shots each and compare the spread
-    of the ML estimates against the Cramer-Rao bound 1/(mu F)."""
+    of the ML estimates against the Cramer-Rao bound 1/(mu F).
+
+    model(s) returns the per-shot expected count per channel.  Batch b
+    draws its counts from the Philox stream of SeedSequence((seed, b)); the
+    batches' counts form one integer array and their ML searches run in
+    lockstep, so the model is called once for the truth, once per scan
+    point and once per distinct golden-section abscissa.
+    """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
     if not fisher_per_shot > 0.0:
         raise ValueError("Fisher information must be positive for a CRB")
 
-    cache: dict[float, np.ndarray] = {}
-
-    def cached(s: float) -> np.ndarray:
-        key = float(s)
-        out = cache.get(key)
-        if out is None:
-            out = np.asarray(model(key), dtype=float)
-            cache[key] = out
-        return out
-
-    base = cached(true_s)
-    estimates: list[float] = []
-    for b in range(batches):
-        records = sample_counts(mu * base, np.random.SeedSequence((seed, b)))
-        estimates.append(ml_estimate(records, lambda s: mu * cached(s),
-                                     search_interval))
+    expected = mu * np.asarray(model(float(true_s)), dtype=float)
+    counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
+                       for b in range(batches)])
+    estimates = _ml_search(
+        counts, lambda s: mu * np.asarray(model(s), dtype=float), search_interval)
 
     variance = float(np.var(np.asarray(estimates), ddof=1))
     crb = 1.0 / (mu * fisher_per_shot)

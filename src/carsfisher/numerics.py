@@ -11,7 +11,10 @@ each member refines on its own heap, budget and depth limit, while the
 cells every active member splits in a round share one integrand call.
 Because each member makes the splits it would make alone, a batch returns
 the one-member (``integrate_1d``) results bit for bit; it only trades
-per-cell Python and numpy call overhead for one call per round.
+per-cell Python and numpy call overhead for one call per round.  The
+golden-section search follows the same pattern (``golden_section_max_many``):
+each member keeps its own bracket, and one objective call per round
+evaluates the new abscissae of every unfinished member.
 """
 
 from __future__ import annotations
@@ -226,6 +229,61 @@ def _ordered_sum(cells: dict):
     return sum(cells[k][0] for k in sorted(cells))
 
 
+def golden_section_max_many(
+    f: Callable[[list, list], Sequence[float]],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    x_tol: float = 1e-6,
+) -> list[float]:
+    """Golden-section searches for the maxima bracketed by [lo[i], hi[i]],
+    run in lockstep.
+
+    Member i maximizes ``f(rows, x)`` on its bracket, where the objective
+    receives the abscissae ``x`` of one round (a list of floats) together
+    with ``rows``, the member index of each, and returns one value per
+    abscissa.  Each member keeps its own bracket and stopping test and
+    makes exactly the steps it would make alone; per round, the new
+    abscissae of all unfinished members are evaluated in one objective call
+    (the first round evaluates both interior points of every bracket).
+    Assumes unimodality on each bracket; returns the abscissa of each
+    maximum to within ``x_tol``.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    # per member [a, b, c, d, f(c), f(d)]
+    state = []
+    for a, b in zip(lo, hi):
+        a, b = float(a), float(b)
+        state.append([a, b, b - invphi * (b - a), a + invphi * (b - a), 0.0, 0.0])
+    members = range(len(state))
+    values = f([i for i in members for _ in (0, 1)],
+               [v for st in state for v in st[2:4]])
+    for i in members:
+        state[i][4:] = values[2 * i:2 * i + 2]
+
+    active = [i for i in members if state[i][1] - state[i][0] > x_tol]
+    while active:
+        slots, x = [], []
+        for i in active:
+            st = state[i]
+            a, b, c, d, fc, fd = st
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                slots.append(4)
+                x.append(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                slots.append(5)
+                x.append(d)
+            st[:] = a, b, c, d, fc, fd
+        values = f(active, x)
+        for i, slot, v in zip(active, slots, values):
+            state[i][slot] = v
+        active = [i for i in active if state[i][1] - state[i][0] > x_tol]
+    return [0.5 * (st[0] + st[1]) for st in state]
+
+
 def golden_section_max(
     f: Callable[[float], float],
     lo: float,
@@ -234,21 +292,9 @@ def golden_section_max(
 ) -> float:
     """Golden-section search for a maximum bracketed by [lo, hi].
 
-    Assumes unimodality on the bracket; returns the abscissa of the
-    maximum to within ``x_tol``.
+    The one-member case of :func:`golden_section_max_many`: ``f`` takes
+    one abscissa.  Assumes unimodality on the bracket; returns the abscissa
+    of the maximum to within ``x_tol``.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > x_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    return golden_section_max_many(
+        lambda rows, x: [f(v) for v in x], (lo,), (hi,), x_tol)[0]

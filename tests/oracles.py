@@ -279,3 +279,56 @@ def spectral_g_reference(omega_vib: float, gamma_vib: float, weight: float,
     dw = grid[1] - grid[0]
     total = power.sum() - 0.5 * (power[0] + power[-1])
     return math.sqrt(total * dw / (2.0 * math.pi))
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo: the per-batch scalar maximum-likelihood procedure written out
+# literally — one Poisson draw per batch from its own Philox stream, a
+# Python log-likelihood per abscissa, a 256-point scan and a plain
+# golden-section loop per batch.  Equality with the package's lockstep
+# search shows the batching changes no step of any batch.
+# --------------------------------------------------------------------------
+
+def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
+                 search_interval, scan_points: int = 256,
+                 x_tol: float = 1e-6) -> list:
+    """ML separation of each batch, one batch at a time."""
+    memo = {}
+
+    def expected(s):
+        # the model is deterministic, so repeated abscissae reuse its value
+        if s not in memo:
+            memo[s] = mu * np.asarray(model(s), dtype=float)
+        return memo[s]
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    scan = np.linspace(lo, hi, scan_points)
+    estimates = []
+    for b in range(batches):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((seed, b))))
+        counts = rng.poisson(expected(float(true_s))).astype(float)
+
+        def loglike(s):
+            n = expected(float(s))
+            return float(counts @ np.log(np.maximum(n, 1e-300)) - n.sum())
+
+        values = np.array([loglike(s) for s in scan])
+        peaks = np.flatnonzero(values == values.max())
+        best = int(peaks[np.argmin(np.abs(scan[peaks] - 0.5 * (lo + hi)))])
+        a = float(scan[best - 1]) if best > 0 else lo
+        z = float(scan[best + 1]) if best < scan_points - 1 else hi
+        c, d = z - invphi * (z - a), a + invphi * (z - a)
+        fc, fd = loglike(c), loglike(d)
+        while (z - a) > x_tol:
+            if fc >= fd:
+                z, d, fd = d, c, fc
+                c = z - invphi * (z - a)
+                fc = loglike(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (z - a)
+                fd = loglike(d)
+        estimates.append(0.5 * (a + z))
+    return estimates

@@ -58,6 +58,32 @@ def test_scene_validation():
     EmitterScene(s=0.0)  # coincident emitters are a valid limit
 
 
+@pytest.mark.parametrize("field", ["s", "x0", "g", "kappa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scene_rejects_non_finite_fields(field, value):
+    fields = {"s": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"finite: {field}="):
+        EmitterScene(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"ktilde": math.nan}, {"ktilde": math.inf}, {"k_pu_x": math.nan},
+    {"k_pu_y": math.inf}, {"k_St_x": -math.inf}, {"k_St_y": math.nan},
+], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+def test_plane_wave_rejects_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="finite"):
+        PlaneWaveExcitation(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"a": math.inf}, {"a": math.nan}, {"a": 1.0, "psi": math.nan},
+    {"a": 1.0, "psi": -math.inf},
+], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+def test_vortex_rejects_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="finite"):
+        VortexExcitation(**fields)
+
+
 def test_plane_emission_at_origin():
     scene = EmitterScene(s=1.0, g=2.5)
     val = emission_amplitude(PlaneWaveExcitation(ktilde=2.0), scene, (0.0, 0.0))

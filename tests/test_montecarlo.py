@@ -7,7 +7,6 @@ import pytest
 
 from carsfisher import (
     BinnedImager,
-    CountRecord,
     EmitterScene,
     HermiteGaussBasis,
     PlaneWaveExcitation,
@@ -22,7 +21,8 @@ from carsfisher import (
     spade_count_model,
 )
 
-from oracles import plane_sites, vortex_sites
+import carsfisher.montecarlo as montecarlo
+from oracles import ml_reference, plane_sites, vortex_sites
 
 BASIS = HermiteGaussBasis(truncation_M=30)
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
@@ -32,16 +32,17 @@ def _amps(exc, s):
     return image_amplitudes(exc, EmitterScene(s=s))
 
 
-def test_count_record_validation():
-    with pytest.raises(ValueError):
-        CountRecord(channel_id=0, count=-1)
-    with pytest.raises(ValueError):
-        CountRecord(channel_id=0, count=3, expected=-0.5)
+def test_sample_counts_returns_nonnegative_integers():
+    counts = sample_counts([0.0, 0.5, 3.0, 40.0], 5)
+    assert counts.shape == (4,)
+    assert counts.dtype.kind == "i"
+    assert counts.min() >= 0
+    assert counts[0] == 0
 
 
 def test_sample_counts_poisson_mean():
     expected = np.full(100_000, 4.0)
-    counts = np.array([r.count for r in sample_counts(expected, 123)])
+    counts = sample_counts(expected, 123)
     # mean of 1e5 Poisson(4) draws: sigma = 2/sqrt(1e5)
     assert abs(counts.mean() - 4.0) < 4.0 * 2.0 / math.sqrt(100_000.0)
     assert counts.min() >= 0
@@ -49,9 +50,9 @@ def test_sample_counts_poisson_mean():
 
 def test_sample_counts_reproducible():
     expected = [0.5, 2.0, 7.0]
-    a = [r.count for r in sample_counts(expected, 42)]
-    b = [r.count for r in sample_counts(expected, 42)]
-    c = [r.count for r in sample_counts(expected, 43)]
+    a = sample_counts(expected, 42).tolist()
+    b = sample_counts(expected, 42).tolist()
+    c = sample_counts(expected, 43).tolist()
     assert a == b
     assert a != c
 
@@ -62,20 +63,17 @@ def test_sample_counts_rejects_negative_expectation():
 
 
 def test_ml_estimate_validation():
-    records = [CountRecord(channel_id=0, count=0)]
     with pytest.raises(ValueError, match="identifiable"):
-        ml_estimate(records, lambda s: np.array([s]), (0.1, 1.0))
+        ml_estimate(np.array([0]), lambda s: np.array([s]), (0.1, 1.0))
     with pytest.raises(ValueError, match="increasing"):
-        ml_estimate([CountRecord(channel_id=0, count=3)],
-                    lambda s: np.array([s]), (1.0, 0.5))
+        ml_estimate(np.array([3]), lambda s: np.array([s]), (1.0, 0.5))
 
 
 def test_ml_estimate_recovers_truth_from_noise_free_counts():
     mu = 1e8
     model = spade_count_model(PLANE_K2, BASIS, 10)
-    records = [CountRecord(channel_id=m, count=int(round(mu * n)))
-               for m, n in enumerate(model(1.0))]
-    est = ml_estimate(records, lambda s: mu * model(s), (0.5, 1.5))
+    counts = np.round(mu * model(1.0)).astype(int)
+    est = ml_estimate(counts, lambda s: mu * model(s), (0.5, 1.5))
     assert est == pytest.approx(1.0, abs=1e-4)
 
 
@@ -155,6 +153,61 @@ def test_run_experiment_reproducible():
     assert a.estimates == b.estimates
     assert a.ratio == b.ratio
     assert a.seed == 11
+
+
+def _di_model():
+    return BinnedImager(PLANE_K2, domain_s=1.0, check_discretization=False).expectations
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("seed", [3, 20260817])
+def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
+    model = spade_count_model(PLANE_K2, BASIS, 10) if measurement == "spade" \
+        else _di_model()
+    mu, batches, interval = 1e4, 12, (0.5, 1.5)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval,
+                            fisher_per_shot=16.0, method=measurement)
+    assert report.estimates == ml_reference(model, 1.0, mu, batches, seed,
+                                            interval)
+    # ml_estimate is the one-batch case of the same search
+    counts = sample_counts(mu * model(1.0), np.random.SeedSequence((seed, 4)))
+    assert ml_estimate(counts, lambda s: mu * model(s), interval) \
+        == report.estimates[4]
+
+
+def test_run_experiment_model_work(monkeypatch):
+    # the scan evaluates the model once per point for all batches and the
+    # golden rounds once per distinct abscissa: no s is evaluated twice
+    batches = 50
+    model = _di_model()
+    seen = []
+
+    def counted(s):
+        seen.append(s)
+        return model(s)
+
+    rounds = []
+    lockstep = montecarlo.golden_section_max_many
+
+    def counting_search(f, lo, hi, x_tol):
+        assert len(seen) == 1 + 256  # the truth and the scan
+
+        def g(rows, x):
+            rounds.append(len(rows))
+            return f(rows, x)
+
+        return lockstep(g, lo, hi, x_tol)
+
+    monkeypatch.setattr(montecarlo, "golden_section_max_many", counting_search)
+    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
+                   fisher_per_shot=16.0, method="di")
+    assert len(seen) == len(set(seen))
+    assert rounds[0] == 2 * batches
+    assert len(rounds) == 20
+    assert len(seen) <= 256 + batches * len(rounds) + 1
+    # truth + scan + 744 distinct golden abscissae; a search per batch with
+    # no shared evaluations would call the model 50 * (256 + 21) times
+    assert len(seen) == 1001
 
 
 def test_spade_variance_meets_crb_long_campaign():

@@ -8,6 +8,7 @@ import pytest
 from carsfisher import (
     ConvergenceError,
     golden_section_max,
+    golden_section_max_many,
     integrate_1d,
     integrate_1d_many,
 )
@@ -146,3 +147,40 @@ def test_golden_section_log_gamma_minimum():
     # the minimum of log Gamma on (1, 2) is a classic non-polynomial target
     x_star = golden_section_max(lambda x: -math.lgamma(x), 1.0, 2.0)
     assert x_star == pytest.approx(1.4616321449683623, abs=1e-5)
+
+
+# (objective, bracket): a plain peak, a member needing many more rounds, a
+# flat objective (every comparison a tie), a bracket already below x_tol,
+# and a peak at the bracket edge
+_GOLDEN_MEMBERS = [
+    (lambda x: -(x - 1.3) ** 2, 0.0, 3.0),
+    (lambda x: -math.lgamma(x), 1.0, 2.0e3),
+    (lambda x: 0.0, -1.0, 1.0),
+    (lambda x: math.sin(x), 0.3, 0.3 + 5e-7),
+    (lambda x: x, 0.0, 0.01),
+]
+
+
+def test_golden_section_max_many_equals_one_call_per_member():
+    alone, evals = [], []
+    for fn, lo, hi in _GOLDEN_MEMBERS:
+        calls = []
+        alone.append(golden_section_max(lambda x: calls.append(x) or fn(x),
+                                        lo, hi, x_tol=1e-9))
+        evals.append(len(calls))
+
+    batch_calls = []
+
+    def objective(rows, x):
+        batch_calls.append(list(rows))
+        return np.array([_GOLDEN_MEMBERS[r][0](float(v)) for r, v in zip(rows, x)])
+
+    got = golden_section_max_many(objective, [m[1] for m in _GOLDEN_MEMBERS],
+                                  [m[2] for m in _GOLDEN_MEMBERS], x_tol=1e-9)
+    assert got == alone
+    # one objective call per round: the first evaluates both interior points
+    # of every bracket, each later one the new point of every unfinished member
+    assert len(batch_calls) == max(evals) - 1
+    assert sorted(batch_calls[0]) == sorted(2 * list(range(len(_GOLDEN_MEMBERS))))
+    for r in range(len(_GOLDEN_MEMBERS)):
+        assert sum(row.count(r) for row in batch_calls) == evals[r]

@@ -1,6 +1,8 @@
 """Displaced-PSF overlap geometry and the Hermite-Gauss sorting basis."""
 
 import math
+import signal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from carsfisher import (
     psf_geometry,
     psf_value,
 )
-from carsfisher.psf_modes import gamma_k_dd
+from carsfisher.psf_modes import _sinh_minus_arg, gamma_k_dd
 
 import oracles
 from oracles import gamma_overlap, hg_1d
@@ -169,3 +171,49 @@ def test_oracle_helpers_sanity():
     norm = oracles.inner(oracles.psf_1d(oracles._X), oracles.psf_1d(oracles._X))
     assert norm.real == pytest.approx(1.0, abs=1e-11)
     assert norm.imag == 0.0
+
+
+def _sinh_minus_arg_decimal(x: float) -> float:
+    # the Taylor series of sinh(x) - x in 50-digit decimal arithmetic
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd = Decimal(x)
+        term = xd**3 / 6
+        acc = term
+        k = 1
+        while abs(term) > Decimal(10) ** -45 * acc:
+            k += 1
+            term *= xd * xd / ((2 * k) * (2 * k + 1))
+            acc += term
+        return float(acc)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.4999999999])
+def test_sinh_minus_arg_series_against_decimal(x):
+    assert _sinh_minus_arg(x) == pytest.approx(_sinh_minus_arg_decimal(x),
+                                               rel=4e-16)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("no result within 2 s")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
+def test_nan_separation_returns_promptly():
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        smx = _sinh_minus_arg(float("nan"))
+        geom = psf_geometry(PSF, float("nan"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert math.isnan(smx)
+    assert math.isnan(geom.eta_minus2)
+    assert math.isnan(geom.xi_plus2)
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+def test_psf_width_must_be_finite(width):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianPsf(width_w=width)
