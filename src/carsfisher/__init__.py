@@ -21,6 +21,7 @@ from .fisher import (
     fi_direct,
     fi_direct_many,
     fi_spade,
+    fi_spade_many,
     intensity_profile,
     mean_photons_spade,
     optimize_waist,
@@ -84,6 +85,7 @@ __all__ = [
     "fi_direct",
     "fi_direct_many",
     "fi_spade",
+    "fi_spade_many",
     "gamma_k",
     "golden_section_max",
     "golden_section_max_many",

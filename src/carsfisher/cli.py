@@ -43,6 +43,7 @@ from .excitation import EmitterScene, PlaneWaveExcitation, VortexExcitation, ima
 from .fisher import (
     fi_direct_many,
     fi_spade,
+    fi_spade_many,
     optimize_waist,
     qfi_plane_closed,
     qfi_separation,
@@ -320,10 +321,10 @@ def cmd_figure2(cfg: RunConfig) -> str:
         exc = PlaneWaveExcitation(ktilde=float(kt))
         curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
                  for s in s_grid]
-        for s, amps, di in zip(s_grid, curve,
-                               fi_direct_many(curve, psf, abs_tol=cfg.tol)):
+        for s, amps, di, spade in zip(s_grid, curve,
+                                      fi_direct_many(curve, psf, abs_tol=cfg.tol),
+                                      fi_spade_many(curve, basis, cfg.M)):
             qfi = qfi_separation(amps, psf_geometry(psf, s))
-            spade = fi_spade(amps, basis, cfg.M, s)
             rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
                          _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
     path = _out_path(cfg, "figure2", "csv")
@@ -354,10 +355,10 @@ def cmd_figure3(cfg: RunConfig) -> str:
         exc = VortexExcitation(a=cfg.a, psi=float(psi))
         curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
                  for s in s_grid]
-        for s, amps, di in zip(s_grid, curve,
-                               fi_direct_many(curve, psf, abs_tol=cfg.tol)):
+        for s, amps, di, spade in zip(s_grid, curve,
+                                      fi_direct_many(curve, psf, abs_tol=cfg.tol),
+                                      fi_spade_many(curve, basis, cfg.M)):
             qfi = qfi_separation(amps, psf_geometry(psf, s))
-            spade = fi_spade(amps, basis, cfg.M, s)
             ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
             a_opt, q_opt = envelope[s]
             rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
@@ -377,15 +378,15 @@ def cmd_convergence(cfg: RunConfig) -> str:
     psf = GaussianPsf()
     basis = HermiteGaussBasis(truncation_M=max(30, max(_CONVERGENCE_M)))
     exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
+    s_grid = [float(s) for s in _s_grid(cfg)]
+    curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+             for s in s_grid]
+    by_cutoff = [fi_spade_many(curve, basis, m_cut) for m_cut in _CONVERGENCE_M]
     rows = []
-    for s in _s_grid(cfg):
-        s = float(s)
-        scene = EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)
-        amps = image_amplitudes(exc, scene, psf)
-        geom = psf_geometry(psf, s)
-        qfi = qfi_separation(amps, geom)
-        for m_cut in _CONVERGENCE_M:
-            spade = fi_spade(amps, basis, m_cut, s)
+    for i, (s, amps) in enumerate(zip(s_grid, curve)):
+        qfi = qfi_separation(amps, psf_geometry(psf, s))
+        for m_cut, spades in zip(_CONVERGENCE_M, by_cutoff):
+            spade = spades[i]
             ratio = spade.value / qfi.value if qfi.value > 0.0 else 0.0
             rows.append([s, cfg.ktilde, m_cut, _pick(spade, cfg),
                          _pick(qfi, cfg), ratio])
@@ -514,13 +515,12 @@ def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
     psf = GaussianPsf()
     basis = HermiteGaussBasis(truncation_M=30)
     exc = PlaneWaveExcitation(ktilde=0.0)
+    s_grid = [float(s) for s in np.linspace(0.05, 3.0, 60)]
+    curve = [image_amplitudes(exc, EmitterScene(s=s), psf) for s in s_grid]
     worst = 0.0
-    for s in np.linspace(0.05, 3.0, 60):
-        s = float(s)
-        amps = image_amplitudes(exc, EmitterScene(s=s), psf)
-        series = fi_spade(amps, basis, 30, s).normalized_value
+    for s, series in zip(s_grid, fi_spade_many(curve, basis, 30)):
         closed = spade_collinear_closed(s).normalized_value
-        worst = max(worst, abs(series - closed))
+        worst = max(worst, abs(series.normalized_value - closed))
     return {"tolerance": 1e-8, "max_deviation": worst,
             "grid": "ktilde=0, 60 s-points in [0.05, 3], M=30",
             "matches": worst < 1e-8}

@@ -8,13 +8,19 @@ aggregate count per channel, runs maximum-likelihood estimation of the
 separation, and the spread of the per-batch estimates is compared against
 the Cramer-Rao bound 1/(mu F).
 
+Both count models (``spade_count_model`` and
+``BinnedImager.expectations``) take a vector of separations and return
+one row of per-channel expectations per separation, each row equal to the
+one-separation value bit for bit.
+
 All batches of a campaign are estimated in lockstep: their counts form one
 batches x channels array, the model and its logarithm are evaluated once
 per scan point for every batch, and the golden-section refinement makes
-one model pass per round for all batches still refining.  Each batch's
-log-likelihood is still its own dot product and each batch makes the
-search steps it would make alone, so the estimates equal the one-batch
-search (``ml_estimate``) bit for bit.
+one model pass per round for all batches still refining.  The model sees
+at most 16 separations per call, which bounds the size of its work arrays.
+Each batch's log-likelihood is still its own dot product and each batch
+makes the search steps it would make alone, so the estimates equal the
+one-batch search (``ml_estimate``) bit for bit.
 
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
@@ -28,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
-from .fisher import fi_direct, mean_photons_spade
+from .fisher import _spade_table, fi_direct
 from .numerics import _WK, _XK, golden_section_max_many
 from .psf_modes import GaussianPsf, HermiteGaussBasis
 
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
+_MODEL_BLOCK = 16  # separations per model call
 _BIN_FI_REL_TOL = 0.02
 
 
@@ -70,8 +77,9 @@ def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
 def ml_estimate(counts, model, search_interval) -> float:
     """Maximum-likelihood separation from the Poisson counts of one batch.
 
-    model(s) must return the expected count per channel in count order
-    (including any repetition factor).  Maximizes the Poisson log-likelihood
+    model(s) takes a 1D array of separations and returns the expected
+    count per channel, in count order and including any repetition factor,
+    as one row per separation.  Maximizes the Poisson log-likelihood
     sum(n_c ln N_c - N_c) with a 256-point scan and golden-section
     refinement of the bracketing interval; exact scan ties resolve toward
     the interval midpoint.  The one-batch case of the search
@@ -80,10 +88,15 @@ def ml_estimate(counts, model, search_interval) -> float:
     return _ml_search(np.asarray(counts)[None, :], model, search_interval)[0]
 
 
-def _log_terms(model, s: float):
-    """(ln max(N, floor), sum N) of the expectations N = model(s)."""
-    n = np.asarray(model(s), dtype=float)
-    return np.log(np.maximum(n, _LOG_FLOOR)), n.sum()
+def _log_terms(model, s_values):
+    """(ln max(N, floor), sum N) of each row N of model(s_values), in
+    blocks of at most _MODEL_BLOCK separations per model call."""
+    out = []
+    for start in range(0, len(s_values), _MODEL_BLOCK):
+        block = np.asarray(s_values[start:start + _MODEL_BLOCK], dtype=float)
+        n = np.asarray(model(block), dtype=float)
+        out.extend(zip(np.log(np.maximum(n, _LOG_FLOOR)), n.sum(axis=1)))
+    return out
 
 
 def _ml_search(counts, model, search_interval) -> list[float]:
@@ -93,7 +106,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     ln N(s), minus sum N(s).  The scan evaluates the model and its
     logarithm once per point for every batch; the golden-section rounds
     evaluate them once per distinct abscissa (batches that share a bracket
-    share abscissae, and so can different step sequences from one bracket).
+    share abscissae, and so can different step sequences from one bracket),
+    each round's new abscissae together.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -105,8 +119,7 @@ def _ml_search(counts, model, search_interval) -> list[float]:
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
     values = np.empty((len(batches), len(scan)))
-    for j, s in enumerate(scan):
-        log_n, total = _log_terms(model, float(s))
+    for j, (log_n, total) in enumerate(_log_terms(model, scan)):
         values[:, j] = [row @ log_n - total for row in batches]
 
     mid = 0.5 * (lo + hi)
@@ -120,13 +133,9 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     terms = {}
 
     def loglike(rows, x):
-        out = []
-        for row, s in zip(rows, x):
-            if s not in terms:
-                terms[s] = _log_terms(model, s)
-            log_n, total = terms[s]
-            out.append(batches[row] @ log_n - total)
-        return out
+        new = list(dict.fromkeys(s for s in x if s not in terms))
+        terms.update(zip(new, _log_terms(model, new)))
+        return [batches[row] @ terms[s][0] - terms[s][1] for row, s in zip(rows, x)]
 
     return golden_section_max_many(loglike, b_lo, b_hi, x_tol=1e-6)
 
@@ -134,13 +143,16 @@ def _ml_search(counts, model, search_interval) -> list[float]:
 def spade_count_model(exc, basis: HermiteGaussBasis, modes: int,
                       x0: float = 0.0, g: float = 1.0, kappa: float = 1.0,
                       psf=GaussianPsf()):
-    """Per-shot SPADE expectations as a function of s: [N_0, ..., N_modes]."""
+    """Per-shot SPADE expectations [N_0, ..., N_modes] as a function of a
+    vector of separations: one row per separation (negative ones clip to
+    zero)."""
 
-    def model(s: float) -> np.ndarray:
-        scene = EmitterScene(s=max(float(s), 0.0), x0=x0, g=g, kappa=kappa)
-        amps = image_amplitudes(exc, scene, psf)
-        return np.array([mean_photons_spade(amps, basis, m, scene.s)
-                         for m in range(modes + 1)])
+    def model(s_values) -> np.ndarray:
+        amps = [image_amplitudes(
+                    exc, EmitterScene(s=max(float(s), 0.0), x0=x0, g=g,
+                                      kappa=kappa), psf)
+                for s in np.asarray(s_values, dtype=float)]
+        return _spade_table(amps, basis, modes)[0]
 
     return model
 
@@ -200,25 +212,34 @@ class BinnedImager:
                     f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); "
                     f"increase the bin count")
 
-    def expectations(self, s: float) -> np.ndarray:
-        """Per-shot expected photon count in each bin (row-major)."""
-        scene = EmitterScene(s=max(float(s), 0.0), x0=self.x0, g=self.g,
-                             kappa=self.kappa)
-        amps = image_amplitudes(self.exc, scene, self.psf)
-        a1, a2 = amps.site_amplitudes
-        x1 = (self.x0 - scene.s / 2.0) * self.width_w
-        x2 = (self.x0 + scene.s / 2.0) * self.width_w
+    def expectations(self, s_values) -> np.ndarray:
+        """Per-shot expected photon count in each bin (row-major), one row
+        per separation in the vector ``s_values`` (negative ones clip to
+        zero)."""
+        scenes = [image_amplitudes(
+                      self.exc, EmitterScene(s=max(s, 0.0), x0=self.x0, g=self.g,
+                                             kappa=self.kappa), self.psf)
+                  for s in np.asarray(s_values, dtype=float).tolist()]
+
+        def column(values, dtype=float):
+            # one entry per separation, broadcast against the (bins, nodes) grid
+            return np.array(values, dtype=dtype).reshape(-1, 1, 1)
+
+        a1 = column([amps.site_amplitudes[0] for amps in scenes], complex)
+        a2 = column([amps.site_amplitudes[1] for amps in scenes], complex)
+        x1 = column([(self.x0 - amps.s / 2.0) * self.width_w for amps in scenes])
+        x2 = column([(self.x0 + amps.s / 2.0) * self.width_w for amps in scenes])
         xx = self._nodes_x
         e1 = np.exp(-((xx - x1) / self.width_w) ** 2)
         e2 = np.exp(-((xx - x2) / self.width_w) ** 2)
         profile = np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
-        return np.outer(profile, self._weights_y).ravel()
+        return (profile[:, :, None] * self._weights_y).reshape(
+            len(scenes), profile.shape[1] * self._weights_y.size)
 
     def fisher_information(self, s: float, h: float = 1e-4) -> float:
         """Discretized DI Fisher information at s via central differences."""
-        e_mid = self.expectations(s)
-        d_e = (self.expectations(s + h) - self.expectations(max(s - h, 0.0))) \
-            / (h + min(h, s))
+        e_mid, e_up, e_down = self.expectations([s, s + h, max(s - h, 0.0)])
+        d_e = (e_up - e_down) / (h + min(h, s))
         mask = e_mid > 1e-15 * e_mid.max()
         return float(np.sum(d_e[mask] ** 2 / e_mid[mask]))
 
@@ -229,18 +250,20 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     """Simulate `batches` campaigns of mu shots each and compare the spread
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
-    model(s) returns the per-shot expected count per channel.  Batch b
-    draws its counts from the Philox stream of SeedSequence((seed, b)); the
-    batches' counts form one integer array and their ML searches run in
-    lockstep, so the model is called once for the truth, once per scan
-    point and once per distinct golden-section abscissa.
+    model(s) takes a 1D array of separations and returns the per-shot
+    expected count per channel, one row per separation.  Batch b draws its
+    counts from the Philox stream of SeedSequence((seed, b)); the batches'
+    counts form one integer array and their ML searches run in lockstep.
+    Each separation is evaluated once: the truth, the 256 scan points in
+    16 calls of 16, and each golden-section round's new distinct abscissae
+    in calls of at most 16.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
     if not fisher_per_shot > 0.0:
         raise ValueError("Fisher information must be positive for a CRB")
 
-    expected = mu * np.asarray(model(float(true_s)), dtype=float)
+    expected = mu * np.asarray(model(np.array([float(true_s)])), dtype=float)[0]
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])
     estimates = _ml_search(

@@ -14,10 +14,14 @@ geometry scalars carry their physical 1/w and 1/w^2 factors.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import _scalar_map
 
 # Below this separation the symmetric/antisymmetric mode pair degenerates
 # numerically; closed forms switch to their exact limits.
@@ -27,9 +31,17 @@ S_TINY = 1e-12
 def _require_finite(owner: str, **fields):
     """Raise ValueError naming every non-finite field of ``owner``."""
     bad = [f"{name}={value}" for name, value in fields.items()
-           if not math.isfinite(value)]
+           if not cmath.isfinite(value)]
     if bad:
         raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
+
+
+def _require_separation(s):
+    """Raise ValueError unless the separation ``s`` (a number, or every
+    entry of an array) is finite and nonnegative."""
+    for value in s.ravel().tolist() if isinstance(s, np.ndarray) else (s,):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"separation must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,14 @@ class HermiteGaussBasis:
 
     width_w: float = 1.0
     truncation_M: int = 30
+
+    def __post_init__(self):
+        _require_finite("HermiteGaussBasis", width_w=self.width_w)
+        if not self.width_w > 0.0:
+            raise ValueError("basis width must be positive")
+        m = self.truncation_M
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 0:
+            raise ValueError(f"truncation_M must be a nonnegative integer, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -104,29 +124,48 @@ def hg_mode_value(basis: HermiteGaussBasis, m: int, x, y):
     return math.sqrt(2.0 / math.pi) / w * h * envelope
 
 
-def gamma_k(basis: HermiteGaussBasis, k: int, s: float) -> float:
-    """Overlap of a PSF displaced by s/2 with the k-th basis mode.
+def _gamma_table(s_values, k_max: int, width_w: float = 1.0):
+    """gamma_k and d(gamma_k)/dd for every separation (rows) and k = 0..k_max.
 
-    Equals exp(-s^2/8) (s/2)^k / sqrt(k!).  Computed in the log domain so
-    large k and small s underflow gracefully instead of overflowing.
+    gamma_k = exp(-s^2/8) (s/2)^k / sqrt(k!) is the overlap of a PSF
+    displaced by s/2 with the k-th basis mode, computed in the log domain
+    so large k and small s underflow gracefully instead of overflowing;
+    d(gamma_k)/dd = gamma_k (k/s - s/4) / w.  At s = 0 only gamma_0 = 1
+    and the slope 1/(2w) of gamma_1 ~ s/2 survive.
     """
+    s = np.asarray(s_values, dtype=float)
+    _require_separation(s)
+    k = np.arange(k_max + 1, dtype=float)
+    gam = np.zeros((s.size, k.size))
+    gam_d = np.zeros_like(gam)
+    lit = s > 0.0
+    s_lit = s[lit][:, None]
+    # math.log per separation and math.exp per entry: numpy's SIMD log and
+    # exp differ from libm in the last bit, and every caller's numbers
+    # were frozen from libm values
+    log_half = _scalar_map(math.log, s_lit / 2.0)
+    half_lgamma = _scalar_map(math.lgamma, k + 1.0) * 0.5
+    gam[lit] = _scalar_map(math.exp, -s_lit * s_lit / 8.0 + k * log_half - half_lgamma)
+    gam_d[lit] = gam[lit] * (k / s_lit - s_lit / 4.0) / width_w
+    gam[~lit, 0] = 1.0
+    if k_max >= 1:
+        gam_d[~lit, 1] = 0.5 / width_w
+    return gam, gam_d
+
+
+def gamma_k(basis: HermiteGaussBasis, k: int, s: float) -> float:
+    """Overlap of a PSF displaced by s/2 with the k-th basis mode,
+    exp(-s^2/8) (s/2)^k / sqrt(k!) (one entry of the batched table)."""
     if k < 0 or k > basis.truncation_M:
         raise ValueError(f"mode index {k} outside [0, {basis.truncation_M}]")
-    if s == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if s < 0.0:
-        raise ValueError("separation must be nonnegative")
-    log_g = -s * s / 8.0 + k * math.log(s / 2.0) - 0.5 * math.lgamma(k + 1.0)
-    return math.exp(log_g)
+    return float(_gamma_table([s], k)[0][0, k])
 
 
 def gamma_k_dd(basis: HermiteGaussBasis, k: int, s: float, width_w: float = 1.0) -> float:
     """d(gamma_k)/dd at separation s (1/length units)."""
-    if s == 0.0:
-        # gamma_k ~ (s/2)^k near zero: only k = 1 has a nonzero slope.
-        return 0.5 / width_w if k == 1 else 0.0
-    g = gamma_k(basis, k, s)
-    return g * (k / s - s / 4.0) / width_w
+    if k < 0 or k > basis.truncation_M:
+        raise ValueError(f"mode index {k} outside [0, {basis.truncation_M}]")
+    return float(_gamma_table([s], k, width_w)[1][0, k])
 
 
 def _sinh_minus_arg(x: float) -> float:
@@ -181,8 +220,7 @@ def centroid_mode_coupling(psf: GaussianPsf, s: float) -> float:
 
 def psf_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
     """All overlap scalars of the displaced-PSF pair at separation s."""
-    if s < 0.0:
-        raise ValueError("separation must be nonnegative")
+    _require_separation(s)
     w = psf.width_w
     w2 = w * w
     x = s * s / 2.0
@@ -192,8 +230,9 @@ def psf_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
     beta = (1.0 - s * s) * delta / w2
 
     if x < S_TINY:
-        # Exact s -> 0 limits of the derivative-mode norms.
-        eta_p2 = 0.0
+        # Leading terms of the derivative-mode norms as s -> 0 (relative
+        # corrections O(x^2) ~ 1e-24 at most)
+        eta_p2 = x / 4.0 / w2
         eta_m2 = x / 12.0 / w2
         xi_p2 = x * x / 6.0 / w2
         xi_m2 = 2.0 / w2

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _GAUSS_IDX, _WG, _WK, _XK, ConvergenceError, integrate_1d
+from .psf_modes import _require_finite
 
 _GRID_POINTS = 4096
 _GRID_HALFWIDTH_BW = 12.0   # grid span, units of the combined bandwidth
@@ -53,6 +54,9 @@ class RamanResonance:
     polarizability_weight: float = 1.0
 
     def __post_init__(self):
+        _require_finite("RamanResonance", omega_vib=self.omega_vib,
+                        gamma_vib=self.gamma_vib,
+                        polarizability_weight=self.polarizability_weight)
         if not self.gamma_vib > 0.0:
             raise ValueError("resonance linewidth must be positive")
         if not self.polarizability_weight > 0.0:
@@ -72,6 +76,8 @@ class PulseSpectrum:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        _require_finite("PulseSpectrum", center=self.center,
+                        bandwidth=self.bandwidth, amplitude=self.amplitude)
         if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
 

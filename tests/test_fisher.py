@@ -19,6 +19,7 @@ from carsfisher import (
     fi_direct,
     fi_direct_many,
     fi_spade,
+    fi_spade_many,
     image_amplitudes,
     intensity_profile,
     mean_photons_spade,
@@ -36,9 +37,13 @@ from carsfisher import (
 from oracles import (
     di_fisher_fd,
     plane_sites,
+    plane_slopes,
     qfi_matrix_fd,
+    spade_closed,
     spade_fisher_fd,
+    spade_gamma,
     vortex_sites,
+    vortex_slopes,
 )
 
 SQ2I = math.sqrt(2.0) / 2.0
@@ -70,6 +75,25 @@ def test_fisher_report_validation():
         FisherReport(value=1.0, normalized_value=0.5, method="guesswork")
     with pytest.raises(ValueError, match="nonnegative"):
         FisherReport(value=-1.0, normalized_value=-0.5, method="qfi_closed")
+
+
+@pytest.mark.parametrize("field", ["value", "normalized_value", "error_estimate"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fisher_report_rejects_non_finite_fields(field, bad):
+    fields = {"value": 1.0, "normalized_value": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"finite: {field}="):
+        FisherReport(method="qfi_closed", **fields)
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda amps, s: fi_direct(amps, PSF, s),
+    lambda amps, s: fi_spade(amps, BASIS, 10, s),
+    lambda amps, s: mean_photons_spade(amps, BASIS, 1, s),
+], ids=["fi_direct", "fi_spade", "mean_photons_spade"])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -0.5])
+def test_separation_overrides_reject_bad_values(estimator, s):
+    with pytest.raises(ValueError, match="separation must be finite and nonnegative"):
+        estimator(_plane(2.0, 1.0), s)
 
 
 def test_qfi_matrix_validation():
@@ -328,6 +352,122 @@ def test_fi_spade_against_independent_oracle(s):
         got = fi_spade(amps, BASIS, 12).value
         want = spade_fisher_fd(sites, s, 12)
         assert got == pytest.approx(want, rel=1e-7)
+
+
+# fi_spade (M = 30, M = 10) and N_0, N_1, N_4 as float.hex, frozen from the
+# scalar per-mode implementation the batched table replaced
+SPADE_BITS = {
+    "plane-s0": (
+        _plane, (2.0, 0.0), {},
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p+2", "0x0.0p+0", "0x0.0p+0")),
+    "plane-s1e-8": (
+        _plane, (2.0, 1e-8), {},
+        ("0x1.851c6b01eb435p-49", "0x1.851c6b01eb435p-49"),
+        ("0x1.0000000000000p+2", "0x0.0p+0", "0x1.c1551b1463436p-224")),
+    "plane-s1": (
+        _plane, (2.0, 1.0), {},
+        ("0x1.06e6ef6a45b4dp+4", "0x1.06e6ef6a453bap+4"),
+        ("0x1.d19e4432a9477p-1", "0x1.1a5768de1dcedp-1", "0x1.366982cc70dadp-13")),
+    "plane-s20": (
+        _plane, (2.0, 20.0), {},
+        ("0x1.5d9d199069685p-46", "0x1.780d90020a9b1p-93"),
+        ("0x1.1af0f09b2f550p-145", "0x1.14947586c24ffp-136", "0x1.1913a92d5190ap-123")),
+    "collinear-kappa-g": (
+        _plane, (0.0, 0.5), {"kappa": 0.8, "g": 1.3},
+        ("0x1.d41ea4684bbb4p-1", "0x1.d41ea4684bbb4p-1"),
+        ("0x1.452462e4c29b9p+2", "0x0.0p+0", "0x1.b185d931037a5p-19")),
+    "vortex-offset": (
+        _vortex, (1.2, 0.3, 0.9), {"x0": 0.7},
+        ("0x1.ac7f0d8cec6fbp+2", "0x1.ac7f0d8cec691p+2"),
+        ("0x1.c72a8370a0a24p+0", "0x1.586dc644edf9ap-5", "0x1.053ed40ea987cp-13")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPADE_BITS))
+def test_spade_bits_are_frozen(name):
+    make, args, scene_kw, fi_bits, n_bits = SPADE_BITS[name]
+    amps = make(*args, **scene_kw)
+    assert (fi_spade(amps, BASIS, 30).value.hex(),
+            fi_spade(amps, BASIS, 10).value.hex()) == fi_bits
+    assert tuple(mean_photons_spade(amps, BASIS, m).hex() for m in (0, 1, 4)) == n_bits
+
+
+def test_fi_spade_many_is_per_scene_fi_spade():
+    curve = [SPADE_BITS[name][0](*SPADE_BITS[name][1], **SPADE_BITS[name][2])
+             for name in sorted(SPADE_BITS)]
+    for M in (0, 10, 30):
+        assert fi_spade_many(curve, BASIS, M) == [fi_spade(a, BASIS, M) for a in curve]
+    assert fi_spade_many([], BASIS, 10) == []
+
+
+def test_fi_spade_many_builds_one_table(monkeypatch):
+    calls = []
+    table = fisher._gamma_table
+
+    def counted(s_values, *args):
+        calls.append(len(s_values))
+        return table(s_values, *args)
+
+    monkeypatch.setattr(fisher, "_gamma_table", counted)
+    fi_spade_many([_plane(2.0, s) for s in (0.0, 0.5, 1.0, 4.0)], BASIS, 30)
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("case", [
+    ("plane", 2.0, 0.0, 1.0, 0.0, 1.0, 1.0),
+    ("plane", 0.0, 0.0, 0.5, 0.0, 0.8, 1.3),
+    ("plane", 3.0, 0.0, 4.0, -0.4, 0.6, 1.0),
+    ("vortex", 1.2, 0.3, 0.9, 0.7, 1.0, 1.0),
+    ("vortex", SQ2I, 0.2, 2.5, 0.0, 0.5, 0.7),
+], ids=["plane-k2", "collinear", "plane-k3-offset", "vortex-offset", "vortex-far"])
+def test_spade_against_closed_oracle(case):
+    family, p, psi, s, x0, kappa, g = case
+    if family == "plane":
+        amps = _plane(p, s, x0=x0, kappa=kappa, g=g)
+        sites, slopes = plane_sites(p, g), plane_slopes(p, g)
+    else:
+        amps = _vortex(p, psi, s, x0=x0, kappa=kappa, g=g)
+        sites, slopes = vortex_sites(p, psi, g), vortex_slopes(p, psi, g)
+    for M in (4, 12, 30):
+        photons, fisher_norm = spade_closed(sites, slopes, s, x0, M, kappa, g)
+        assert fi_spade(amps, BASIS, M).normalized_value == pytest.approx(
+            fisher_norm, rel=1e-12)
+        got = [mean_photons_spade(amps, BASIS, m) for m in range(M + 1)]
+        assert got == pytest.approx(photons, rel=1e-12, abs=1e-300)
+
+
+_spade_scenes = st.tuples(
+    st.one_of(st.tuples(st.just("plane"), st.floats(0.0, 4.0), st.just(0.0)),
+              st.tuples(st.just("vortex"), st.floats(0.3, 3.0), st.floats(-1.0, 1.0))),
+    st.floats(1e-10, 20.0),                  # s
+    st.floats(-1.0, 1.0),                    # x0
+    st.floats(0.05, 1.0, exclude_max=True),  # kappa < 1
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_spade_scenes, min_size=1, max_size=4))
+def test_spade_properties_over_random_scenes(scenes):
+    curve = [_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
+             else _vortex(p, psi, s, x0=x0, kappa=kappa)
+             for (family, p, psi), s, x0, kappa in scenes]
+    reports = fi_spade_many(curve, BASIS, 30)
+    assert reports == [fi_spade(amps, BASIS, 30) for amps in curve]  # bit for bit
+    for amps, spade in zip(curve, reports):
+        qfi = qfi_separation(amps, psf_geometry(PSF, amps.s))
+        assert spade.value <= qfi.value * (1.0 + 1e-9)
+        by_cutoff = [fi_spade(amps, BASIS, M).value for M in range(31)]
+        assert by_cutoff == sorted(by_cutoff)
+        assert by_cutoff[-1] == spade.value
+        # modes 0..30 plus the tail beyond them hold every photon: even
+        # modes collect |a1 + a2|^2, odd modes |a2 - a1|^2, times gamma_m^2
+        a1, a2 = amps.site_amplitudes
+        tail = amps.kappa * sum(
+            spade_gamma(m, amps.s) ** 2 * abs(a2 + (-1) ** m * a1) ** 2
+            for m in range(31, 260))
+        photons = sum(mean_photons_spade(amps, BASIS, m) for m in range(31))
+        assert photons + tail == pytest.approx(amps.n_total, rel=1e-10)
 
 
 def test_fi_spade_monotone_in_mode_cutoff():

@@ -64,29 +64,52 @@ def test_sample_counts_rejects_negative_expectation():
 
 def test_ml_estimate_validation():
     with pytest.raises(ValueError, match="identifiable"):
-        ml_estimate(np.array([0]), lambda s: np.array([s]), (0.1, 1.0))
+        ml_estimate(np.array([0]), lambda s: np.asarray(s)[:, None], (0.1, 1.0))
     with pytest.raises(ValueError, match="increasing"):
-        ml_estimate(np.array([3]), lambda s: np.array([s]), (1.0, 0.5))
+        ml_estimate(np.array([3]), lambda s: np.asarray(s)[:, None], (1.0, 0.5))
 
 
 def test_ml_estimate_recovers_truth_from_noise_free_counts():
     mu = 1e8
     model = spade_count_model(PLANE_K2, BASIS, 10)
-    counts = np.round(mu * model(1.0)).astype(int)
+    counts = np.round(mu * model([1.0])[0]).astype(int)
     est = ml_estimate(counts, lambda s: mu * model(s), (0.5, 1.5))
     assert est == pytest.approx(1.0, abs=1e-4)
 
 
 def test_spade_count_model_matches_mode_expectations():
+    # one row per separation, each the per-mode value bit for bit
     model = spade_count_model(PLANE_K2, BASIS, 12, kappa=0.8)
-    amps = image_amplitudes(PLANE_K2, EmitterScene(s=0.9, kappa=0.8))
-    want = np.array([mean_photons_spade(amps, BASIS, m) for m in range(13)])
-    np.testing.assert_allclose(model(0.9), want, rtol=1e-13)
+    s_values = [0.9, 0.0, 1e-8, 2.5]
+    got = model(s_values)
+    assert got.shape == (4, 13)
+    for row, s in zip(got, s_values):
+        amps = image_amplitudes(PLANE_K2, EmitterScene(s=s, kappa=0.8))
+        want = [mean_photons_spade(amps, BASIS, m) for m in range(13)]
+        assert row.tolist() == want
+    # negative separations clip to zero
+    assert model([-0.3]).tolist() == model([0.0]).tolist()
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+def test_count_model_rows_do_not_depend_on_the_batch(measurement):
+    exc = VortexExcitation(a=1.2, psi=0.3)
+    if measurement == "spade":
+        model = spade_count_model(exc, BASIS, 10, x0=0.7)
+    else:
+        model = BinnedImager(exc, domain_s=1.0, x0=0.7,
+                             check_discretization=False).expectations
+    s_values = np.linspace(0.0, 1.6, 17)
+    block = model(s_values)
+    assert block.shape[0] == 17
+    for row, s in zip(block, s_values):
+        assert row.tolist() == model([s])[0].tolist()
 
 
 def test_binned_imager_conserves_photons():
     imager = BinnedImager(PLANE_K2, domain_s=1.0)
-    expectations = imager.expectations(1.0)
+    assert imager.expectations([1.0, 0.4]).shape == (2, 32 * 32)
+    expectations = imager.expectations([1.0])[0]
     n_total = _amps(PLANE_K2, 1.0).n_total
     assert expectations.sum() == pytest.approx(n_total, rel=1e-5)
     assert expectations.min() >= 0.0
@@ -134,7 +157,8 @@ def test_binned_imager_matches_full_tensor_rule(exc, sites):
             u2 = math.sqrt(2.0 / math.pi) * np.exp(-((xx - x0 - s / 2.0) ** 2 + yy**2))
             intensity = np.abs(a1 * u1 + a2 * u2) ** 2
             want[i, j] = hx * hy * weights @ intensity @ weights
-    np.testing.assert_allclose(imager.expectations(s), want.ravel(), rtol=1e-12)
+    np.testing.assert_allclose(imager.expectations([s])[0], want.ravel(),
+                               rtol=1e-12)
 
 
 def test_run_experiment_validation():
@@ -170,27 +194,31 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
     assert report.estimates == ml_reference(model, 1.0, mu, batches, seed,
                                             interval)
     # ml_estimate is the one-batch case of the same search
-    counts = sample_counts(mu * model(1.0), np.random.SeedSequence((seed, 4)))
+    counts = sample_counts(mu * model([1.0])[0],
+                           np.random.SeedSequence((seed, 4)))
     assert ml_estimate(counts, lambda s: mu * model(s), interval) \
         == report.estimates[4]
 
 
 def test_run_experiment_model_work(monkeypatch):
     # the scan evaluates the model once per point for all batches and the
-    # golden rounds once per distinct abscissa: no s is evaluated twice
+    # golden rounds once per distinct abscissa: no s is evaluated twice,
+    # and no model call sees more than 16 separations
     batches = 50
     model = _di_model()
-    seen = []
+    seen, calls = [], []
 
-    def counted(s):
-        seen.append(s)
-        return model(s)
+    def counted(s_values):
+        seen.extend(np.asarray(s_values).tolist())
+        calls.append(len(s_values))
+        return model(s_values)
 
     rounds = []
     lockstep = montecarlo.golden_section_max_many
 
     def counting_search(f, lo, hi, x_tol):
         assert len(seen) == 1 + 256  # the truth and the scan
+        assert len(calls) == 1 + 16
 
         def g(rows, x):
             rounds.append(len(rows))
@@ -202,12 +230,15 @@ def test_run_experiment_model_work(monkeypatch):
     run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
                    fisher_per_shot=16.0, method="di")
     assert len(seen) == len(set(seen))
+    assert max(calls) <= 16
     assert rounds[0] == 2 * batches
     assert len(rounds) == 20
     assert len(seen) <= 256 + batches * len(rounds) + 1
     # truth + scan + 744 distinct golden abscissae; a search per batch with
-    # no shared evaluations would call the model 50 * (256 + 21) times
+    # no shared evaluations would evaluate 50 * (256 + 21) separations
     assert len(seen) == 1001
+    # each round's new abscissae in blocks of at most 16
+    assert len(calls) <= 1 + 16 + len(rounds) * math.ceil(2 * batches / 16)
 
 
 def test_spade_variance_meets_crb_long_campaign():

@@ -76,9 +76,9 @@ def test_geometry_mode_norm_identities(s):
 def test_geometry_small_s_limits():
     g = psf_geometry(PSF, 1e-8)
     x = 0.5e-16
-    assert g.eta_plus2 == pytest.approx(0.0, abs=1e-18)
-    assert g.eta_minus2 == pytest.approx(x / 12.0, rel=1e-12)
-    assert g.xi_plus2 == pytest.approx(x * x / 6.0, rel=1e-12)
+    assert g.eta_plus2 == pytest.approx(x / 4.0, rel=1e-12, abs=0.0)
+    assert g.eta_minus2 == pytest.approx(x / 12.0, rel=1e-12, abs=0.0)
+    assert g.xi_plus2 == pytest.approx(x * x / 6.0, rel=1e-12, abs=0.0)
     assert g.xi_minus2 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -204,16 +204,55 @@ def test_nan_separation_returns_promptly():
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
         smx = _sinh_minus_arg(float("nan"))
-        geom = psf_geometry(PSF, float("nan"))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            psf_geometry(PSF, float("nan"))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert math.isnan(smx)
-    assert math.isnan(geom.eta_minus2)
-    assert math.isnan(geom.xi_plus2)
 
 
 @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
 def test_psf_width_must_be_finite(width):
     with pytest.raises(ValueError, match="finite"):
         GaussianPsf(width_w=width)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -0.25])
+def test_psf_geometry_rejects_bad_separation(s):
+    with pytest.raises(ValueError, match="separation must be finite and nonnegative"):
+        psf_geometry(PSF, s)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-7, 1.4e-6, 1.5e-6, 1e-3])
+def test_derivative_mode_norms_against_decimal(s):
+    # eta_+-^2 and xi_+^2 from their defining sinh/cosh expressions at 80
+    # digits, on both sides of the small-x branch (x = s^2/2 < 1e-12)
+    def sinh(v):
+        return (v.exp() - (-v).exp()) / 2
+
+    def cosh(v):
+        return (v.exp() + (-v).exp()) / 2
+
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(s) * Decimal(s) / 2
+        want = {
+            "eta_plus2": (sinh(x) + x) / (8 * cosh(x / 2) ** 2),
+            "eta_minus2": (sinh(x) - x) / (8 * sinh(x / 2) ** 2),
+            "xi_plus2": (sinh(x) - x) / sinh(x),
+        }
+    geom = psf_geometry(PSF, s)
+    for name, value in want.items():
+        assert getattr(geom, name) == pytest.approx(float(value), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"width_w": math.nan}, {"width_w": math.inf}, {"width_w": -math.inf},
+    {"width_w": 0.0}, {"width_w": -1.0},
+    {"truncation_M": -1}, {"truncation_M": 2.5}, {"truncation_M": 30.0},
+    {"truncation_M": "30"}, {"truncation_M": True},
+])
+def test_basis_rejects_bad_fields(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))[:5]):
+        HermiteGaussBasis(**fields)

@@ -47,6 +47,25 @@ def test_resonance_validation():
         RamanResonance(omega_vib=10.0, gamma_vib=0.5, polarizability_weight=0.0)
 
 
+@pytest.mark.parametrize("field", ["omega_vib", "gamma_vib", "polarizability_weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_resonance_rejects_non_finite_fields(field, value):
+    fields = {"omega_vib": 10.0, "gamma_vib": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"finite: {field}="):
+        RamanResonance(**fields)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("center", math.nan), ("center", math.inf), ("center", -math.inf),
+    ("bandwidth", math.inf), ("amplitude", complex(math.nan, 0.0)),
+    ("amplitude", complex(1.0, math.inf)), ("amplitude", math.inf),
+])
+def test_pulse_rejects_non_finite_fields(field, value):
+    fields = {"center": 100.0, "bandwidth": 2.0, field: value}
+    with pytest.raises(ValueError, match=f"finite: {field}="):
+        PulseSpectrum(**fields)
+
+
 def test_pulse_validation_and_norm():
     with pytest.raises(ValueError):
         PulseSpectrum(center=100.0, bandwidth=0.0)
