@@ -20,8 +20,8 @@ byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
 and the fully resolved configuration.  The table commands (figure2,
-figure3, convergence, spectral-dump, optimize-waist) write CSV only and
-reject format=json; adjudicate and simulate always write JSON.
+figure3, convergence, spectral-dump, optimize-waist) write CSV;
+adjudicate and simulate write JSON.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence,
 4 closed-form adjudication mismatch.
@@ -56,10 +56,8 @@ from .numerics import ConvergenceError, integrate_1d
 from .psf_modes import GaussianPsf, HermiteGaussBasis, psf_geometry, psf_value
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, phi_grid
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
-_CSV_ONLY = ("figure2", "figure3", "convergence", "spectral-dump",
-             "optimize-waist")
 
 
 class ConfigError(Exception):
@@ -87,7 +85,6 @@ class RunConfig:
     psi: float = 0.0
     M: int = 10
     output_path: str = ""
-    format: str = "csv"
     seed: int = 20260817
     tol: float = 1e-8
     raw: bool = False
@@ -119,8 +116,6 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if self.family not in ("plane", "vortex"):
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.format!r}")
         if self.measurement not in ("spade", "di"):
             raise ConfigError(f"unknown measurement {self.measurement!r}")
         if self.s_points < 1:
@@ -162,7 +157,7 @@ _FIELD_PARSERS = {
     "ktilde_grid": _parse_float_tuple, "ktilde": float,
     "a": float, "a_min": float, "a_max": float,
     "psi_grid": _parse_float_tuple, "psi": float,
-    "M": int, "output_path": str, "format": str, "seed": int,
+    "M": int, "output_path": str, "seed": int,
     "tol": float, "raw": _parse_bool, "kappa": float, "g": float,
     "measurement": str, "mu": float, "batches": int, "s_sim": float,
     "search_lo": float, "search_hi": float,
@@ -625,7 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "optimize-waist"])
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", default=None, choices=["csv", "json"])
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--modes", type=int, default=None,
                         help="SPADE mode cutoff M")
@@ -640,7 +634,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         "output_path": args.out,
-        "format": args.format,
         "seed": args.seed,
         "M": args.modes,
         "tol": args.tol,
@@ -648,9 +641,6 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides=overrides)
-        if args.command in _CSV_ONLY and cfg.format != "csv":
-            raise ConfigError(f"{args.command} writes CSV only; "
-                              f"format={cfg.format} is not supported")
         untouched = "family" not in cfg.explicit_keys
         if args.command == "figure2":
             if untouched:

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
-spectral composite rule reuses) and a golden-section maximizer.  Everything
+binned camera model reuses) and a golden-section maximizer.  Everything
 here is deterministic: adaptive subdivision uses a worst-error heap with an
 insertion counter as tie-break, and final sums are accumulated in
 insertion order, so repeated runs are bit-identical.

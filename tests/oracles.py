@@ -6,7 +6,8 @@ directly from their defining expressions, derivatives are central finite
 differences, and inner products are trapezoid sums wide enough that the
 Gaussian tails are below double precision.  Agreement between these
 oracles and the analytic package paths is what the frozen constants in
-the test modules encode.
+the test modules encode.  One spectral oracle integrates at 30 digits
+with mpmath instead; the tests that use it skip when mpmath is missing.
 
 The image plane separates: every mode involved (displaced PSFs, their
 derivatives, Hermite-Gauss analysis modes) shares the same unit-norm
@@ -261,10 +262,62 @@ def spade_closed(sites, slopes, s: float, x0: float, modes: int,
 # --------------------------------------------------------------------------
 # spectral response: the two-pump/one-Stokes double convolution with the
 # inner frequency integral done in closed form (Gaussian x Gaussian), the
-# outer one by dense trapezoid.  Completely separate from the composite
-# Gauss-Kronrod machinery in the package.  The inner convolution also has
-# a literal dense-trapezoid version that pins the package's closed form.
+# outer one by dense trapezoid, not through the package's Faddeeva closed
+# form.  The inner convolution also has a literal dense-trapezoid version
+# that pins the closed form these oracles use.
 # --------------------------------------------------------------------------
+
+def faddeeva_trapezoid(z: complex, half_width: float = 10.0,
+                       step: float = 0.002) -> complex:
+    """w(z) = (i/pi) Int e^{-t^2} / (z - t) dt for Im z >= 0.05 by a dense
+    trapezoid.  The integrand is analytic in the strip |Im t| < Im z, so
+    the rule's error is ~exp(-2 pi Im z / step) (< 1e-60 here); the sum is
+    taken with math.fsum so roundoff stays at the level of single terms."""
+    if not z.imag >= 0.05:
+        raise ValueError("the trapezoid oracle needs Im z >= 0.05")
+    # integer multiples of the step: np.arange(-10, 10, step) would space
+    # the nodes by (-10 + step) - (-10), ~1e-12 off the weight step
+    n = round(half_width / step)
+    t = step * np.arange(-n, n + 1)
+    vals = np.exp(-t * t) / (z - t)
+    total = complex(math.fsum(vals.real), math.fsum(vals.imag))
+    return 1j * total * step / math.pi
+
+
+def faddeeva_imaginary_axis(y: float) -> float:
+    """w(iy) = e^{y^2} erfc(y), real on the imaginary axis."""
+    return math.exp(y * y) * math.erfc(y)
+
+
+def spectral_gphi_mpmath(omega: float, omega_vib: float, gamma_vib: float,
+                         weight: float, pump_center: float, pump_bw: float,
+                         pump_amp: complex, stokes_center: float,
+                         stokes_bw: float, stokes_amp: complex) -> complex:
+    """g Phi(omega) by mpmath.quad of the outer w- integral at 30 digits,
+    split at the resonance (w_vib, w_vib +- gamma, +- 10 gamma) and across
+    the span of both Gaussian factors.  Needs mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        c_pump, c_conv = omega - pump_center, pump_center - stokes_center
+        var = pump_bw**2 + stokes_bw**2
+        amp_k = mpmath.sqrt(2 * mpmath.mpf(pump_bw) * stokes_bw / var)
+        amp_p = mpmath.root(2 * mpmath.pi, 4) / mpmath.sqrt(pump_bw)
+
+        def integrand(wm):
+            return (amp_p * mpmath.exp(-(wm - c_pump) ** 2 / (4 * pump_bw**2))
+                    * amp_k * mpmath.exp(-(wm - c_conv) ** 2 / (4 * var))
+                    / (wm - omega_vib + 1j * gamma_vib))
+
+        spread = 8.0 * max(pump_bw, math.sqrt(2.0 * var))
+        span = np.linspace(min(c_pump, c_conv) - spread,
+                           max(c_pump, c_conv) + spread, 9)
+        pole = [omega_vib + k * gamma_vib for k in (-10, -1, 0, 1, 10)]
+        knots = sorted({*span.tolist(), *pole})
+        total = mpmath.quad(integrand, [-mpmath.inf, *knots, mpmath.inf])
+        pref = weight * pump_amp**2 * stokes_amp
+        return pref * complex(total) / (2.0 * math.pi)
+
 
 def _pulse_profile(omega, center: float, bandwidth: float) -> np.ndarray:
     arg = (np.asarray(omega, dtype=float) - center) / bandwidth

@@ -35,10 +35,11 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=2" in lines[0]
+    assert "schema=3" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
+    assert "format=" not in lines[2]
     assert "s_points=4" in lines[2]
 
     header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
@@ -154,11 +155,18 @@ def test_environment_overrides_file_and_flags_override_env(tmp_path, monkeypatch
 @pytest.mark.parametrize("command", ["figure2", "figure3", "convergence",
                                      "spectral-dump", "optimize-waist"])
 def test_csv_only_commands_reject_json_format(tmp_path, capsys, command):
+    # there is no format setting: the table commands write CSV, and a
+    # --format flag or format key is a usage error, not a silent no-op
     out = tmp_path / "table.json"
-    assert cli.main([command, "--format", "json", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    assert command in err
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--format", "json", "--out", str(out)])
+    assert info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = _write_cfg(tmp_path, "fmt.cfg", format="json")
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown configuration key 'format'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,7 +207,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import carsfisher
 
 
@@ -8,3 +11,20 @@ def test_all_names_resolve_without_duplicates():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(carsfisher, name)]
     assert missing == []
+
+
+def test_package_imports_neither_scipy_nor_mpmath():
+    # both may be installed for the test oracles, but neither is a dependency
+    forbidden = {"scipy", "mpmath"}
+    offenders = []
+    for path in sorted(Path(carsfisher.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {r}" for r in roots
+                          if r in forbidden]
+    assert offenders == []
