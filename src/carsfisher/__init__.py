@@ -11,8 +11,6 @@ from .excitation import (
     ImageAmplitudes,
     PlaneWaveExcitation,
     VortexExcitation,
-    amplitude_derivative_check,
-    emission_amplitude,
     image_amplitudes,
 )
 from .fisher import (
@@ -22,7 +20,6 @@ from .fisher import (
     fi_direct_many,
     fi_spade,
     fi_spade_many,
-    intensity_profile,
     mean_photons_spade,
     optimize_waist,
     qfi_matrix,
@@ -36,14 +33,12 @@ from .fisher import (
 from .montecarlo import (
     BinnedImager,
     EstimationReport,
-    ml_estimate,
     run_experiment,
     sample_counts,
     spade_count_model,
 )
 from .numerics import (
     ConvergenceError,
-    golden_section_max,
     golden_section_max_many,
     integrate_1d,
     integrate_1d_many,
@@ -52,11 +47,6 @@ from .psf_modes import (
     GaussianPsf,
     HermiteGaussBasis,
     PsfGeometry,
-    centroid_mode_coupling,
-    gamma_k,
-    hg_mode_value,
-    overlap_beta,
-    overlap_delta,
     psf_geometry,
     psf_value,
 )
@@ -79,27 +69,17 @@ __all__ = [
     "QfiMatrix",
     "RamanResonance",
     "VortexExcitation",
-    "amplitude_derivative_check",
-    "centroid_mode_coupling",
-    "emission_amplitude",
     "fi_direct",
     "fi_direct_many",
     "fi_spade",
     "fi_spade_many",
-    "gamma_k",
-    "golden_section_max",
     "golden_section_max_many",
-    "hg_mode_value",
     "image_amplitudes",
     "integrate_1d",
     "integrate_1d_many",
-    "intensity_profile",
     "mean_photons_spade",
-    "ml_estimate",
     "normalize_phi",
     "optimize_waist",
-    "overlap_beta",
-    "overlap_delta",
     "psf_geometry",
     "psf_value",
     "qfi_matrix",

@@ -15,6 +15,7 @@ Subcommands:
 
 Configuration is a flat key=value text file; environment variables with the
 CARSFISHER_ prefix override the file, and command-line flags override both.
+An unknown key in the file or the environment is a configuration error.
 Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
@@ -47,7 +48,6 @@ from .fisher import (
     optimize_waist,
     qfi_plane_closed,
     qfi_separation,
-    qfi_vortex_closed,
     spade_collinear_closed,
     vortex_closed_variants,
 )
@@ -181,9 +181,11 @@ def _apply_setting(cfg: RunConfig, key: str, raw_value: str):
 def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
     """Build a RunConfig with precedence flags > environment > file.
 
-    The returned config carries explicit_keys, the set of field names that
-    were actually supplied (rather than left at their defaults), so
-    commands can apply their own defaults to untouched fields.
+    An unknown key in the file, or a CARSFISHER_ variable in ``env`` that
+    names no key, raises ConfigError.  The returned config carries
+    explicit_keys, the set of field names that were actually supplied
+    (rather than left at their defaults), so commands can apply their own
+    defaults to untouched fields.
     """
     cfg = RunConfig()
     explicit: set[str] = set()
@@ -203,8 +205,11 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
             _apply_setting(cfg, key.strip(), value.strip())
             explicit.add(key.strip())
     env = os.environ if env is None else env
-    for key in _FIELD_PARSERS:
-        env_key = "CARSFISHER_" + key.upper()
+    env_keys = {"CARSFISHER_" + key.upper(): key for key in _FIELD_PARSERS}
+    unknown = sorted(k for k in env if k.startswith("CARSFISHER_") and k not in env_keys)
+    if unknown:
+        raise ConfigError(f"unknown configuration variable {unknown[0]!r} in the environment")
+    for env_key, key in env_keys.items():
         if env_key in env:
             _apply_setting(cfg, key, env[env_key])
             explicit.add(key)
@@ -558,7 +563,10 @@ def cmd_simulate(cfg: RunConfig) -> str:
         model = spade_count_model(exc, basis, cfg.M, g=cfg.g, kappa=cfg.kappa)
         fisher = fi_spade(amps, basis, cfg.M, s).value
     else:
-        imager = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa)
+        try:
+            imager = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa)
+        except ValueError as err:
+            raise ValueError(f"s_sim={s}: {err}") from err
         model = imager.expectations
         fisher = imager.fisher_information(s)
     if not fisher > 0.0:

@@ -19,9 +19,8 @@ Supported excitation families:
   pump, optionally shifted vertically by psi relative to the emitters.
 
 Both families have analytic derivatives of alpha_pm with respect to the
-separation d and the centroid x0.  Any other excitation can be passed as a
-plain callable ``(x, y) -> complex``; derivatives then fall back to central
-finite differences and the result is flagged accordingly.
+separation d and the centroid x0.  The emitters sit on y = 0, so only the
+excitation's profile along that line enters.
 """
 
 from __future__ import annotations
@@ -32,46 +31,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import _require_finite, GaussianPsf, overlap_delta
-
-_FD_STEP = 1e-5
+from .psf_modes import _require_finite, GaussianPsf
 
 
 @dataclass(frozen=True)
 class PlaneWaveExcitation:
     """Plane-wave pump and Stokes beams.
 
-    Wavevector components are in units of 1/w.  The effective transverse
-    wavevector ktilde = k_St_x - 2 k_pu_x (times w) sets the emitted phase
-    difference.  Either supply components, or pass ``ktilde`` alone and the
-    Stokes x-component absorbs it.
+    ktilde, the Stokes wavevector's component along the emitter axis minus
+    twice the pump's (in units of 1/w), is the effective transverse
+    wavevector; it sets the emitted phase difference.
     """
 
-    k_pu_x: float = 0.0
-    k_pu_y: float = 0.0
-    k_St_x: float = 0.0
-    k_St_y: float = 0.0
-    ktilde: float | None = None
+    ktilde: float
 
     def __post_init__(self):
-        _require_finite("PlaneWaveExcitation", k_pu_x=self.k_pu_x,
-                        k_pu_y=self.k_pu_y, k_St_x=self.k_St_x,
-                        k_St_y=self.k_St_y,
-                        ktilde=0.0 if self.ktilde is None else self.ktilde)
-        derived = self.k_St_x - 2.0 * self.k_pu_x
-        if self.ktilde is None:
-            object.__setattr__(self, "ktilde", derived)
-        elif any((self.k_pu_x, self.k_pu_y, self.k_St_x, self.k_St_y)):
-            if abs(derived - self.ktilde) > 1e-12 * max(1.0, abs(self.ktilde)):
-                raise ValueError(
-                    f"ktilde={self.ktilde} inconsistent with wavevector "
-                    f"components (derived {derived})")
-        else:
-            object.__setattr__(self, "k_St_x", float(self.ktilde))
-
-    @property
-    def ktilde_y(self) -> float:
-        return self.k_St_y - 2.0 * self.k_pu_y
+        _require_finite("PlaneWaveExcitation", ktilde=self.ktilde)
 
 
 @dataclass(frozen=True)
@@ -121,7 +96,7 @@ class ImageAmplitudes:
     ``d_x0_*`` with respect to the physical centroid position; both carry
     1/length units (w enters through the PSF handed to image_amplitudes).
     Site-level values are kept so downstream code can rebuild the full
-    image-plane field (intensity profiles, direct imaging).
+    image-plane field (direct imaging and its camera model).
     """
 
     alpha_plus: complex
@@ -130,7 +105,6 @@ class ImageAmplitudes:
     d_d_alpha_minus: complex
     d_x0_alpha_plus: complex
     d_x0_alpha_minus: complex
-    provenance: str = "analytic"
     # site amplitudes alpha(r1), alpha(r2) and their in-plane x-gradients
     site_amplitudes: tuple = (0j, 0j)
     site_gradients: tuple = (0j, 0j)
@@ -156,59 +130,32 @@ def _vortex_norm(a: float) -> float:
     return math.sqrt(2.0 * math.e) / a
 
 
-def emission_amplitude(exc, scene: EmitterScene, r) -> complex:
-    """Coherent emission amplitude alpha(r) = -i g u_St (u_pu*)^2 at r.
-
-    ``r`` is an (x, y) pair in units of w; arrays broadcast.
-    """
-    x, y = r
-    return _site_field(exc, scene, np.asarray(x, dtype=float),
-                       np.asarray(y, dtype=float)).value
-
-
-def _site_field(exc, scene: EmitterScene, x, y) -> _SiteField:
-    """alpha(r) and its analytic x-gradient for the named families.
-
-    For a generic callable excitation the gradient is a central difference.
-    """
-    g = scene.g
+def _site_field(exc, g: float, x) -> _SiteField:
+    """alpha at (x, 0) and its analytic x-gradient."""
     if isinstance(exc, PlaneWaveExcitation):
         kx = exc.ktilde
-        ky = exc.ktilde_y
-        phase = np.exp(1j * (kx * x + ky * y))
-        val = -1j * g * phase
+        val = -1j * g * np.exp(1j * (kx * x))
         return _SiteField(val, 1j * kx * val)
     if isinstance(exc, VortexExcitation):
         a, psi = exc.a, exc.psi
-        yy = y + psi
-        envelope = np.exp(-(x**2 + yy**2) / a**2)
-        core = x + 1j * yy
+        envelope = np.exp(-(x**2 + psi**2) / a**2)
+        core = x + 1j * psi
         val = -1j * g * _vortex_norm(a) * core * envelope
         grad = -1j * g * _vortex_norm(a) * envelope * (1.0 - 2.0 * x * core / a**2)
-        return _SiteField(val, grad)
-    if callable(exc):
-        h = _FD_STEP
-        val = -1j * g * np.asarray(exc(x, y))
-        grad = -1j * g * (np.asarray(exc(x + h, y)) - np.asarray(exc(x - h, y))) / (2.0 * h)
         return _SiteField(val, grad)
     raise TypeError(f"unsupported excitation {type(exc).__name__}")
 
 
 def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplitudes:
-    """Image-mode amplitudes alpha_pm with derivatives in d and x0.
-
-    Analytic for the plane-wave and vortex families; finite differences for
-    generic callables (provenance = "finite_difference").
-    """
+    """Image-mode amplitudes alpha_pm with analytic derivatives in d and x0."""
     s, x0 = scene.s, scene.x0
     w = psf.width_w
-    delta = overlap_delta(psf, s)
+    delta = math.exp(-s * s / 2.0)  # overlap of the two PSF copies
     x1 = x0 - s / 2.0
     x2 = x0 + s / 2.0
-    zero = np.zeros(())
 
-    f1 = _site_field(exc, scene, np.asarray(x1, dtype=float), zero)
-    f2 = _site_field(exc, scene, np.asarray(x2, dtype=float), zero)
+    f1 = _site_field(exc, scene.g, np.asarray(x1, dtype=float))
+    f2 = _site_field(exc, scene.g, np.asarray(x2, dtype=float))
     a1, a2 = complex(f1.value), complex(f2.value)
     g1, g2 = complex(f1.grad_x) / w, complex(f2.grad_x) / w  # physical d/dx
 
@@ -237,60 +184,9 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
     d_x0_alpha_p = np_half * (g1 + g2)
     d_x0_alpha_m = nm_half * (g1 - g2)
 
-    provenance = "analytic"
-    if callable(exc) and not isinstance(exc, (PlaneWaveExcitation, VortexExcitation)):
-        provenance = "finite_difference"
-
     return ImageAmplitudes(
         alpha_plus=alpha_p, alpha_minus=alpha_m,
         d_d_alpha_plus=d_d_alpha_p, d_d_alpha_minus=d_d_alpha_m,
         d_x0_alpha_plus=d_x0_alpha_p, d_x0_alpha_minus=d_x0_alpha_m,
-        provenance=provenance,
         site_amplitudes=(a1, a2), site_gradients=(g1, g2),
         s=s, x0=x0, kappa=kappa, g=scene.g, width_w=w)
-
-
-def amplitude_derivative_check(exc, scene: EmitterScene, psf=GaussianPsf()) -> float:
-    """Worst relative deviation between analytic and finite-difference
-    derivatives of alpha_pm at the given scene.
-
-    Checks both the separation and centroid derivatives; the reference
-    scale is the larger of the two mode-amplitude derivative magnitudes to
-    keep the ratio meaningful when one mode is dark.
-    """
-    w = psf.width_w
-    h = _FD_STEP * w
-    base = image_amplitudes(exc, scene, psf)
-
-    def amps_at(s_val, x0_val):
-        sc = EmitterScene(s=s_val, x0=x0_val, g=scene.g, kappa=scene.kappa)
-        return image_amplitudes(exc, sc, psf)
-
-    # separation derivative (one-sided at the s = 0 boundary)
-    if scene.s * w >= h:
-        up = amps_at(scene.s + h / w, scene.x0)
-        dn = amps_at(scene.s - h / w, scene.x0)
-        fd_d_p = (up.alpha_plus - dn.alpha_plus) / (2.0 * h)
-        fd_d_m = (up.alpha_minus - dn.alpha_minus) / (2.0 * h)
-    else:
-        f0 = amps_at(scene.s, scene.x0)
-        f1h = amps_at(scene.s + h / w, scene.x0)
-        f2h = amps_at(scene.s + 2.0 * h / w, scene.x0)
-        fd_d_p = (-3.0 * f0.alpha_plus + 4.0 * f1h.alpha_plus - f2h.alpha_plus) / (2.0 * h)
-        fd_d_m = (-3.0 * f0.alpha_minus + 4.0 * f1h.alpha_minus - f2h.alpha_minus) / (2.0 * h)
-
-    up = amps_at(scene.s, scene.x0 + h / w)
-    dn = amps_at(scene.s, scene.x0 - h / w)
-    fd_x_p = (up.alpha_plus - dn.alpha_plus) / (2.0 * h)
-    fd_x_m = (up.alpha_minus - dn.alpha_minus) / (2.0 * h)
-
-    scale = max(abs(base.d_d_alpha_plus), abs(base.d_d_alpha_minus),
-                abs(base.d_x0_alpha_plus), abs(base.d_x0_alpha_minus),
-                abs(base.alpha_plus) / w, abs(base.alpha_minus) / w, 1e-30)
-    devs = [
-        abs(base.d_d_alpha_plus - fd_d_p),
-        abs(base.d_d_alpha_minus - fd_d_m),
-        abs(base.d_x0_alpha_plus - fd_x_p),
-        abs(base.d_x0_alpha_minus - fd_x_m),
-    ]
-    return max(devs) / scale

@@ -48,7 +48,6 @@ from .psf_modes import (
     _require_finite,
     _require_separation,
     psf_geometry,
-    psf_value,
 )
 
 _VALID_METHODS = frozenset({
@@ -238,29 +237,6 @@ def spade_collinear_closed(s: float, kappa: float = 1.0, g: float = 1.0,
     norm = 1.0 + math.exp(-s * s / 2.0) * (s * s - 1.0)
     scale = 2.0 * kappa * g**2 / w**2
     return FisherReport(value=norm * scale, normalized_value=norm, method="spade_closed")
-
-
-def intensity_profile(amps: ImageAmplitudes, psf=GaussianPsf(), s: float | None = None):
-    """Mean image-plane intensity as a callable real field I(x, y).
-
-    Built from the site amplitudes, so it is valid for any excitation:
-    I = kappa |a_1 u_0(r - r_1) + a_2 u_0(r - r_2)|^2.  Integrates to
-    |alpha_+|^2 + |alpha_-|^2 over the plane.
-    """
-    if s is None:
-        s = amps.s
-    a1, a2 = amps.site_amplitudes
-    w = amps.width_w
-    x1 = (amps.x0 - s / 2.0) * w
-    x2 = (amps.x0 + s / 2.0) * w
-    kappa = amps.kappa
-
-    def field(x, y):
-        u1 = psf_value(psf, np.asarray(x) - x1, y)
-        u2 = psf_value(psf, np.asarray(x) - x2, y)
-        return kappa * np.abs(a1 * u1 + a2 * u2) ** 2
-
-    return field
 
 
 _DI_GUARD = 1e-15       # x-profile floor, relative to the profile maximum

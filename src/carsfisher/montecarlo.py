@@ -19,8 +19,8 @@ per scan point for every batch, and the golden-section refinement makes
 one model pass per round for all batches still refining.  The model sees
 at most 16 separations per call, which bounds the size of its work arrays.
 Each batch's log-likelihood is still its own dot product and each batch
-makes the search steps it would make alone, so the estimates equal the
-one-batch search (``ml_estimate``) bit for bit.
+makes the search steps it would make alone, so every estimate equals the
+search run on that batch alone bit for bit.
 
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
@@ -74,20 +74,6 @@ def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
     return rng.poisson(expected)
 
 
-def ml_estimate(counts, model, search_interval) -> float:
-    """Maximum-likelihood separation from the Poisson counts of one batch.
-
-    model(s) takes a 1D array of separations and returns the expected
-    count per channel, in count order and including any repetition factor,
-    as one row per separation.  Maximizes the Poisson log-likelihood
-    sum(n_c ln N_c - N_c) with a 256-point scan and golden-section
-    refinement of the bracketing interval; exact scan ties resolve toward
-    the interval midpoint.  The one-batch case of the search
-    ``run_experiment`` runs for all its batches at once.
-    """
-    return _ml_search(np.asarray(counts)[None, :], model, search_interval)[0]
-
-
 def _log_terms(model, s_values):
     """(ln max(N, floor), sum N) of each row N of model(s_values), in
     blocks of at most _MODEL_BLOCK separations per model call."""
@@ -102,9 +88,14 @@ def _log_terms(model, s_values):
 def _ml_search(counts, model, search_interval) -> list[float]:
     """ML separations of the batches (rows) of ``counts``, in lockstep.
 
-    Each batch's log-likelihood at s is the dot product of its counts with
-    ln N(s), minus sum N(s).  The scan evaluates the model and its
-    logarithm once per point for every batch; the golden-section rounds
+    model(s) takes a 1D array of separations and returns the expected
+    count per channel, in count order and including any repetition factor,
+    as one row per separation.  A 256-point scan brackets each batch's
+    maximum of the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties
+    resolve toward the interval midpoint), and golden-section search
+    refines it.  Each batch's log-likelihood at s is the dot product of its
+    counts with ln N(s), minus sum N(s).  The scan evaluates the model and
+    its logarithm once per point for every batch; the golden-section rounds
     evaluate them once per distinct abscissa (batches that share a bracket
     share abscissae, and so can different step sequences from one bracket),
     each round's new abscissae together.
@@ -169,15 +160,14 @@ class BinnedImager:
     so the intensity is an x-profile times exp(-2 y^2 / w^2) and the tensor
     rule factorizes: each model call integrates the x-profile over the x-bins
     and takes the outer product with y-bin weights computed once at
-    construction.  With check_discretization (the default), construction
-    verifies the 2% bound at domain_s.
+    construction.  Construction verifies the 2% bound at domain_s and
+    raises ValueError where the grid is too coarse for it.
     """
 
     _FOV_MARGIN = 2.5  # PSF widths beyond each emitter
 
     def __init__(self, exc, domain_s: float, nbins: int = 32, x0: float = 0.0,
-                 g: float = 1.0, kappa: float = 1.0, psf=GaussianPsf(),
-                 check_discretization: bool = True):
+                 g: float = 1.0, kappa: float = 1.0, psf=GaussianPsf()):
         self.exc = exc
         self.x0 = x0
         self.g = g
@@ -200,17 +190,16 @@ class BinnedImager:
         self._weights_y = (kappa * pref_sq
                            * np.exp(-2.0 * nodes_y**2 / self.width_w**2)
                            @ (_WK * half_y))
-        if check_discretization:
-            scene = EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa)
-            amps = image_amplitudes(exc, scene, psf)
-            continuum = fi_direct(amps, psf, domain_s).value
-            binned = self.fisher_information(domain_s)
-            if abs(binned - continuum) > _BIN_FI_REL_TOL * continuum:
-                raise RuntimeError(
-                    f"binned DI Fisher information deviates "
-                    f"{abs(binned - continuum) / continuum:.3%} from the "
-                    f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); "
-                    f"increase the bin count")
+        scene = EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa)
+        continuum = fi_direct(image_amplitudes(exc, scene, psf), psf).value
+        binned = self.fisher_information(domain_s)
+        if abs(binned - continuum) > _BIN_FI_REL_TOL * continuum:
+            raise ValueError(
+                f"BinnedImager: the {nbins}x{nbins}-bin DI Fisher information "
+                f"at s={domain_s} deviates "
+                f"{abs(binned - continuum) / continuum:.3%} from the "
+                f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); the bins "
+                f"are too coarse for this separation")
 
     def expectations(self, s_values) -> np.ndarray:
         """Per-shot expected photon count in each bin (row-major), one row

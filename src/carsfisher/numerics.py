@@ -12,9 +12,10 @@ cells every active member splits in a round share one integrand call.
 Because each member makes the splits it would make alone, a batch returns
 the one-member (``integrate_1d``) results bit for bit; it only trades
 per-cell Python and numpy call overhead for one call per round.  The
-golden-section search follows the same pattern (``golden_section_max_many``):
-each member keeps its own bracket, and one objective call per round
-evaluates the new abscissae of every unfinished member.
+golden-section search (``golden_section_max_many``) follows the same
+pattern: each member keeps its own bracket and makes the steps it would
+make alone, and one objective call per round evaluates the new abscissae
+of every unfinished member.
 
 ``_scalar_map`` applies a Python float function elementwise.  Batched code
 uses it wherever the scalar code it replaces calls ``math.exp`` or ``**``,
@@ -300,19 +301,3 @@ def golden_section_max_many(
             state[i][slot] = v
         active = [i for i in active if state[i][1] - state[i][0] > x_tol]
     return [0.5 * (st[0] + st[1]) for st in state]
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    x_tol: float = 1e-6,
-) -> float:
-    """Golden-section search for a maximum bracketed by [lo, hi].
-
-    The one-member case of :func:`golden_section_max_many`: ``f`` takes
-    one abscissa.  Assumes unimodality on the bracket; returns the abscissa
-    of the maximum to within ``x_tol``.
-    """
-    return golden_section_max_many(
-        lambda rows, x: [f(v) for v in x], (lo,), (hi,), x_tol)[0]

@@ -102,28 +102,6 @@ def psf_value(psf: GaussianPsf, x, y):
     return math.sqrt(2.0 / math.pi) / w * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / w**2)
 
 
-def hg_mode_value(basis: HermiteGaussBasis, m: int, x, y):
-    """Value of the m-th Hermite-Gauss image mode at (x, y).
-
-    The basis is the PSF-matched family: mode 0 is the PSF itself, higher
-    modes carry Hermite polynomials along x.  Uses the normalized Hermite
-    recurrence, stable to high order.
-    """
-    if m < 0 or m > basis.truncation_M:
-        raise ValueError(f"mode index {m} outside [0, {basis.truncation_M}]")
-    w = basis.width_w
-    t = math.sqrt(2.0) * np.asarray(x, dtype=float) / w
-    h_prev = np.ones_like(t)
-    if m == 0:
-        h = h_prev
-    else:
-        h = math.sqrt(2.0) * t
-        for k in range(1, m):
-            h, h_prev = t * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev, h
-    envelope = np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / w**2)
-    return math.sqrt(2.0 / math.pi) / w * h * envelope
-
-
 def _gamma_table(s_values, k_max: int, width_w: float = 1.0):
     """gamma_k and d(gamma_k)/dd for every separation (rows) and k = 0..k_max.
 
@@ -153,21 +131,6 @@ def _gamma_table(s_values, k_max: int, width_w: float = 1.0):
     return gam, gam_d
 
 
-def gamma_k(basis: HermiteGaussBasis, k: int, s: float) -> float:
-    """Overlap of a PSF displaced by s/2 with the k-th basis mode,
-    exp(-s^2/8) (s/2)^k / sqrt(k!) (one entry of the batched table)."""
-    if k < 0 or k > basis.truncation_M:
-        raise ValueError(f"mode index {k} outside [0, {basis.truncation_M}]")
-    return float(_gamma_table([s], k)[0][0, k])
-
-
-def gamma_k_dd(basis: HermiteGaussBasis, k: int, s: float, width_w: float = 1.0) -> float:
-    """d(gamma_k)/dd at separation s (1/length units)."""
-    if k < 0 or k > basis.truncation_M:
-        raise ValueError(f"mode index {k} outside [0, {basis.truncation_M}]")
-    return float(_gamma_table([s], k, width_w)[1][0, k])
-
-
 def _sinh_minus_arg(x: float) -> float:
     """sinh(x) - x without cancellation (series below x = 0.5).
 
@@ -182,40 +145,6 @@ def _sinh_minus_arg(x: float) -> float:
         term *= x * x / ((2.0 * k) * (2.0 * k + 1.0))
         acc += term
     return acc
-
-
-def overlap_delta(psf: GaussianPsf, s: float) -> float:
-    """Overlap of two PSF copies at dimensionless separation s."""
-    if s < 0.0:
-        raise ValueError("separation must be nonnegative")
-    return math.exp(-s * s / 2.0)
-
-
-def overlap_beta(psf: GaussianPsf, s: float) -> float:
-    """Gradient cross-overlap int dx u0(r-r1) dx u0(r-r2) d^2r.
-
-    For the Gaussian PSF this is (1 - s^2) exp(-s^2/2) / w^2 — positive at
-    s = 0 where it reduces to the squared gradient norm (the defining
-    integral fixes the sign; see the sign resolution in the adjudication
-    report emitted by the CLI).
-    """
-    if s < 0.0:
-        raise ValueError("separation must be nonnegative")
-    return (1.0 - s * s) * math.exp(-s * s / 2.0) / psf.width_w**2
-
-
-def centroid_mode_coupling(psf: GaussianPsf, s: float) -> float:
-    """Overlap of the antisymmetric mode with the centroid-derivative of
-    the symmetric mode, W = delta' / sqrt(1 - delta^2).
-
-    Tends to -1/w as s -> 0.  The sign convention pairs with
-    <u+, d_x0 u-> = -W.
-    """
-    w = psf.width_w
-    if s == 0.0:
-        return -1.0 / w
-    # 1 - delta^2 = -expm1(-s^2): exact, no cancellation at small s.
-    return -s * math.exp(-s * s / 2.0) / math.sqrt(-math.expm1(-s * s)) / w
 
 
 def psf_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:

@@ -176,6 +176,24 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "unknown configuration key" in capsys.readouterr().err
 
 
+def test_unknown_environment_key_is_rejected_by_load_config():
+    env = {"CARSFISHER_S_PIONTS": "4", "CARSFISHER_SEED": "3", "PATH": "/bin"}
+    with pytest.raises(cli.ConfigError, match="'CARSFISHER_S_PIONTS'"):
+        cli.load_config(None, env=env)
+    # known keys and variables without the prefix still pass
+    cfg = cli.load_config(None, env={"CARSFISHER_SEED": "3", "S_PIONTS": "4"})
+    assert cfg.seed == 3
+    assert cfg.explicit_keys == {"seed"}
+
+
+def test_unknown_environment_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CARSFISHER_S_PIONTS", "4")
+    out = tmp_path / "waist.csv"
+    assert cli.main(["optimize-waist", "--out", str(out)]) == 2
+    assert "CARSFISHER_S_PIONTS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_kappa_is_a_usage_error(tmp_path, capsys):
     cfg = _figure2_cfg(tmp_path, kappa=2.0)
     assert cli.main(["figure2", "--config", cfg]) == 2
@@ -255,6 +273,22 @@ def test_simulate_direct_imaging_smoke(tmp_path):
     report = json.loads(out.read_text())["report"]
     assert report["method"] == "di"
     assert len(report["estimates"]) == 2
+
+
+@pytest.mark.parametrize("family,s_sim", [("plane", 6.0), ("vortex", 5.5)])
+def test_simulate_direct_imaging_beyond_the_camera_is_a_usage_error(
+        tmp_path, capsys, family, s_sim):
+    # the 32x32 camera's field of view grows with s_sim until its bins miss
+    # the 2% Fisher-information bound; that is bad input, not a crash
+    cfg = _write_cfg(tmp_path, "simfar.cfg", family=family, s_sim=s_sim,
+                     measurement="di", search_lo=s_sim - 0.5,
+                     search_hi=s_sim + 0.5)
+    out = tmp_path / "far.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: s_sim={s_sim}: BinnedImager: ")
+    assert "% from the continuum value (limit 2%)" in err
+    assert not out.exists()
 
 
 def test_spectral_dump(tmp_path):

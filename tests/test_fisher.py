@@ -21,7 +21,6 @@ from carsfisher import (
     fi_spade,
     fi_spade_many,
     image_amplitudes,
-    intensity_profile,
     mean_photons_spade,
     optimize_waist,
     psf_geometry,
@@ -36,12 +35,14 @@ from carsfisher import (
 
 from oracles import (
     di_fisher_fd,
+    field_1d,
     plane_sites,
     plane_slopes,
     qfi_matrix_fd,
     spade_closed,
     spade_fisher_fd,
     spade_gamma,
+    trapezoid,
     vortex_sites,
     vortex_slopes,
 )
@@ -470,6 +471,36 @@ def test_spade_properties_over_random_scenes(scenes):
         assert photons + tail == pytest.approx(amps.n_total, rel=1e-10)
 
 
+_off_center = st.floats(-1.0, 1.0).filter(lambda x0: abs(x0) > 1e-3)
+_psd_scenes = st.one_of(
+    st.tuples(st.one_of(
+                  st.tuples(st.just("plane"), st.floats(0.0, 4.0), st.just(0.0)),
+                  st.tuples(st.just("vortex"), st.floats(0.3, 3.0), st.floats(-1.0, 1.0))),
+              st.floats(1e-10, 20.0), _off_center),
+    # dark fringes of the plane wave: kt s = n pi empties one image mode
+    st.builds(lambda kt, n, x0: (("plane", kt, 0.0), n * math.pi / kt, x0),
+              st.floats(0.5, 4.0), st.integers(1, 3), _off_center),
+    # one emitter on the vortex core, the other s = t a out in the beam's
+    # tail: for large t the image is dark, d and x0 only brighten the core
+    # emitter, and the matrix tends to rank one
+    st.builds(lambda a, t: (("vortex", a, 0.0), t * a, t * a / 2.0),
+              st.floats(0.3, 2.0), st.floats(0.1, 8.0)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_psd_scenes, st.floats(0.05, 1.0, exclude_max=True))
+def test_qfi_matrix_is_psd_over_random_scenes(scene, kappa):
+    (family, p, psi), s, x0 = scene
+    amps = (_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
+            else _vortex(p, psi, s, x0=x0, kappa=kappa))
+    q = qfi_matrix(amps, psf_geometry(PSF, s))
+    assert q.q_dd >= 0.0 and q.q_x0x0 >= 0.0
+    # det's own roundoff scale: the two products it subtracts
+    scale = q.q_dd * q.q_x0x0 + q.q_dx0**2
+    assert q.q_dd * q.q_x0x0 - q.q_dx0**2 >= -1e-9 * scale
+
+
 def test_fi_spade_monotone_in_mode_cutoff():
     amps = _plane(2.0, 1.0)
     values = [fi_spade(amps, BASIS, M).value for M in (5, 10, 15, 20, 25)]
@@ -510,11 +541,13 @@ def test_spade_saturates_plane_qfi_with_transverse_phase():
 # ---------------------------------------------------------------------------
 
 def test_intensity_profile_integrates_to_photon_number():
-    xs = np.linspace(-12.0, 12.0, 1601)
-    h = xs[1] - xs[0]
+    # the image field rebuilt from the package's site amplitudes on the
+    # oracle grid (the y-factor integrates to one) carries |alpha+|^2 +
+    # |alpha-|^2 photons
     for amps in (_plane(2.0, 1.0, kappa=0.8), _vortex(SQ2I, 0.3, 0.5)):
-        profile = intensity_profile(amps)
-        total = sum(float(np.sum(profile(xs, y))) * h * h for y in xs)
+        field = field_1d(lambda s, x0: amps.site_amplitudes, amps.s, amps.x0,
+                         amps.kappa)
+        total = trapezoid(np.abs(field) ** 2).real
         assert total == pytest.approx(amps.n_total, rel=1e-9)
 
 

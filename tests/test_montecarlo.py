@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carsfisher import (
     BinnedImager,
@@ -15,7 +17,6 @@ from carsfisher import (
     fi_spade,
     image_amplitudes,
     mean_photons_spade,
-    ml_estimate,
     run_experiment,
     sample_counts,
     spade_count_model,
@@ -57,23 +58,43 @@ def test_sample_counts_reproducible():
     assert a != c
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=40),
+       st.integers(0, 2**64 - 1), st.integers(0, 400))
+def test_sample_counts_reproduces_itself_per_seed(expected, seed, batch):
+    # both seed forms in use: a plain integer, and run_experiment's
+    # SeedSequence((seed, batch)) per batch
+    for key in (lambda: seed, lambda: np.random.SeedSequence((seed, batch))):
+        counts = sample_counts(expected, key())
+        assert counts.dtype.kind == "i"
+        assert counts.shape == (len(expected),)
+        assert counts.min() >= 0
+        assert counts[np.asarray(expected) == 0.0].tolist() == [0] * expected.count(0.0)
+        assert counts.tolist() == sample_counts(expected, key()).tolist()
+
+
 def test_sample_counts_rejects_negative_expectation():
     with pytest.raises(ValueError):
         sample_counts([1.0, -0.1], 7)
 
 
+def _ml_alone(counts, model, interval):
+    # the maximum-likelihood search for one batch of counts
+    return montecarlo._ml_search(np.asarray(counts)[None, :], model, interval)[0]
+
+
 def test_ml_estimate_validation():
     with pytest.raises(ValueError, match="identifiable"):
-        ml_estimate(np.array([0]), lambda s: np.asarray(s)[:, None], (0.1, 1.0))
+        _ml_alone(np.array([0]), lambda s: np.asarray(s)[:, None], (0.1, 1.0))
     with pytest.raises(ValueError, match="increasing"):
-        ml_estimate(np.array([3]), lambda s: np.asarray(s)[:, None], (1.0, 0.5))
+        _ml_alone(np.array([3]), lambda s: np.asarray(s)[:, None], (1.0, 0.5))
 
 
 def test_ml_estimate_recovers_truth_from_noise_free_counts():
     mu = 1e8
     model = spade_count_model(PLANE_K2, BASIS, 10)
     counts = np.round(mu * model([1.0])[0]).astype(int)
-    est = ml_estimate(counts, lambda s: mu * model(s), (0.5, 1.5))
+    est = _ml_alone(counts, lambda s: mu * model(s), (0.5, 1.5))
     assert est == pytest.approx(1.0, abs=1e-4)
 
 
@@ -97,8 +118,7 @@ def test_count_model_rows_do_not_depend_on_the_batch(measurement):
     if measurement == "spade":
         model = spade_count_model(exc, BASIS, 10, x0=0.7)
     else:
-        model = BinnedImager(exc, domain_s=1.0, x0=0.7,
-                             check_discretization=False).expectations
+        model = BinnedImager(exc, domain_s=1.0, x0=0.7).expectations
     s_values = np.linspace(0.0, 1.6, 17)
     block = model(s_values)
     assert block.shape[0] == 17
@@ -124,10 +144,15 @@ def test_binned_imager_tracks_continuum_fisher():
 
 
 def test_binned_imager_rejects_too_coarse_grid():
-    with pytest.raises(RuntimeError, match="bin count"):
+    with pytest.raises(ValueError, match="BinnedImager: the 8x8-bin"):
         BinnedImager(PLANE_K2, domain_s=1.0, nbins=8)
-    # the check can be waived explicitly
-    BinnedImager(PLANE_K2, domain_s=1.0, nbins=8, check_discretization=False)
+    # the default grid widens its field of view with the separation, so its
+    # bins outgrow the 2% bound above s ~ 3.07 (plane kt = 2) and s ~ 5.27
+    # (vortex a = 1/sqrt(2))
+    with pytest.raises(ValueError, match=r"at s=3\.25 deviates 2\.1"):
+        BinnedImager(PLANE_K2, domain_s=3.25)
+    with pytest.raises(ValueError, match="too coarse"):
+        BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=5.5)
 
 
 @pytest.mark.parametrize("exc,sites", [
@@ -138,8 +163,7 @@ def test_binned_imager_matches_full_tensor_rule(exc, sites):
     # every bin integrated over the full 15x15 Gauss-Legendre tensor grid of
     # the 2D intensity, without using the y-separability
     domain_s, x0, s, nbins = 1.0, 0.7, 0.9, 32
-    imager = BinnedImager(exc, domain_s=domain_s, x0=x0,
-                          check_discretization=False)
+    imager = BinnedImager(exc, domain_s=domain_s, x0=x0)
     half = domain_s / 2.0 + 2.5
     edges_x = np.linspace(x0 - half, x0 + half, nbins + 1)
     edges_y = np.linspace(-half, half, nbins + 1)
@@ -180,7 +204,7 @@ def test_run_experiment_reproducible():
 
 
 def _di_model():
-    return BinnedImager(PLANE_K2, domain_s=1.0, check_discretization=False).expectations
+    return BinnedImager(PLANE_K2, domain_s=1.0).expectations
 
 
 @pytest.mark.parametrize("measurement", ["spade", "di"])
@@ -193,10 +217,10 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
                             fisher_per_shot=16.0, method=measurement)
     assert report.estimates == ml_reference(model, 1.0, mu, batches, seed,
                                             interval)
-    # ml_estimate is the one-batch case of the same search
+    # a batch searched alone gives the same estimate
     counts = sample_counts(mu * model([1.0])[0],
                            np.random.SeedSequence((seed, 4)))
-    assert ml_estimate(counts, lambda s: mu * model(s), interval) \
+    assert _ml_alone(counts, lambda s: mu * model(s), interval) \
         == report.estimates[4]
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from carsfisher import (
     ConvergenceError,
-    golden_section_max,
     golden_section_max_many,
     integrate_1d,
     integrate_1d_many,
@@ -137,15 +136,20 @@ def test_integrate_1d_many_names_the_member_that_fails():
     assert info.value.error == alone.value.error
 
 
+def _golden_alone(fn, lo, hi, x_tol=1e-6):
+    # the one-member search; fn takes one abscissa
+    return golden_section_max_many(lambda rows, x: [fn(v) for v in x],
+                                   (lo,), (hi,), x_tol)[0]
+
+
 def test_golden_section_quadratic_peak():
-    x_star = golden_section_max(lambda x: -(x - 1.3) ** 2, 0.0, 3.0,
-                                x_tol=1e-8)
+    x_star = _golden_alone(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, x_tol=1e-8)
     assert x_star == pytest.approx(1.3, abs=1e-7)
 
 
 def test_golden_section_log_gamma_minimum():
     # the minimum of log Gamma on (1, 2) is a classic non-polynomial target
-    x_star = golden_section_max(lambda x: -math.lgamma(x), 1.0, 2.0)
+    x_star = _golden_alone(lambda x: -math.lgamma(x), 1.0, 2.0)
     assert x_star == pytest.approx(1.4616321449683623, abs=1e-5)
 
 
@@ -165,8 +169,8 @@ def test_golden_section_max_many_equals_one_call_per_member():
     alone, evals = [], []
     for fn, lo, hi in _GOLDEN_MEMBERS:
         calls = []
-        alone.append(golden_section_max(lambda x: calls.append(x) or fn(x),
-                                        lo, hi, x_tol=1e-9))
+        alone.append(_golden_alone(lambda x: calls.append(x) or fn(x),
+                                   lo, hi, x_tol=1e-9))
         evals.append(len(calls))
 
     batch_calls = []

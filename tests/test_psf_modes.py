@@ -10,15 +10,11 @@ import pytest
 from carsfisher import (
     GaussianPsf,
     HermiteGaussBasis,
-    centroid_mode_coupling,
-    gamma_k,
-    hg_mode_value,
-    overlap_beta,
-    overlap_delta,
     psf_geometry,
     psf_value,
 )
-from carsfisher.psf_modes import _sinh_minus_arg, gamma_k_dd
+from carsfisher.fisher import _centroid_coupling_from_geometry
+from carsfisher.psf_modes import _gamma_table, _sinh_minus_arg
 
 import oracles
 from oracles import gamma_overlap, hg_1d
@@ -40,17 +36,15 @@ def test_psf_value_origin_normalization():
 
 def test_overlap_delta_gaussian():
     for s in (0.0, 0.3, 1.0, 2.5):
-        assert overlap_delta(PSF, s) == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
+        assert psf_geometry(PSF, s).delta == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
     with pytest.raises(ValueError):
-        overlap_delta(PSF, -0.1)
+        psf_geometry(PSF, -0.1)
 
 
 def test_overlap_beta_sign_and_zero():
-    assert overlap_beta(PSF, 0.0) == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
-    assert overlap_beta(PSF, 1.0) == 0.0  # gradient overlaps cancel exactly
-    assert overlap_beta(PSF, 2.0) < 0.0
-    with pytest.raises(ValueError):
-        overlap_beta(PSF, -1.0)
+    assert psf_geometry(PSF, 0.0).beta == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
+    assert psf_geometry(PSF, 1.0).beta == 0.0  # gradient overlaps cancel exactly
+    assert psf_geometry(PSF, 2.0).beta < 0.0
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.0])
@@ -82,12 +76,17 @@ def test_geometry_small_s_limits():
     assert g.xi_minus2 == pytest.approx(2.0, rel=1e-12)
 
 
+def _centroid_coupling(s):
+    return _centroid_coupling_from_geometry(psf_geometry(PSF, s))
+
+
 def test_centroid_mode_coupling_limit_and_value():
-    assert centroid_mode_coupling(PSF, 0.0) == pytest.approx(-1.0, rel=1e-15)
-    assert centroid_mode_coupling(PSF, 1e-9) == pytest.approx(-1.0, rel=1e-10)
+    # W = delta' / sqrt(1 - delta^2) tends to -1/w as s -> 0
+    assert _centroid_coupling(0.0) == pytest.approx(-1.0, rel=1e-15)
+    assert _centroid_coupling(1e-9) == pytest.approx(-1.0, rel=1e-10)
     s = 1.3
     expected = -s * math.exp(-s * s / 2.0) / math.sqrt(1.0 - math.exp(-s * s))
-    assert centroid_mode_coupling(PSF, s) == pytest.approx(expected, rel=1e-12)
+    assert _centroid_coupling(s) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
@@ -101,69 +100,49 @@ def test_geometry_matches_independent_oracle(s):
 
 
 def test_hg_modes_orthonormal():
-    xs = np.linspace(-9.0, 9.0, 6001)
-    h = xs[1] - xs[0]
-    ys = xs
-    # separability: check the x-factor on a line, weighting out the y-factor
-    modes = [hg_mode_value(BASIS, m, xs, 0.0) for m in range(6)]
-    y_norm = np.sum(np.exp(-2.0 * ys**2)) * h
+    # the oracle's HG factors, against which every gamma_k is pinned; the
+    # 40,001-term trapezoid sums carry ~2e-12 of roundoff
+    modes = [hg_1d(m, oracles._X) for m in range(6)]
     for m in range(6):
         for n in range(m, 6):
-            overlap = np.sum(modes[m] * modes[n]) * h * y_norm
+            overlap = oracles.inner(modes[m], modes[n]).real
             expected = 1.0 if m == n else 0.0
-            assert overlap == pytest.approx(expected, abs=1e-12)
-
-
-def test_hg_mode_value_matches_reference_polynomials():
-    xs = np.linspace(-3.0, 3.0, 41)
-    for m in (0, 1, 4, 9, 17):
-        got = hg_mode_value(BASIS, m, xs, 0.7)
-        want = hg_1d(m, xs) * (2.0 / math.pi) ** 0.25 * np.exp(-0.49)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
-
-
-def test_hg_mode_index_bounds():
-    with pytest.raises(ValueError):
-        hg_mode_value(BASIS, -1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        hg_mode_value(BASIS, 31, 0.0, 0.0)
+            assert overlap == pytest.approx(expected, abs=1e-11)
 
 
 def test_gamma_k_against_overlap_integral():
-    for s in (0.2, 1.0, 2.7):
+    s_values = (0.2, 1.0, 2.7)
+    gam, _ = _gamma_table(s_values, 12)
+    for row, s in zip(gam, s_values):
         for k in (0, 1, 2, 5, 12):
-            assert gamma_k(BASIS, k, s) == pytest.approx(
-                gamma_overlap(k, s), abs=1e-10)
+            assert row[k] == pytest.approx(gamma_overlap(k, s), abs=1e-10)
 
 
 def test_gamma_k_completeness():
     # the displaced PSF lies entirely inside the first ~30 modes for s <= 3
-    for s in (0.5, 1.5, 3.0):
-        total = sum(gamma_k(BASIS, k, s) ** 2 for k in range(31))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    gam, _ = _gamma_table((0.5, 1.5, 3.0), 30)
+    np.testing.assert_allclose(np.sum(gam**2, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_gamma_k_boundary_cases():
-    assert gamma_k(BASIS, 0, 0.0) == 1.0
-    assert gamma_k(BASIS, 3, 0.0) == 0.0
+    gam, _ = _gamma_table([0.0], 3)
+    assert gam[0].tolist() == [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        gamma_k(BASIS, 31, 1.0)
-    with pytest.raises(ValueError):
-        gamma_k(BASIS, 2, -0.5)
+        _gamma_table([1.0, -0.5], 3)
 
 
 def test_gamma_k_dd_matches_finite_difference():
     h = 1e-6
-    for s in (0.4, 1.0, 2.0):
-        for k in (0, 1, 2, 6):
-            fd = (gamma_k(BASIS, k, s + h) - gamma_k(BASIS, k, s - h)) / (2.0 * h)
-            assert gamma_k_dd(BASIS, k, s) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+    s_values = np.array([0.4, 1.0, 2.0])
+    _, gam_d = _gamma_table(s_values, 6)
+    fd = (_gamma_table(s_values + h, 6)[0] - _gamma_table(s_values - h, 6)[0]) / (2.0 * h)
+    for k in (0, 1, 2, 6):
+        np.testing.assert_allclose(gam_d[:, k], fd[:, k], rtol=1e-7, atol=1e-9)
 
 
 def test_gamma_k_dd_at_zero_separation():
-    assert gamma_k_dd(BASIS, 1, 0.0) == pytest.approx(0.5)
-    assert gamma_k_dd(BASIS, 0, 0.0) == 0.0
-    assert gamma_k_dd(BASIS, 2, 0.0) == 0.0
+    _, gam_d = _gamma_table([0.0], 2)
+    assert gam_d[0].tolist() == [0.0, 0.5, 0.0]
 
 
 def test_oracle_helpers_sanity():
