@@ -43,13 +43,7 @@ from .numerics import (
     integrate_1d,
     integrate_1d_many,
 )
-from .psf_modes import (
-    GaussianPsf,
-    HermiteGaussBasis,
-    PsfGeometry,
-    psf_geometry,
-    psf_value,
-)
+from .psf_modes import PsfGeometry, psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, spectral_weight
 
 __version__ = "0.1.0"
@@ -60,8 +54,6 @@ __all__ = [
     "EmitterScene",
     "EstimationReport",
     "FisherReport",
-    "GaussianPsf",
-    "HermiteGaussBasis",
     "ImageAmplitudes",
     "PlaneWaveExcitation",
     "PsfGeometry",
@@ -81,7 +73,6 @@ __all__ = [
     "normalize_phi",
     "optimize_waist",
     "psf_geometry",
-    "psf_value",
     "qfi_matrix",
     "qfi_plane_closed",
     "qfi_separation",

@@ -53,8 +53,8 @@ from .fisher import (
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
 from .numerics import ConvergenceError, integrate_1d
-from .psf_modes import GaussianPsf, HermiteGaussBasis, psf_geometry, psf_value
-from .spectral import PulseSpectrum, RamanResonance, normalize_phi, phi_grid
+from .psf_modes import psf_geometry
+from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
 _SCHEMA_VERSION = 3
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
@@ -152,26 +152,15 @@ def _parse_float_tuple(text: str) -> tuple:
     return tuple(float(p) for p in items)
 
 
-_FIELD_PARSERS = {
-    "family": str, "s_min": float, "s_max": float, "s_points": int,
-    "ktilde_grid": _parse_float_tuple, "ktilde": float,
-    "a": float, "a_min": float, "a_max": float,
-    "psi_grid": _parse_float_tuple, "psi": float,
-    "M": int, "output_path": str, "seed": int,
-    "tol": float, "raw": _parse_bool, "kappa": float, "g": float,
-    "measurement": str, "mu": float, "batches": int, "s_sim": float,
-    "search_lo": float, "search_hi": float,
-    "omega_vib": float, "gamma_vib": float, "weight": float,
-    "pump_center": float, "pump_bandwidth": float, "pump_amplitude": float,
-    "stokes_center": float, "stokes_bandwidth": float,
-    "stokes_amplitude": float,
-}
+# field name -> type of its default; a setting's text parses to that type
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
 
 
 def _apply_setting(cfg: RunConfig, key: str, raw_value: str):
-    parser = _FIELD_PARSERS.get(key)
-    if parser is None:
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"unknown configuration key {key!r}")
+    parser = {bool: _parse_bool, tuple: _parse_float_tuple}.get(kind, kind)
     try:
         setattr(cfg, key, parser(raw_value))
     except (ValueError, TypeError) as exc:
@@ -205,7 +194,7 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
             _apply_setting(cfg, key.strip(), value.strip())
             explicit.add(key.strip())
     env = os.environ if env is None else env
-    env_keys = {"CARSFISHER_" + key.upper(): key for key in _FIELD_PARSERS}
+    env_keys = {"CARSFISHER_" + key.upper(): key for key in _FIELD_TYPES}
     unknown = sorted(k for k in env if k.startswith("CARSFISHER_") and k not in env_keys)
     if unknown:
         raise ConfigError(f"unknown configuration variable {unknown[0]!r} in the environment")
@@ -228,19 +217,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _config_items(cfg: RunConfig):
+    """(name, value) of every field an output records, in field order.
+
+    output_path is deliberately excluded: where a file lives is not part of
+    its content, and identical config + seed must give identical bytes.
+    """
+    return [(name, getattr(cfg, name)) for name in _FIELD_TYPES
+            if name != "output_path"]
+
+
 def _config_comment(cfg: RunConfig) -> str:
-    # output_path is deliberately excluded: where a file lives is not part
-    # of its content, and identical config + seed must give identical bytes.
     parts = []
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "output_path":
-            continue
-        value = getattr(cfg, f.name)
+    for name, value in _config_items(cfg):
         if isinstance(value, tuple):
             rendered = ",".join(_fmt(v) for v in value)
         else:
             rendered = _fmt(value)
-        parts.append(f"{f.name}={rendered}")
+        parts.append(f"{name}={rendered}")
     return " ".join(parts)
 
 
@@ -273,9 +267,8 @@ def _write_json(path: str, command: str, cfg: RunConfig, payload: dict):
         "schema_version": _SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "config": {f.name: (list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v)
-                   for f in dataclasses.fields(RunConfig)
-                   if f.name != "output_path"},
+        "config": {name: list(value) if isinstance(value, tuple) else value
+                   for name, value in _config_items(cfg)},
     }
     document.update(payload)
     _write_text(path, json.dumps(document, sort_keys=True, indent=2,
@@ -303,7 +296,7 @@ def _pick(report, cfg: RunConfig) -> float:
 
 
 def _pick_error(report, cfg: RunConfig) -> float:
-    # error_estimate is raw; the sweeps use the default PSF width w = 1
+    # error_estimate is raw (units 1/w^2)
     if cfg.raw:
         return report.error_estimate
     return report.error_estimate / (2.0 * cfg.kappa * cfg.g**2)
@@ -313,18 +306,16 @@ def cmd_figure2(cfg: RunConfig) -> str:
     """Plane-wave FI sweep: one row per (ktilde, s)."""
     if cfg.family != "plane":
         raise ConfigError("figure2 requires family=plane")
-    psf = GaussianPsf()
-    basis = HermiteGaussBasis(truncation_M=max(30, cfg.M))
     s_grid = [float(s) for s in _s_grid(cfg)]
     rows = []
     for kt in cfg.ktilde_grid:
         exc = PlaneWaveExcitation(ktilde=float(kt))
-        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
                  for s in s_grid]
         for s, amps, di, spade in zip(s_grid, curve,
-                                      fi_direct_many(curve, psf, abs_tol=cfg.tol),
-                                      fi_spade_many(curve, basis, cfg.M)):
-            qfi = qfi_separation(amps, psf_geometry(psf, s))
+                                      fi_direct_many(curve, abs_tol=cfg.tol),
+                                      fi_spade_many(curve, cfg.M)):
+            qfi = qfi_separation(amps, psf_geometry(s))
             rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
                          _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
     path = _out_path(cfg, "figure2", "csv")
@@ -340,8 +331,6 @@ def cmd_figure3(cfg: RunConfig) -> str:
     """Vortex FI sweep over psi, with the waist-optimized envelope at psi=0."""
     if cfg.family != "vortex":
         raise ConfigError("figure3 requires family=vortex")
-    psf = GaussianPsf()
-    basis = HermiteGaussBasis(truncation_M=max(30, cfg.M))
     s_grid = [float(s) for s in _s_grid(cfg)]
     # waist-optimized envelope, computed on the psi = 0 axis
     raw_scale = 2.0 * cfg.kappa * cfg.g**2
@@ -353,12 +342,12 @@ def cmd_figure3(cfg: RunConfig) -> str:
     rows = []
     for psi in cfg.psi_grid:
         exc = VortexExcitation(a=cfg.a, psi=float(psi))
-        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
                  for s in s_grid]
         for s, amps, di, spade in zip(s_grid, curve,
-                                      fi_direct_many(curve, psf, abs_tol=cfg.tol),
-                                      fi_spade_many(curve, basis, cfg.M)):
-            qfi = qfi_separation(amps, psf_geometry(psf, s))
+                                      fi_direct_many(curve, abs_tol=cfg.tol),
+                                      fi_spade_many(curve, cfg.M)):
+            qfi = qfi_separation(amps, psf_geometry(s))
             ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
             a_opt, q_opt = envelope[s]
             rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
@@ -375,16 +364,14 @@ def cmd_figure3(cfg: RunConfig) -> str:
 
 def cmd_convergence(cfg: RunConfig) -> str:
     """SPADE FI against mode cutoff M at fixed ktilde."""
-    psf = GaussianPsf()
-    basis = HermiteGaussBasis(truncation_M=max(30, max(_CONVERGENCE_M)))
     exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
     s_grid = [float(s) for s in _s_grid(cfg)]
-    curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa), psf)
+    curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
              for s in s_grid]
-    by_cutoff = [fi_spade_many(curve, basis, m_cut) for m_cut in _CONVERGENCE_M]
+    by_cutoff = [fi_spade_many(curve, m_cut) for m_cut in _CONVERGENCE_M]
     rows = []
     for i, (s, amps) in enumerate(zip(s_grid, curve)):
-        qfi = qfi_separation(amps, psf_geometry(psf, s))
+        qfi = qfi_separation(amps, psf_geometry(s))
         for m_cut, spades in zip(_CONVERGENCE_M, by_cutoff):
             spade = spades[i]
             ratio = spade.value / qfi.value if qfi.value > 0.0 else 0.0
@@ -397,14 +384,13 @@ def cmd_convergence(cfg: RunConfig) -> str:
 
 
 def _adjudicate_plane(cfg: RunConfig) -> dict:
-    psf = GaussianPsf()
     worst = 0.0
     for kt in (0.0, 1.0, 2.0, 4.0):
         exc = PlaneWaveExcitation(ktilde=kt)
         for s in np.linspace(0.01, 3.0, 120):
             s = float(s)
-            amps = image_amplitudes(exc, EmitterScene(s=s), psf)
-            general = qfi_separation(amps, psf_geometry(psf, s)).normalized_value
+            amps = image_amplitudes(exc, EmitterScene(s=s))
+            general = qfi_separation(amps, psf_geometry(s)).normalized_value
             closed = qfi_plane_closed(kt, s).normalized_value
             worst = max(worst, abs(general - closed))
     return {"tolerance": 1e-10, "max_deviation": worst,
@@ -413,15 +399,14 @@ def _adjudicate_plane(cfg: RunConfig) -> dict:
 
 
 def _adjudicate_vortex(cfg: RunConfig) -> dict:
-    psf = GaussianPsf()
     devs = {"psi_dependent": 0.0, "psi_independent": 0.0}
     for a in (0.5, math.sqrt(2.0) / 2.0, 1.0):
         for psi in (0.0, 0.2):
             exc = VortexExcitation(a=a, psi=psi)
             for s in np.linspace(0.05, 3.0, 60):
                 s = float(s)
-                amps = image_amplitudes(exc, EmitterScene(s=s), psf)
-                general = qfi_separation(amps, psf_geometry(psf, s)).normalized_value
+                amps = image_amplitudes(exc, EmitterScene(s=s))
+                general = qfi_separation(amps, psf_geometry(s)).normalized_value
                 for name, value in vortex_closed_variants(a, psi, s).items():
                     devs[name] = max(devs[name], abs(general - value))
     matches = {name: dev < 1e-9 for name, dev in devs.items()}
@@ -436,19 +421,20 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
     }
 
 
-def _quadrature_geometry(psf: GaussianPsf, s: float) -> dict:
+def _quadrature_geometry(s: float) -> dict:
     """The geometry scalars by quadrature and central differences, without
     the closed forms.
 
     Every PSF copy is displaced along x, so each overlap integral is an
-    x-integral of the y = 0 factor e(x) times the common int f(y)^2 dy;
-    dividing every scalar by the computed int e(x)^2 dx cancels that factor.
+    x-integral of the y = 0 factor e(x) = sqrt(2/pi) exp(-x^2) times the
+    common int f(y)^2 dy; dividing every scalar by the computed
+    int e(x)^2 dx cancels that factor.
     """
     h = 1e-5
     support = 8.0
 
     def e(x):
-        return psf_value(psf, x, 0.0)
+        return math.sqrt(2.0 / math.pi) * np.exp(-x**2)
 
     def grad(x):
         return (e(x + h) - e(x - h)) / (2.0 * h)
@@ -488,13 +474,12 @@ def _quadrature_geometry(psf: GaussianPsf, s: float) -> dict:
 
 
 def _adjudicate_geometry(cfg: RunConfig) -> dict:
-    psf = GaussianPsf()
     worst = {name: 0.0 for name in
              ("delta", "delta_prime", "beta", "eta_plus2", "eta_minus2",
               "xi_plus2", "xi_minus2")}
     for s in (0.3, 1.0, 2.0):
-        closed = psf_geometry(psf, s)
-        quad = _quadrature_geometry(psf, s)
+        closed = psf_geometry(s)
+        quad = _quadrature_geometry(s)
         for name in worst:
             worst[name] = max(worst[name], abs(getattr(closed, name) - quad[name]))
     max_dev = max(worst.values())
@@ -512,13 +497,11 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
 
 
 def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
-    psf = GaussianPsf()
-    basis = HermiteGaussBasis(truncation_M=30)
     exc = PlaneWaveExcitation(ktilde=0.0)
     s_grid = [float(s) for s in np.linspace(0.05, 3.0, 60)]
-    curve = [image_amplitudes(exc, EmitterScene(s=s), psf) for s in s_grid]
+    curve = [image_amplitudes(exc, EmitterScene(s=s)) for s in s_grid]
     worst = 0.0
-    for s, series in zip(s_grid, fi_spade_many(curve, basis, 30)):
+    for s, series in zip(s_grid, fi_spade_many(curve, 30)):
         closed = spade_collinear_closed(s).normalized_value
         worst = max(worst, abs(series.normalized_value - closed))
     return {"tolerance": 1e-8, "max_deviation": worst,
@@ -549,19 +532,17 @@ def cmd_adjudicate(cfg: RunConfig) -> tuple[str, bool]:
 
 def cmd_simulate(cfg: RunConfig) -> str:
     """Monte Carlo campaign: sample counts, estimate s, compare to the CRB."""
-    psf = GaussianPsf()
     if cfg.family == "vortex":
         exc = VortexExcitation(a=cfg.a, psi=cfg.psi)
     else:
         exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
     s = cfg.s_sim
     scene = EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)
-    amps = image_amplitudes(exc, scene, psf)
+    amps = image_amplitudes(exc, scene)
     n_total = amps.n_total
-    basis = HermiteGaussBasis(truncation_M=max(30, cfg.M))
     if cfg.measurement == "spade":
-        model = spade_count_model(exc, basis, cfg.M, g=cfg.g, kappa=cfg.kappa)
-        fisher = fi_spade(amps, basis, cfg.M, s).value
+        model = spade_count_model(exc, cfg.M, g=cfg.g, kappa=cfg.kappa)
+        fisher = fi_spade(amps, cfg.M).value
     else:
         try:
             imager = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa)
@@ -590,9 +571,8 @@ def cmd_spectral_dump(cfg: RunConfig) -> str:
     stokes = PulseSpectrum(center=cfg.stokes_center,
                            bandwidth=cfg.stokes_bandwidth,
                            amplitude=cfg.stokes_amplitude)
-    g, phi = normalize_phi(res, pump, stokes)
-    grid = phi_grid(pump, stokes)
-    values = phi(grid)
+    grid, weight, g = _sampled_weight(res, pump, stokes)
+    values = weight / g
     rows = [[float(w), v.real, v.imag, abs(v)] for w, v in zip(grid, values)]
     path = _out_path(cfg, "spectral", "csv")
     _write_csv(path, "spectral-dump", cfg,

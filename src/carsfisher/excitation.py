@@ -1,8 +1,10 @@
 """Excitation fields and image-plane coherent amplitudes.
 
-Two emitters sit on the x-axis at (x0 -/+ s/2, 0) in units of the PSF width.
-Each emits with a coherent amplitude proportional to the local Stokes field
-times the squared conjugate pump field,
+Two emitters sit on the x-axis at (x0 -/+ s/2, 0).  Every length is in
+units of the PSF width w, and the ImageAmplitudes record carries the whole
+scene to the estimators, which take no separation, width or PSF of their
+own.  Each emitter emits with a coherent amplitude proportional to the
+local Stokes field times the squared conjugate pump field,
 
     alpha(r) = -i g u_St(r) (u_pu*(r))^2,
 
@@ -19,8 +21,8 @@ Supported excitation families:
   pump, optionally shifted vertically by psi relative to the emitters.
 
 Both families have analytic derivatives of alpha_pm with respect to the
-separation d and the centroid x0.  The emitters sit on y = 0, so only the
-excitation's profile along that line enters.
+separation (the ``d_d_*`` fields) and the centroid x0.  The emitters sit
+on y = 0, so only the excitation's profile along that line enters.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import _require_finite, GaussianPsf
+from .psf_modes import _require_finite
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,8 @@ class EmitterScene:
 class ImageAmplitudes:
     """Amplitudes of the symmetric/antisymmetric image modes at one scene.
 
-    ``d_d_*`` are derivatives with respect to the physical separation d,
-    ``d_x0_*`` with respect to the physical centroid position; both carry
-    1/length units (w enters through the PSF handed to image_amplitudes).
+    ``d_d_*`` are derivatives with respect to the separation s,
+    ``d_x0_*`` with respect to the centroid x0 (both in units of 1/w).
     Site-level values are kept so downstream code can rebuild the full
     image-plane field (direct imaging and its camera model).
     """
@@ -112,7 +113,6 @@ class ImageAmplitudes:
     x0: float = 0.0
     kappa: float = 1.0
     g: float = 1.0
-    width_w: float = 1.0
 
     @property
     def n_total(self) -> float:
@@ -146,10 +146,9 @@ def _site_field(exc, g: float, x) -> _SiteField:
     raise TypeError(f"unsupported excitation {type(exc).__name__}")
 
 
-def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplitudes:
-    """Image-mode amplitudes alpha_pm with analytic derivatives in d and x0."""
+def image_amplitudes(exc, scene: EmitterScene) -> ImageAmplitudes:
+    """Image-mode amplitudes alpha_pm with analytic derivatives in s and x0."""
     s, x0 = scene.s, scene.x0
-    w = psf.width_w
     delta = math.exp(-s * s / 2.0)  # overlap of the two PSF copies
     x1 = x0 - s / 2.0
     x2 = x0 + s / 2.0
@@ -157,7 +156,7 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
     f1 = _site_field(exc, scene.g, np.asarray(x1, dtype=float))
     f2 = _site_field(exc, scene.g, np.asarray(x2, dtype=float))
     a1, a2 = complex(f1.value), complex(f2.value)
-    g1, g2 = complex(f1.grad_x) / w, complex(f2.grad_x) / w  # physical d/dx
+    g1, g2 = complex(f1.grad_x), complex(f2.grad_x)
 
     kappa = scene.kappa
     np_half = math.sqrt(kappa * (1.0 + delta) / 2.0)
@@ -165,19 +164,19 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
     alpha_p = np_half * (a1 + a2)
     alpha_m = nm_half * (a1 - a2)
 
-    # d/dd of the normalization factors sqrt((1 +/- delta)/2) is
+    # d/ds of the normalization factors sqrt((1 +/- delta)/2) is
     # +/- delta' / (2 sqrt(2(1 +/- delta))); the antisymmetric branch is
     # written with expm1 so it survives s -> 0.
-    delta_prime = -s * delta / w
+    delta_prime = -s * delta
     if s == 0.0:
-        ratio_m = 0.5 / w  # limit of -delta'/(2 sqrt(2(1-delta)))
+        ratio_m = 0.5  # limit of -delta'/(2 sqrt(2(1-delta)))
     else:
-        ratio_m = s * delta / (2.0 * math.sqrt(-2.0 * math.expm1(-s * s / 2.0))) / w
+        ratio_m = s * delta / (2.0 * math.sqrt(-2.0 * math.expm1(-s * s / 2.0)))
     ratio_p = delta_prime / (2.0 * math.sqrt(2.0 * (1.0 + delta)))
 
     sk = math.sqrt(kappa)
-    d_d_sum = 0.5 * (g2 - g1)        # d/dd (a1 + a2)
-    d_d_diff = -0.5 * (g1 + g2)      # d/dd (a1 - a2)
+    d_d_sum = 0.5 * (g2 - g1)        # d/ds (a1 + a2)
+    d_d_diff = -0.5 * (g1 + g2)      # d/ds (a1 - a2)
     d_d_alpha_p = sk * (ratio_p * (a1 + a2) + math.sqrt((1.0 + delta) / 2.0) * d_d_sum)
     d_d_alpha_m = sk * (ratio_m * (a1 - a2) + math.sqrt((1.0 - delta) / 2.0) * d_d_diff)
 
@@ -189,4 +188,4 @@ def image_amplitudes(exc, scene: EmitterScene, psf=GaussianPsf()) -> ImageAmplit
         d_d_alpha_plus=d_d_alpha_p, d_d_alpha_minus=d_d_alpha_m,
         d_x0_alpha_plus=d_x0_alpha_p, d_x0_alpha_minus=d_x0_alpha_m,
         site_amplitudes=(a1, a2), site_gradients=(g1, g2),
-        s=s, x0=x0, kappa=kappa, g=scene.g, width_w=w)
+        s=s, x0=x0, kappa=kappa, g=scene.g)

@@ -17,9 +17,11 @@ the two measurements of interest:
   formula's operations per entry, so every value (``fi_spade``,
   ``mean_photons_spade``) equals the one-scene result bit for bit.
 
-All reports carry both the raw value (units 1/length^2) and the
-dimensionless normalization w^2 F / (2 kappa g^2) used throughout for
-plotting and comparisons.
+Lengths are in units of the PSF width w, and everything an estimator needs
+comes from the scene's ImageAmplitudes record (and, for the QFI, the
+PsfGeometry at the same separation).  All reports carry both the raw value
+(units 1/w^2) and the dimensionless normalization w^2 F / (2 kappa g^2)
+used throughout for plotting and comparisons.
 
 The general QFI path expands the image-plane field in the symmetric /
 antisymmetric PSF modes and their derivative complements; for a coherent
@@ -32,23 +34,15 @@ two published vortex candidates the adjudication command arbitrates).
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
 from .numerics import _scalar_map, golden_section_max_many, integrate_1d_many
-from .psf_modes import (
-    GaussianPsf,
-    HermiteGaussBasis,
-    PsfGeometry,
-    _gamma_table,
-    _require_finite,
-    _require_separation,
-    psf_geometry,
-)
+from .psf_modes import PsfGeometry, _gamma_table, _require_finite, psf_geometry
 
 _VALID_METHODS = frozenset({
     "qfi_general", "qfi_closed", "di_quadrature",
@@ -60,7 +54,7 @@ _VALID_METHODS = frozenset({
 class FisherReport:
     """A Fisher-information value with its dimensionless normalization.
 
-    value is in 1/length^2; normalized_value = value * w^2 / (2 kappa g^2).
+    value is in 1/w^2; normalized_value = value * w^2 / (2 kappa g^2).
     """
 
     value: float
@@ -80,7 +74,11 @@ class FisherReport:
 
 @dataclass(frozen=True)
 class QfiMatrix:
-    """QFI matrix for joint (separation, centroid) estimation."""
+    """QFI matrix for joint (separation, centroid) estimation.
+
+    The determinant test is relative to the two products it subtracts,
+    because every entry scales with g^2 and the determinant with g^4.
+    """
 
     q_dd: float
     q_dx0: float
@@ -90,19 +88,19 @@ class QfiMatrix:
         if self.q_dd < 0.0 or self.q_x0x0 < 0.0:
             raise ValueError("diagonal QFI entries must be nonnegative")
         det = self.q_dd * self.q_x0x0 - self.q_dx0**2
-        if det < -1e-9:
+        if det < -1e-9 * (self.q_dd * self.q_x0x0 + self.q_dx0**2):
             raise ValueError(f"QFI matrix not positive semidefinite (det={det})")
 
 
 def _report(normalized: float, amps: ImageAmplitudes, method: str,
             error_norm: float = 0.0) -> FisherReport:
-    scale = 2.0 * amps.kappa * amps.g**2 / amps.width_w**2
+    scale = 2.0 * amps.kappa * amps.g**2
     return FisherReport(value=normalized * scale, normalized_value=normalized,
                         method=method, error_estimate=error_norm * scale)
 
 
 def qfi_separation(amps: ImageAmplitudes, geom: PsfGeometry) -> FisherReport:
-    """QFI for the separation d from mode amplitudes and PSF geometry.
+    """QFI for the separation from mode amplitudes and PSF geometry.
 
     Q_d = 4 [ |d_d alpha_+|^2 + |d_d alpha_-|^2
               + eta_+^2 |alpha_+|^2 + eta_-^2 |alpha_-|^2 ].
@@ -110,7 +108,7 @@ def qfi_separation(amps: ImageAmplitudes, geom: PsfGeometry) -> FisherReport:
     q = 4.0 * (abs(amps.d_d_alpha_plus) ** 2 + abs(amps.d_d_alpha_minus) ** 2
                + geom.eta_plus2 * abs(amps.alpha_plus) ** 2
                + geom.eta_minus2 * abs(amps.alpha_minus) ** 2)
-    scale = 2.0 * amps.kappa * amps.g**2 / geom.width_w**2
+    scale = 2.0 * amps.kappa * amps.g**2
     return FisherReport(value=q, normalized_value=q / scale, method="qfi_general")
 
 
@@ -154,7 +152,7 @@ def qfi_matrix(amps: ImageAmplitudes, geom: PsfGeometry) -> QfiMatrix:
 
 
 def qfi_plane_closed(ktilde: float, s: float, kappa: float = 1.0,
-                     g: float = 1.0, w: float = 1.0) -> FisherReport:
+                     g: float = 1.0) -> FisherReport:
     """Closed-form separation QFI for plane-wave excitation.
 
     Normalized value: 1 + kt^2 + e^{-s^2/2}[(s^2 - 1 - kt^2) cos(kt s)
@@ -167,7 +165,7 @@ def qfi_plane_closed(ktilde: float, s: float, kappa: float = 1.0,
             * ((s * s - 1.0 - kt**2) * math.cos(kt * s)
                + 2.0 * kt * s * math.sin(kt * s)))
     norm = max(norm, 0.0)
-    scale = 2.0 * kappa * g**2 / w**2
+    scale = 2.0 * kappa * g**2
     return FisherReport(value=norm * scale, normalized_value=norm, method="qfi_closed")
 
 
@@ -216,7 +214,7 @@ def vortex_closed_variants(a: float, psi: float, s: float) -> dict[str, float]:
 
 
 def qfi_vortex_closed(a: float, psi: float, s: float, kappa: float = 1.0,
-                      g: float = 1.0, w: float = 1.0) -> FisherReport:
+                      g: float = 1.0) -> FisherReport:
     """Closed-form separation QFI for the shifted vortex excitation.
 
     Ships the candidate certified against the general-path computation
@@ -226,16 +224,16 @@ def qfi_vortex_closed(a: float, psi: float, s: float, kappa: float = 1.0,
         raise ValueError("waist ratio a must be positive")
     norm = vortex_closed_variants(a, psi, s)["psi_dependent"]
     norm = max(norm, 0.0)
-    scale = 2.0 * kappa * g**2 / w**2
+    scale = 2.0 * kappa * g**2
     return FisherReport(value=norm * scale, normalized_value=norm, method="qfi_closed")
 
 
-def spade_collinear_closed(s: float, kappa: float = 1.0, g: float = 1.0,
-                           w: float = 1.0) -> FisherReport:
+def spade_collinear_closed(s: float, kappa: float = 1.0,
+                           g: float = 1.0) -> FisherReport:
     """Closed-form SPADE FI for collinear plane-wave excitation (kt = 0),
     full mode sum: normalized 1 + e^{-s^2/2} (s^2 - 1)."""
     norm = 1.0 + math.exp(-s * s / 2.0) * (s * s - 1.0)
-    scale = 2.0 * kappa * g**2 / w**2
+    scale = 2.0 * kappa * g**2
     return FisherReport(value=norm * scale, normalized_value=norm, method="spade_closed")
 
 
@@ -243,55 +241,40 @@ _DI_GUARD = 1e-15       # x-profile floor, relative to the profile maximum
 _DI_COARSE_N = 41       # coarse sampling used to locate that maximum
 
 
-def fi_direct(amps: ImageAmplitudes, psf=GaussianPsf(), s: float | None = None,
-              abs_tol: float = 1e-8) -> FisherReport:
+def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8) -> FisherReport:
     """Direct-imaging FI for the separation, F = int (d_d I)^2 / I.
 
-    The one-member case of :func:`fi_direct_many`; ``s``, when given,
-    replaces the separation recorded in ``amps``.
+    The one-member case of :func:`fi_direct_many`.
     """
-    return fi_direct_many([_at_separation(amps, s)], psf, abs_tol)[0]
+    return fi_direct_many([amps], abs_tol)[0]
 
 
-def _at_separation(amps: ImageAmplitudes, s: float | None) -> ImageAmplitudes:
-    # the separation override of the single-scene estimators
-    if s is None:
-        return amps
-    _require_separation(s)
-    return dataclasses.replace(amps, s=s)
-
-
-def fi_direct_many(amps_seq, psf=GaussianPsf(),
-                   abs_tol: float = 1e-8) -> list[FisherReport]:
+def fi_direct_many(amps_seq, abs_tol: float = 1e-8) -> list[FisherReport]:
     """Direct-imaging FI for the separation, F = int (d_d I)^2 / I, for
     each scene in ``amps_seq``.
 
     Both emitters sit on y = 0, so I and d_d I share the y-factor
     exp(-2 y^2) and the plane integral is sqrt(pi/2) times an x-integral
     (the window |y| <= 8 makes erf exactly 1 at double precision); with the
-    PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  Integrates in
-    PSF-width units with amplitudes scaled by sqrt(2) g, so the quadrature
-    tolerance applies to the normalized value.  Points where the x-profile
+    PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  Integrates with
+    amplitudes scaled by sqrt(2) g, so the quadrature tolerance applies to
+    the normalized value.  Points where the x-profile
     |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum, or underflows
     to zero, contribute zero (nodes and far tails; the removable-singularity
     limit is zero there).  The x-integrals form one lockstep batch
     (``integrate_1d_many``): each is refined exactly as it would be alone,
     so every report equals the one-scene value bit for bit.  Raises
     ConvergenceError naming the first scene whose quadrature stalls, with
-    its estimate, and ValueError if ``psf`` is not the PSF the amplitudes
-    were computed for (the width is taken from each ``amps``).
+    its estimate.
     """
     amps_seq = list(amps_seq)
     if not amps_seq:
         return []
     params = []
     for amps in amps_seq:
-        if psf.width_w != amps.width_w:
-            raise ValueError(f"psf width {psf.width_w!r} does not match the "
-                             f"amplitudes' width {amps.width_w!r}")
         root2g = math.sqrt(2.0) * amps.g
         a1, a2 = (c / root2g for c in amps.site_amplitudes)
-        g1, g2 = (c * amps.width_w / root2g for c in amps.site_gradients)
+        g1, g2 = (c / root2g for c in amps.site_gradients)
         half = max(8.0, amps.s / 2.0 + 8.0)
         params.append((a1, a2, g1, g2, amps.x0 - amps.s / 2.0,
                        amps.x0 + amps.s / 2.0, amps.x0 - half, amps.x0 + half))
@@ -326,33 +309,33 @@ def fi_direct_many(amps_seq, psf=GaussianPsf(),
             for amps, (norm, err) in zip(amps_seq, results)]
 
 
-def _basis_overlaps(basis: HermiteGaussBasis, s: float) -> tuple[float, float, float]:
-    # delta, delta', and 1 - delta for the Gaussian image modes matching the
-    # analysis basis width; expm1 keeps 1 - delta exact at small s.
+def _basis_overlaps(s: float) -> tuple[float, float, float]:
+    # delta, delta', and 1 - delta of the Gaussian image modes; expm1 keeps
+    # 1 - delta exact at small s.
     x = s * s / 2.0
     delta = math.exp(-x)
-    return delta, -s * delta / basis.width_w, -math.expm1(-x)
+    return delta, -s * delta, -math.expm1(-x)
 
 
-def _spade_table(amps_seq, basis: HermiteGaussBasis, modes: int):
+def _spade_table(amps_seq, modes: int):
     """Mean photon numbers N_m in HG modes m = 0..modes and their
-    d-derivatives, as two arrays with one row per scene.
+    s-derivatives, as two arrays with one row per scene.
 
     The image field couples to mode m through f_{m,+-} gamma_m: even modes
     see only alpha_+, odd modes only alpha_-.  Each entry is computed with
     the operations, in the order, of the one-mode scalar formula, so a row
-    does not depend on the other rows of the batch.
+    does not depend on the other rows of the batch.  Raises ValueError
+    unless ``modes`` is a nonnegative integer (a bool is not one).
     """
-    if not 0 <= modes <= basis.truncation_M:
-        raise ValueError(f"mode {modes} outside the basis range "
-                         f"[0, {basis.truncation_M}]")
+    if not isinstance(modes, numbers.Integral) or isinstance(modes, bool) or modes < 0:
+        raise ValueError(f"mode cutoff must be a nonnegative integer, got {modes!r}")
     s = np.array([amps.s for amps in amps_seq], dtype=float)
-    gam, gam_d = _gamma_table(s, modes, basis.width_w)
+    gam, gam_d = _gamma_table(s, modes)
     # per-scene normalizations of the +/- image modes; ** is the scalar pow
     # (numpy's differs in the last bit)
     norms = []
     for s_i in s.tolist():
-        delta, delta_prime, omd = _basis_overlaps(basis, s_i)
+        delta, delta_prime, omd = _basis_overlaps(s_i)
         np2 = 2.0 * (1.0 + delta)
         nm2 = 2.0 * omd
         norms.append((math.sqrt(np2), np2**1.5, math.sqrt(nm2), nm2**1.5,
@@ -396,12 +379,10 @@ def _spade_table(amps_seq, basis: HermiteGaussBasis, modes: int):
     return n, dn
 
 
-def mean_photons_spade(amps: ImageAmplitudes, basis: HermiteGaussBasis,
-                       m: int, s: float | None = None) -> float:
+def mean_photons_spade(amps: ImageAmplitudes, m: int) -> float:
     """Mean photon number in Hermite-Gauss mode m for the given amplitudes
-    (one entry of the batched SPADE table); ``s``, when given, replaces the
-    separation recorded in ``amps``."""
-    n, _ = _spade_table([_at_separation(amps, s)], basis, m)
+    (one entry of the batched SPADE table)."""
+    n, _ = _spade_table([amps], m)
     return float(n[0, m])
 
 
@@ -409,17 +390,15 @@ _SPADE_N_FLOOR = 1e-300
 _SPADE_DN_FLOOR = 1e-150
 
 
-def fi_spade(amps: ImageAmplitudes, basis: HermiteGaussBasis, M: int,
-             s: float | None = None) -> FisherReport:
+def fi_spade(amps: ImageAmplitudes, M: int) -> FisherReport:
     """SPADE FI from modes 0..M: F = sum (d_d N_m)^2 / N_m.
 
-    The one-member case of :func:`fi_spade_many`; ``s``, when given,
-    replaces the separation recorded in ``amps``.
+    The one-member case of :func:`fi_spade_many`.
     """
-    return fi_spade_many([_at_separation(amps, s)], basis, M)[0]
+    return fi_spade_many([amps], M)[0]
 
 
-def fi_spade_many(amps_seq, basis: HermiteGaussBasis, M: int) -> list[FisherReport]:
+def fi_spade_many(amps_seq, M: int) -> list[FisherReport]:
     """SPADE FI from modes 0..M, F = sum (d_d N_m)^2 / N_m, for each scene
     in ``amps_seq``.
 
@@ -428,16 +407,16 @@ def fi_spade_many(amps_seq, basis: HermiteGaussBasis, M: int) -> list[FisherRepo
     one-scene value bit for bit.  Terms where both N_m and its derivative
     underflow contribute zero (they vanish at the same order; the limiting
     term is zero or unresolvable at double precision).  Monotone
-    nondecreasing in M by construction.
+    nondecreasing in M by construction.  M must be a nonnegative integer.
     """
     amps_seq = list(amps_seq)
-    n, dn = _spade_table(amps_seq, basis, M)
+    n, dn = _spade_table(amps_seq, M)
     skip = ((n < _SPADE_N_FLOOR) & (np.abs(dn) < _SPADE_DN_FLOOR)) | (n <= 0.0)
     terms = np.zeros_like(n)
     np.divide(dn * dn, n, out=terms, where=~skip)
     # accumulate, not sum: the running total adds the modes in order
     totals = np.add.accumulate(terms, axis=1)[:, -1]
-    return [_report(total * amps.width_w**2 / (2.0 * amps.kappa * amps.g**2),
+    return [_report(total / (2.0 * amps.kappa * amps.g**2),
                     amps, "spade_series", error_norm=0.0)
             for amps, total in zip(amps_seq, totals.tolist())]
 
@@ -454,15 +433,12 @@ def small_s_coefficients(family: str, params: dict | None = None,
                          "plane-wave family only")
     ktilde = float((params or {}).get("ktilde", 0.0))
     exc = PlaneWaveExcitation(ktilde=ktilde)
-    psf = GaussianPsf()
-    basis = HermiteGaussBasis(truncation_M=modes)
     s_pts = np.linspace(0.01, 0.05, 9)
-    scenes = [image_amplitudes(exc, EmitterScene(s=float(s)), psf) for s in s_pts]
-    f_di = np.array([r.normalized_value for r in fi_direct_many(scenes, psf)])
-    f_qfi = np.array([qfi_separation(amps, psf_geometry(psf, amps.s)).normalized_value
+    scenes = [image_amplitudes(exc, EmitterScene(s=float(s))) for s in s_pts]
+    f_di = np.array([r.normalized_value for r in fi_direct_many(scenes)])
+    f_qfi = np.array([qfi_separation(amps, psf_geometry(amps.s)).normalized_value
                       for amps in scenes])
-    f_spade = np.array([r.normalized_value
-                        for r in fi_spade_many(scenes, basis, modes)])
+    f_spade = np.array([r.normalized_value for r in fi_spade_many(scenes, modes)])
 
     basis_fn = s_pts**2 / 2.0
     denom = float(basis_fn @ basis_fn)
@@ -474,8 +450,7 @@ def small_s_coefficients(family: str, params: dict | None = None,
 
 
 def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
-                   kappa: float = 1.0, g: float = 1.0,
-                   w: float = 1.0) -> list[tuple[float, float]]:
+                   kappa: float = 1.0, g: float = 1.0) -> list[tuple[float, float]]:
     """Per-separation optimal vortex waist ratio: [(a*, Q_d*), ...].
 
     Maximizes the (adjudicated) closed-form vortex QFI over a at each s:
@@ -485,7 +460,7 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     one array, with the scalar path's exp and pow per element, so it ranks
     the grid exactly as scalar calls would.  The refinements of all
     separations run in lockstep, each making the steps it would make alone,
-    with scalar calls.  Q_d* is reported in raw units (1/length^2).
+    with scalar calls.  Q_d* is reported in raw units (1/w^2).
     """
     lo, hi = a_bounds
     if not (0.0 < lo < hi):
@@ -494,7 +469,7 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     s_values = [float(s) for s in s_grid]
 
     def q(s, a):
-        return qfi_vortex_closed(float(a), psi, s, kappa, g, w).value
+        return qfi_vortex_closed(float(a), psi, s, kappa, g).value
 
     def exp(x):
         return _scalar_map(math.exp, x)
@@ -505,7 +480,7 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     a_col, s_row = grid[None, :], np.array(s_values)[:, None]
     norm = (_vortex_pref(a_col, psi, s_row, exp, power)
             * _vortex_bracket_a(a_col, psi, s_row, exp, power))
-    values = np.maximum(norm, 0.0) * (2.0 * kappa * g**2 / w**2)
+    values = np.maximum(norm, 0.0) * (2.0 * kappa * g**2)
     best = np.argmax(values, axis=1)  # first max -> smaller a on ties
     b_lo = [grid[i - 1] if i > 0 else lo for i in best.tolist()]
     b_hi = [grid[i + 1] if i < len(grid) - 1 else hi for i in best.tolist()]

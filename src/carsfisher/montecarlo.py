@@ -36,7 +36,6 @@ import numpy as np
 from .excitation import EmitterScene, image_amplitudes
 from .fisher import _spade_table, fi_direct
 from .numerics import _WK, _XK, golden_section_max_many
-from .psf_modes import GaussianPsf, HermiteGaussBasis
 
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
@@ -131,9 +130,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     return golden_section_max_many(loglike, b_lo, b_hi, x_tol=1e-6)
 
 
-def spade_count_model(exc, basis: HermiteGaussBasis, modes: int,
-                      x0: float = 0.0, g: float = 1.0, kappa: float = 1.0,
-                      psf=GaussianPsf()):
+def spade_count_model(exc, modes: int, x0: float = 0.0, g: float = 1.0,
+                      kappa: float = 1.0):
     """Per-shot SPADE expectations [N_0, ..., N_modes] as a function of a
     vector of separations: one row per separation (negative ones clip to
     zero)."""
@@ -141,9 +139,9 @@ def spade_count_model(exc, basis: HermiteGaussBasis, modes: int,
     def model(s_values) -> np.ndarray:
         amps = [image_amplitudes(
                     exc, EmitterScene(s=max(float(s), 0.0), x0=x0, g=g,
-                                      kappa=kappa), psf)
+                                      kappa=kappa))
                 for s in np.asarray(s_values, dtype=float)]
-        return _spade_table(amps, basis, modes)[0]
+        return _spade_table(amps, modes)[0]
 
     return model
 
@@ -157,7 +155,7 @@ class BinnedImager:
     a wider view at the same bin count coarsens the bins and fails that
     contract.  Bin expectations are exact Gauss-Kronrod integrals of the
     intensity on a per-bin 15-node tensor rule.  Both emitters sit on y = 0,
-    so the intensity is an x-profile times exp(-2 y^2 / w^2) and the tensor
+    so the intensity is an x-profile times exp(-2 y^2) and the tensor
     rule factorizes: each model call integrates the x-profile over the x-bins
     and takes the outer product with y-bin weights computed once at
     construction.  Construction verifies the 2% bound at domain_s and
@@ -167,16 +165,13 @@ class BinnedImager:
     _FOV_MARGIN = 2.5  # PSF widths beyond each emitter
 
     def __init__(self, exc, domain_s: float, nbins: int = 32, x0: float = 0.0,
-                 g: float = 1.0, kappa: float = 1.0, psf=GaussianPsf()):
+                 g: float = 1.0, kappa: float = 1.0):
         self.exc = exc
         self.x0 = x0
         self.g = g
         self.kappa = kappa
-        self.psf = psf
-        self.width_w = psf.width_w
-        half = (domain_s / 2.0 + self._FOV_MARGIN) * self.width_w
-        center = x0 * self.width_w
-        edges_x = np.linspace(center - half, center + half, nbins + 1)
+        half = domain_s / 2.0 + self._FOV_MARGIN
+        edges_x = np.linspace(x0 - half, x0 + half, nbins + 1)
         edges_y = np.linspace(-half, half, nbins + 1)
         half_x = 0.5 * (edges_x[1] - edges_x[0])
         half_y = 0.5 * (edges_y[1] - edges_y[0])
@@ -185,13 +180,11 @@ class BinnedImager:
         self._nodes_x = mids_x[:, None] + half_x * _XK[None, :]
         self._weights_x = _WK * half_x
         nodes_y = mids_y[:, None] + half_y * _XK[None, :]
-        # y-bin integrals of kappa * pref^2 * exp(-2 y^2 / w^2)
-        pref_sq = 2.0 / (math.pi * self.width_w**2)
-        self._weights_y = (kappa * pref_sq
-                           * np.exp(-2.0 * nodes_y**2 / self.width_w**2)
+        # y-bin integrals of kappa * pref^2 * exp(-2 y^2), pref^2 = 2/pi
+        self._weights_y = (kappa * (2.0 / math.pi) * np.exp(-2.0 * nodes_y**2)
                            @ (_WK * half_y))
         scene = EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa)
-        continuum = fi_direct(image_amplitudes(exc, scene, psf), psf).value
+        continuum = fi_direct(image_amplitudes(exc, scene)).value
         binned = self.fisher_information(domain_s)
         if abs(binned - continuum) > _BIN_FI_REL_TOL * continuum:
             raise ValueError(
@@ -207,7 +200,7 @@ class BinnedImager:
         zero)."""
         scenes = [image_amplitudes(
                       self.exc, EmitterScene(s=max(s, 0.0), x0=self.x0, g=self.g,
-                                             kappa=self.kappa), self.psf)
+                                             kappa=self.kappa))
                   for s in np.asarray(s_values, dtype=float).tolist()]
 
         def column(values, dtype=float):
@@ -216,11 +209,11 @@ class BinnedImager:
 
         a1 = column([amps.site_amplitudes[0] for amps in scenes], complex)
         a2 = column([amps.site_amplitudes[1] for amps in scenes], complex)
-        x1 = column([(self.x0 - amps.s / 2.0) * self.width_w for amps in scenes])
-        x2 = column([(self.x0 + amps.s / 2.0) * self.width_w for amps in scenes])
+        x1 = column([self.x0 - amps.s / 2.0 for amps in scenes])
+        x2 = column([self.x0 + amps.s / 2.0 for amps in scenes])
         xx = self._nodes_x
-        e1 = np.exp(-((xx - x1) / self.width_w) ** 2)
-        e2 = np.exp(-((xx - x2) / self.width_w) ** 2)
+        e1 = np.exp(-(xx - x1) ** 2)
+        e2 = np.exp(-(xx - x2) ** 2)
         profile = np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
         return (profile[:, :, None] * self._weights_y).reshape(
             len(scenes), profile.shape[1] * self._weights_y.size)

@@ -158,7 +158,6 @@ def integrate_1d_many(
     b: Sequence[float],
     abs_tol: float = 1e-10,
     max_depth: int = 50,
-    breakpoints: Sequence[float] = (),
 ) -> list[tuple[float | complex, float]]:
     """Adaptive 1D quadrature of a batch of integrals, refined in lockstep.
 
@@ -166,22 +165,17 @@ def integrate_1d_many(
     receives cell abscissae ``x`` of shape (n, 15) together with ``rows``,
     the member index of each of the n cells, and returns values of that
     shape; their dtype is shared, so a real member of a complex batch is
-    summed in complex arithmetic.  ``breakpoints`` seeds every member's
-    initial subdivision (useful for integrands with a known sharp feature).
-    Each member keeps its own worst-error heap, tolerance test, cell budget
-    and depth limit, and makes exactly the splits it would make alone; per
-    round, the cells of all unconverged members are evaluated in one
-    integrand call.
+    summed in complex arithmetic.  Each member keeps its own worst-error
+    heap, tolerance test, cell budget and depth limit, and makes exactly
+    the splits it would make alone; per round, the cells of all unconverged
+    members are evaluated in one integrand call.
     Returns (value, error_estimate) per member; raises
     :class:`ConvergenceError` naming the first member whose tolerance is
     unreachable at ``max_depth`` bisections, with that member's estimate.
     """
     members = [_Member() for _ in a]
     # (member, lo, hi, depth) of every cell the next integrand call fills
-    pending = []
-    for i, (lo_i, hi_i) in enumerate(zip(a, b)):
-        edges = [lo_i] + sorted(x for x in breakpoints if lo_i < x < hi_i) + [hi_i]
-        pending.extend((i, lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:]))
+    pending = [(i, lo, hi, 0) for i, (lo, hi) in enumerate(zip(a, b))]
 
     active = range(len(members))
     while pending:
@@ -222,7 +216,6 @@ def integrate_1d(
     b: float,
     abs_tol: float = 1e-10,
     max_depth: int = 50,
-    breakpoints: Sequence[float] = (),
 ) -> tuple[float | complex, float]:
     """Adaptive 1D quadrature of a vectorized integrand over [a, b].
 
@@ -232,7 +225,7 @@ def integrate_1d(
     tolerance is unreachable at ``max_depth`` bisections.
     """
     return integrate_1d_many(lambda rows, x: f(x), (a,), (b,), abs_tol,
-                             max_depth, breakpoints)[0]
+                             max_depth)[0]
 
 
 def _fail(index: int, member: _Member, reason: str, error: float,

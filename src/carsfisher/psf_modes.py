@@ -1,22 +1,22 @@
-"""Point-spread function, Hermite-Gauss image modes, and overlap geometry.
+"""Displaced-PSF overlap geometry and the Hermite-Gauss mode overlaps.
 
-The imaging model is a diffraction-limited Gaussian amplitude PSF
+The imaging model is a diffraction-limited Gaussian amplitude PSF of 1/e
+half-width w.  Every length in the package is in units of w, so the PSF is
 
-    u0(r) = sqrt(2/(pi w^2)) * exp(-r^2/w^2),
+    u0(r) = sqrt(2/pi) * exp(-r^2),
 
 normalized so that the integral of u0^2 over the image plane is one.  Two
-emitters separated by d = s*w produce the two displaced copies of u0 whose
+emitters a separation s apart produce the two displaced copies of u0 whose
 overlap scalars (delta, beta, derivative-mode norms eta, xi) drive every
-Fisher-information expression downstream.  All separations, offsets, and
-waist ratios in the public API are dimensionless (in units of w); returned
-geometry scalars carry their physical 1/w and 1/w^2 factors.
+Fisher-information expression downstream; the derivative scalars are in
+units of 1/w and 1/w^2.  The Hermite-Gauss demultiplexing basis is matched
+to the same width.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,43 +45,17 @@ def _require_separation(s):
 
 
 @dataclass(frozen=True)
-class GaussianPsf:
-    """Gaussian amplitude PSF of 1/e half-width ``width_w``."""
-
-    width_w: float = 1.0
-
-    def __post_init__(self):
-        _require_finite("GaussianPsf", width_w=self.width_w)
-
-
-@dataclass(frozen=True)
-class HermiteGaussBasis:
-    """Hermite-Gauss demultiplexing basis matched to the PSF width."""
-
-    width_w: float = 1.0
-    truncation_M: int = 30
-
-    def __post_init__(self):
-        _require_finite("HermiteGaussBasis", width_w=self.width_w)
-        if not self.width_w > 0.0:
-            raise ValueError("basis width must be positive")
-        m = self.truncation_M
-        if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 0:
-            raise ValueError(f"truncation_M must be a nonnegative integer, got {m!r}")
-
-
-@dataclass(frozen=True)
 class PsfGeometry:
     """Overlap scalars of the two displaced PSF copies at separation s.
 
     delta        overlap of the two copies
-    delta_prime  d(delta)/dd (1/length)
-    dk2          squared width of the PSF gradient, int (dx u0)^2 (1/length^2)
+    delta_prime  d(delta)/ds
+    dk2          squared width of the PSF gradient, int (dx u0)^2
     beta         gradient cross-overlap int dx u0(r-r1) dx u0(r-r2)
     eta_plus2/eta_minus2   squared norms of the separation-derivatives of the
-                 normalized symmetric/antisymmetric modes (1/length^2)
+                 normalized symmetric/antisymmetric modes
     xi_plus2/xi_minus2     squared norms of the centroid-derivatives of those
-                 modes, projected out of the mode span (1/length^2)
+                 modes, projected out of the mode span
     """
 
     s: float
@@ -93,23 +67,16 @@ class PsfGeometry:
     eta_minus2: float
     xi_plus2: float
     xi_minus2: float
-    width_w: float = 1.0
 
 
-def psf_value(psf: GaussianPsf, x, y):
-    """Amplitude PSF at (x, y) (dimensionless coordinates, units of w)."""
-    w = psf.width_w
-    return math.sqrt(2.0 / math.pi) / w * np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / w**2)
-
-
-def _gamma_table(s_values, k_max: int, width_w: float = 1.0):
-    """gamma_k and d(gamma_k)/dd for every separation (rows) and k = 0..k_max.
+def _gamma_table(s_values, k_max: int):
+    """gamma_k and d(gamma_k)/ds for every separation (rows) and k = 0..k_max.
 
     gamma_k = exp(-s^2/8) (s/2)^k / sqrt(k!) is the overlap of a PSF
     displaced by s/2 with the k-th basis mode, computed in the log domain
     so large k and small s underflow gracefully instead of overflowing;
-    d(gamma_k)/dd = gamma_k (k/s - s/4) / w.  At s = 0 only gamma_0 = 1
-    and the slope 1/(2w) of gamma_1 ~ s/2 survive.
+    d(gamma_k)/ds = gamma_k (k/s - s/4).  At s = 0 only gamma_0 = 1 and
+    the slope 1/2 of gamma_1 ~ s/2 survive.
     """
     s = np.asarray(s_values, dtype=float)
     _require_separation(s)
@@ -124,10 +91,10 @@ def _gamma_table(s_values, k_max: int, width_w: float = 1.0):
     log_half = _scalar_map(math.log, s_lit / 2.0)
     half_lgamma = _scalar_map(math.lgamma, k + 1.0) * 0.5
     gam[lit] = _scalar_map(math.exp, -s_lit * s_lit / 8.0 + k * log_half - half_lgamma)
-    gam_d[lit] = gam[lit] * (k / s_lit - s_lit / 4.0) / width_w
+    gam_d[lit] = gam[lit] * (k / s_lit - s_lit / 4.0)
     gam[~lit, 0] = 1.0
     if k_max >= 1:
-        gam_d[~lit, 1] = 0.5 / width_w
+        gam_d[~lit, 1] = 0.5
     return gam, gam_d
 
 
@@ -147,32 +114,29 @@ def _sinh_minus_arg(x: float) -> float:
     return acc
 
 
-def psf_geometry(psf: GaussianPsf, s: float) -> PsfGeometry:
+def psf_geometry(s: float) -> PsfGeometry:
     """All overlap scalars of the displaced-PSF pair at separation s."""
     _require_separation(s)
-    w = psf.width_w
-    w2 = w * w
     x = s * s / 2.0
     delta = math.exp(-x)
-    delta_prime = -s * delta / w
-    dk2 = 1.0 / w2
-    beta = (1.0 - s * s) * delta / w2
+    delta_prime = -s * delta
+    dk2 = 1.0
+    beta = (1.0 - s * s) * delta
 
     if x < S_TINY:
         # Leading terms of the derivative-mode norms as s -> 0 (relative
         # corrections O(x^2) ~ 1e-24 at most)
-        eta_p2 = x / 4.0 / w2
-        eta_m2 = x / 12.0 / w2
-        xi_p2 = x * x / 6.0 / w2
-        xi_m2 = 2.0 / w2
+        eta_p2 = x / 4.0
+        eta_m2 = x / 12.0
+        xi_p2 = x * x / 6.0
+        xi_m2 = 2.0
     else:
         smx = _sinh_minus_arg(x)
-        eta_p2 = (math.sinh(x) + x) / (8.0 * math.cosh(x / 2.0) ** 2) / w2
-        eta_m2 = smx / (8.0 * math.sinh(x / 2.0) ** 2) / w2
-        xi_p2 = smx / math.sinh(x) / w2
-        xi_m2 = (1.0 + x / math.sinh(x)) / w2
+        eta_p2 = (math.sinh(x) + x) / (8.0 * math.cosh(x / 2.0) ** 2)
+        eta_m2 = smx / (8.0 * math.sinh(x / 2.0) ** 2)
+        xi_p2 = smx / math.sinh(x)
+        xi_m2 = 1.0 + x / math.sinh(x)
 
     return PsfGeometry(s=s, delta=delta, delta_prime=delta_prime, dk2=dk2,
                        beta=beta, eta_plus2=eta_p2, eta_minus2=eta_m2,
-                       xi_plus2=xi_p2, xi_minus2=xi_m2, width_w=w)
-
+                       xi_plus2=xi_p2, xi_minus2=xi_m2)

@@ -151,6 +151,23 @@ def spectral_weight(res: RamanResonance, pump: PulseSpectrum,
     return complex(value[0]) if np.ndim(omega) == 0 else value
 
 
+def _sampled_weight(res: RamanResonance, pump: PulseSpectrum,
+                    stokes: PulseSpectrum):
+    """(grid, g Phi on it, g) on the ``phi_grid`` of the pulses, with
+    g = sqrt(Int |g Phi|^2 dw/2pi); the sampled weight divided by g is Phi
+    there.  Raises ValueError on zero-signal input (g underflows)."""
+    grid = phi_grid(pump, stokes)
+    weight = spectral_weight(res, pump, stokes, grid)
+    power = np.abs(weight) ** 2
+    dw = grid[1] - grid[0]
+    # trapezoid on the uniform grid (spectrally accurate for these tails)
+    norm_sq = dw * (power.sum() - 0.5 * (power[0] + power[-1])) / (2.0 * math.pi)
+    g = math.sqrt(norm_sq)
+    if g < 1e-300:
+        raise ValueError("zero-signal input: spectral weight underflows")
+    return grid, weight, g
+
+
 def normalize_phi(res: RamanResonance, pump: PulseSpectrum,
                   stokes: PulseSpectrum):
     """Extract (g, Phi): g = sqrt(Int |g Phi|^2 dw/2pi), Phi normalized so
@@ -158,14 +175,7 @@ def normalize_phi(res: RamanResonance, pump: PulseSpectrum,
 
     Raises ValueError on zero-signal input (g underflows).
     """
-    grid = phi_grid(pump, stokes)
-    power = np.abs(spectral_weight(res, pump, stokes, grid)) ** 2
-    dw = grid[1] - grid[0]
-    # trapezoid on the uniform grid (spectrally accurate for these tails)
-    norm_sq = dw * (power.sum() - 0.5 * (power[0] + power[-1])) / (2.0 * math.pi)
-    g = math.sqrt(norm_sq)
-    if g < 1e-300:
-        raise ValueError("zero-signal input: spectral weight underflows")
+    _, _, g = _sampled_weight(res, pump, stokes)
 
     def phi(omega):
         return spectral_weight(res, pump, stokes, omega) / g

@@ -14,8 +14,6 @@ import pytest
 
 from carsfisher import (
     EmitterScene,
-    GaussianPsf,
-    HermiteGaussBasis,
     PlaneWaveExcitation,
     PulseSpectrum,
     RamanResonance,
@@ -36,12 +34,10 @@ from carsfisher import (
 )
 
 SQ2I = math.sqrt(2.0) / 2.0
-PSF = GaussianPsf()
-BASIS = HermiteGaussBasis(truncation_M=30)
 
 
 def _amps(exc, s, **scene_kw):
-    return image_amplitudes(exc, EmitterScene(s=s, **scene_kw), PSF)
+    return image_amplitudes(exc, EmitterScene(s=s, **scene_kw))
 
 
 def _status(ok: bool) -> str:
@@ -56,7 +52,7 @@ def test_criterion_01_plane_qfi_general_equals_closed(acceptance):
         exc = PlaneWaveExcitation(ktilde=ktilde)
         for s in s_grid:
             s = float(s)
-            general = qfi_separation(_amps(exc, s), psf_geometry(PSF, s))
+            general = qfi_separation(_amps(exc, s), psf_geometry(s))
             closed = qfi_plane_closed(ktilde, s)
             worst = max(worst, abs(general.normalized_value
                                    - closed.normalized_value))
@@ -74,13 +70,13 @@ def test_criterion_02_collinear_saturation(acceptance):
     worst_di = 0.0
     for s in np.linspace(0.25, 3.0, 12):
         s = float(s)
-        di = fi_direct(_amps(exc, s), PSF, s, abs_tol=1e-11).value
+        di = fi_direct(_amps(exc, s), abs_tol=1e-11).value
         qfi = qfi_plane_closed(0.0, s).value
         worst_di = max(worst_di, abs(di - qfi) / qfi)
     worst_spade = 0.0
     for s in np.linspace(0.05, 3.0, 60):
         s = float(s)
-        series = fi_spade(_amps(exc, s), BASIS, 30, s).normalized_value
+        series = fi_spade(_amps(exc, s), 30).normalized_value
         closed = 1.0 + math.exp(-s * s / 2.0) * (s * s - 1.0)
         worst_spade = max(worst_spade, abs(series - closed))
     dt = time.perf_counter() - t0
@@ -143,16 +139,16 @@ def test_criterion_05_vortex_measurement_claims(acceptance):
     worst_spade = 0.0
     for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
         amps = _amps(on_axis, s)
-        qfi = qfi_separation(amps, psf_geometry(PSF, s)).value
-        di = fi_direct(amps, PSF, s, abs_tol=1e-11).value
-        spade = fi_spade(amps, BASIS, 30, s).value
+        qfi = qfi_separation(amps, psf_geometry(s)).value
+        di = fi_direct(amps, abs_tol=1e-11).value
+        spade = fi_spade(amps, 30).value
         worst_di = max(worst_di, abs(di - qfi) / qfi)
         worst_spade = max(worst_spade, abs(spade - qfi) / qfi)
 
     off_axis = _amps(VortexExcitation(a=SQ2I, psi=0.3), 0.5)
-    qfi_off = qfi_separation(off_axis, psf_geometry(PSF, 0.5)).value
-    di_ratio = fi_direct(off_axis, PSF, 0.5, abs_tol=1e-10).value / qfi_off
-    spade_ratio = fi_spade(off_axis, BASIS, 30, 0.5).value / qfi_off
+    qfi_off = qfi_separation(off_axis, psf_geometry(0.5)).value
+    di_ratio = fi_direct(off_axis, abs_tol=1e-10).value / qfi_off
+    spade_ratio = fi_spade(off_axis, 30).value / qfi_off
     dt = time.perf_counter() - t0
     ok = (worst_di < 1e-6 and worst_spade < 1e-8
           and di_ratio < 0.99 and spade_ratio >= 0.999 and dt < 60.0)
@@ -176,7 +172,7 @@ def test_criterion_06_spade_mode_convergence(acceptance):
     for s in np.linspace(0.05, 2.0, 40):
         s = float(s)
         amps = _amps(exc, s)
-        values = [fi_spade(amps, BASIS, m, s).value for m in cutoffs]
+        values = [fi_spade(amps, m).value for m in cutoffs]
         monotone &= all(b >= a for a, b in zip(values, values[1:]))
         worst_ratio = min(worst_ratio,
                           values[-1] / qfi_plane_closed(2.0, s).value)
@@ -202,11 +198,11 @@ def test_criterion_07_information_chain_and_matrix(acceptance):
         for s in np.linspace(0.1, 3.0, 15):
             s = float(s)
             amps = _amps(exc, s)
-            geom = psf_geometry(PSF, s)
+            geom = psf_geometry(s)
             report = qfi_separation(amps, geom)
             qfi = report.normalized_value
-            di = fi_direct(amps, PSF, s).normalized_value
-            spade = fi_spade(amps, BASIS, 30, s).normalized_value
+            di = fi_direct(amps).normalized_value
+            spade = fi_spade(amps, 30).normalized_value
             worst_di_excess = max(worst_di_excess, di - qfi)
             worst_spade_excess = max(worst_spade_excess, spade - qfi)
             matrix = qfi_matrix(amps, geom)
@@ -241,7 +237,7 @@ def test_criterion_08_photon_conservation(acceptance):
             exc = VortexExcitation(a=float(rng.uniform(0.3, 2.0)),
                                    psi=float(rng.uniform(-0.5, 0.5)))
         amps = _amps(exc, s, kappa=kappa, g=g)
-        total = sum(mean_photons_spade(amps, BASIS, m) for m in range(31))
+        total = sum(mean_photons_spade(amps, m) for m in range(31))
         worst = max(worst, abs(total - amps.n_total) / amps.n_total)
     ok = worst < 1e-10
     acceptance(f"criterion 08: {_status(ok)} — photon conservation over 20 "
@@ -254,8 +250,8 @@ def test_criterion_09_monte_carlo_crb(acceptance):
     g10 = 3.5647539063284568  # calibrated so n_total = 10 per shot
     exc = VortexExcitation(a=SQ2I, psi=0.0)
     amps = _amps(exc, 1.0, g=g10)
-    fisher = fi_spade(amps, BASIS, 10, 1.0).value
-    model = spade_count_model(exc, BASIS, 10, g=g10)
+    fisher = fi_spade(amps, 10).value
+    model = spade_count_model(exc, 10, g=g10)
     report = run_experiment(model, 1.0, 1e4, 50, 20260817, (0.5, 1.5),
                             fisher_per_shot=fisher, n_total=amps.n_total,
                             method="spade")

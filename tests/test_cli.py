@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface and its file formats."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -168,6 +169,44 @@ def test_csv_only_commands_reject_json_format(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "unknown configuration key 'format'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a valid non-default value of each string field
+_STRING_VALUES = {"family": "vortex", "measurement": "di", "output_path": "x.csv"}
+
+
+def _other_value(field):
+    # a value unlike the default that still passes RunConfig.validate
+    default = field.default
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2.0
+    if isinstance(default, tuple):
+        return default + (5.0,)
+    return _STRING_VALUES[field.name]
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(cli.RunConfig),
+                         ids=lambda f: f.name)
+def test_every_config_key_parses_from_file_and_environment(tmp_path, field):
+    value = _other_value(field)
+    text = _as_text(value)
+    path = _write_cfg(tmp_path, "key.cfg", **{field.name: text})
+    from_file = cli.load_config(path, env={})
+    from_env = cli.load_config(None, env={f"CARSFISHER_{field.name.upper()}": text})
+    for cfg in (from_file, from_env):
+        assert getattr(cfg, field.name) == value
+        assert type(getattr(cfg, field.name)) is type(value)
+        assert cfg.explicit_keys == {field.name}
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):

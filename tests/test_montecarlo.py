@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from carsfisher import (
     BinnedImager,
     EmitterScene,
-    HermiteGaussBasis,
     PlaneWaveExcitation,
     VortexExcitation,
     fi_direct,
@@ -25,7 +24,6 @@ from carsfisher import (
 import carsfisher.montecarlo as montecarlo
 from oracles import ml_reference, plane_sites, vortex_sites
 
-BASIS = HermiteGaussBasis(truncation_M=30)
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
 
 
@@ -92,7 +90,7 @@ def test_ml_estimate_validation():
 
 def test_ml_estimate_recovers_truth_from_noise_free_counts():
     mu = 1e8
-    model = spade_count_model(PLANE_K2, BASIS, 10)
+    model = spade_count_model(PLANE_K2, 10)
     counts = np.round(mu * model([1.0])[0]).astype(int)
     est = _ml_alone(counts, lambda s: mu * model(s), (0.5, 1.5))
     assert est == pytest.approx(1.0, abs=1e-4)
@@ -100,13 +98,13 @@ def test_ml_estimate_recovers_truth_from_noise_free_counts():
 
 def test_spade_count_model_matches_mode_expectations():
     # one row per separation, each the per-mode value bit for bit
-    model = spade_count_model(PLANE_K2, BASIS, 12, kappa=0.8)
+    model = spade_count_model(PLANE_K2, 12, kappa=0.8)
     s_values = [0.9, 0.0, 1e-8, 2.5]
     got = model(s_values)
     assert got.shape == (4, 13)
     for row, s in zip(got, s_values):
         amps = image_amplitudes(PLANE_K2, EmitterScene(s=s, kappa=0.8))
-        want = [mean_photons_spade(amps, BASIS, m) for m in range(13)]
+        want = [mean_photons_spade(amps, m) for m in range(13)]
         assert row.tolist() == want
     # negative separations clip to zero
     assert model([-0.3]).tolist() == model([0.0]).tolist()
@@ -116,7 +114,7 @@ def test_spade_count_model_matches_mode_expectations():
 def test_count_model_rows_do_not_depend_on_the_batch(measurement):
     exc = VortexExcitation(a=1.2, psi=0.3)
     if measurement == "spade":
-        model = spade_count_model(exc, BASIS, 10, x0=0.7)
+        model = spade_count_model(exc, 10, x0=0.7)
     else:
         model = BinnedImager(exc, domain_s=1.0, x0=0.7).expectations
     s_values = np.linspace(0.0, 1.6, 17)
@@ -186,7 +184,7 @@ def test_binned_imager_matches_full_tensor_rule(exc, sites):
 
 
 def test_run_experiment_validation():
-    model = spade_count_model(PLANE_K2, BASIS, 10)
+    model = spade_count_model(PLANE_K2, 10)
     with pytest.raises(ValueError, match="batches"):
         run_experiment(model, 1.0, 1e4, 1, 7, (0.5, 1.5), fisher_per_shot=16.0)
     with pytest.raises(ValueError, match="positive"):
@@ -194,8 +192,8 @@ def test_run_experiment_validation():
 
 
 def test_run_experiment_reproducible():
-    model = spade_count_model(PLANE_K2, BASIS, 10)
-    fisher = fi_spade(_amps(PLANE_K2, 1.0), BASIS, 10).value
+    model = spade_count_model(PLANE_K2, 10)
+    fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
     a = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5), fisher_per_shot=fisher)
     b = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5), fisher_per_shot=fisher)
     assert a.estimates == b.estimates
@@ -210,7 +208,7 @@ def _di_model():
 @pytest.mark.parametrize("measurement", ["spade", "di"])
 @pytest.mark.parametrize("seed", [3, 20260817])
 def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
-    model = spade_count_model(PLANE_K2, BASIS, 10) if measurement == "spade" \
+    model = spade_count_model(PLANE_K2, 10) if measurement == "spade" \
         else _di_model()
     mu, batches, interval = 1e4, 12, (0.5, 1.5)
     report = run_experiment(model, 1.0, mu, batches, seed, interval,
@@ -267,8 +265,8 @@ def test_run_experiment_model_work(monkeypatch):
 
 def test_spade_variance_meets_crb_long_campaign():
     # 400 batches: the batch-variance ratio has sd ~ sqrt(2/399) ~ 0.07
-    model = spade_count_model(PLANE_K2, BASIS, 10)
-    fisher = fi_spade(_amps(PLANE_K2, 1.0), BASIS, 10).value
+    model = spade_count_model(PLANE_K2, 10)
+    fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
     report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5),
                             fisher_per_shot=fisher, method="spade")
     assert 0.8 < report.ratio < 1.25
@@ -278,8 +276,8 @@ def test_spade_variance_meets_crb_long_campaign():
 def test_direct_imaging_variance_exceeds_spade_variance():
     # same photon budget, same seed: the DI spread reflects its smaller
     # Fisher information
-    spade_model = spade_count_model(PLANE_K2, BASIS, 10)
-    spade_fisher = fi_spade(_amps(PLANE_K2, 1.0), BASIS, 10).value
+    spade_model = spade_count_model(PLANE_K2, 10)
+    spade_fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
     spade_report = run_experiment(spade_model, 1.0, 1e4, 50, 20260817,
                                   (0.5, 1.5), fisher_per_shot=spade_fisher)
 
@@ -299,8 +297,8 @@ def test_low_information_regime_stays_near_the_bound():
     # nearly coincident emitters, collinear beams: tiny F, biased ML; the
     # ratio drifts above one but must stay the right order of magnitude
     exc = PlaneWaveExcitation(ktilde=0.0)
-    model = spade_count_model(exc, BASIS, 10)
-    fisher = fi_spade(_amps(exc, 0.2), BASIS, 10).value
+    model = spade_count_model(exc, 10)
+    fisher = fi_spade(_amps(exc, 0.2), 10).value
     assert fisher < 0.2
     report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6),
                             fisher_per_shot=fisher)

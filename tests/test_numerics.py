@@ -29,13 +29,6 @@ def test_integrate_1d_gaussian_matches_erf():
     assert err <= 1e-13
 
 
-def test_integrate_1d_breakpoints_help_kinked_integrand():
-    # |x - 0.3| has a kink; seeding the subdivision there converges quickly.
-    value, _ = integrate_1d(lambda x: np.abs(x - 0.3), 0.0, 1.0,
-                            abs_tol=1e-12, breakpoints=(0.3,))
-    assert value == pytest.approx(0.3**2 / 2 + 0.7**2 / 2, abs=1e-12)
-
-
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
 def test_integrate_1d_error_estimate_tracks_tolerance(tol):
     value, err = integrate_1d(lambda x: np.cos(3.0 * x) * np.exp(-x * x),

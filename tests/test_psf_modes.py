@@ -1,4 +1,4 @@
-"""Displaced-PSF overlap geometry and the Hermite-Gauss sorting basis."""
+"""Displaced-PSF overlap geometry and the Hermite-Gauss mode overlaps."""
 
 import math
 import signal
@@ -7,44 +7,24 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from carsfisher import (
-    GaussianPsf,
-    HermiteGaussBasis,
-    psf_geometry,
-    psf_value,
-)
+from carsfisher import psf_geometry
 from carsfisher.fisher import _centroid_coupling_from_geometry
 from carsfisher.psf_modes import _gamma_table, _sinh_minus_arg
 
 import oracles
 from oracles import gamma_overlap, hg_1d
 
-PSF = GaussianPsf()
-BASIS = HermiteGaussBasis(truncation_M=30)
-
-
-def test_psf_value_origin_normalization():
-    assert psf_value(PSF, 0.0, 0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
-    # unit norm: int |u|^2 = 1
-    xs = np.linspace(-8.0, 8.0, 4001)
-    xx, yy = np.meshgrid(xs, xs)
-    vals = psf_value(PSF, xx, yy) ** 2
-    h = xs[1] - xs[0]
-    norm = np.sum(vals) * h * h
-    assert norm == pytest.approx(1.0, abs=1e-6)
-
-
 def test_overlap_delta_gaussian():
     for s in (0.0, 0.3, 1.0, 2.5):
-        assert psf_geometry(PSF, s).delta == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
+        assert psf_geometry(s).delta == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
     with pytest.raises(ValueError):
-        psf_geometry(PSF, -0.1)
+        psf_geometry(-0.1)
 
 
 def test_overlap_beta_sign_and_zero():
-    assert psf_geometry(PSF, 0.0).beta == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
-    assert psf_geometry(PSF, 1.0).beta == 0.0  # gradient overlaps cancel exactly
-    assert psf_geometry(PSF, 2.0).beta < 0.0
+    assert psf_geometry(0.0).beta == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
+    assert psf_geometry(1.0).beta == 0.0  # gradient overlaps cancel exactly
+    assert psf_geometry(2.0).beta < 0.0
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.0])
@@ -53,7 +33,7 @@ def test_geometry_mode_norm_identities(s):
     # primitive overlaps (delta, delta', beta, dk2).  Below s ~ 0.1 the
     # naive expressions cancel catastrophically (that is why the library
     # uses sinh series there); the small-s regime is pinned separately.
-    g = psf_geometry(PSF, s)
+    g = psf_geometry(s)
     one_p = 1.0 + g.delta
     one_m = 1.0 - g.delta
     eta_p = (g.dk2 - g.beta) / (4.0 * one_p) - g.delta_prime**2 / (4.0 * one_p**2)
@@ -68,7 +48,7 @@ def test_geometry_mode_norm_identities(s):
 
 
 def test_geometry_small_s_limits():
-    g = psf_geometry(PSF, 1e-8)
+    g = psf_geometry(1e-8)
     x = 0.5e-16
     assert g.eta_plus2 == pytest.approx(x / 4.0, rel=1e-12, abs=0.0)
     assert g.eta_minus2 == pytest.approx(x / 12.0, rel=1e-12, abs=0.0)
@@ -77,7 +57,7 @@ def test_geometry_small_s_limits():
 
 
 def _centroid_coupling(s):
-    return _centroid_coupling_from_geometry(psf_geometry(PSF, s))
+    return _centroid_coupling_from_geometry(psf_geometry(s))
 
 
 def test_centroid_mode_coupling_limit_and_value():
@@ -91,7 +71,7 @@ def test_centroid_mode_coupling_limit_and_value():
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
 def test_geometry_matches_independent_oracle(s):
-    closed = psf_geometry(PSF, s)
+    closed = psf_geometry(s)
     oracle = oracles.psf_geometry_fd(s)
     for field in ("delta", "delta_prime", "beta", "dk2",
                   "eta_plus2", "eta_minus2", "xi_plus2", "xi_minus2"):
@@ -184,23 +164,17 @@ def test_nan_separation_returns_promptly():
     try:
         smx = _sinh_minus_arg(float("nan"))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            psf_geometry(PSF, float("nan"))
+            psf_geometry(float("nan"))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert math.isnan(smx)
 
 
-@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
-def test_psf_width_must_be_finite(width):
-    with pytest.raises(ValueError, match="finite"):
-        GaussianPsf(width_w=width)
-
-
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.25])
 def test_psf_geometry_rejects_bad_separation(s):
     with pytest.raises(ValueError, match="separation must be finite and nonnegative"):
-        psf_geometry(PSF, s)
+        psf_geometry(s)
 
 
 @pytest.mark.parametrize("s", [1e-9, 1e-7, 1.4e-6, 1.5e-6, 1e-3])
@@ -221,17 +195,7 @@ def test_derivative_mode_norms_against_decimal(s):
             "eta_minus2": (sinh(x) - x) / (8 * sinh(x / 2) ** 2),
             "xi_plus2": (sinh(x) - x) / sinh(x),
         }
-    geom = psf_geometry(PSF, s)
+    geom = psf_geometry(s)
     for name, value in want.items():
         assert getattr(geom, name) == pytest.approx(float(value), rel=1e-12, abs=0.0)
 
-
-@pytest.mark.parametrize("fields", [
-    {"width_w": math.nan}, {"width_w": math.inf}, {"width_w": -math.inf},
-    {"width_w": 0.0}, {"width_w": -1.0},
-    {"truncation_M": -1}, {"truncation_M": 2.5}, {"truncation_M": 30.0},
-    {"truncation_M": "30"}, {"truncation_M": True},
-])
-def test_basis_rejects_bad_fields(fields):
-    with pytest.raises(ValueError, match=next(iter(fields))[:5]):
-        HermiteGaussBasis(**fields)
