@@ -40,7 +40,6 @@ from .montecarlo import (
 from .numerics import (
     ConvergenceError,
     golden_section_max_many,
-    integrate_1d,
     integrate_1d_many,
 )
 from .psf_modes import PsfGeometry, psf_geometry
@@ -67,7 +66,6 @@ __all__ = [
     "fi_spade_many",
     "golden_section_max_many",
     "image_amplitudes",
-    "integrate_1d",
     "integrate_1d_many",
     "mean_photons_spade",
     "normalize_phi",

@@ -15,7 +15,8 @@ Subcommands:
 
 Configuration is a flat key=value text file; environment variables with the
 CARSFISHER_ prefix override the file, and command-line flags override both.
-An unknown key in the file or the environment is a configuration error.
+An unknown key in the file or the environment is a configuration error, and
+so is a --seed, --modes, --tol or --raw flag the command does not read.
 Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
@@ -52,7 +53,7 @@ from .fisher import (
     vortex_closed_variants,
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
-from .numerics import ConvergenceError, integrate_1d
+from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
@@ -65,7 +66,8 @@ class ConfigError(Exception):
 
 
 class AdjudicationMismatch(Exception):
-    """A shipped closed form failed its oracle comparison."""
+    """A shipped closed form failed its oracle comparison (the report is
+    written; the message is its path)."""
 
 
 @dataclasses.dataclass
@@ -315,7 +317,7 @@ def cmd_figure2(cfg: RunConfig) -> str:
         for s, amps, di, spade in zip(s_grid, curve,
                                       fi_direct_many(curve, abs_tol=cfg.tol),
                                       fi_spade_many(curve, cfg.M)):
-            qfi = qfi_separation(amps, psf_geometry(s))
+            qfi = qfi_separation(amps)
             rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
                          _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
     path = _out_path(cfg, "figure2", "csv")
@@ -347,7 +349,7 @@ def cmd_figure3(cfg: RunConfig) -> str:
         for s, amps, di, spade in zip(s_grid, curve,
                                       fi_direct_many(curve, abs_tol=cfg.tol),
                                       fi_spade_many(curve, cfg.M)):
-            qfi = qfi_separation(amps, psf_geometry(s))
+            qfi = qfi_separation(amps)
             ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
             a_opt, q_opt = envelope[s]
             rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
@@ -371,7 +373,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
     by_cutoff = [fi_spade_many(curve, m_cut) for m_cut in _CONVERGENCE_M]
     rows = []
     for i, (s, amps) in enumerate(zip(s_grid, curve)):
-        qfi = qfi_separation(amps, psf_geometry(s))
+        qfi = qfi_separation(amps)
         for m_cut, spades in zip(_CONVERGENCE_M, by_cutoff):
             spade = spades[i]
             ratio = spade.value / qfi.value if qfi.value > 0.0 else 0.0
@@ -390,7 +392,7 @@ def _adjudicate_plane(cfg: RunConfig) -> dict:
         for s in np.linspace(0.01, 3.0, 120):
             s = float(s)
             amps = image_amplitudes(exc, EmitterScene(s=s))
-            general = qfi_separation(amps, psf_geometry(s)).normalized_value
+            general = qfi_separation(amps).normalized_value
             closed = qfi_plane_closed(kt, s).normalized_value
             worst = max(worst, abs(general - closed))
     return {"tolerance": 1e-10, "max_deviation": worst,
@@ -406,7 +408,7 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
             for s in np.linspace(0.05, 3.0, 60):
                 s = float(s)
                 amps = image_amplitudes(exc, EmitterScene(s=s))
-                general = qfi_separation(amps, psf_geometry(s)).normalized_value
+                general = qfi_separation(amps).normalized_value
                 for name, value in vortex_closed_variants(a, psi, s).items():
                     devs[name] = max(devs[name], abs(general - value))
     matches = {name: dev < 1e-9 for name, dev in devs.items()}
@@ -421,14 +423,15 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
     }
 
 
-def _quadrature_geometry(s: float) -> dict:
-    """The geometry scalars by quadrature and central differences, without
-    the closed forms.
+def _quadrature_geometry(s_values) -> dict:
+    """The geometry scalars at each separation, {s: {name: value}}, by
+    quadrature and central differences, without the closed forms.
 
     Every PSF copy is displaced along x, so each overlap integral is an
     x-integral of the y = 0 factor e(x) = sqrt(2/pi) exp(-x^2) times the
     common int f(y)^2 dy; dividing every scalar by the computed
-    int e(x)^2 dx cancels that factor.
+    int e(x)^2 dx cancels that factor.  Three lockstep quadrature batches
+    serve all separations: that norm, the overlaps, the derivative modes.
     """
     h = 1e-5
     support = 8.0
@@ -439,37 +442,45 @@ def _quadrature_geometry(s: float) -> dict:
     def grad(x):
         return (e(x + h) - e(x - h)) / (2.0 * h)
 
-    def q(f, half):
-        value, _ = integrate_1d(f, -half, half, abs_tol=1e-10, max_depth=40)
-        return value
+    def q(f, half, *params):
+        # member i integrates f(x, *its params) over [-half[i], half[i]]
+        columns, half = [np.array(p)[:, None] for p in params], np.array(half)
+        return [value for value, _ in integrate_1d_many(
+            lambda rows, x: f(x, *(c[rows] for c in columns)), -half, half,
+            abs_tol=1e-10, max_depth=40)]
 
-    n2 = q(lambda x: e(x) ** 2, support)
-    delta = {sep: q(lambda x: e(x + sep / 2.0) * e(x - sep / 2.0),
-                    support + sep / 2.0) / n2
-             for sep in (s - h, s, s + h)}
+    (n2,) = q(lambda x: e(x) ** 2, [support])
+    # per s: the copies' overlap at s - h, s and s + h, then beta at s
+    shifts = [sep / 2.0 for s in s_values for sep in (s - h, s, s + h, s)]
+    is_beta = [k % 4 == 3 for k in range(len(shifts))]
+    overlaps = q(lambda x, c, b: np.where(b, grad(x + c) * grad(x - c),
+                                          e(x + c) * e(x - c)),
+                 [support + c for c in shifts], shifts, is_beta)
+    out, params = {}, []
+    for k, s in enumerate(s_values):
+        d_down, d_at, d_up, beta = (v / n2 for v in overlaps[4 * k:4 * k + 4])
+        out[s] = {"delta": d_at, "delta_prime": (d_up - d_down) / (2.0 * h),
+                  "beta": beta}
+        params += [(support + s / 2.0 + 2.0 * h, s, sign, d_down, d_at, d_up, kind)
+                   for sign in (1.0, -1.0) for kind in (0, 1, 2)]
 
-    def mode(x, sep, sign, x0=0.0):
-        norm = math.sqrt(2.0 * n2 * (1.0 + sign * delta[sep]))
-        return (e(x - (x0 - sep / 2.0)) + sign * e(x - (x0 + sep / 2.0))) / norm
+    def mode(x, sep, sign, delta, x0=0.0):
+        return ((e(x - (x0 - sep / 2.0)) + sign * e(x - (x0 + sep / 2.0)))
+                / np.sqrt(2.0 * n2 * (1.0 + sign * delta)))
 
-    def d_sep(x, sign):
-        return (mode(x, s + h, sign) - mode(x, s - h, sign)) / (2.0 * h)
+    def derivative_modes(x, s, sign, d_down, d_at, d_up, kind):
+        # by kind: eta^2 (the separation derivative's squared norm), the
+        # centroid derivative's partner-mode component, its squared norm
+        d_sep = (mode(x, s + h, sign, d_up) - mode(x, s - h, sign, d_down)) / (2.0 * h)
+        d_cen = (mode(x, s, sign, d_at, h) - mode(x, s, sign, d_at, -h)) / (2.0 * h)
+        return np.choose(kind, (d_sep**2, mode(x, s, -sign, d_at) * d_cen, d_cen**2))
 
-    def d_cen(x, sign):
-        return (mode(x, s, sign, x0=h) - mode(x, s, sign, x0=-h)) / (2.0 * h)
-
-    half = support + s / 2.0 + 2.0 * h
-    out = {
-        "delta": delta[s],
-        "delta_prime": (delta[s + h] - delta[s - h]) / (2.0 * h),
-        "beta": q(lambda x: grad(x + s / 2.0) * grad(x - s / 2.0),
-                  support + s / 2.0) / n2,
-    }
-    for sign, tag in ((1.0, "plus2"), (-1.0, "minus2")):
-        out[f"eta_{tag}"] = q(lambda x: d_sep(x, sign) ** 2, half)
-        # centroid derivative with its component along the partner mode removed
-        coupling = q(lambda x: mode(x, s, -sign) * d_cen(x, sign), half)
-        out[f"xi_{tag}"] = q(lambda x: d_cen(x, sign) ** 2, half) - coupling**2
+    triples = zip(*[iter(q(derivative_modes, *zip(*params)))] * 3)
+    for geometry in out.values():
+        for tag in ("plus2", "minus2"):
+            geometry[f"eta_{tag}"], coupling, d_cen2 = next(triples)
+            # the centroid derivative without its partner-mode component
+            geometry[f"xi_{tag}"] = d_cen2 - coupling**2
     return out
 
 
@@ -477,9 +488,8 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
     worst = {name: 0.0 for name in
              ("delta", "delta_prime", "beta", "eta_plus2", "eta_minus2",
               "xi_plus2", "xi_minus2")}
-    for s in (0.3, 1.0, 2.0):
+    for s, quad in _quadrature_geometry((0.3, 1.0, 2.0)).items():
         closed = psf_geometry(s)
-        quad = _quadrature_geometry(s)
         for name in worst:
             worst[name] = max(worst[name], abs(getattr(closed, name) - quad[name]))
     max_dev = max(worst.values())
@@ -509,7 +519,7 @@ def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
             "matches": worst < 1e-8}
 
 
-def cmd_adjudicate(cfg: RunConfig) -> tuple[str, bool]:
+def cmd_adjudicate(cfg: RunConfig) -> str:
     """Compare every shipped closed form against the general-path oracle."""
     plane = _adjudicate_plane(cfg)
     vortex = _adjudicate_vortex(cfg)
@@ -527,7 +537,9 @@ def cmd_adjudicate(cfg: RunConfig) -> tuple[str, bool]:
     }
     path = _out_path(cfg, "adjudication", "json")
     _write_json(path, "adjudicate", cfg, payload)
-    return path, passed
+    if not passed:
+        raise AdjudicationMismatch(path)
+    return path
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
@@ -597,15 +609,24 @@ def cmd_optimize_waist(cfg: RunConfig) -> str:
     return path
 
 
+# command -> its function and the flags of --seed/--modes/--tol/--raw it reads
+_COMMANDS = {
+    "figure2": (cmd_figure2, {"modes", "tol", "raw"}),
+    "figure3": (cmd_figure3, {"modes", "tol", "raw"}),
+    "convergence": (cmd_convergence, {"raw"}),
+    "adjudicate": (cmd_adjudicate, set()),
+    "simulate": (cmd_simulate, {"seed", "modes"}),
+    "spectral-dump": (cmd_spectral_dump, set()),
+    "optimize-waist": (cmd_optimize_waist, {"raw"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carsfisher",
         description="Fisher-information limits for two-emitter separation "
                     "estimation in coherent Raman imaging")
-    parser.add_argument("command",
-                        choices=["figure2", "figure3", "convergence",
-                                 "adjudicate", "simulate", "spectral-dump",
-                                 "optimize-waist"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--seed", type=int, default=None)
@@ -620,36 +641,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "output_path": args.out,
-        "seed": args.seed,
-        "M": args.modes,
-        "tol": args.tol,
-        "raw": args.raw,
-    }
+    overrides = {"output_path": args.out, "seed": args.seed, "M": args.modes,
+                 "tol": args.tol, "raw": args.raw}
+    command, reads = _COMMANDS[args.command]
     try:
+        ignored = [f"--{flag}" for flag in ("seed", "modes", "tol", "raw")
+                   if getattr(args, flag) is not None and flag not in reads]
+        if ignored:
+            raise ConfigError(f"{args.command} does not read {', '.join(ignored)}")
         cfg = load_config(args.config, overrides=overrides)
-        untouched = "family" not in cfg.explicit_keys
-        if args.command == "figure2":
-            if untouched:
-                cfg.family = "plane"
-            path = cmd_figure2(cfg)
-        elif args.command == "figure3":
-            if untouched:
-                cfg.family = "vortex"
-            path = cmd_figure3(cfg)
-        elif args.command == "convergence":
-            path = cmd_convergence(cfg)
-        elif args.command == "adjudicate":
-            path, passed = cmd_adjudicate(cfg)
-            print(path)
-            return 0 if passed else 4
-        elif args.command == "simulate":
-            path = cmd_simulate(cfg)
-        elif args.command == "spectral-dump":
-            path = cmd_spectral_dump(cfg)
-        else:
-            path = cmd_optimize_waist(cfg)
+        family = {"figure2": "plane", "figure3": "vortex"}.get(args.command)
+        if family and "family" not in cfg.explicit_keys:
+            cfg.family = family
+        path = command(cfg)
+    except AdjudicationMismatch as exc:
+        print(exc)
+        return 4
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

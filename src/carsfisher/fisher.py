@@ -18,10 +18,10 @@ the two measurements of interest:
   ``mean_photons_spade``) equals the one-scene result bit for bit.
 
 Lengths are in units of the PSF width w, and everything an estimator needs
-comes from the scene's ImageAmplitudes record (and, for the QFI, the
-PsfGeometry at the same separation).  All reports carry both the raw value
-(units 1/w^2) and the dimensionless normalization w^2 F / (2 kappa g^2)
-used throughout for plotting and comparisons.
+comes from the scene's ImageAmplitudes record (the QFI adds the
+PsfGeometry at the record's separation).  All reports carry both the raw
+value (units 1/w^2) and the dimensionless normalization
+w^2 F / (2 kappa g^2) used throughout for plotting and comparisons.
 
 The general QFI path expands the image-plane field in the symmetric /
 antisymmetric PSF modes and their derivative complements; for a coherent
@@ -99,12 +99,13 @@ def _report(normalized: float, amps: ImageAmplitudes, method: str,
                         method=method, error_estimate=error_norm * scale)
 
 
-def qfi_separation(amps: ImageAmplitudes, geom: PsfGeometry) -> FisherReport:
-    """QFI for the separation from mode amplitudes and PSF geometry.
+def qfi_separation(amps: ImageAmplitudes) -> FisherReport:
+    """QFI for the separation from the mode amplitudes and the geometry at amps.s.
 
     Q_d = 4 [ |d_d alpha_+|^2 + |d_d alpha_-|^2
               + eta_+^2 |alpha_+|^2 + eta_-^2 |alpha_-|^2 ].
     """
+    geom = psf_geometry(amps.s)
     q = 4.0 * (abs(amps.d_d_alpha_plus) ** 2 + abs(amps.d_d_alpha_minus) ** 2
                + geom.eta_plus2 * abs(amps.alpha_plus) ** 2
                + geom.eta_minus2 * abs(amps.alpha_minus) ** 2)
@@ -122,21 +123,21 @@ def _centroid_coupling_from_geometry(geom: PsfGeometry) -> float:
     return -mag if geom.delta_prime <= 0.0 else mag
 
 
-def qfi_matrix(amps: ImageAmplitudes, geom: PsfGeometry) -> QfiMatrix:
-    """Full 2x2 QFI matrix for joint (d, x0) estimation.
+def qfi_matrix(amps: ImageAmplitudes) -> QfiMatrix:
+    """Full 2x2 QFI matrix for joint (d, x0) estimation at amps.s.
 
     The centroid derivative mixes the +/- modes (coupling W) and leaks into
     their orthogonal complements (xi_+-^2); the off-diagonal entry also
     picks up the overlap between the d- and x0-derivatives of the modes.
     """
+    geom = psf_geometry(amps.s)
     ap, am = amps.alpha_plus, amps.alpha_minus
     dd_p, dd_m = amps.d_d_alpha_plus, amps.d_d_alpha_minus
     w_coup = _centroid_coupling_from_geometry(geom)
     cx_p = amps.d_x0_alpha_plus - w_coup * am
     cx_m = amps.d_x0_alpha_minus + w_coup * ap
 
-    q_dd = 4.0 * (abs(dd_p) ** 2 + abs(dd_m) ** 2
-                  + geom.eta_plus2 * abs(ap) ** 2 + geom.eta_minus2 * abs(am) ** 2)
+    q_dd = qfi_separation(amps).value
     q_x0x0 = 4.0 * (abs(cx_p) ** 2 + abs(cx_m) ** 2
                     + geom.xi_plus2 * abs(ap) ** 2 + geom.xi_minus2 * abs(am) ** 2)
 
@@ -222,8 +223,7 @@ def qfi_vortex_closed(a: float, psi: float, s: float, kappa: float = 1.0,
     """
     if not a > 0.0:
         raise ValueError("waist ratio a must be positive")
-    norm = vortex_closed_variants(a, psi, s)["psi_dependent"]
-    norm = max(norm, 0.0)
+    norm = max(vortex_closed_variants(a, psi, s)["psi_dependent"], 0.0)
     scale = 2.0 * kappa * g**2
     return FisherReport(value=norm * scale, normalized_value=norm, method="qfi_closed")
 
@@ -262,10 +262,10 @@ def fi_direct_many(amps_seq, abs_tol: float = 1e-8) -> list[FisherReport]:
     |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum, or underflows
     to zero, contribute zero (nodes and far tails; the removable-singularity
     limit is zero there).  The x-integrals form one lockstep batch
-    (``integrate_1d_many``): each is refined exactly as it would be alone,
-    so every report equals the one-scene value bit for bit.  Raises
-    ConvergenceError naming the first scene whose quadrature stalls, with
-    its estimate.
+    (``integrate_1d_many``, one integrand call per round for all scenes):
+    each is refined exactly as it would be alone, so every report equals
+    the one-scene value bit for bit.  Raises ConvergenceError naming the
+    first scene whose quadrature stalls, with its estimate.
     """
     amps_seq = list(amps_seq)
     if not amps_seq:
@@ -278,15 +278,14 @@ def fi_direct_many(amps_seq, abs_tol: float = 1e-8) -> list[FisherReport]:
         half = max(8.0, amps.s / 2.0 + 8.0)
         params.append((a1, a2, g1, g2, amps.x0 - amps.s / 2.0,
                        amps.x0 + amps.s / 2.0, amps.x0 - half, amps.x0 + half))
-    a1, a2, g1, g2, x1, x2, lo_x, hi_x = (np.array(col) for col in zip(*params))
+    *scene, lo_x, hi_x = (np.array(col) for col in zip(*params))
 
     def profiles(rows, xx):
-        r = rows[:, None]
-        e1 = np.exp(-(xx - x1[r]) ** 2)
-        e2 = np.exp(-(xx - x2[r]) ** 2)
-        amp = a1[r] * e1 + a2[r] * e2
-        damp = (0.5 * (g2[r] * e2 - g1[r] * e1)
-                - (a1[r] * (xx - x1[r]) * e1 - a2[r] * (xx - x2[r]) * e2))
+        a1, a2, g1, g2, x1, x2 = (p.take(rows)[:, None] for p in scene)
+        d1, d2 = xx - x1, xx - x2
+        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
+        amp = a1 * e1 + a2 * e2
+        damp = 0.5 * (g2 * e2 - g1 * e1) - (a1 * d1 * e1 - a2 * d2 * e2)
         return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * damp).real
 
     members = np.arange(len(amps_seq))
@@ -300,7 +299,7 @@ def fi_direct_many(amps_seq, abs_tol: float = 1e-8) -> list[FisherReport]:
         # the second test matters only when the whole profile underflows
         # (floor 0): a zero intensity then contributes zero, not 0/0
         np.divide(d_inten * d_inten, inten, out=out,
-                  where=(inten >= floor[rows][:, None]) & (inten > 0.0))
+                  where=(inten >= floor.take(rows)[:, None]) & (inten > 0.0))
         return weight * out
 
     results = integrate_1d_many(integrand, lo_x, hi_x, abs_tol=abs_tol,
@@ -436,8 +435,7 @@ def small_s_coefficients(family: str, params: dict | None = None,
     s_pts = np.linspace(0.01, 0.05, 9)
     scenes = [image_amplitudes(exc, EmitterScene(s=float(s))) for s in s_pts]
     f_di = np.array([r.normalized_value for r in fi_direct_many(scenes)])
-    f_qfi = np.array([qfi_separation(amps, psf_geometry(amps.s)).normalized_value
-                      for amps in scenes])
+    f_qfi = np.array([qfi_separation(amps).normalized_value for amps in scenes])
     f_spade = np.array([r.normalized_value for r in fi_spade_many(scenes, modes)])
 
     basis_fn = s_pts**2 / 2.0
@@ -456,35 +454,30 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     Maximizes the (adjudicated) closed-form vortex QFI over a at each s:
     coarse 64-point log-spaced scan, then golden-section refinement of the
     bracketing interval to |delta a| < 1e-6; grid ties resolve to the
-    smaller a.  The scan evaluates the closed form for every (s, a) pair as
-    one array, with the scalar path's exp and pow per element, so it ranks
-    the grid exactly as scalar calls would.  The refinements of all
-    separations run in lockstep, each making the steps it would make alone,
-    with scalar calls.  Q_d* is reported in raw units (1/w^2).
+    smaller a; the refinements run in lockstep, each making the steps it
+    would make alone.  The scan, each refinement round and the final Q_d*
+    evaluate the closed form as one array with the scalar exp and pow per
+    element, so every value is the ``qfi_vortex_closed`` one bit for bit.
+    Q_d* is reported in raw units (1/w^2).
     """
     lo, hi = a_bounds
     if not (0.0 < lo < hi):
         raise ValueError("a_bounds must be a positive increasing interval")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
-    s_values = [float(s) for s in s_grid]
+    s_values = np.array([float(s) for s in s_grid])
 
-    def q(s, a):
-        return qfi_vortex_closed(float(a), psi, s, kappa, g).value
+    maps = dict(exp=lambda x: _scalar_map(math.exp, x),
+                power=lambda x, p: _scalar_map(pow, x, p))
 
-    def exp(x):
-        return _scalar_map(math.exp, x)
+    def q(a, s):
+        norm = _vortex_pref(a, psi, s, **maps) * _vortex_bracket_a(a, psi, s, **maps)
+        # the floor keeps a -0.0 as max() does (np.maximum would not)
+        return np.where(0.0 > norm, 0.0, norm) * (2.0 * kappa * g**2)
 
-    def power(x, p):
-        return _scalar_map(pow, x, p)
-
-    a_col, s_row = grid[None, :], np.array(s_values)[:, None]
-    norm = (_vortex_pref(a_col, psi, s_row, exp, power)
-            * _vortex_bracket_a(a_col, psi, s_row, exp, power))
-    values = np.maximum(norm, 0.0) * (2.0 * kappa * g**2)
-    best = np.argmax(values, axis=1)  # first max -> smaller a on ties
+    # first maximum: grid ties resolve to the smaller a
+    best = np.argmax(q(grid[None, :], s_values[:, None]), axis=1)
     b_lo = [grid[i - 1] if i > 0 else lo for i in best.tolist()]
     b_hi = [grid[i + 1] if i < len(grid) - 1 else hi for i in best.tolist()]
     a_star = golden_section_max_many(
-        lambda rows, x: [q(s_values[r], a) for r, a in zip(rows, x)],
-        b_lo, b_hi, x_tol=1e-6)
-    return [(a, q(s, a)) for s, a in zip(s_values, a_star)]
+        lambda rows, x: q(np.array(x), s_values[rows]), b_lo, b_hi, x_tol=1e-6)
+    return list(zip(a_star, q(np.array(a_star), s_values).tolist()))

@@ -1,21 +1,17 @@
 """Shared numerical kernels.
 
 Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
-binned camera model reuses) and a golden-section maximizer.  Everything
-here is deterministic: adaptive subdivision uses a worst-error heap with an
-insertion counter as tie-break, and final sums are accumulated in
-insertion order, so repeated runs are bit-identical.
+binned camera model reuses) and golden-section maximization, each run as a
+lockstep batch: every member refines on its own and makes exactly the steps
+it would make alone, while one integrand or objective call per round
+evaluates the new points of every unfinished member.
 
-The quadrature runs a lockstep batch of integrals (``integrate_1d_many``):
-each member refines on its own heap, budget and depth limit, while the
-cells every active member splits in a round share one integrand call.
-Because each member makes the splits it would make alone, a batch returns
-the one-member (``integrate_1d``) results bit for bit; it only trades
-per-cell Python and numpy call overhead for one call per round.  The
-golden-section search (``golden_section_max_many``) follows the same
-pattern: each member keeps its own bracket and makes the steps it would
-make alone, and one objective call per round evaluates the new abscissae
-of every unfinished member.
+The quadrature keeps the cells of all members in padded (members x cells)
+arrays, in creation order.  Each round every unconverged member splits its
+cell of largest error, the oldest on ties (``argmax`` returns the first
+maximum); the exact error check and the final values add a member's cells
+left to right.  So the results are bit-identical from run to run and do
+not depend on the rest of the batch.
 
 ``_scalar_map`` applies a Python float function elementwise.  Batched code
 uses it wherever the scalar code it replaces calls ``math.exp`` or ``**``,
@@ -24,7 +20,6 @@ because numpy's SIMD exp and pow round differently in the last bit.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import Callable, Sequence
@@ -122,34 +117,27 @@ def _gk_cells(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x = mid[:, None] + half[:, None] * _XK
-    y = np.broadcast_to(np.asarray(f(rows, x)), x.shape)
+    y = f(rows, x)
     vk = half * np.add.reduce(_WK * y, axis=1)
-    vg = half * np.add.reduce(_WG * y[:, _GAUSS_IDX], axis=1)
+    # take, not y[:, _GAUSS_IDX]: that copy is Fortran-ordered, and numpy
+    # adds a complex row of it in an order that depends on the row count
+    vg = half * np.add.reduce(_WG * y.take(_GAUSS_IDX, axis=1), axis=1)
     return vk, np.abs(vk - vg)
 
 
-class _Member:
-    """Adaptive state of one integral in a lockstep batch."""
+def _widen(table: np.ndarray, members: int, fill) -> np.ndarray:
+    """A flat per-cell ``table`` (one run of slots per member, in member
+    order) with every run doubled, the new slots set to ``fill``."""
+    runs = table.reshape(members, -1, *table.shape[1:])
+    wide = np.concatenate([runs, np.full_like(runs, fill)], axis=1)
+    return wide.reshape(-1, *table.shape[1:])
 
-    __slots__ = ("heap", "cells", "counter", "total_err")
 
-    def __init__(self):
-        self.heap = []
-        self.cells = {}
-        self.counter = 0
-        self.total_err = 0.0
-
-    def add(self, lo: float, hi: float, depth: int, val, err):
-        self.cells[self.counter] = (val, err)
-        self.total_err += err
-        # cells at the roundoff floor cannot improve; keep their error but
-        # stop splitting them so an unreachable tolerance fails fast
-        if err > _ROUNDOFF_FLOOR * abs(val):
-            heapq.heappush(self.heap, (-err, self.counter, lo, hi, depth))
-        self.counter += 1
-
-    def exact_error(self):
-        return sum(c[1] for c in self.cells.values())
+def _ordered_sums(table: np.ndarray) -> np.ndarray:
+    """Row sums of ``table`` added left to right.  Adding 0.0 maps a -0.0
+    total to +0.0, as summing from an integer 0 does, so the zeroed slots
+    of split cells change nothing."""
+    return np.add.accumulate(table, axis=1)[:, -1] + 0.0
 
 
 def integrate_1d_many(
@@ -165,80 +153,91 @@ def integrate_1d_many(
     receives cell abscissae ``x`` of shape (n, 15) together with ``rows``,
     the member index of each of the n cells, and returns values of that
     shape; their dtype is shared, so a real member of a complex batch is
-    summed in complex arithmetic.  Each member keeps its own worst-error
-    heap, tolerance test, cell budget and depth limit, and makes exactly
-    the splits it would make alone; per round, the cells of all unconverged
-    members are evaluated in one integrand call.
+    summed in complex arithmetic.  Each member keeps its own tolerance
+    test, cell budget and depth limit, and each round splits its worst
+    cell (the oldest on ties), exactly as it would alone; per round, the
+    cells of all unconverged members are evaluated in one integrand call.
     Returns (value, error_estimate) per member; raises
     :class:`ConvergenceError` naming the first member whose tolerance is
     unreachable at ``max_depth`` bisections, with that member's estimate.
     """
-    members = [_Member() for _ in a]
-    # (member, lo, hi, depth) of every cell the next integrand call fills
-    pending = [(i, lo, hi, 0) for i, (lo, hi) in enumerate(zip(a, b))]
+    n = len(a)
+    width = 32  # slots per member, doubled as needed
+    # flat per-cell tables, member i's cells in slots i*width + 0, 1, ... in
+    # creation order; a split cell's value and error become zero and its
+    # split key (else the error, or -inf at the roundoff floor) -inf
+    val, err, c_lo, c_hi = (np.zeros(n * width) for _ in range(4))
+    key = np.full(n * width, -np.inf)
+    c_depth = np.zeros(n * width, dtype=int)
+    # unconverged members, their running error totals, and the member, slot,
+    # bounds and depth of each cell of the next call (left halves first)
+    active = rows = np.arange(n)
+    total = np.zeros(n)
+    slots = rows * width
+    lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
+    depth = np.zeros(n, dtype=int)
+    # a member active in a round was active in all earlier ones, so after
+    # round r every active member has made cells = 2r - 1 cells
+    cells = -1
+    while rows.size:
+        cells += 2
+        if cells > width:
+            val, err, c_lo, c_hi, c_depth = (
+                _widen(t, n, 0) for t in (val, err, c_lo, c_hi, c_depth))
+            key = _widen(key, n, -np.inf)
+            slots += rows * width  # member m's slots move by m * width
+            width *= 2
+        v, e = _gk_cells(f, rows, lo, hi)
+        if v.dtype != val.dtype:
+            val = val.astype(np.result_type(val, v))
+        val[slots], err[slots] = v, e
+        c_lo[slots], c_hi[slots], c_depth[slots] = lo, hi, depth
+        # cells at the roundoff floor cannot improve; keep their error but
+        # never split them, so an unreachable tolerance fails fast
+        key[slots] = np.where(e > _ROUNDOFF_FLOOR * abs(v), e, -np.inf)
+        total += e[:active.size]  # a member's cells in creation order
+        if e.size > active.size:
+            total += e[active.size:]
 
-    active = range(len(members))
-    while pending:
-        rows, lo, hi, _ = zip(*pending)
-        vals, errs = _gk_cells(f, np.array(rows), np.array(lo), np.array(hi))
-        for k, cell in enumerate(pending):
-            members[cell[0]].add(*cell[1:], vals[k], errs[k])
-        pending = []
-        still_active = []
-        for i in active:
-            m = members[i]
-            if m.total_err <= abs_tol:
-                # the incremental total drifts by cancellation; verify exactly
-                m.total_err = m.exact_error()
-                if m.total_err <= abs_tol:
-                    continue
-            if not m.heap:
-                _fail(i, m, "at the roundoff floor", m.exact_error(), abs_tol)
-            if m.counter >= _MAX_CELLS:
-                _fail(i, m, f"exhausted its {_MAX_CELLS}-cell budget",
-                      m.exact_error(), abs_tol)
-            _, idx, lo_c, hi_c, depth_c = heapq.heappop(m.heap)
-            if depth_c >= max_depth:
-                _fail(i, m, f"stalled at depth {max_depth}", m.total_err, abs_tol)
-            m.total_err -= m.cells.pop(idx)[1]
-            mid = 0.5 * (lo_c + hi_c)
-            pending.append((i, lo_c, mid, depth_c + 1))
-            pending.append((i, mid, hi_c, depth_c + 1))
-            still_active.append(i)
-        active = still_active
+        # the incremental total drifts by cancellation; verify exactly
+        low = total <= abs_tol
+        if np.count_nonzero(low):
+            total[low] = _ordered_sums(err.reshape(n, width)[active[low]])
+            keep = ~(total <= abs_tol)
+            active, total = active[keep], total[keep]
+        base = active * width
+        # argmax takes the first of equal errors: the oldest cell
+        worst = base + key.reshape(n, width).take(active, axis=0).argmax(axis=1)
+        worst_depth = c_depth.take(worst)
+        empty = key.take(worst) == -np.inf
+        failing = empty | (worst_depth >= max_depth)
+        if cells >= _MAX_CELLS or np.count_nonzero(failing):
+            # the first member that fails; the budget binds them all at once
+            k = 0 if cells >= _MAX_CELLS else failing.argmax()
+            i = active[k]
+            if empty[k] or cells >= _MAX_CELLS:
+                reason = ("at the roundoff floor" if empty[k]
+                          else f"exhausted its {_MAX_CELLS}-cell budget")
+                error = _ordered_sums(err.reshape(n, width)[i:i + 1])[0]
+            else:
+                reason, error = f"stalled at depth {max_depth}", total[k]
+            raise ConvergenceError(
+                f"1D quadrature member {i} {reason} "
+                f"(error {error:.3e} > tol {abs_tol:.3e})",
+                _ordered_sums(val.reshape(n, width)[i:i + 1])[0], error)
+        total -= err.take(worst)
+        val[worst] = err[worst] = 0.0
+        key[worst] = -np.inf
+        left, right = c_lo.take(worst), c_hi.take(worst)
+        mid = 0.5 * (left + right)
+        lo, hi = np.concatenate((left, mid)), np.concatenate((mid, right))
+        depth = np.concatenate((worst_depth, worst_depth)) + 1
+        rows = np.concatenate((active, active))
+        slots = base + cells
+        slots = np.concatenate((slots, slots + 1))
 
-    return [(_ordered_sum(m.cells), m.exact_error()) for m in members]
-
-
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    max_depth: int = 50,
-) -> tuple[float | complex, float]:
-    """Adaptive 1D quadrature of a vectorized integrand over [a, b].
-
-    The one-member case of :func:`integrate_1d_many`: ``f`` receives the
-    cell abscissae as an array and must evaluate elementwise.  Returns
-    (value, error_estimate); raises :class:`ConvergenceError` if the
-    tolerance is unreachable at ``max_depth`` bisections.
-    """
-    return integrate_1d_many(lambda rows, x: f(x), (a,), (b,), abs_tol,
-                             max_depth)[0]
-
-
-def _fail(index: int, member: _Member, reason: str, error: float,
-          abs_tol: float):
-    raise ConvergenceError(
-        f"1D quadrature member {index} {reason} "
-        f"(error {error:.3e} > tol {abs_tol:.3e})",
-        _ordered_sum(member.cells), error)
-
-
-def _ordered_sum(cells: dict):
-    # Fixed (insertion-order) accumulation keeps results bit-reproducible.
-    return sum(cells[k][0] for k in sorted(cells))
+    return list(zip(_ordered_sums(val.reshape(n, width)),
+                    _ordered_sums(err.reshape(n, width))))
 
 
 def golden_section_max_many(

@@ -8,6 +8,9 @@ Gaussian tails are below double precision.  Agreement between these
 oracles and the analytic package paths is what the frozen constants in
 the test modules encode.  One spectral oracle integrates at 30 digits
 with mpmath instead; the tests that use it skip when mpmath is missing.
+The adaptive-quadrature and maximum-likelihood references restate the
+package's algorithms in their plain one-at-a-time form, to pin its
+batched versions bit for bit.
 
 The image plane separates: every mode involved (displaced PSFs, their
 derivatives, Hermite-Gauss analysis modes) shares the same unit-norm
@@ -19,6 +22,7 @@ common y-factor squared, which integrates to one.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -447,3 +451,97 @@ def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
                 fd = loglike(d)
         estimates.append(0.5 * (a + z))
     return estimates
+
+
+# --------------------------------------------------------------------------
+# Adaptive quadrature: the classic worst-error heap with an insertion
+# counter, one integral at a time.  Each cell gets the 15-point Kronrod and
+# embedded 7-point Gauss rules (QUADPACK's qk15 table); the cell of largest
+# |K15 - G7| is bisected, the oldest on ties.  Cells at double-precision
+# roundoff (error <= 1e-16 |value|) keep their error but are never split.
+# Equality with the package's padded-array batch shows that neither the
+# arrays nor the batching change any split of any member.
+# --------------------------------------------------------------------------
+
+_QK15_NODES = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144838258730, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
+])
+_QK15_KRONROD = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
+])
+# the Gauss-7 nodes are the odd-numbered Kronrod nodes
+_QK15_GAUSS_AT = np.array([1, 3, 5, 7, 9, 11, 13])
+_QK15_GAUSS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+])
+
+
+def adaptive_gk_heap(f, member: int, a: float, b: float, abs_tol: float,
+                     max_depth: int, max_cells: int = 10_000):
+    """Adaptive Gauss-Kronrod quadrature of member ``member`` of the batch
+    integrand ``f(rows, x)`` over [a, b], alone.
+
+    Returns ("ok", value, error, evaluations) or ("fail", reason, estimate,
+    error, evaluations), where evaluations counts the integrand calls made
+    up to the result.  The tolerance test uses a running error total that
+    is re-summed exactly once it drops below ``abs_tol``; sums run in cell
+    creation order.
+    """
+    heap, cells, counter, total, calls = [], {}, 0, 0.0, 0
+    pending = [(a, b, 0)]
+    while True:
+        calls += 1
+        lo = np.array([c[0] for c in pending], dtype=float)
+        hi = np.array([c[1] for c in pending], dtype=float)
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        y = f(np.full(len(pending), member),
+              mid[:, None] + half[:, None] * _QK15_NODES)
+        kronrod = half * np.add.reduce(_QK15_KRONROD * y, axis=1)
+        # a C-ordered copy: numpy adds the complex rows of other layouts
+        # in an order that depends on the row count
+        gauss = half * np.add.reduce(
+            _QK15_GAUSS * np.take(y, _QK15_GAUSS_AT, axis=1), axis=1)
+        for (lo_c, hi_c, depth), value, err in zip(pending, kronrod,
+                                                   np.abs(kronrod - gauss)):
+            cells[counter] = (value, err)
+            total += err
+            if err > 1e-16 * abs(value):
+                heapq.heappush(heap, (-err, counter, lo_c, hi_c, depth))
+            counter += 1
+        if total <= abs_tol:
+            total = sum(err for _, err in cells.values())
+            if total <= abs_tol:
+                return "ok", sum(v for v, _ in cells.values()), total, calls
+        fail = None
+        if not heap:
+            fail = "at the roundoff floor", sum(e for _, e in cells.values())
+        elif counter >= max_cells:
+            fail = (f"exhausted its {max_cells}-cell budget",
+                    sum(e for _, e in cells.values()))
+        else:
+            _, index, lo_c, hi_c, depth = heapq.heappop(heap)
+            if depth >= max_depth:
+                fail = f"stalled at depth {max_depth}", total
+        if fail:
+            estimate = sum(v for v, _ in cells.values())
+            return "fail", fail[0], estimate, fail[1], calls
+        total -= cells.pop(index)[1]
+        mid_c = 0.5 * (lo_c + hi_c)
+        pending = [(lo_c, mid_c, depth + 1), (mid_c, hi_c, depth + 1)]

@@ -24,7 +24,6 @@ from carsfisher import (
     image_amplitudes,
     mean_photons_spade,
     normalize_phi,
-    psf_geometry,
     qfi_matrix,
     qfi_plane_closed,
     qfi_separation,
@@ -52,7 +51,7 @@ def test_criterion_01_plane_qfi_general_equals_closed(acceptance):
         exc = PlaneWaveExcitation(ktilde=ktilde)
         for s in s_grid:
             s = float(s)
-            general = qfi_separation(_amps(exc, s), psf_geometry(s))
+            general = qfi_separation(_amps(exc, s))
             closed = qfi_plane_closed(ktilde, s)
             worst = max(worst, abs(general.normalized_value
                                    - closed.normalized_value))
@@ -139,14 +138,14 @@ def test_criterion_05_vortex_measurement_claims(acceptance):
     worst_spade = 0.0
     for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
         amps = _amps(on_axis, s)
-        qfi = qfi_separation(amps, psf_geometry(s)).value
+        qfi = qfi_separation(amps).value
         di = fi_direct(amps, abs_tol=1e-11).value
         spade = fi_spade(amps, 30).value
         worst_di = max(worst_di, abs(di - qfi) / qfi)
         worst_spade = max(worst_spade, abs(spade - qfi) / qfi)
 
     off_axis = _amps(VortexExcitation(a=SQ2I, psi=0.3), 0.5)
-    qfi_off = qfi_separation(off_axis, psf_geometry(0.5)).value
+    qfi_off = qfi_separation(off_axis).value
     di_ratio = fi_direct(off_axis, abs_tol=1e-10).value / qfi_off
     spade_ratio = fi_spade(off_axis, 30).value / qfi_off
     dt = time.perf_counter() - t0
@@ -198,14 +197,13 @@ def test_criterion_07_information_chain_and_matrix(acceptance):
         for s in np.linspace(0.1, 3.0, 15):
             s = float(s)
             amps = _amps(exc, s)
-            geom = psf_geometry(s)
-            report = qfi_separation(amps, geom)
+            report = qfi_separation(amps)
             qfi = report.normalized_value
             di = fi_direct(amps).normalized_value
             spade = fi_spade(amps, 30).normalized_value
             worst_di_excess = max(worst_di_excess, di - qfi)
             worst_spade_excess = max(worst_spade_excess, spade - qfi)
-            matrix = qfi_matrix(amps, geom)
+            matrix = qfi_matrix(amps)
             worst_dd_dev = max(worst_dd_dev,
                                abs(matrix.q_dd - report.value)
                                / max(report.value, 1e-30))

@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line interface and its file formats."""
 
+import ast
 import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from carsfisher import cli
+from carsfisher import cli, numerics
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_cfg(tmp_path, name, **settings):
@@ -140,13 +144,13 @@ def test_environment_overrides_file_and_flags_override_env(tmp_path, monkeypatch
     cfg = _write_cfg(tmp_path, "conv.cfg", s_min=0.5, s_max=1.0, s_points=5,
                      seed=1, ktilde=2.0)
     monkeypatch.setenv("CARSFISHER_S_POINTS", "2")
-    monkeypatch.setenv("CARSFISHER_SEED", "99")
+    monkeypatch.setenv("CARSFISHER_RAW", "0")
     out = tmp_path / "conv.csv"
     assert cli.main(["convergence", "--config", cfg, "--out", str(out),
-                     "--seed", "123"]) == 0
+                     "--raw"]) == 0
     config_line = next(ln for ln in _read_lines(out) if ln.startswith("# config"))
     assert "s_points=2" in config_line     # env beats file
-    assert "seed=123" in config_line       # flag beats env
+    assert "raw=True" in config_line       # flag beats env
     header_idx = next(i for i, ln in enumerate(_read_lines(out))
                       if not ln.startswith("#"))
     data = [ln for ln in _read_lines(out)[header_idx + 1:] if ln]
@@ -207,6 +211,74 @@ def test_every_config_key_parses_from_file_and_environment(tmp_path, field):
         assert getattr(cfg, field.name) == value
         assert type(getattr(cfg, field.name)) is type(value)
         assert cfg.explicit_keys == {field.name}
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--tol", "0.5"],
+    ["optimize-waist", "--modes", "3"],
+    ["figure2", "--seed", "4"],
+    ["simulate", "--raw"],
+    ["adjudicate", "--modes", "3", "--tol", "0.5"],
+    ["spectral-dump", "--seed", "4"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert all(flag in err for flag in argv[1::2] if flag.startswith("--"))
+    assert not out.exists()
+
+
+def _bench_table(name):
+    # the benchmark's workload tables, read without importing bench/run.py
+    # (importing it rewrites the process environment)
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+@pytest.mark.parametrize("workload", ["sweep", "mc_di", "quick"])
+def test_benchmark_invocations_exit_zero(tmp_path, workload):
+    cfg = tmp_path / "workload.cfg"
+    lines = _bench_table("WORKLOAD_CONFIG").get(workload, ())
+    cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    for metric, command, extra in _bench_table("WORKLOADS")[workload]:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / metric),
+                *(a.format(seed=1) for a in extra)]
+        assert cli.main(argv) == 0, argv
+
+
+def _count_quadrature_work(monkeypatch):
+    """Count integrand calls (rounds) and Gauss-Kronrod cells."""
+    counts = {"calls": 0, "cells": 0}
+    gk_cells = numerics._gk_cells
+
+    def counted(f, rows, lo, hi):
+        counts["calls"] += 1
+        counts["cells"] += len(rows)
+        return gk_cells(f, rows, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gk_cells", counted)
+    return counts
+
+
+def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeypatch):
+    # the lockstep batches split exactly the cells the per-scene rule
+    # splits: 137 integrand calls fill 22,110 cells for figure2 + figure3
+    counts = _count_quadrature_work(monkeypatch)
+    for command in ("figure2", "figure3"):
+        assert cli.main([command, "--out", str(tmp_path / command)]) == 0
+    assert counts == {"calls": 137, "cells": 22_110}
+
+
+def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
+    # three batches (norm, overlaps, derivative modes) cover every s
+    counts = _count_quadrature_work(monkeypatch)
+    report = cli._adjudicate_geometry(None)
+    assert report["matches"]
+    assert counts["calls"] <= 40
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_qfi_matrix_psd_check_is_relative(g, a, s):
     # one emitter on the vortex core: the matrix is rank one up to roundoff,
     # and det = q_dd q_x0x0 - q_dx0^2 loses ~1e-16 of products that grow
     # as g^4, far beyond any fixed absolute tolerance at large g
-    q = qfi_matrix(_vortex(a, 0.0, s, x0=s / 2.0, g=g), psf_geometry(s))
+    q = qfi_matrix(_vortex(a, 0.0, s, x0=s / 2.0, g=g))
     products = q.q_dd * q.q_x0x0 + q.q_dx0**2
     assert products > 1e9
     assert abs(q.q_dd * q.q_x0x0 - q.q_dx0**2) <= 1e-14 * products
@@ -124,14 +124,14 @@ def test_qfi_plane_closed_limits():
 @pytest.mark.parametrize("s", [0.05, 0.5, 1.0, 2.0, 3.0])
 def test_plane_general_path_equals_closed_form(ktilde, s):
     amps = _plane(ktilde, s)
-    general = qfi_separation(amps, psf_geometry(s))
+    general = qfi_separation(amps)
     closed = qfi_plane_closed(ktilde, s)
     assert general.value == pytest.approx(closed.value, rel=1e-10, abs=1e-10)
 
 
 def test_qfi_general_zero_at_coincidence():
     for amps in (_plane(2.0, 0.0), _vortex(SQ2I, 0.3, 0.0)):
-        assert qfi_separation(amps, psf_geometry(0.0)).value == 0.0
+        assert qfi_separation(amps).value == 0.0
 
 
 @pytest.mark.parametrize("family,kwargs", [
@@ -148,7 +148,7 @@ def test_qfi_matrix_against_independent_oracle(family, kwargs, s):
     else:
         amps = _vortex(kwargs["a"], kwargs["psi"], s, x0=0.1, kappa=kappa)
         sites = vortex_sites(kwargs["a"], kwargs["psi"])
-    got = qfi_matrix(amps, psf_geometry(s))
+    got = qfi_matrix(amps)
     want_dd, want_dx, want_xx = qfi_matrix_fd(sites, s, x0=0.1, kappa=kappa)
     assert got.q_dd == pytest.approx(want_dd, rel=5e-7, abs=5e-7)
     assert got.q_dx0 == pytest.approx(want_dx, rel=5e-7, abs=5e-7)
@@ -157,16 +157,25 @@ def test_qfi_matrix_against_independent_oracle(family, kwargs, s):
 
 def test_qfi_matrix_diagonal_matches_scalar_route():
     for amps in (_plane(2.0, 1.0), _vortex(SQ2I, 0.3, 0.7)):
-        geom = psf_geometry(amps.s)
-        assert qfi_matrix(amps, geom).q_dd == pytest.approx(
-            qfi_separation(amps, geom).value, rel=1e-12)
+        assert qfi_matrix(amps).q_dd == pytest.approx(
+            qfi_separation(amps).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 6.0])
+def test_qfi_geometry_comes_from_the_scene_separation(s):
+    # no geometry argument: a PsfGeometry at another separation can no
+    # longer reach the QFI, and both routes share the scene's geometry
+    for amps in (_plane(2.0, s), _vortex(SQ2I, 0.3, s)):
+        assert qfi_matrix(amps).q_dd == qfi_separation(amps).value
+        with pytest.raises(TypeError):
+            qfi_separation(amps, psf_geometry(3.0))
 
 
 def test_plane_qfi_matrix_is_diagonal_on_axis():
     # centered plane-wave scenes have no d/x0 cross-information
     for ktilde in (0.0, 2.0):
         amps = _plane(ktilde, 1.2)
-        got = qfi_matrix(amps, psf_geometry(1.2))
+        got = qfi_matrix(amps)
         assert abs(got.q_dx0) < 1e-10 * max(got.q_dd, got.q_x0x0)
 
 
@@ -185,7 +194,7 @@ def test_exactly_one_vortex_variant_matches_general_path():
     dev_other = 0.0
     for a, psi, s in _ADJ_GRID:
         amps = _vortex(a, psi, s)
-        general = qfi_separation(amps, psf_geometry(s)).normalized_value
+        general = qfi_separation(amps).normalized_value
         variants = vortex_closed_variants(a, psi, s)
         scale = max(1.0, abs(general))
         dev_shipped = max(dev_shipped,
@@ -306,7 +315,7 @@ def test_fi_direct_many_is_per_scene_fi_direct_and_below_qfi(scenes):
     reports = fi_direct_many(curve)
     assert reports == [fi_direct(amps) for amps in curve]  # bit for bit
     for amps, di in zip(curve, reports):
-        qfi = qfi_separation(amps, psf_geometry(amps.s))
+        qfi = qfi_separation(amps)
         assert di.normalized_value <= qfi.normalized_value + 1e-8
 
 
@@ -314,7 +323,7 @@ def test_offset_vortex_di_gap_and_spade_recovery():
     # with the beam off axis, direct imaging loses phase information that
     # mode sorting retains
     amps = _vortex(SQ2I, 0.3, 0.5)
-    qfi = qfi_separation(amps, psf_geometry(0.5)).value
+    qfi = qfi_separation(amps).value
     di = fi_direct(amps, abs_tol=1e-10).value
     spade = fi_spade(amps, 30).value
     assert qfi == pytest.approx(7.2633378793865289, rel=1e-12)
@@ -448,7 +457,7 @@ def test_spade_properties_over_random_scenes(scenes):
     reports = fi_spade_many(curve, 30)
     assert reports == [fi_spade(amps, 30) for amps in curve]  # bit for bit
     for amps, spade in zip(curve, reports):
-        qfi = qfi_separation(amps, psf_geometry(amps.s))
+        qfi = qfi_separation(amps)
         assert spade.value <= qfi.value * (1.0 + 1e-9)
         by_cutoff = [fi_spade(amps, M).value for M in range(31)]
         assert by_cutoff == sorted(by_cutoff)
@@ -486,7 +495,7 @@ def test_qfi_matrix_is_psd_over_random_scenes(scene, kappa):
     (family, p, psi), s, x0 = scene
     amps = (_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
             else _vortex(p, psi, s, x0=x0, kappa=kappa))
-    q = qfi_matrix(amps, psf_geometry(s))
+    q = qfi_matrix(amps)
     assert q.q_dd >= 0.0 and q.q_x0x0 >= 0.0
     # det's own roundoff scale: the two products it subtracts
     scale = q.q_dd * q.q_x0x0 + q.q_dx0**2
@@ -569,6 +578,20 @@ def test_optimize_waist_frozen_point():
     # local optimality
     assert q_star >= qfi_vortex_closed(a_star + 0.01, 0.0, 1.0).value
     assert q_star >= qfi_vortex_closed(a_star - 0.01, 0.0, 1.0).value
+
+
+@pytest.mark.parametrize("psi,kappa,g,s_grid", [
+    (0.0, 1.0, 1.0, np.linspace(0.01, 3.0, 120)),
+    (0.3, 0.7, 1.3, np.linspace(0.0, 8.0, 97)),
+])
+def test_optimize_waist_pairs_are_the_scalar_closed_form(psi, kappa, g, s_grid):
+    # the scan, the refinement rounds and Q* evaluate the closed form as
+    # arrays; each Q* must still be the scalar value, sign of zero included
+    for s, (a_star, q_star) in zip(s_grid, optimize_waist(psi, s_grid,
+                                                          kappa=kappa, g=g)):
+        want = qfi_vortex_closed(a_star, psi, float(s), kappa, g).value
+        assert type(a_star) is float and type(q_star) is float
+        assert (q_star, math.copysign(1.0, q_star)) == (want, math.copysign(1.0, want))
 
 
 def test_optimize_waist_bounds_validation():

@@ -4,13 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carsfisher import (
     ConvergenceError,
     golden_section_max_many,
-    integrate_1d,
     integrate_1d_many,
 )
+
+from oracles import adaptive_gk_heap
+
+
+def integrate_1d(f, a, b, abs_tol=1e-10, max_depth=50):
+    # the one-member batch; f takes the cell abscissae alone
+    return integrate_1d_many(lambda rows, x: f(x), (a,), (b,), abs_tol,
+                             max_depth)[0]
 
 
 def test_integrate_1d_polynomial_exact():
@@ -127,6 +136,69 @@ def test_integrate_1d_many_names_the_member_that_fails():
                           max_depth=12)
     assert info.value.estimate == alone.value.estimate
     assert info.value.error == alone.value.error
+
+
+def _bits(value):
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+# per member: amplitude, width, centre and frequency of a Gaussian-damped
+# cosine, an optional integrable cusp |x - centre|^-p, and the interval
+_members = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(0.05, 30.0), st.floats(-2.0, 2.0),
+    st.floats(0.0, 30.0), st.booleans(), st.floats(0.1, 0.9),
+    st.floats(-5.0, 0.0), st.floats(0.1, 8.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_members, min_size=1, max_size=5), st.booleans(),
+       st.floats(-20.0, -4.0), st.integers(2, 16))
+def test_integrate_1d_many_matches_the_heap_reference(members, complex_,
+                                                      log_tol, max_depth):
+    amp, width, centre, freq, cusp, power, lo, length = (
+        np.array(col)[:, None] for col in zip(*members))
+
+    def f(r, x):
+        y = amp[r] * np.exp(-width[r] * (x - centre[r]) ** 2) * np.cos(freq[r] * x)
+        with np.errstate(divide="ignore"):  # a node may land on the cusp
+            y = np.where(cusp[r], y + np.abs(x - centre[r]) ** -power[r], y)
+        return y + 1j * amp[r] * np.sin(freq[r] * x) if complex_ else y
+
+    _assert_matches_heap_reference(f, lo[:, 0], (lo + length)[:, 0],
+                                   10.0 ** log_tol, max_depth)
+
+
+def test_integrate_1d_many_budget_failure_matches_the_heap_reference():
+    # member 0 converges on its first cell; member 1 refines a cusp until
+    # it has made 10,000 cells
+    def f(rows, x):
+        with np.errstate(divide="ignore"):  # a node may land on the cusp
+            return np.where(rows[:, None] == 0, 3.0 * x**2,
+                            np.abs(x - 0.3) ** -0.5 + np.sin(40.0 * x))
+
+    _assert_matches_heap_reference(f, np.array([0.0, 0.0]),
+                                   np.array([1.0, 1.0]), 1e-13, 60)
+
+
+def _assert_matches_heap_reference(f, a, b, tol, max_depth):
+    alone = [adaptive_gk_heap(f, i, a[i], b[i], tol, max_depth)
+             for i in range(len(a))]
+    failures = [(r[-1], i) for i, r in enumerate(alone) if r[0] == "fail"]
+    if not failures:
+        got = integrate_1d_many(f, a, b, abs_tol=tol, max_depth=max_depth)
+        assert [(_bits(v), _bits(e)) for v, e in got] == \
+            [(_bits(r[1]), _bits(r[2])) for r in alone]
+        return
+    # the batch raises for the member that fails in the earliest round,
+    # the lowest index among those failing together
+    _, i = min(failures)
+    _, reason, estimate, error, _ = alone[i]
+    with pytest.raises(ConvergenceError) as info:
+        integrate_1d_many(f, a, b, abs_tol=tol, max_depth=max_depth)
+    assert str(info.value) == (f"1D quadrature member {i} {reason} "
+                               f"(error {error:.3e} > tol {tol:.3e})")
+    assert _bits(info.value.estimate) == _bits(estimate)
+    assert _bits(info.value.error) == _bits(error)
 
 
 def _golden_alone(fn, lo, hi, x_tol=1e-6):
