@@ -17,9 +17,7 @@ from .fisher import (
     FisherReport,
     QfiMatrix,
     fi_direct,
-    fi_direct_many,
     fi_spade,
-    fi_spade_many,
     mean_photons_spade,
     optimize_waist,
     qfi_matrix,
@@ -42,7 +40,6 @@ from .numerics import (
     golden_section_max_many,
     integrate_1d_many,
 )
-from .psf_modes import PsfGeometry, psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, spectral_weight
 
 __version__ = "0.1.0"
@@ -55,22 +52,18 @@ __all__ = [
     "FisherReport",
     "ImageAmplitudes",
     "PlaneWaveExcitation",
-    "PsfGeometry",
     "PulseSpectrum",
     "QfiMatrix",
     "RamanResonance",
     "VortexExcitation",
     "fi_direct",
-    "fi_direct_many",
     "fi_spade",
-    "fi_spade_many",
     "golden_section_max_many",
     "image_amplitudes",
     "integrate_1d_many",
     "mean_photons_spade",
     "normalize_phi",
     "optimize_waist",
-    "psf_geometry",
     "qfi_matrix",
     "qfi_plane_closed",
     "qfi_separation",

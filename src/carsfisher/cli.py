@@ -16,7 +16,8 @@ Subcommands:
 Configuration is a flat key=value text file; environment variables with the
 CARSFISHER_ prefix override the file, and command-line flags override both.
 An unknown key in the file or the environment is a configuration error, and
-so is a --seed, --modes, --tol or --raw flag the command does not read.
+so is a key or a --seed, --modes, --tol or --raw flag that the command does
+not read.
 Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
@@ -43,9 +44,9 @@ import numpy as np
 from . import __version__
 from .excitation import EmitterScene, PlaneWaveExcitation, VortexExcitation, image_amplitudes
 from .fisher import (
-    fi_direct_many,
+    _spade_running_fi,
+    fi_direct,
     fi_spade,
-    fi_spade_many,
     optimize_waist,
     qfi_plane_closed,
     qfi_separation,
@@ -57,7 +58,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 3
+_SCHEMA_VERSION = 4
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -249,8 +250,10 @@ def _write_csv(path: str, command: str, cfg: RunConfig, header: list[str],
     ]
     lines.extend(f"# {comment}" for comment in extra_comments)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        # one % template per table, as _fmt renders each cell of the first row
+        template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     _write_text(path, "\r\n".join(lines) + "\r\n")
 
 
@@ -304,20 +307,23 @@ def _pick_error(report, cfg: RunConfig) -> float:
     return report.error_estimate / (2.0 * cfg.kappa * cfg.g**2)
 
 
+def _curve(exc, s_grid, cfg: RunConfig):
+    """The amplitude record of one sweep curve over the separations s_grid."""
+    return image_amplitudes(exc, EmitterScene(s=np.asarray(s_grid, dtype=float),
+                                              g=cfg.g, kappa=cfg.kappa))
+
+
 def cmd_figure2(cfg: RunConfig) -> str:
     """Plane-wave FI sweep: one row per (ktilde, s)."""
     if cfg.family != "plane":
         raise ConfigError("figure2 requires family=plane")
-    s_grid = [float(s) for s in _s_grid(cfg)]
+    s_grid = _s_grid(cfg)
     rows = []
     for kt in cfg.ktilde_grid:
-        exc = PlaneWaveExcitation(ktilde=float(kt))
-        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
-                 for s in s_grid]
-        for s, amps, di, spade in zip(s_grid, curve,
-                                      fi_direct_many(curve, abs_tol=cfg.tol),
-                                      fi_spade_many(curve, cfg.M)):
-            qfi = qfi_separation(amps)
+        curve = _curve(PlaneWaveExcitation(ktilde=float(kt)), s_grid, cfg)
+        for s, qfi, di, spade in zip(s_grid.tolist(), qfi_separation(curve),
+                                     fi_direct(curve, abs_tol=cfg.tol),
+                                     fi_spade(curve, cfg.M)):
             rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
                          _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
     path = _out_path(cfg, "figure2", "csv")
@@ -333,7 +339,7 @@ def cmd_figure3(cfg: RunConfig) -> str:
     """Vortex FI sweep over psi, with the waist-optimized envelope at psi=0."""
     if cfg.family != "vortex":
         raise ConfigError("figure3 requires family=vortex")
-    s_grid = [float(s) for s in _s_grid(cfg)]
+    s_grid = _s_grid(cfg).tolist()
     # waist-optimized envelope, computed on the psi = 0 axis
     raw_scale = 2.0 * cfg.kappa * cfg.g**2
     envelope = {}
@@ -343,13 +349,10 @@ def cmd_figure3(cfg: RunConfig) -> str:
         envelope[s] = (a_star, q_star if cfg.raw else q_star / raw_scale)
     rows = []
     for psi in cfg.psi_grid:
-        exc = VortexExcitation(a=cfg.a, psi=float(psi))
-        curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
-                 for s in s_grid]
-        for s, amps, di, spade in zip(s_grid, curve,
-                                      fi_direct_many(curve, abs_tol=cfg.tol),
-                                      fi_spade_many(curve, cfg.M)):
-            qfi = qfi_separation(amps)
+        curve = _curve(VortexExcitation(a=cfg.a, psi=float(psi)), s_grid, cfg)
+        for s, qfi, di, spade in zip(s_grid, qfi_separation(curve),
+                                     fi_direct(curve, abs_tol=cfg.tol),
+                                     fi_spade(curve, cfg.M)):
             ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
             a_opt, q_opt = envelope[s]
             rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
@@ -365,19 +368,23 @@ def cmd_figure3(cfg: RunConfig) -> str:
 
 
 def cmd_convergence(cfg: RunConfig) -> str:
-    """SPADE FI against mode cutoff M at fixed ktilde."""
-    exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
-    s_grid = [float(s) for s in _s_grid(cfg)]
-    curve = [image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa))
-             for s in s_grid]
-    by_cutoff = [fi_spade_many(curve, m_cut) for m_cut in _CONVERGENCE_M]
+    """SPADE FI against mode cutoff M at fixed ktilde.
+
+    One SPADE table at the largest cutoff serves every cutoff: each row's
+    FI is a running sum over its modes, as ``fi_spade`` reports it.
+    """
+    s_grid = _s_grid(cfg)
+    curve = _curve(PlaneWaveExcitation(ktilde=cfg.ktilde), s_grid, cfg)
+    running = _spade_running_fi(curve, max(_CONVERGENCE_M))
+    raw_scale = 2.0 * cfg.kappa * cfg.g**2
     rows = []
-    for i, (s, amps) in enumerate(zip(s_grid, curve)):
-        qfi = qfi_separation(amps)
-        for m_cut, spades in zip(_CONVERGENCE_M, by_cutoff):
-            spade = spades[i]
-            ratio = spade.value / qfi.value if qfi.value > 0.0 else 0.0
-            rows.append([s, cfg.ktilde, m_cut, _pick(spade, cfg),
+    for s, qfi, fi_by_cutoff in zip(s_grid.tolist(), qfi_separation(curve),
+                                    running.tolist()):
+        for m_cut in _CONVERGENCE_M:
+            norm = fi_by_cutoff[m_cut]
+            value = norm * raw_scale
+            ratio = value / qfi.value if qfi.value > 0.0 else 0.0
+            rows.append([s, cfg.ktilde, m_cut, value if cfg.raw else norm,
                          _pick(qfi, cfg), ratio])
     path = _out_path(cfg, "convergence", "csv")
     _write_csv(path, "convergence", cfg,
@@ -387,14 +394,12 @@ def cmd_convergence(cfg: RunConfig) -> str:
 
 def _adjudicate_plane(cfg: RunConfig) -> dict:
     worst = 0.0
+    s_grid = np.linspace(0.01, 3.0, 120)
     for kt in (0.0, 1.0, 2.0, 4.0):
-        exc = PlaneWaveExcitation(ktilde=kt)
-        for s in np.linspace(0.01, 3.0, 120):
-            s = float(s)
-            amps = image_amplitudes(exc, EmitterScene(s=s))
-            general = qfi_separation(amps).normalized_value
+        amps = image_amplitudes(PlaneWaveExcitation(ktilde=kt), EmitterScene(s=s_grid))
+        for s, general in zip(s_grid.tolist(), qfi_separation(amps)):
             closed = qfi_plane_closed(kt, s).normalized_value
-            worst = max(worst, abs(general - closed))
+            worst = max(worst, abs(general.normalized_value - closed))
     return {"tolerance": 1e-10, "max_deviation": worst,
             "grid": "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
             "matches": worst < 1e-10}
@@ -402,15 +407,13 @@ def _adjudicate_plane(cfg: RunConfig) -> dict:
 
 def _adjudicate_vortex(cfg: RunConfig) -> dict:
     devs = {"psi_dependent": 0.0, "psi_independent": 0.0}
+    s_grid = np.linspace(0.05, 3.0, 60)
     for a in (0.5, math.sqrt(2.0) / 2.0, 1.0):
         for psi in (0.0, 0.2):
-            exc = VortexExcitation(a=a, psi=psi)
-            for s in np.linspace(0.05, 3.0, 60):
-                s = float(s)
-                amps = image_amplitudes(exc, EmitterScene(s=s))
-                general = qfi_separation(amps).normalized_value
-                for name, value in vortex_closed_variants(a, psi, s).items():
-                    devs[name] = max(devs[name], abs(general - value))
+            amps = image_amplitudes(VortexExcitation(a=a, psi=psi), EmitterScene(s=s_grid))
+            general = np.array([r.normalized_value for r in qfi_separation(amps)])
+            for name, value in vortex_closed_variants(a, psi, s_grid).items():
+                devs[name] = max(devs[name], float(np.max(np.abs(general - value))))
     matches = {name: dev < 1e-9 for name, dev in devs.items()}
     return {
         "tolerance": 1e-9,
@@ -507,11 +510,10 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
 
 
 def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
-    exc = PlaneWaveExcitation(ktilde=0.0)
-    s_grid = [float(s) for s in np.linspace(0.05, 3.0, 60)]
-    curve = [image_amplitudes(exc, EmitterScene(s=s)) for s in s_grid]
+    s_grid = np.linspace(0.05, 3.0, 60)
+    curve = image_amplitudes(PlaneWaveExcitation(ktilde=0.0), EmitterScene(s=s_grid))
     worst = 0.0
-    for s, series in zip(s_grid, fi_spade_many(curve, 30)):
+    for s, series in zip(s_grid.tolist(), fi_spade(curve, 30)):
         closed = spade_collinear_closed(s).normalized_value
         worst = max(worst, abs(series.normalized_value - closed))
     return {"tolerance": 1e-8, "max_deviation": worst,
@@ -609,16 +611,25 @@ def cmd_optimize_waist(cfg: RunConfig) -> str:
     return path
 
 
-# command -> its function and the flags of --seed/--modes/--tol/--raw it reads
+_SWEEP_KEYS = {"s_min", "s_max", "s_points", "kappa", "g", "raw"}
+# command -> its function and the configuration keys it reads (every
+# command also reads output_path)
 _COMMANDS = {
-    "figure2": (cmd_figure2, {"modes", "tol", "raw"}),
-    "figure3": (cmd_figure3, {"modes", "tol", "raw"}),
-    "convergence": (cmd_convergence, {"raw"}),
+    "figure2": (cmd_figure2, _SWEEP_KEYS | {"family", "ktilde_grid", "M", "tol"}),
+    "figure3": (cmd_figure3, _SWEEP_KEYS | {"family", "psi_grid", "a", "a_min",
+                                            "a_max", "M", "tol"}),
+    "convergence": (cmd_convergence, _SWEEP_KEYS | {"ktilde"}),
     "adjudicate": (cmd_adjudicate, set()),
-    "simulate": (cmd_simulate, {"seed", "modes"}),
-    "spectral-dump": (cmd_spectral_dump, set()),
-    "optimize-waist": (cmd_optimize_waist, {"raw"}),
+    "simulate": (cmd_simulate, {"family", "ktilde", "a", "psi", "s_sim", "kappa",
+                                "g", "measurement", "M", "mu", "batches", "seed",
+                                "search_lo", "search_hi"}),
+    "spectral-dump": (cmd_spectral_dump, {
+        "omega_vib", "gamma_vib", "weight", "pump_center", "pump_bandwidth",
+        "pump_amplitude", "stokes_center", "stokes_bandwidth", "stokes_amplitude"}),
+    "optimize-waist": (cmd_optimize_waist, _SWEEP_KEYS | {"psi", "a_min", "a_max"}),
 }
+# the configuration key each of these flags sets
+_FLAG_KEYS = {"seed": "seed", "modes": "M", "tol": "tol", "raw": "raw"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -641,15 +652,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"output_path": args.out, "seed": args.seed, "M": args.modes,
-                 "tol": args.tol, "raw": args.raw}
+    overrides = {"output_path": args.out}
+    overrides.update((key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items())
     command, reads = _COMMANDS[args.command]
     try:
-        ignored = [f"--{flag}" for flag in ("seed", "modes", "tol", "raw")
-                   if getattr(args, flag) is not None and flag not in reads]
-        if ignored:
-            raise ConfigError(f"{args.command} does not read {', '.join(ignored)}")
         cfg = load_config(args.config, overrides=overrides)
+        ignored = sorted(cfg.explicit_keys - reads - {"output_path"})
+        if ignored:
+            # name a setting by its flag where a flag supplied it
+            flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
+                     if getattr(args, flag) is not None}
+            raise ConfigError(f"{args.command} does not read "
+                              f"{', '.join(flags.get(key, key) for key in ignored)}")
         family = {"figure2": "plane", "figure3": "vortex"}.get(args.command)
         if family and "family" not in cfg.explicit_keys:
             cfg.family = family

@@ -72,17 +72,22 @@ class VortexExcitation:
 @dataclass(frozen=True)
 class EmitterScene:
     """Two-emitter configuration: separation s, centroid x0 (units of w),
-    coupling amplitude g, and transmission kappa."""
+    coupling amplitude g, and transmission kappa.
 
-    s: float
+    s may be a 1D array of separations: the scene then stands for one
+    scene per entry, all sharing x0, g and kappa."""
+
+    s: float | np.ndarray
     x0: float = 0.0
     g: float = 1.0
     kappa: float = 1.0
 
     def __post_init__(self):
-        _require_finite("EmitterScene", s=self.s, x0=self.x0, g=self.g,
-                        kappa=self.kappa)
-        if self.s < 0.0:
+        if np.ndim(self.s) > 1:
+            raise ValueError("separation must be a number or a 1D array")
+        _require_finite("EmitterScene", s=np.asarray(self.s, dtype=float),
+                        x0=self.x0, g=self.g, kappa=self.kappa)
+        if np.any(np.asarray(self.s) < 0.0):
             raise ValueError("separation must be nonnegative")
         if not self.g > 0.0:
             raise ValueError("coupling g must be positive")
@@ -92,12 +97,14 @@ class EmitterScene:
 
 @dataclass(frozen=True)
 class ImageAmplitudes:
-    """Amplitudes of the symmetric/antisymmetric image modes at one scene.
+    """Amplitudes of the symmetric/antisymmetric image modes of a scene.
 
     ``d_d_*`` are derivatives with respect to the separation s,
     ``d_x0_*`` with respect to the centroid x0 (both in units of 1/w).
     Site-level values are kept so downstream code can rebuild the full
-    image-plane field (direct imaging and its camera model).
+    image-plane field (direct imaging and its camera model).  For a scene
+    whose s is an array, s and every amplitude field are arrays with one
+    entry per separation; x0, kappa and g stay numbers.
     """
 
     alpha_plus: complex
@@ -147,45 +154,45 @@ def _site_field(exc, g: float, x) -> _SiteField:
 
 
 def image_amplitudes(exc, scene: EmitterScene) -> ImageAmplitudes:
-    """Image-mode amplitudes alpha_pm with analytic derivatives in s and x0."""
-    s, x0 = scene.s, scene.x0
-    delta = math.exp(-s * s / 2.0)  # overlap of the two PSF copies
-    x1 = x0 - s / 2.0
-    x2 = x0 + s / 2.0
+    """Image-mode amplitudes alpha_pm with analytic derivatives in s and x0,
+    elementwise over the scene's separations."""
+    s = np.asarray(scene.s, dtype=float)
+    x = s * s / 2.0
+    delta = np.exp(-x)  # overlap of the two PSF copies
+    # 1 - delta, exact at small s, where the subtraction would cancel
+    one_minus_delta = -np.expm1(-x)
+    x1 = scene.x0 - s / 2.0
+    x2 = scene.x0 + s / 2.0
 
-    f1 = _site_field(exc, scene.g, np.asarray(x1, dtype=float))
-    f2 = _site_field(exc, scene.g, np.asarray(x2, dtype=float))
-    a1, a2 = complex(f1.value), complex(f2.value)
-    g1, g2 = complex(f1.grad_x), complex(f2.grad_x)
+    a1, g1 = _site_field(exc, scene.g, x1)
+    a2, g2 = _site_field(exc, scene.g, x2)
 
     kappa = scene.kappa
-    np_half = math.sqrt(kappa * (1.0 + delta) / 2.0)
-    nm_half = math.sqrt(kappa * (1.0 - delta) / 2.0)
+    np_half = np.sqrt(kappa * (1.0 + delta) / 2.0)
+    nm_half = np.sqrt(kappa * one_minus_delta / 2.0)
     alpha_p = np_half * (a1 + a2)
     alpha_m = nm_half * (a1 - a2)
 
     # d/ds of the normalization factors sqrt((1 +/- delta)/2) is
-    # +/- delta' / (2 sqrt(2(1 +/- delta))); the antisymmetric branch is
-    # written with expm1 so it survives s -> 0.
-    delta_prime = -s * delta
-    if s == 0.0:
-        ratio_m = 0.5  # limit of -delta'/(2 sqrt(2(1-delta)))
-    else:
-        ratio_m = s * delta / (2.0 * math.sqrt(-2.0 * math.expm1(-s * s / 2.0)))
-    ratio_p = delta_prime / (2.0 * math.sqrt(2.0 * (1.0 + delta)))
+    # +/- delta' / (2 sqrt(2(1 +/- delta))), delta' = -s delta; the
+    # antisymmetric one tends to 1/2 as s -> 0
+    root_m = np.sqrt(2.0 * one_minus_delta)
+    ratio_m = np.divide(s * delta, 2.0 * root_m, out=np.full_like(s, 0.5),
+                        where=root_m > 0.0)
+    ratio_p = -s * delta / (2.0 * np.sqrt(2.0 * (1.0 + delta)))
 
     sk = math.sqrt(kappa)
     d_d_sum = 0.5 * (g2 - g1)        # d/ds (a1 + a2)
     d_d_diff = -0.5 * (g1 + g2)      # d/ds (a1 - a2)
-    d_d_alpha_p = sk * (ratio_p * (a1 + a2) + math.sqrt((1.0 + delta) / 2.0) * d_d_sum)
-    d_d_alpha_m = sk * (ratio_m * (a1 - a2) + math.sqrt((1.0 - delta) / 2.0) * d_d_diff)
+    d_d_alpha_p = sk * (ratio_p * (a1 + a2) + np.sqrt((1.0 + delta) / 2.0) * d_d_sum)
+    d_d_alpha_m = sk * (ratio_m * (a1 - a2) + np.sqrt(one_minus_delta / 2.0) * d_d_diff)
 
     d_x0_alpha_p = np_half * (g1 + g2)
     d_x0_alpha_m = nm_half * (g1 - g2)
 
     return ImageAmplitudes(
-        alpha_plus=alpha_p, alpha_minus=alpha_m,
-        d_d_alpha_plus=d_d_alpha_p, d_d_alpha_minus=d_d_alpha_m,
-        d_x0_alpha_plus=d_x0_alpha_p, d_x0_alpha_minus=d_x0_alpha_m,
-        site_amplitudes=(a1, a2), site_gradients=(g1, g2),
-        s=s, x0=x0, kappa=kappa, g=scene.g)
+        alpha_plus=alpha_p[()], alpha_minus=alpha_m[()],
+        d_d_alpha_plus=d_d_alpha_p[()], d_d_alpha_minus=d_d_alpha_m[()],
+        d_x0_alpha_plus=d_x0_alpha_p[()], d_x0_alpha_minus=d_x0_alpha_m[()],
+        site_amplitudes=(a1[()], a2[()]), site_gradients=(g1[()], g2[()]),
+        s=s[()], x0=scene.x0, kappa=kappa, g=scene.g)

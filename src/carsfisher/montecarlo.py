@@ -10,17 +10,17 @@ the Cramer-Rao bound 1/(mu F).
 
 Both count models (``spade_count_model`` and
 ``BinnedImager.expectations``) take a vector of separations and return
-one row of per-channel expectations per separation, each row equal to the
-one-separation value bit for bit.
+one row of per-channel expectations per separation, from one amplitude
+record for the whole vector.
 
 All batches of a campaign are estimated in lockstep: their counts form one
 batches x channels array, the model and its logarithm are evaluated once
 per scan point for every batch, and the golden-section refinement makes
 one model pass per round for all batches still refining.  The model sees
 at most 16 separations per call, which bounds the size of its work arrays.
-Each batch's log-likelihood is still its own dot product and each batch
-makes the search steps it would make alone, so every estimate equals the
-search run on that batch alone bit for bit.
+The scan scores every batch at a scan point with one matrix-vector
+product, and each golden round scores the batches still refining with one
+row-wise product; each batch makes the search steps it would make alone.
 
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
@@ -74,14 +74,26 @@ def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
 
 
 def _log_terms(model, s_values):
-    """(ln max(N, floor), sum N) of each row N of model(s_values), in
-    blocks of at most _MODEL_BLOCK separations per model call."""
-    out = []
+    """(ln max(N, floor), sum N) of the rows N of model(s_values): a
+    (separations x channels) array and a vector, from blocks of at most
+    _MODEL_BLOCK separations per model call."""
+    logs, totals = [], []
     for start in range(0, len(s_values), _MODEL_BLOCK):
         block = np.asarray(s_values[start:start + _MODEL_BLOCK], dtype=float)
         n = np.asarray(model(block), dtype=float)
-        out.extend(zip(np.log(np.maximum(n, _LOG_FLOOR)), n.sum(axis=1)))
-    return out
+        logs.append(np.log(np.maximum(n, _LOG_FLOOR)))
+        totals.append(n.sum(axis=1))
+    return np.concatenate(logs), np.concatenate(totals)
+
+
+def _scores(counts, log_n, total) -> np.ndarray:
+    """Poisson log-likelihoods sum(n_c ln N_c) - sum N of every batch (rows
+    of ``counts``) at every separation (rows of ``log_n``, entries of
+    ``total``): a batches x separations array, one matrix-vector product
+    per separation (the Monte Carlo path makes no matrix-matrix product,
+    whose first OpenBLAS call allocates a work buffer that raises peak
+    memory)."""
+    return np.stack([counts @ row for row in log_n], axis=1) - total
 
 
 def _ml_search(counts, model, search_interval) -> list[float]:
@@ -92,12 +104,12 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     as one row per separation.  A 256-point scan brackets each batch's
     maximum of the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties
     resolve toward the interval midpoint), and golden-section search
-    refines it.  Each batch's log-likelihood at s is the dot product of its
-    counts with ln N(s), minus sum N(s).  The scan evaluates the model and
-    its logarithm once per point for every batch; the golden-section rounds
-    evaluate them once per distinct abscissa (batches that share a bracket
-    share abscissae, and so can different step sequences from one bracket),
-    each round's new abscissae together.
+    refines it.  The scan evaluates the model and its logarithm once per
+    point and scores all batches there with one matrix-vector product; the
+    golden-section rounds evaluate them once per distinct abscissa (batches
+    that share a bracket share abscissae, and so can different step
+    sequences from one bracket), each round's new abscissae together, and
+    score each round with one row-wise product.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -105,29 +117,28 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not hi > lo:
         raise ValueError("search interval must be increasing")
-    batches = list(counts)  # row views: one dot product per (batch, point)
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
-    values = np.empty((len(batches), len(scan)))
-    for j, (log_n, total) in enumerate(_log_terms(model, scan)):
-        values[:, j] = [row @ log_n - total for row in batches]
+    values = _scores(counts, *_log_terms(model, scan))
 
-    mid = 0.5 * (lo + hi)
-    b_lo, b_hi = [], []
-    for row in values:
-        peaks = np.flatnonzero(row == row.max())
-        best = int(peaks[np.argmin(np.abs(scan[peaks] - mid))])
-        b_lo.append(scan[best - 1] if best > 0 else lo)
-        b_hi.append(scan[best + 1] if best < len(scan) - 1 else hi)
+    # each batch's maximum nearest the midpoint, the first on equal distance,
+    # bracketed by its neighbours (the interval ends beyond the first and last)
+    peaks = values == values.max(axis=1, keepdims=True)
+    best = np.where(peaks, np.abs(scan - 0.5 * (lo + hi)), np.inf).argmin(axis=1)
+    edges = np.concatenate(([lo], scan, [hi]))
+    b_lo, b_hi = edges[best], edges[best + 2]
 
     terms = {}
 
     def loglike(rows, x):
         new = list(dict.fromkeys(s for s in x if s not in terms))
-        terms.update(zip(new, _log_terms(model, new)))
-        return [batches[row] @ terms[s][0] - terms[s][1] for row, s in zip(rows, x)]
+        if new:
+            terms.update(zip(new, zip(*_log_terms(model, new))))
+        log_x, total_x = zip(*(terms[s] for s in x))
+        return (np.einsum("ij,ij->i", counts[rows], np.stack(log_x))
+                - np.array(total_x)).tolist()
 
-    return golden_section_max_many(loglike, b_lo, b_hi, x_tol=1e-6)
+    return golden_section_max_many(loglike, b_lo.tolist(), b_hi.tolist(), x_tol=1e-6)
 
 
 def spade_count_model(exc, modes: int, x0: float = 0.0, g: float = 1.0,
@@ -137,10 +148,8 @@ def spade_count_model(exc, modes: int, x0: float = 0.0, g: float = 1.0,
     zero)."""
 
     def model(s_values) -> np.ndarray:
-        amps = [image_amplitudes(
-                    exc, EmitterScene(s=max(float(s), 0.0), x0=x0, g=g,
-                                      kappa=kappa))
-                for s in np.asarray(s_values, dtype=float)]
+        s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
+        amps = image_amplitudes(exc, EmitterScene(s=s, x0=x0, g=g, kappa=kappa))
         return _spade_table(amps, modes)[0]
 
     return model
@@ -198,25 +207,18 @@ class BinnedImager:
         """Per-shot expected photon count in each bin (row-major), one row
         per separation in the vector ``s_values`` (negative ones clip to
         zero)."""
-        scenes = [image_amplitudes(
-                      self.exc, EmitterScene(s=max(s, 0.0), x0=self.x0, g=self.g,
-                                             kappa=self.kappa))
-                  for s in np.asarray(s_values, dtype=float).tolist()]
-
-        def column(values, dtype=float):
-            # one entry per separation, broadcast against the (bins, nodes) grid
-            return np.array(values, dtype=dtype).reshape(-1, 1, 1)
-
-        a1 = column([amps.site_amplitudes[0] for amps in scenes], complex)
-        a2 = column([amps.site_amplitudes[1] for amps in scenes], complex)
-        x1 = column([self.x0 - amps.s / 2.0 for amps in scenes])
-        x2 = column([self.x0 + amps.s / 2.0 for amps in scenes])
+        s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
+        amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
+                                                       kappa=self.kappa))
+        # one entry per separation, broadcast against the (bins, nodes) grid
+        a1, a2, x1, x2 = (np.reshape(v, (-1, 1, 1)) for v in (
+            *amps.site_amplitudes, self.x0 - s / 2.0, self.x0 + s / 2.0))
         xx = self._nodes_x
         e1 = np.exp(-(xx - x1) ** 2)
         e2 = np.exp(-(xx - x2) ** 2)
         profile = np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
         return (profile[:, :, None] * self._weights_y).reshape(
-            len(scenes), profile.shape[1] * self._weights_y.size)
+            s.size, profile.shape[1] * self._weights_y.size)
 
     def fisher_information(self, s: float, h: float = 1e-4) -> float:
         """Discretized DI Fisher information at s via central differences."""

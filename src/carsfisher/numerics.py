@@ -12,15 +12,10 @@ cell of largest error, the oldest on ties (``argmax`` returns the first
 maximum); the exact error check and the final values add a member's cells
 left to right.  So the results are bit-identical from run to run and do
 not depend on the rest of the batch.
-
-``_scalar_map`` applies a Python float function elementwise.  Batched code
-uses it wherever the scalar code it replaces calls ``math.exp`` or ``**``,
-because numpy's SIMD exp and pow round differently in the last bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -82,19 +77,6 @@ _ROUNDOFF_FLOOR = 1e-16
 # hard cap on the number of cells one call may create, so an unreachable
 # tolerance fails in bounded time instead of subdividing until max_depth
 _MAX_CELLS = 10_000
-
-
-def _scalar_map(fn: Callable, x, *args) -> np.ndarray:
-    """``fn(v, *args)`` for every element v of ``x``, by the Python scalar
-    function; returns a float array of the shape of ``x``.
-
-    numpy's SIMD exp and pow differ from libm in the last bit for a few
-    percent of arguments; mapping the scalar function keeps an array path
-    bit-identical to the scalar code it batches.
-    """
-    x = np.asarray(x, dtype=float)
-    values = map(fn, x.ravel().tolist(), *(itertools.repeat(a) for a in args))
-    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
 class ConvergenceError(RuntimeError):

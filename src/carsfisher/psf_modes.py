@@ -10,7 +10,8 @@ emitters a separation s apart produce the two displaced copies of u0 whose
 overlap scalars (delta, beta, derivative-mode norms eta, xi) drive every
 Fisher-information expression downstream; the derivative scalars are in
 units of 1/w and 1/w^2.  The Hermite-Gauss demultiplexing basis is matched
-to the same width.
+to the same width.  Every function takes a separation or a 1D array of
+separations.
 """
 
 from __future__ import annotations
@@ -21,17 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _scalar_map
-
 # Below this separation the symmetric/antisymmetric mode pair degenerates
 # numerically; closed forms switch to their exact limits.
 S_TINY = 1e-12
 
 
 def _require_finite(owner: str, **fields):
-    """Raise ValueError naming every non-finite field of ``owner``."""
-    bad = [f"{name}={value}" for name, value in fields.items()
-           if not cmath.isfinite(value)]
+    """Raise ValueError naming every non-finite field of ``owner`` (an
+    array field by its first non-finite entry)."""
+    bad = []
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = next((v for v in value.ravel().tolist()
+                          if not cmath.isfinite(v)), 0.0)
+        if not cmath.isfinite(value):
+            bad.append(f"{name}={value}")
     if bad:
         raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
 
@@ -39,14 +44,16 @@ def _require_finite(owner: str, **fields):
 def _require_separation(s):
     """Raise ValueError unless the separation ``s`` (a number, or every
     entry of an array) is finite and nonnegative."""
-    for value in s.ravel().tolist() if isinstance(s, np.ndarray) else (s,):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"separation must be finite and nonnegative, got {value}")
+    values = np.asarray(s, dtype=float)
+    bad = values[~(np.isfinite(values) & (values >= 0.0))]
+    if bad.size:
+        raise ValueError(f"separation must be finite and nonnegative, got {bad[0]}")
 
 
 @dataclass(frozen=True)
 class PsfGeometry:
-    """Overlap scalars of the two displaced PSF copies at separation s.
+    """Overlap scalars of the two displaced PSF copies at separation s
+    (each field an array of the shape of s when s is an array).
 
     delta        overlap of the two copies
     delta_prime  d(delta)/ds
@@ -85,12 +92,8 @@ def _gamma_table(s_values, k_max: int):
     gam_d = np.zeros_like(gam)
     lit = s > 0.0
     s_lit = s[lit][:, None]
-    # math.log per separation and math.exp per entry: numpy's SIMD log and
-    # exp differ from libm in the last bit, and every caller's numbers
-    # were frozen from libm values
-    log_half = _scalar_map(math.log, s_lit / 2.0)
-    half_lgamma = _scalar_map(math.lgamma, k + 1.0) * 0.5
-    gam[lit] = _scalar_map(math.exp, -s_lit * s_lit / 8.0 + k * log_half - half_lgamma)
+    half_lgamma = np.array([math.lgamma(j + 1.0) for j in range(k_max + 1)]) * 0.5
+    gam[lit] = np.exp(-s_lit * s_lit / 8.0 + k * np.log(s_lit / 2.0) - half_lgamma)
     gam_d[lit] = gam[lit] * (k / s_lit - s_lit / 4.0)
     gam[~lit, 0] = 1.0
     if k_max >= 1:
@@ -98,45 +101,41 @@ def _gamma_table(s_values, k_max: int):
     return gam, gam_d
 
 
-def _sinh_minus_arg(x: float) -> float:
-    """sinh(x) - x without cancellation (series below x = 0.5).
+def _sinh_minus_arg(x):
+    """sinh(x) - x without cancellation (series below x = 0.5), elementwise.
 
     The nine series terms x^3/3! ... x^19/19! reach 1e-18 relative accuracy
     everywhere below x = 0.5; the fixed count also ends on NaN input.
     """
-    if x >= 0.5:
-        return math.sinh(x) - x
-    term = x**3 / 6.0
-    acc = term
-    for k in range(2, 10):
-        term *= x * x / ((2.0 * k) * (2.0 * k + 1.0))
-        acc += term
-    return acc
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = x**3 / 6.0
+        acc = term
+        for k in range(2, 10):
+            term = term * (x * x / ((2.0 * k) * (2.0 * k + 1.0)))
+            acc = acc + term
+        return np.where(x >= 0.5, np.sinh(x) - x, acc)[()]
 
 
-def psf_geometry(s: float) -> PsfGeometry:
-    """All overlap scalars of the displaced-PSF pair at separation s."""
+def psf_geometry(s) -> PsfGeometry:
+    """All overlap scalars of the displaced-PSF pair at separation s (a
+    number, or an array of separations)."""
     _require_separation(s)
+    s = np.asarray(s, dtype=float)
     x = s * s / 2.0
-    delta = math.exp(-x)
-    delta_prime = -s * delta
-    dk2 = 1.0
-    beta = (1.0 - s * s) * delta
+    delta = np.exp(-x)
+    tiny = x < S_TINY
+    smx = _sinh_minus_arg(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sinh = np.sinh(x)
+        # below x = S_TINY the leading terms of the derivative-mode norms
+        # as s -> 0 (relative corrections O(x^2) ~ 1e-24 at most)
+        eta_p2 = np.where(tiny, x / 4.0, (sinh + x) / (8.0 * np.cosh(x / 2.0) ** 2))
+        eta_m2 = np.where(tiny, x / 12.0, smx / (8.0 * np.sinh(x / 2.0) ** 2))
+        xi_p2 = np.where(tiny, x * x / 6.0, smx / sinh)
+        xi_m2 = np.where(tiny, 2.0, 1.0 + x / sinh)
 
-    if x < S_TINY:
-        # Leading terms of the derivative-mode norms as s -> 0 (relative
-        # corrections O(x^2) ~ 1e-24 at most)
-        eta_p2 = x / 4.0
-        eta_m2 = x / 12.0
-        xi_p2 = x * x / 6.0
-        xi_m2 = 2.0
-    else:
-        smx = _sinh_minus_arg(x)
-        eta_p2 = (math.sinh(x) + x) / (8.0 * math.cosh(x / 2.0) ** 2)
-        eta_m2 = smx / (8.0 * math.sinh(x / 2.0) ** 2)
-        xi_p2 = smx / math.sinh(x)
-        xi_m2 = 1.0 + x / math.sinh(x)
-
-    return PsfGeometry(s=s, delta=delta, delta_prime=delta_prime, dk2=dk2,
-                       beta=beta, eta_plus2=eta_p2, eta_minus2=eta_m2,
-                       xi_plus2=xi_p2, xi_minus2=xi_m2)
+    return PsfGeometry(s=s[()], delta=delta[()], delta_prime=(-s * delta)[()],
+                       dk2=1.0, beta=((1.0 - s * s) * delta)[()],
+                       eta_plus2=eta_p2[()], eta_minus2=eta_m2[()],
+                       xi_plus2=xi_p2[()], xi_minus2=xi_m2[()])

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from carsfisher import cli, numerics
+import numpy as np
+
+from carsfisher import EmitterScene, PlaneWaveExcitation, cli, fisher, numerics
+from carsfisher import fi_spade, image_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=3" in lines[0]
+    assert "schema=4" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -142,7 +145,7 @@ def test_bad_numbers_are_rejected_before_output(tmp_path, capsys, flags, setting
 
 def test_environment_overrides_file_and_flags_override_env(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, "conv.cfg", s_min=0.5, s_max=1.0, s_points=5,
-                     seed=1, ktilde=2.0)
+                     ktilde=2.0)
     monkeypatch.setenv("CARSFISHER_S_POINTS", "2")
     monkeypatch.setenv("CARSFISHER_RAW", "0")
     out = tmp_path / "conv.csv"
@@ -228,6 +231,24 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv):
     assert "configuration error" in err
     assert all(flag in err for flag in argv[1::2] if flag.startswith("--"))
     assert not out.exists()
+
+
+def test_config_keys_a_command_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("CARSFISHER_SEED", "4")
+    assert cli.main(["optimize-waist", "--out", str(out)]) == 2
+    assert "optimize-waist does not read seed" in capsys.readouterr().err
+    monkeypatch.delenv("CARSFISHER_SEED")
+    cfg = _write_cfg(tmp_path, "conv.cfg", tol=0.5, M=3)
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    assert "convergence does not read M, tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_key_a_command_reads_is_a_config_key():
+    for command, (_, reads) in cli._COMMANDS.items():
+        assert reads <= set(cli._FIELD_TYPES), command
 
 
 def _bench_table(name):
@@ -336,7 +357,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -428,6 +449,38 @@ def test_optimize_waist_command(tmp_path):
     assert float(first[2]) == pytest.approx(1.1040581162434564, abs=1e-5)
     # normalized by 2 kappa g^2
     assert float(first[3]) == pytest.approx(4.4071601947647272 / 2.0, rel=1e-8)
+
+
+def test_convergence_reads_every_cutoff_from_one_table(tmp_path, monkeypatch):
+    tables = []
+    spade_table = fisher._spade_table
+
+    def counted(amps, modes):
+        tables.append(modes)
+        return spade_table(amps, modes)
+
+    monkeypatch.setattr(fisher, "_spade_table", counted)
+    cfg = _write_cfg(tmp_path, "conv.cfg", s_min=0.0, s_max=3.0, s_points=4,
+                     ktilde=1.5, kappa=0.8, g=1.3)
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    assert tables == [25]
+    rows = _table(out)
+    assert len(rows) == 4 * 5
+    for row in rows:
+        amps = image_amplitudes(PlaneWaveExcitation(ktilde=1.5),
+                                EmitterScene(s=row["s"], g=1.3, kappa=0.8))
+        assert row["fi_spade"] == fi_spade(amps, int(row["M"])).normalized_value
+
+
+def test_csv_rows_render_every_cell_like_fmt(tmp_path):
+    rows = [[0.1, 1e-300, -0.0, float("inf"), float("nan"), 3, "x", np.float64(2.5e17)],
+            [1.0 / 3.0, 5e-324, 1e22, -2.0, 0.0, -7, True, np.float64(-1e-5)]]
+    out = tmp_path / "t.csv"
+    cli._write_csv(str(out), "test", cli.RunConfig(), list("abcdefgh"), rows)
+    lines = _read_lines(out)
+    assert lines[-len(rows) - 1:-1] == [",".join(cli._fmt(v) for v in row)
+                                        for row in rows]
 
 
 def test_raw_flag_switches_normalization(tmp_path):

@@ -174,6 +174,35 @@ def test_image_amplitudes_carries_scene_metadata():
     assert len(amps.site_gradients) == 2
 
 
+@pytest.mark.parametrize("exc", [
+    PlaneWaveExcitation(ktilde=2.0),
+    VortexExcitation(a=1.2, psi=0.3),
+], ids=["plane", "vortex"])
+def test_array_record_equals_the_one_scene_records(exc):
+    s_values = [0.0, 1e-12, 1e-8, 0.5, 1.0, 4.0]
+    kw = dict(x0=0.7, g=1.3, kappa=0.8)
+    curve = image_amplitudes(exc, EmitterScene(s=np.array(s_values), **kw))
+    for i, s in enumerate(s_values):
+        one = image_amplitudes(exc, EmitterScene(s=s, **kw))
+        for field in dataclasses.fields(ImageAmplitudes):
+            got, want = getattr(curve, field.name), getattr(one, field.name)
+            if field.name in ("site_amplitudes", "site_gradients"):
+                assert [v[i] for v in got] == list(want), field.name
+            elif field.name in ("x0", "kappa", "g"):
+                assert got == want, field.name
+            else:
+                assert got[i] == want, field.name
+
+
+def test_array_scene_checks_every_separation():
+    with pytest.raises(ValueError, match="finite: s=nan"):
+        EmitterScene(s=np.array([0.5, math.nan, 1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        EmitterScene(s=np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="1D array"):
+        EmitterScene(s=np.ones((2, 2)))
+
+
 def test_unsupported_excitation_type_rejected():
     with pytest.raises(TypeError):
         image_amplitudes(object(), EmitterScene(s=1.0))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carsfisher import fisher
+from carsfisher.psf_modes import psf_geometry
 from carsfisher import (
     EmitterScene,
     FisherReport,
@@ -15,13 +16,10 @@ from carsfisher import (
     QfiMatrix,
     VortexExcitation,
     fi_direct,
-    fi_direct_many,
     fi_spade,
-    fi_spade_many,
     image_amplitudes,
     mean_photons_spade,
     optimize_waist,
-    psf_geometry,
     qfi_matrix,
     qfi_plane_closed,
     qfi_separation,
@@ -268,7 +266,7 @@ def test_fi_direct_saturates_qfi_for_on_axis_vortex():
         assert abs(di - closed) / closed < 1e-6
 
 
-def test_fi_direct_many_shares_integrand_calls(monkeypatch):
+def test_fi_direct_shares_integrand_calls_along_a_curve(monkeypatch):
     # one figure2 curve must refine its 120 integrals in lockstep rounds,
     # not one integrand call per cell of every point
     calls = 0
@@ -283,10 +281,9 @@ def test_fi_direct_many_shares_integrand_calls(monkeypatch):
         return batch(counted, *args, **kwargs)
 
     monkeypatch.setattr(fisher, "integrate_1d_many", counting)
-    curve = [_plane(2.0, float(s)) for s in np.linspace(0.01, 3.0, 120)]
-    reports = fi_direct_many(curve)
-    assert len(reports) == len(curve)
-    assert 0 < calls < len(curve)
+    reports = fi_direct(_plane(2.0, np.linspace(0.01, 3.0, 120)))
+    assert len(reports) == 120
+    assert 0 < calls < 120
 
 
 def test_fi_direct_underflowed_profile_is_zero():
@@ -307,16 +304,13 @@ _scenes = st.tuples(
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.lists(_scenes, min_size=1, max_size=4))
-def test_fi_direct_many_is_per_scene_fi_direct_and_below_qfi(scenes):
-    curve = [_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
-             else _vortex(p, psi, s, x0=x0, kappa=kappa)
-             for (family, p, psi), s, x0, kappa in scenes]
-    reports = fi_direct_many(curve)
-    assert reports == [fi_direct(amps) for amps in curve]  # bit for bit
-    for amps, di in zip(curve, reports):
-        qfi = qfi_separation(amps)
-        assert di.normalized_value <= qfi.normalized_value + 1e-8
+@given(_scenes)
+def test_fi_direct_is_below_qfi_over_random_scenes(scene):
+    (family, p, psi), s, x0, kappa = scene
+    amps = (_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
+            else _vortex(p, psi, s, x0=x0, kappa=kappa))
+    di = fi_direct(amps)
+    assert di.normalized_value <= qfi_separation(amps).normalized_value + 1e-8
 
 
 def test_offset_vortex_di_gap_and_spade_recovery():
@@ -357,7 +351,8 @@ def test_fi_spade_against_independent_oracle(s):
 
 
 # fi_spade (M = 30, M = 10) and N_0, N_1, N_4 as float.hex, frozen from the
-# scalar per-mode implementation the batched table replaced
+# schema 4 table (numpy's exp, log and pow; 1 - delta through expm1, so at
+# s = 1e-8 N_1 no longer cancels to zero)
 SPADE_BITS = {
     "plane-s0": (
         _plane, (2.0, 0.0), {},
@@ -365,15 +360,15 @@ SPADE_BITS = {
         ("0x1.0000000000000p+2", "0x0.0p+0", "0x0.0p+0")),
     "plane-s1e-8": (
         _plane, (2.0, 1e-8), {},
-        ("0x1.851c6b01eb435p-49", "0x1.851c6b01eb435p-49"),
-        ("0x1.0000000000000p+2", "0x0.0p+0", "0x1.c1551b1463436p-224")),
+        ("0x1.35d8ffe057c89p-48", "0x1.35d8ffe057c89p-48"),
+        ("0x1.0000000000000p+2", "0x1.9f623d5a8a732p-107", "0x1.c1551b1463436p-224")),
     "plane-s1": (
         _plane, (2.0, 1.0), {},
-        ("0x1.06e6ef6a45b4dp+4", "0x1.06e6ef6a453bap+4"),
-        ("0x1.d19e4432a9477p-1", "0x1.1a5768de1dcedp-1", "0x1.366982cc70dadp-13")),
+        ("0x1.06e6ef6a45b4ep+4", "0x1.06e6ef6a453bbp+4"),
+        ("0x1.d19e4432a9475p-1", "0x1.1a5768de1dcedp-1", "0x1.366982cc70dadp-13")),
     "plane-s20": (
         _plane, (2.0, 20.0), {},
-        ("0x1.5d9d199069685p-46", "0x1.780d90020a9b1p-93"),
+        ("0x1.5d9d199069684p-46", "0x1.780d90020a9b1p-93"),
         ("0x1.1af0f09b2f550p-145", "0x1.14947586c24ffp-136", "0x1.1913a92d5190ap-123")),
     "collinear-kappa-g": (
         _plane, (0.0, 0.5), {"kappa": 0.8, "g": 1.3},
@@ -395,15 +390,7 @@ def test_spade_bits_are_frozen(name):
     assert tuple(mean_photons_spade(amps, m).hex() for m in (0, 1, 4)) == n_bits
 
 
-def test_fi_spade_many_is_per_scene_fi_spade():
-    curve = [SPADE_BITS[name][0](*SPADE_BITS[name][1], **SPADE_BITS[name][2])
-             for name in sorted(SPADE_BITS)]
-    for M in (0, 10, 30):
-        assert fi_spade_many(curve, M) == [fi_spade(a, M) for a in curve]
-    assert fi_spade_many([], 10) == []
-
-
-def test_fi_spade_many_builds_one_table(monkeypatch):
+def test_fi_spade_builds_one_table_per_curve(monkeypatch):
     calls = []
     table = fisher._gamma_table
 
@@ -412,7 +399,7 @@ def test_fi_spade_many_builds_one_table(monkeypatch):
         return table(s_values, *args)
 
     monkeypatch.setattr(fisher, "_gamma_table", counted)
-    fi_spade_many([_plane(2.0, s) for s in (0.0, 0.5, 1.0, 4.0)], 30)
+    fi_spade(_plane(2.0, np.array([0.0, 0.5, 1.0, 4.0])), 30)
     assert calls == [4]
 
 
@@ -454,9 +441,8 @@ def test_spade_properties_over_random_scenes(scenes):
     curve = [_plane(p, s, x0=x0, kappa=kappa) if family == "plane"
              else _vortex(p, psi, s, x0=x0, kappa=kappa)
              for (family, p, psi), s, x0, kappa in scenes]
-    reports = fi_spade_many(curve, 30)
-    assert reports == [fi_spade(amps, 30) for amps in curve]  # bit for bit
-    for amps, spade in zip(curve, reports):
+    for amps in curve:
+        spade = fi_spade(amps, 30)
         qfi = qfi_separation(amps)
         assert spade.value <= qfi.value * (1.0 + 1e-9)
         by_cutoff = [fi_spade(amps, M).value for M in range(31)]
@@ -537,6 +523,37 @@ def test_mean_photons_spade_bounds():
         mean_photons_spade(amps, -1)
     # no upper cap: an even mode beyond 30 holds its tiny share of the light
     assert 0.0 < mean_photons_spade(amps, 32) < mean_photons_spade(amps, 30)
+
+
+def test_small_s_information_does_not_cancel():
+    # 1 - delta comes from expm1: at s = 1e-8 the antisymmetric mode keeps
+    # its light, so FI/s^2 holds its small-s value (it read 13.5 for SPADE
+    # and 15.5 for the QFI when 1 - delta cancelled to a few ulps)
+    def per_s2(s):
+        amps = _plane(2.0, s)
+        return (fi_spade(amps, 30).normalized_value / s**2,
+                qfi_separation(amps).normalized_value / s**2)
+
+    at_1e5 = per_s2(1e-5)
+    assert at_1e5 == pytest.approx((21.5, 21.5), rel=1e-6)
+    assert per_s2(1e-8) == pytest.approx(at_1e5, rel=1e-6)
+
+
+@pytest.mark.parametrize("make,params", [
+    (_plane, (2.0,)), (_plane, (0.0,)), (_vortex, (1.2, 0.3)), (_vortex, (SQ2I, 0.0)),
+], ids=["plane-k2", "collinear", "vortex-offset", "vortex-axis"])
+def test_estimators_report_each_scene_of_an_array_record(make, params):
+    # one record for the whole curve; each report is the one-scene report
+    s_values = [0.0, 1e-8, 0.3, 1.0, 2.5, 6.0]
+    kw = dict(x0=0.4, kappa=0.8, g=1.3)
+    curve = make(*params, np.array(s_values), **kw)
+    scenes = [make(*params, s, **kw) for s in s_values]
+    assert fi_spade(curve, 12) == [fi_spade(amps, 12) for amps in scenes]
+    assert qfi_separation(curve) == [qfi_separation(amps) for amps in scenes]
+    assert qfi_matrix(curve) == [qfi_matrix(amps) for amps in scenes]
+    assert fi_direct(curve) == [fi_direct(amps) for amps in scenes]
+    assert mean_photons_spade(curve, 3).tolist() == [
+        mean_photons_spade(amps, 3) for amps in scenes]
 
 
 def test_spade_saturates_plane_qfi_with_transverse_phase():

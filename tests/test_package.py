@@ -13,6 +13,14 @@ def test_all_names_resolve_without_duplicates():
     assert missing == []
 
 
+def test_one_estimator_per_job():
+    # the estimators take array-valued records, so there are no per-list
+    # twins, and the PSF geometry is an internal of the QFI
+    for name in ("fi_direct_many", "fi_spade_many", "PsfGeometry", "psf_geometry"):
+        assert name not in carsfisher.__all__
+        assert not hasattr(carsfisher, name)
+
+
 def test_package_imports_neither_scipy_nor_mpmath():
     # both may be installed for the test oracles, but neither is a dependency
     forbidden = {"scipy", "mpmath"}

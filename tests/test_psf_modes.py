@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from carsfisher import psf_geometry
+from carsfisher.psf_modes import psf_geometry
 from carsfisher.fisher import _centroid_coupling_from_geometry
 from carsfisher.psf_modes import _gamma_table, _sinh_minus_arg
 
