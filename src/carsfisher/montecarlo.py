@@ -22,6 +22,15 @@ The scan scores every batch at a scan point with one matrix-vector
 product, and each golden round scores the batches still refining with one
 row-wise product; each batch makes the search steps it would make alone.
 
+``run_experiment`` can search on a sufficient statistic of the counts
+instead of the counts themselves.  Direct imaging does: the camera's bin
+expectations are N_ij(s) = P_i(s) W_j with y-bin weights W_j free of s,
+so the log-likelihood of the bins is that of the x-bin column totals
+(``BinnedImager.sum_over_y``, with expectations
+``BinnedImager.x_marginals``) plus a term that does not depend on s.  The
+search scores 32 x-bin totals per batch instead of 1,024 bins and finds
+the same maximum, up to golden-section comparisons within roundoff.
+
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
 """
@@ -165,10 +174,14 @@ class BinnedImager:
     contract.  Bin expectations are exact Gauss-Kronrod integrals of the
     intensity on a per-bin 15-node tensor rule.  Both emitters sit on y = 0,
     so the intensity is an x-profile times exp(-2 y^2) and the tensor
-    rule factorizes: each model call integrates the x-profile over the x-bins
-    and takes the outer product with y-bin weights computed once at
-    construction.  Construction verifies the 2% bound at domain_s and
-    raises ValueError where the grid is too coarse for it.
+    rule factorizes: each model call integrates the x-profile over the
+    x-bins (P_i) once, and ``expectations`` takes the outer product with
+    y-bin weights W_j computed once at construction.  Because W_j does not
+    depend on s, the y-bins carry no information on it: the x-bin column
+    totals (``sum_over_y``) are a sufficient statistic, with expectations
+    P_i sum_j W_j (``x_marginals``), and the Monte Carlo search scores
+    them instead of every bin.  Construction verifies the 2% bound at
+    domain_s and raises ValueError where the grid is too coarse for it.
     """
 
     _FOV_MARGIN = 2.5  # PSF widths beyond each emitter
@@ -203,10 +216,10 @@ class BinnedImager:
                 f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); the bins "
                 f"are too coarse for this separation")
 
-    def expectations(self, s_values) -> np.ndarray:
-        """Per-shot expected photon count in each bin (row-major), one row
-        per separation in the vector ``s_values`` (negative ones clip to
-        zero)."""
+    def _profile(self, s_values) -> np.ndarray:
+        """x-bin integrals of the intensity's x-profile |a1 e1 + a2 e2|^2:
+        one row of P_i per separation in the vector ``s_values`` (negative
+        ones clip to zero)."""
         s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
         amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
                                                        kappa=self.kappa))
@@ -216,9 +229,27 @@ class BinnedImager:
         xx = self._nodes_x
         e1 = np.exp(-(xx - x1) ** 2)
         e2 = np.exp(-(xx - x2) ** 2)
-        profile = np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
+        return np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
+
+    def expectations(self, s_values) -> np.ndarray:
+        """Per-shot expected photon count in each bin (row-major),
+        N_ij = P_i W_j, one row per separation in the vector ``s_values``
+        (negative ones clip to zero)."""
+        profile = self._profile(s_values)
         return (profile[:, :, None] * self._weights_y).reshape(
-            s.size, profile.shape[1] * self._weights_y.size)
+            profile.shape[0], profile.shape[1] * self._weights_y.size)
+
+    def x_marginals(self, s_values) -> np.ndarray:
+        """Per-shot expected photon count in each x-bin column, summed over
+        the y-bins, P_i sum_j W_j: one row per separation."""
+        return self._profile(s_values) * self._weights_y.sum()
+
+    def sum_over_y(self, counts) -> np.ndarray:
+        """Counts of each row-major batch (rows of ``counts``) summed over
+        the y-bins: the x-bin column totals, whose expectation is
+        ``x_marginals``."""
+        counts = np.asarray(counts)
+        return counts.reshape(len(counts), -1, self._weights_y.size).sum(axis=2)
 
     def fisher_information(self, s: float, h: float = 1e-4) -> float:
         """Discretized DI Fisher information at s via central differences."""
@@ -230,7 +261,8 @@ class BinnedImager:
 
 def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
                    search_interval, fisher_per_shot: float,
-                   n_total: float = 0.0, method: str = "spade") -> EstimationReport:
+                   n_total: float = 0.0, method: str = "spade", *,
+                   statistic=None) -> EstimationReport:
     """Simulate `batches` campaigns of mu shots each and compare the spread
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
@@ -238,20 +270,28 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     expected count per channel, one row per separation.  Batch b draws its
     counts from the Philox stream of SeedSequence((seed, b)); the batches'
     counts form one integer array and their ML searches run in lockstep.
-    Each separation is evaluated once: the truth, the 256 scan points in
-    16 calls of 16, and each golden-section round's new distinct abscissae
-    in calls of at most 16.
+
+    ``statistic`` = (search_model, reduce) searches on a sufficient
+    statistic of the counts: reduce maps the batches x channels counts to
+    batches x statistics sums of Poisson counts, and search_model(s) gives
+    their per-shot expectations.  The default (model, identity) searches on
+    the counts themselves.  Each separation is evaluated once: the truth by
+    model, then by search_model the 256 scan points in 16 calls of 16 and
+    each golden-section round's new distinct abscissae in calls of at most
+    16.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
     if not fisher_per_shot > 0.0:
         raise ValueError("Fisher information must be positive for a CRB")
+    search_model, reduce = statistic or (model, lambda counts: counts)
 
     expected = mu * np.asarray(model(np.array([float(true_s)])), dtype=float)[0]
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])
     estimates = _ml_search(
-        counts, lambda s: mu * np.asarray(model(s), dtype=float), search_interval)
+        reduce(counts), lambda s: mu * np.asarray(search_model(s), dtype=float),
+        search_interval)
 
     variance = float(np.var(np.asarray(estimates), ddof=1))
     crb = 1.0 / (mu * fisher_per_shot)

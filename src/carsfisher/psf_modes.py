@@ -25,6 +25,9 @@ import numpy as np
 # Below this separation the symmetric/antisymmetric mode pair degenerates
 # numerically; closed forms switch to their exact limits.
 S_TINY = 1e-12
+# Above this x = s^2/2, sinh(x) overflows and the closed forms switch to
+# their ratios in exp(-x).
+_X_HUGE = math.log(np.finfo(float).max)
 
 
 def _require_finite(owner: str, **fields):
@@ -125,6 +128,7 @@ def psf_geometry(s) -> PsfGeometry:
     x = s * s / 2.0
     delta = np.exp(-x)
     tiny = x < S_TINY
+    huge = x > _X_HUGE
     smx = _sinh_minus_arg(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sinh = np.sinh(x)
@@ -134,6 +138,17 @@ def psf_geometry(s) -> PsfGeometry:
         eta_m2 = np.where(tiny, x / 12.0, smx / (8.0 * np.sinh(x / 2.0) ** 2))
         xi_p2 = np.where(tiny, x * x / 6.0, smx / sinh)
         xi_m2 = np.where(tiny, 2.0, 1.0 + x / sinh)
+    if np.any(huge):
+        # above x = _X_HUGE sinh(x) and cosh(x/2)^2 overflow: the same
+        # ratios with e^x divided out, in e = exp(-x) and r = x / sinh(x)
+        e = delta
+        r = 2.0 * x * e / (1.0 - e * e)
+        eta_p2 = np.where(huge, (0.5 * (1.0 - e * e) + x * e)
+                          / (2.0 * (1.0 + e) ** 2), eta_p2)
+        eta_m2 = np.where(huge, (0.5 * (1.0 - e * e) - x * e)
+                          / (2.0 * (1.0 - e) ** 2), eta_m2)
+        xi_p2 = np.where(huge, 1.0 - r, xi_p2)
+        xi_m2 = np.where(huge, 1.0 + r, xi_m2)
 
     return PsfGeometry(s=s[()], delta=delta[()], delta_prime=(-s * delta)[()],
                        dk2=1.0, beta=((1.0 - s * s) * delta)[()],

@@ -43,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=4" in lines[0]
+    assert "schema=5" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -58,6 +58,21 @@ def test_figure2_csv_structure(tmp_path):
     assert float(first[0]) == 0.2
     # 17-significant-digit floats survive a round trip
     assert len(first[2].replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def test_figure2_runs_where_sinh_overflows(tmp_path):
+    # s^2/2 passes 709.8 near s = 37.7, where sinh(s^2/2) overflows
+    out = tmp_path / "wide.csv"
+    cfg = _write_cfg(tmp_path, "wide.cfg", s_max=40)
+    assert cli.main(["figure2", "--config", cfg, "--out", str(out)]) == 0
+    lines = _read_lines(out)
+    header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    rows = [ln.split(",") for ln in lines[header_idx + 1:] if ln]
+    assert np.isfinite([[float(v) for v in row] for row in rows]).all()
+    s, kt, qfi = (float(v) for v in rows[-1][:3])
+    assert s == 40.0
+    # far apart, the normalized QFI reaches 1 + kt^2
+    assert qfi == pytest.approx(1.0 + kt * kt, rel=1e-12)
 
 
 def test_figure2_runs_are_byte_identical(tmp_path):
@@ -357,7 +372,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

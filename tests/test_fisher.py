@@ -127,6 +127,15 @@ def test_plane_general_path_equals_closed_form(ktilde, s):
     assert general.value == pytest.approx(closed.value, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("ktilde", [0.0, 2.0])
+@pytest.mark.parametrize("s", [38.0, 50.0, 100.0])
+def test_plane_general_path_equals_closed_form_where_sinh_overflows(ktilde, s):
+    # s^2/2 > 709.8: psf_geometry switches to its exp(-s^2/2) forms
+    general = qfi_separation(_plane(ktilde, s))
+    closed = qfi_plane_closed(ktilde, s)
+    assert general.value == pytest.approx(closed.value, rel=1e-12)
+
+
 def test_qfi_general_zero_at_coincidence():
     for amps in (_plane(2.0, 0.0), _vortex(SQ2I, 0.3, 0.0)):
         assert qfi_separation(amps).value == 0.0

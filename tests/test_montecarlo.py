@@ -254,18 +254,76 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
         == report.estimates[4]
 
 
+def _di_statistic():
+    imager = BinnedImager(PLANE_K2, domain_s=1.0)
+    return imager.x_marginals, imager.sum_over_y
+
+
+@pytest.mark.parametrize("seed", [3, 20260817])
+def test_x_marginal_search_equals_full_likelihood_oracle(seed):
+    # the x-bin totals are sufficient: searching on them finds the full
+    # 1,024-bin likelihood's estimates
+    mu, batches, interval = 1e4, 12, (0.5, 1.5)
+    report = run_experiment(_di_model(), 1.0, mu, batches, seed, interval,
+                            fisher_per_shot=16.0, method="di",
+                            statistic=_di_statistic())
+    assert report.estimates == ml_reference(_di_model(), 1.0, mu, batches,
+                                            seed, interval)
+
+
+def test_x_marginal_likelihood_differences_equal_the_full_ones():
+    # N_ij(s) = P_i(s) W_j with W_j free of s, so log L from the bins and
+    # log L from the x-bin totals differ by a term that does not depend
+    # on s: every difference log L(s1) - log L(s2) agrees to roundoff
+    imager = BinnedImager(PLANE_K2, domain_s=1.0)
+    mu, rng = 1e4, np.random.default_rng(13)
+    counts = np.stack([sample_counts(mu * imager.expectations([1.0])[0], b)
+                       for b in range(6)])
+    totals = imager.sum_over_y(counts)
+    assert totals.shape == (6, 32)
+    assert totals.dtype.kind == "i"
+    assert totals.sum(axis=1).tolist() == counts.sum(axis=1).tolist()
+
+    def loglike(n, expected):
+        return n.astype(float) @ np.log(expected) - expected.sum()
+
+    for s1, s2 in rng.uniform(0.5, 1.5, size=(20, 2)).tolist():
+        full = [loglike(counts, mu * imager.expectations([s])[0]) for s in (s1, s2)]
+        marginal = [loglike(totals, mu * imager.x_marginals([s])[0])
+                    for s in (s1, s2)]
+        roundoff = 1e-13 * (np.abs(full[0]) + np.abs(full[1]))
+        assert (np.abs((full[0] - full[1]) - (marginal[0] - marginal[1]))
+                <= roundoff).all()
+
+
+def test_x_marginals_sum_the_bins_over_y():
+    imager = BinnedImager(VortexExcitation(a=1.2, psi=0.3), domain_s=1.0, x0=0.7)
+    s_values = [0.0, 0.4, 1.0]
+    bins = imager.expectations(s_values).reshape(3, 32, 32)
+    np.testing.assert_allclose(imager.x_marginals(s_values), bins.sum(axis=2),
+                               rtol=1e-13)
+
+
 def test_run_experiment_model_work(monkeypatch):
-    # the scan evaluates the model once per point for all batches and the
+    # the truth is drawn from the 1,024-bin model; the scan evaluates the
+    # 32-column x-marginal model once per point for all batches and the
     # golden rounds once per distinct abscissa: no s is evaluated twice,
     # and no model call sees more than 16 separations
     batches = 50
-    model = _di_model()
-    seen, calls = [], []
+    draw_model = _di_model()
+    search_model, reduce = _di_statistic()
+    seen, calls, widths = [], [], set()
 
-    def counted(s_values):
-        seen.extend(np.asarray(s_values).tolist())
-        calls.append(len(s_values))
-        return model(s_values)
+    def counting(model):
+        def counted(s_values):
+            seen.extend(np.asarray(s_values).tolist())
+            calls.append(len(s_values))
+            rows = model(s_values)
+            widths.add(rows.shape[1])
+            return rows
+        return counted
+
+    model, counted = counting(draw_model), counting(search_model)
 
     rounds = []
     lockstep = montecarlo.golden_section_max_many
@@ -281,8 +339,10 @@ def test_run_experiment_model_work(monkeypatch):
         return lockstep(g, lo, hi, x_tol)
 
     monkeypatch.setattr(montecarlo, "golden_section_max_many", counting_search)
-    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
-                   fisher_per_shot=16.0, method="di")
+    run_experiment(model, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
+                   fisher_per_shot=16.0, method="di",
+                   statistic=(counted, reduce))
+    assert widths == {32 * 32, 32}
     assert len(seen) == len(set(seen))
     assert max(calls) <= 16
     assert rounds[0] == 2 * batches
