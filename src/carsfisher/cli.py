@@ -58,7 +58,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 5
+_SCHEMA_VERSION = 6
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -556,7 +556,6 @@ def cmd_simulate(cfg: RunConfig) -> str:
     n_total = amps.n_total
     if cfg.measurement == "spade":
         model = spade_count_model(exc, cfg.M, g=cfg.g, kappa=cfg.kappa)
-        statistic = None
         fisher = fi_spade(amps, cfg.M).value
     else:
         try:
@@ -564,16 +563,13 @@ def cmd_simulate(cfg: RunConfig) -> str:
         except ValueError as err:
             raise ValueError(f"s_sim={s}: {err}") from err
         model = imager.expectations
-        # the y-bins carry no information on s: search on the x-bin totals
-        statistic = (imager.x_marginals, imager.sum_over_y)
         fisher = imager.fisher_information(s)
     if not fisher > 0.0:
         raise ValueError("Fisher information vanishes: separation not "
                          "identifiable at this configuration")
     report = run_experiment(model, s, cfg.mu, cfg.batches, cfg.seed,
                             (cfg.search_lo, cfg.search_hi), fisher,
-                            n_total=n_total, method=cfg.measurement,
-                            statistic=statistic)
+                            n_total=n_total, method=cfg.measurement)
     payload = {"report": dataclasses.asdict(report)}
     path = _out_path(cfg, "simulation", "json")
     _write_json(path, "simulate", cfg, payload)

@@ -263,6 +263,23 @@ _DI_GUARD = 1e-15       # x-profile floor, relative to the profile maximum
 _DI_COARSE_N = 41       # coarse sampling used to locate that maximum
 
 
+def _x_profiles(a1, a2, g1, g2, x1, x2, xx):
+    """The DI x-profile I = |A|^2, A = a1 e1 + a2 e2 with
+    e_k = exp(-(xx - x_k)^2), and its s-derivative dI/ds = 2 Re(conj(A) dA)
+    at the points ``xx`` (the emitters at x1 = x0 - s/2 and x2 = x0 + s/2,
+    site amplitudes a_k with site gradients g_k), broadcast together.
+    Gradients None give (I, None): the intensity alone, without the cost
+    of its derivative.
+    """
+    d1, d2 = xx - x1, xx - x2
+    e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
+    amp = a1 * e1 + a2 * e2
+    if g1 is None:
+        return np.abs(amp) ** 2, None
+    damp = 0.5 * (g2 * e2 - g1 * e1) - (a1 * d1 * e1 - a2 * d2 * e2)
+    return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * damp).real
+
+
 def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     """Direct-imaging FI for the separation, F = int (d_d I)^2 / I, per
     scene of ``amps``.
@@ -289,12 +306,7 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     lo_x, hi_x = amps.x0 - half, amps.x0 + half
 
     def profiles(rows, xx):
-        a1, a2, g1, g2, x1, x2 = (p.take(rows)[:, None] for p in scene)
-        d1, d2 = xx - x1, xx - x2
-        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
-        amp = a1 * e1 + a2 * e2
-        damp = 0.5 * (g2 * e2 - g1 * e1) - (a1 * d1 * e1 - a2 * d2 * e2)
-        return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * damp).real
+        return _x_profiles(*(p.take(rows)[:, None] for p in scene), xx)
 
     coarse_x = np.linspace(lo_x, hi_x, _DI_COARSE_N, axis=1)
     floor = _DI_GUARD * profiles(np.arange(s.size), coarse_x)[0].max(axis=1)

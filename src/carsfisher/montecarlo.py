@@ -1,7 +1,7 @@
 """Monte Carlo verification of the Cramer-Rao chain.
 
 Photon counts in each measured channel (a Hermite-Gauss mode for SPADE, a
-camera bin for direct imaging) are independent Poisson variables, so the
+camera column for direct imaging) are independent Poisson variables, so the
 total over mu repetitions is itself Poisson with mean mu * N_c(s) and is a
 sufficient statistic for s.  Each simulated batch therefore draws one
 aggregate count per channel, runs maximum-likelihood estimation of the
@@ -22,14 +22,15 @@ The scan scores every batch at a scan point with one matrix-vector
 product, and each golden round scores the batches still refining with one
 row-wise product; each batch makes the search steps it would make alone.
 
-``run_experiment`` can search on a sufficient statistic of the counts
-instead of the counts themselves.  Direct imaging does: the camera's bin
-expectations are N_ij(s) = P_i(s) W_j with y-bin weights W_j free of s,
-so the log-likelihood of the bins is that of the x-bin column totals
-(``BinnedImager.sum_over_y``, with expectations
-``BinnedImager.x_marginals``) plus a term that does not depend on s.  The
-search scores 32 x-bin totals per batch instead of 1,024 bins and finds
-the same maximum, up to golden-section comparisons within roundoff.
+Direct imaging counts photons on a 32-column camera (``BinnedImager``):
+each channel is one x-bin column, the total over the field of view's
+y-extent.  Recording only the columns loses nothing.  Both emitters sit on
+y = 0, so a 2D camera's bin expectations are N_ij(s) = P_i(s) W_j with
+y-bin weights W_j free of s; its Poisson log-likelihood is that of the
+column totals plus a term that does not depend on s, and the column
+totals are a sufficient statistic.  SPADE and direct imaging therefore
+share one path: each draws and searches on the channels of its own
+model.
 
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
-from .fisher import _spade_table, fi_direct
+from .fisher import _spade_table, _x_profiles, fi_direct
 from .numerics import _WK, _XK, golden_section_max_many
 
 _LOG_FLOOR = 1e-300
@@ -165,104 +166,88 @@ def spade_count_model(exc, modes: int, x0: float = 0.0, g: float = 1.0,
 
 
 class BinnedImager:
-    """Fixed 32x32 (by default) camera grid over the informative image region.
+    """A 32-column camera over the informative image region.
 
-    The field of view spans 2.5 PSF widths beyond each emitter (the excluded
-    tails carry < 1e-6 of the photons), keeping the bins fine enough that the
-    discretized Fisher information stays within 2% of the continuum value —
-    a wider view at the same bin count coarsens the bins and fails that
-    contract.  Bin expectations are exact Gauss-Kronrod integrals of the
-    intensity on a per-bin 15-node tensor rule.  Both emitters sit on y = 0,
-    so the intensity is an x-profile times exp(-2 y^2) and the tensor
-    rule factorizes: each model call integrates the x-profile over the
-    x-bins (P_i) once, and ``expectations`` takes the outer product with
-    y-bin weights W_j computed once at construction.  Because W_j does not
-    depend on s, the y-bins carry no information on it: the x-bin column
-    totals (``sum_over_y``) are a sufficient statistic, with expectations
-    P_i sum_j W_j (``x_marginals``), and the Monte Carlo search scores
-    them instead of every bin.  Construction verifies the 2% bound at
-    domain_s and raises ValueError where the grid is too coarse for it.
+    The field of view spans 2.5 PSF widths beyond each emitter in x and y
+    (the excluded tails carry < 1e-6 of the photons).  Its 32 x-bins keep
+    the binned Fisher information within 2% of the continuum value; a
+    wider view coarsens them and fails that contract.  The camera records
+    each x-bin column's photon count over the view's whole y-extent, which
+    loses nothing: both emitters sit on y = 0, so the intensity is an
+    x-profile times exp(-2 y^2), a 2D camera's bins would expect
+    N_ij(s) = P_i(s) W_j with y-bin weights W_j free of s, and its column
+    totals are a sufficient statistic for s.  Their expectations are
+    N_i = P_i(s) Y, with the y-integral Y = kappa sqrt(2/pi)
+    erf(sqrt(2) half) in closed form, and P_i the x-profile of
+    ``fisher._x_profiles`` on a 15-node Gauss-Kronrod rule per bin.  The
+    Fisher information sums (dN_i/ds)^2 / N_i, integrating the profile's
+    analytic s-derivative on the same nodes.  Construction verifies the 2%
+    bound at domain_s and raises ValueError where the bins are too coarse
+    for it.
     """
 
     _FOV_MARGIN = 2.5  # PSF widths beyond each emitter
+    _NBINS = 32
 
-    def __init__(self, exc, domain_s: float, nbins: int = 32, x0: float = 0.0,
-                 g: float = 1.0, kappa: float = 1.0):
+    def __init__(self, exc, domain_s: float, x0: float = 0.0, g: float = 1.0,
+                 kappa: float = 1.0):
         self.exc = exc
         self.x0 = x0
         self.g = g
         self.kappa = kappa
         half = domain_s / 2.0 + self._FOV_MARGIN
-        edges_x = np.linspace(x0 - half, x0 + half, nbins + 1)
-        edges_y = np.linspace(-half, half, nbins + 1)
-        half_x = 0.5 * (edges_x[1] - edges_x[0])
-        half_y = 0.5 * (edges_y[1] - edges_y[0])
-        mids_x = 0.5 * (edges_x[:-1] + edges_x[1:])
-        mids_y = 0.5 * (edges_y[:-1] + edges_y[1:])
-        self._nodes_x = mids_x[:, None] + half_x * _XK[None, :]
-        self._weights_x = _WK * half_x
-        nodes_y = mids_y[:, None] + half_y * _XK[None, :]
-        # y-bin integrals of kappa * pref^2 * exp(-2 y^2), pref^2 = 2/pi
-        self._weights_y = (kappa * (2.0 / math.pi) * np.exp(-2.0 * nodes_y**2)
-                           @ (_WK * half_y))
+        edges = np.linspace(x0 - half, x0 + half, self._NBINS + 1)
+        half_bin = 0.5 * (edges[1] - edges[0])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        self._nodes_x = mids[:, None] + half_bin * _XK[None, :]
+        # x-bin rule times the y-integral of kappa * (2/pi) * exp(-2 y^2)
+        column = kappa * math.sqrt(2.0 / math.pi) * math.erf(math.sqrt(2.0) * half)
+        self._weights_x = _WK * half_bin * column
         scene = EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa)
         continuum = fi_direct(image_amplitudes(exc, scene)).value
         binned = self.fisher_information(domain_s)
         if abs(binned - continuum) > _BIN_FI_REL_TOL * continuum:
             raise ValueError(
-                f"BinnedImager: the {nbins}x{nbins}-bin DI Fisher information "
+                f"BinnedImager: the {self._NBINS}-column DI Fisher information "
                 f"at s={domain_s} deviates "
                 f"{abs(binned - continuum) / continuum:.3%} from the "
                 f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); the bins "
                 f"are too coarse for this separation")
 
-    def _profile(self, s_values) -> np.ndarray:
-        """x-bin integrals of the intensity's x-profile |a1 e1 + a2 e2|^2:
-        one row of P_i per separation in the vector ``s_values`` (negative
-        ones clip to zero)."""
+    def _columns(self, s_values, slope: bool):
+        """Per-shot column expectations N_i, one row per separation in the
+        vector ``s_values`` (negative ones clip to zero), and their
+        s-derivatives when ``slope`` (else None)."""
         s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
         amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
                                                        kappa=self.kappa))
         # one entry per separation, broadcast against the (bins, nodes) grid
-        a1, a2, x1, x2 = (np.reshape(v, (-1, 1, 1)) for v in (
-            *amps.site_amplitudes, self.x0 - s / 2.0, self.x0 + s / 2.0))
-        xx = self._nodes_x
-        e1 = np.exp(-(xx - x1) ** 2)
-        e2 = np.exp(-(xx - x2) ** 2)
-        return np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
+        a1, a2, g1, g2, x1, x2 = (np.reshape(v, (-1, 1, 1)) for v in (
+            *amps.site_amplitudes, *amps.site_gradients,
+            self.x0 - s / 2.0, self.x0 + s / 2.0))
+        if not slope:
+            g1 = g2 = None
+        inten, d_inten = _x_profiles(a1, a2, g1, g2, x1, x2, self._nodes_x)
+        return (inten @ self._weights_x,
+                None if d_inten is None else d_inten @ self._weights_x)
 
     def expectations(self, s_values) -> np.ndarray:
-        """Per-shot expected photon count in each bin (row-major),
-        N_ij = P_i W_j, one row per separation in the vector ``s_values``
-        (negative ones clip to zero)."""
-        profile = self._profile(s_values)
-        return (profile[:, :, None] * self._weights_y).reshape(
-            profile.shape[0], profile.shape[1] * self._weights_y.size)
+        """Per-shot expected photon count in each of the 32 columns, one
+        row per separation in the vector ``s_values`` (negative ones clip
+        to zero)."""
+        return self._columns(s_values, slope=False)[0]
 
-    def x_marginals(self, s_values) -> np.ndarray:
-        """Per-shot expected photon count in each x-bin column, summed over
-        the y-bins, P_i sum_j W_j: one row per separation."""
-        return self._profile(s_values) * self._weights_y.sum()
-
-    def sum_over_y(self, counts) -> np.ndarray:
-        """Counts of each row-major batch (rows of ``counts``) summed over
-        the y-bins: the x-bin column totals, whose expectation is
-        ``x_marginals``."""
-        counts = np.asarray(counts)
-        return counts.reshape(len(counts), -1, self._weights_y.size).sum(axis=2)
-
-    def fisher_information(self, s: float, h: float = 1e-4) -> float:
-        """Discretized DI Fisher information at s via central differences."""
-        e_mid, e_up, e_down = self.expectations([s, s + h, max(s - h, 0.0)])
-        d_e = (e_up - e_down) / (h + min(h, s))
-        mask = e_mid > 1e-15 * e_mid.max()
-        return float(np.sum(d_e[mask] ** 2 / e_mid[mask]))
+    def fisher_information(self, s: float) -> float:
+        """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the
+        columns, from the analytic derivative of the x-profile."""
+        n, dn = (row[0] for row in self._columns([s], slope=True))
+        mask = n > 1e-15 * n.max()
+        return float(np.sum(dn[mask] ** 2 / n[mask]))
 
 
 def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
                    search_interval, fisher_per_shot: float,
-                   n_total: float = 0.0, method: str = "spade", *,
-                   statistic=None) -> EstimationReport:
+                   n_total: float = 0.0, method: str = "spade") -> EstimationReport:
     """Simulate `batches` campaigns of mu shots each and compare the spread
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
@@ -270,28 +255,20 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     expected count per channel, one row per separation.  Batch b draws its
     counts from the Philox stream of SeedSequence((seed, b)); the batches'
     counts form one integer array and their ML searches run in lockstep.
-
-    ``statistic`` = (search_model, reduce) searches on a sufficient
-    statistic of the counts: reduce maps the batches x channels counts to
-    batches x statistics sums of Poisson counts, and search_model(s) gives
-    their per-shot expectations.  The default (model, identity) searches on
-    the counts themselves.  Each separation is evaluated once: the truth by
-    model, then by search_model the 256 scan points in 16 calls of 16 and
-    each golden-section round's new distinct abscissae in calls of at most
-    16.
+    Each separation is evaluated once: the truth, then the 256 scan points
+    in 16 calls of 16 and each golden-section round's new distinct
+    abscissae in calls of at most 16.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
     if not fisher_per_shot > 0.0:
         raise ValueError("Fisher information must be positive for a CRB")
-    search_model, reduce = statistic or (model, lambda counts: counts)
 
     expected = mu * np.asarray(model(np.array([float(true_s)])), dtype=float)[0]
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])
     estimates = _ml_search(
-        reduce(counts), lambda s: mu * np.asarray(search_model(s), dtype=float),
-        search_interval)
+        counts, lambda s: mu * np.asarray(model(s), dtype=float), search_interval)
 
     variance = float(np.var(np.asarray(estimates), ddof=1))
     crb = 1.0 / (mu * fisher_per_shot)

@@ -43,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=5" in lines[0]
+    assert "schema=6" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -372,7 +372,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -425,7 +425,7 @@ def test_simulate_direct_imaging_smoke(tmp_path):
 @pytest.mark.parametrize("family,s_sim", [("plane", 6.0), ("vortex", 5.5)])
 def test_simulate_direct_imaging_beyond_the_camera_is_a_usage_error(
         tmp_path, capsys, family, s_sim):
-    # the 32x32 camera's field of view grows with s_sim until its bins miss
+    # the 32-column camera's field of view grows with s_sim until its bins miss
     # the 2% Fisher-information bound; that is bad input, not a crash
     cfg = _write_cfg(tmp_path, "simfar.cfg", family=family, s_sim=s_sim,
                      measurement="di", search_lo=s_sim - 0.5,
