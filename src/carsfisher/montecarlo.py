@@ -11,16 +11,20 @@ the Cramer-Rao bound 1/(mu F).
 Both count models (``spade_count_model`` and
 ``BinnedImager.expectations``) take a vector of separations and return
 one row of per-channel expectations per separation, from one amplitude
-record for the whole vector.
+record for the whole vector; with ``slope=True`` they also return the
+rows' analytic s-derivatives.
 
 All batches of a campaign are estimated in lockstep: their counts form one
-batches x channels array, the model and its logarithm are evaluated once
-per scan point for every batch, and the golden-section refinement makes
-one model pass per round for all batches still refining.  The model sees
-at most 16 separations per call, which bounds the size of its work arrays.
-The scan scores every batch at a scan point with one matrix-vector
-product, and each golden round scores the batches still refining with one
-row-wise product; each batch makes the search steps it would make alone.
+batches x channels array, and the model and its logarithm are evaluated
+once per scan point for every batch.  A secant search for the root of each
+batch's Poisson score, built from the model's slopes, then refines the
+scan's bracket; it makes one model pass per round for all batches still
+refining, and the default campaigns finish in 3 or 4 rounds.  The model
+sees at most 16 separations per call, which bounds the size of its work
+arrays.  The scan scores every batch at a scan point with one
+matrix-vector product, and each secant round scores the batches still
+refining with one row-wise product; each batch makes the search steps it
+would make alone.
 
 Direct imaging counts photons on a 32-column camera (``BinnedImager``):
 each channel is one x-bin column, the total over the field of view's
@@ -45,10 +49,11 @@ import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
 from .fisher import _spade_table, _x_profiles, fi_direct
-from .numerics import _WK, _XK, golden_section_max_many
+from .numerics import _WK, _XK
 
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
+_X_TOL = 1e-6  # width of the final ML bracket
 _MODEL_BLOCK = 16  # separations per model call
 _BIN_FI_REL_TOL = 0.02
 
@@ -106,20 +111,47 @@ def _scores(counts, log_n, total) -> np.ndarray:
     return np.stack([counts @ row for row in log_n], axis=1) - total
 
 
+def _score_terms(model, s_values):
+    """The per-separation parts of the Poisson score at each separation of
+    ``s_values``: the rows N'_c / N_c (zero where N_c < _LOG_FLOOR, whose
+    logarithm is floored and so does not move) and the totals sum N'_c, from
+    model(s, slope=True) in blocks of at most _MODEL_BLOCK separations."""
+    ratios, totals = [], []
+    for start in range(0, len(s_values), _MODEL_BLOCK):
+        block = np.asarray(s_values[start:start + _MODEL_BLOCK], dtype=float)
+        n, dn = model(block, slope=True)
+        ratio = np.zeros_like(dn)
+        np.divide(dn, n, out=ratio, where=n >= _LOG_FLOOR)
+        ratios.append(ratio)
+        totals.append(dn.sum(axis=1))
+    return np.concatenate(ratios), np.concatenate(totals)
+
+
 def _ml_search(counts, model, search_interval) -> list[float]:
     """ML separations of the batches (rows) of ``counts``, in lockstep.
 
     model(s) takes a 1D array of separations and returns the expected
     count per channel, in count order and including any repetition factor,
-    as one row per separation.  A 256-point scan brackets each batch's
-    maximum of the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties
-    resolve toward the interval midpoint), and golden-section search
-    refines it.  The scan evaluates the model and its logarithm once per
-    point and scores all batches there with one matrix-vector product; the
-    golden-section rounds evaluate them once per distinct abscissa (batches
-    that share a bracket share abscissae, and so can different step
-    sequences from one bracket), each round's new abscissae together, and
-    score each round with one row-wise product.
+    as one row per separation; model(s, slope=True) returns those rows and
+    their s-derivatives.  A 256-point scan brackets each batch's maximum of
+    the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties resolve
+    toward the interval midpoint), scoring all batches at a scan point with
+    one matrix-vector product.
+
+    A safeguarded secant search (regula falsi with the Anderson-Bjorck
+    weighting, a refinement of the Illinois rule) then finds the root of
+    each batch's score S(s) = sum(n_c N'_c / N_c) - sum(N'_c) in its
+    bracket.  The first round scores both ends of every bracket; a batch
+    whose score does not change sign there returns the end its likelihood
+    rises toward.  Each later round scores one secant point per batch still
+    refining, clamped at least _X_TOL/2 inside its bracket, and replaces the
+    bracket end of the same sign.  When the same end moves in two rounds
+    running (or in the first), the score kept at the other end is scaled
+    down, so that end moves next.  A batch stops when its bracket is at
+    most _X_TOL = 1e-6 wide and returns the midpoint, within _X_TOL/2 of
+    the root.  Every round evaluates the model once per distinct abscissa (batches
+    that share a bracket end share it) and scores its batches with one
+    row-wise product.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -136,31 +168,68 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     peaks = values == values.max(axis=1, keepdims=True)
     best = np.where(peaks, np.abs(scan - 0.5 * (lo + hi)), np.inf).argmin(axis=1)
     edges = np.concatenate(([lo], scan, [hi]))
-    b_lo, b_hi = edges[best], edges[best + 2]
+    a, b = edges[best], edges[best + 2]
 
     terms = {}
 
-    def loglike(rows, x):
-        new = list(dict.fromkeys(s for s in x if s not in terms))
+    def score(rows, x):
+        new = list(dict.fromkeys(s for s in x.tolist() if s not in terms))
         if new:
-            terms.update(zip(new, zip(*_log_terms(model, new))))
-        log_x, total_x = zip(*(terms[s] for s in x))
-        return (np.einsum("ij,ij->i", counts[rows], np.stack(log_x))
-                - np.array(total_x)).tolist()
+            terms.update(zip(new, zip(*_score_terms(model, new))))
+        ratio_x, total_x = zip(*(terms[s] for s in x.tolist()))
+        values = (np.einsum("ij,ij->i", counts[rows], np.stack(ratio_x))
+                  - np.array(total_x))
+        # a NaN score would stall the bracket, an infinite one mislead it
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError("count model gives a non-finite likelihood score "
+                             f"at s={float(x[~finite][0])!r}")
+        return values
 
-    return golden_section_max_many(loglike, b_lo.tolist(), b_hi.tolist(), x_tol=1e-6)
+    batches = np.arange(len(counts))
+    both = score(np.concatenate((batches, batches)), np.concatenate((a, b)))
+    s_a, s_b = both[:len(counts)], both[len(counts):]
+    refine = (s_a > 0.0) & (s_b < 0.0)
+    estimates = np.where(s_a > 0.0, b, a)
+    # the end each batch moved last round: +1 the lower, -1 the upper, 0 none
+    moved = np.zeros(len(counts))
+    active = np.flatnonzero(refine & (b - a > _X_TOL))
+    while active.size:
+        a_i, b_i, sa_i, sb_i = a[active], b[active], s_a[active], s_b[active]
+        x = a_i + (b_i - a_i) * (sa_i / (sa_i - sb_i))
+        x = np.minimum(np.maximum(x, a_i + 0.5 * _X_TOL), b_i - 0.5 * _X_TOL)
+        sx = score(active, x)
+        up, down = sx > 0.0, sx < 0.0
+        # Anderson-Bjorck: unless the other end moved last round, the end
+        # kept has its score scaled by m = 1 - S(x) / S(moved end), or 1/2
+        # where that m is not positive
+        last = moved[active]
+        m_up, m_down = 1.0 - sx / sa_i, 1.0 - sx / sb_i
+        s_a[active] = np.where(up, sx, np.where(
+            down & (last <= 0.0), np.where(m_down > 0.0, m_down, 0.5) * sa_i, sa_i))
+        s_b[active] = np.where(down, sx, np.where(
+            up & (last >= 0.0), np.where(m_up > 0.0, m_up, 0.5) * sb_i, sb_i))
+        # a zero score closes the bracket on its root
+        a[active] = np.where(sx >= 0.0, x, a_i)
+        b[active] = np.where(sx <= 0.0, x, b_i)
+        moved[active] = np.where(up, 1.0, -1.0)
+        active = active[b[active] - a[active] > _X_TOL]
+    return np.where(refine, 0.5 * (a + b), estimates).tolist()
 
 
 def spade_count_model(exc, modes: int, x0: float = 0.0, g: float = 1.0,
                       kappa: float = 1.0):
     """Per-shot SPADE expectations [N_0, ..., N_modes] as a function of a
     vector of separations: one row per separation (negative ones clip to
-    zero)."""
+    zero).  With ``slope=True`` the model returns the rows and their
+    s-derivatives, which vanish at s = 0 (the counts are even in s) and so
+    wherever the separation clips."""
 
-    def model(s_values) -> np.ndarray:
+    def model(s_values, slope: bool = False):
         s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
         amps = image_amplitudes(exc, EmitterScene(s=s, x0=x0, g=g, kappa=kappa))
-        return _spade_table(amps, modes)[0]
+        n, dn = _spade_table(amps, modes)
+        return (n, dn) if slope else n
 
     return model
 
@@ -214,10 +283,12 @@ class BinnedImager:
                 f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); the bins "
                 f"are too coarse for this separation")
 
-    def _columns(self, s_values, slope: bool):
-        """Per-shot column expectations N_i, one row per separation in the
-        vector ``s_values`` (negative ones clip to zero), and their
-        s-derivatives when ``slope`` (else None)."""
+    def expectations(self, s_values, slope: bool = False):
+        """Per-shot expected photon count in each of the 32 columns, one
+        row per separation in the vector ``s_values`` (negative ones clip
+        to zero).  With ``slope=True``, the rows and their s-derivatives
+        from the analytic profile derivative, which vanish at s = 0 (the
+        counts are even in s) and so wherever the separation clips."""
         s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
         amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
                                                        kappa=self.kappa))
@@ -228,19 +299,13 @@ class BinnedImager:
         if not slope:
             g1 = g2 = None
         inten, d_inten = _x_profiles(a1, a2, g1, g2, x1, x2, self._nodes_x)
-        return (inten @ self._weights_x,
-                None if d_inten is None else d_inten @ self._weights_x)
-
-    def expectations(self, s_values) -> np.ndarray:
-        """Per-shot expected photon count in each of the 32 columns, one
-        row per separation in the vector ``s_values`` (negative ones clip
-        to zero)."""
-        return self._columns(s_values, slope=False)[0]
+        n = inten @ self._weights_x
+        return (n, d_inten @ self._weights_x) if slope else n
 
     def fisher_information(self, s: float) -> float:
         """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the
         columns, from the analytic derivative of the x-profile."""
-        n, dn = (row[0] for row in self._columns([s], slope=True))
+        n, dn = (row[0] for row in self.expectations([s], slope=True))
         mask = n > 1e-15 * n.max()
         return float(np.sum(dn[mask] ** 2 / n[mask]))
 
@@ -252,12 +317,14 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
     model(s) takes a 1D array of separations and returns the per-shot
-    expected count per channel, one row per separation.  Batch b draws its
-    counts from the Philox stream of SeedSequence((seed, b)); the batches'
-    counts form one integer array and their ML searches run in lockstep.
-    Each separation is evaluated once: the truth, then the 256 scan points
-    in 16 calls of 16 and each golden-section round's new distinct
-    abscissae in calls of at most 16.
+    expected count per channel, one row per separation; model(s,
+    slope=True) returns those rows and their s-derivatives.  Both are
+    scaled by mu for the search.  Batch b draws its counts from the Philox
+    stream of SeedSequence((seed, b)); the batches' counts form one integer
+    array and their ML searches run in lockstep.  The count rows of each
+    separation are evaluated once: the truth, then the 256 scan points in
+    16 calls of 16.  So are the rows with slopes: each secant round's new
+    distinct abscissae in calls of at most 16.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
@@ -267,8 +334,14 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     expected = mu * np.asarray(model(np.array([float(true_s)])), dtype=float)[0]
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])
-    estimates = _ml_search(
-        counts, lambda s: mu * np.asarray(model(s), dtype=float), search_interval)
+
+    def scaled(s_values, slope: bool = False):
+        if not slope:
+            return mu * np.asarray(model(s_values), dtype=float)
+        n, dn = model(s_values, slope=True)
+        return mu * np.asarray(n, dtype=float), mu * np.asarray(dn, dtype=float)
+
+    estimates = _ml_search(counts, scaled, search_interval)
 
     variance = float(np.var(np.asarray(estimates), ddof=1))
     crb = 1.0 / (mu * fisher_per_shot)

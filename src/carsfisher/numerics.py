@@ -1,10 +1,12 @@
 """Shared numerical kernels.
 
 Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
-binned camera model reuses) and golden-section maximization, each run as a
-lockstep batch: every member refines on its own and makes exactly the steps
-it would make alone, while one integrand or objective call per round
-evaluates the new points of every unfinished member.
+binned camera model reuses) and golden-section maximization (the waist
+refinement of ``fisher.optimize_waist``), each run as a lockstep batch:
+every member refines on its own and makes exactly the steps it would make
+alone, while one integrand or objective call per round evaluates the new
+points of every unfinished member.  The golden-section members keep
+their brackets, interior points and values in arrays.
 
 The quadrature keeps the cells of all members in padded (members x cells)
 arrays, in creation order.  Each round every unconverged member splits its
@@ -223,7 +225,7 @@ def integrate_1d_many(
 
 
 def golden_section_max_many(
-    f: Callable[[list, list], Sequence[float]],
+    f: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     lo: Sequence[float],
     hi: Sequence[float],
     x_tol: float = 1e-6,
@@ -232,7 +234,7 @@ def golden_section_max_many(
     run in lockstep.
 
     Member i maximizes ``f(rows, x)`` on its bracket, where the objective
-    receives the abscissae ``x`` of one round (a list of floats) together
+    receives the abscissae ``x`` of one round (a float array) together
     with ``rows``, the member index of each, and returns one value per
     abscissa.  Each member keeps its own bracket and stopping test and
     makes exactly the steps it would make alone; per round, the new
@@ -242,36 +244,28 @@ def golden_section_max_many(
     maximum to within ``x_tol``.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    # per member [a, b, c, d, f(c), f(d)]
-    state = []
-    for a, b in zip(lo, hi):
-        a, b = float(a), float(b)
-        state.append([a, b, b - invphi * (b - a), a + invphi * (b - a), 0.0, 0.0])
-    members = range(len(state))
-    values = f([i for i in members for _ in (0, 1)],
-               [v for st in state for v in st[2:4]])
-    for i in members:
-        state[i][4:] = values[2 * i:2 * i + 2]
+    # per member: bracket [a, b], interior points c < d and their values
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    values = np.asarray(f(np.repeat(np.arange(a.size), 2),
+                          np.stack((c, d), axis=1).ravel()), dtype=float)
+    fc, fd = values[0::2].copy(), values[1::2].copy()
 
-    active = [i for i in members if state[i][1] - state[i][0] > x_tol]
-    while active:
-        slots, x = [], []
-        for i in active:
-            st = state[i]
-            a, b, c, d, fc, fd = st
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                slots.append(4)
-                x.append(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                slots.append(5)
-                x.append(d)
-            st[:] = a, b, c, d, fc, fd
-        values = f(active, x)
-        for i, slot, v in zip(active, slots, values):
-            state[i][slot] = v
-        active = [i for i in active if state[i][1] - state[i][0] > x_tol]
-    return [0.5 * (st[0] + st[1]) for st in state]
+    active = np.flatnonzero(b - a > x_tol)
+    while active.size:
+        a_i, b_i, c_i, d_i, fc_i, fd_i = (
+            t[active] for t in (a, b, c, d, fc, fd))
+        # the maximum lies left of d: [a, d] with c as its upper point;
+        # else right of c: [c, b] with d as its lower point
+        left = fc_i >= fd_i
+        b_i = np.where(left, d_i, b_i)
+        a_i = np.where(left, a_i, c_i)
+        x = np.where(left, b_i - invphi * (b_i - a_i), a_i + invphi * (b_i - a_i))
+        v = np.asarray(f(active, x), dtype=float)
+        a[active], b[active] = a_i, b_i
+        c[active] = np.where(left, x, d_i)
+        d[active] = np.where(left, c_i, x)
+        fc[active] = np.where(left, v, fd_i)
+        fd[active] = np.where(left, fc_i, v)
+        active = active[b_i - a_i > x_tol]
+    return (0.5 * (a + b)).tolist()

@@ -8,9 +8,11 @@ Gaussian tails are below double precision.  Agreement between these
 oracles and the analytic package paths is what the frozen constants in
 the test modules encode.  One spectral oracle integrates at 30 digits
 with mpmath instead; the tests that use it skip when mpmath is missing.
-The adaptive-quadrature and maximum-likelihood references restate the
-package's algorithms in their plain one-at-a-time form, to pin its
-batched versions bit for bit.
+The adaptive-quadrature reference restates the package's algorithm in
+its plain one-at-a-time form, to pin its batched version bit for bit;
+the maximum-likelihood references refine each batch alone, one by
+golden-section search on the likelihood and one by bisection on a
+finite-difference score.
 
 The image plane separates: every mode involved (displaced PSFs, their
 derivatives, Hermite-Gauss analysis modes) shares the same unit-norm
@@ -403,15 +405,17 @@ def spectral_g_reference(omega_vib: float, gamma_vib: float, weight: float,
 # --------------------------------------------------------------------------
 # Monte Carlo: the per-batch scalar maximum-likelihood procedure written out
 # literally — one Poisson draw per batch from its own Philox stream, a
-# Python log-likelihood per abscissa, a 256-point scan and a plain
-# golden-section loop per batch.  Equality with the package's lockstep
-# search shows the batching changes no step of any batch.
+# Python log-likelihood per abscissa and a 256-point scan per batch — then
+# two refinements of each scan bracket: a plain golden-section loop on the
+# log-likelihood, and bisection on its derivative, the Poisson score, built
+# from a Richardson-extrapolated central difference of the model's count
+# rows (no derivative from the package).
 # --------------------------------------------------------------------------
 
-def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
-                 search_interval, scan_points: int = 256,
-                 x_tol: float = 1e-6) -> list:
-    """ML separation of each batch, one batch at a time."""
+def _ml_brackets(model, true_s: float, mu: float, batches: int, seed: int,
+                 search_interval, scan_points: int):
+    """(counts, loglike, lo, hi) of every batch: its counts, its Poisson
+    log-likelihood, and the neighbours of its scan maximum."""
     memo = {}
 
     def expected(s):
@@ -420,16 +424,15 @@ def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
             memo[s] = mu * np.asarray(model([s]), dtype=float)[0]
         return memo[s]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = float(search_interval[0]), float(search_interval[1])
     scan = np.linspace(lo, hi, scan_points)
-    estimates = []
+    out = []
     for b in range(batches):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, b))))
         counts = rng.poisson(expected(float(true_s))).astype(float)
 
-        def loglike(s):
+        def loglike(s, counts=counts):
             n = expected(float(s))
             return float(counts @ np.log(np.maximum(n, 1e-300)) - n.sum())
 
@@ -438,6 +441,18 @@ def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
         best = int(peaks[np.argmin(np.abs(scan[peaks] - 0.5 * (lo + hi)))])
         a = float(scan[best - 1]) if best > 0 else lo
         z = float(scan[best + 1]) if best < scan_points - 1 else hi
+        out.append((counts, loglike, a, z))
+    return out
+
+
+def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
+                 search_interval, scan_points: int = 256,
+                 x_tol: float = 1e-6) -> list:
+    """Golden-section ML separation of each batch, one batch at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    estimates = []
+    for _, loglike, a, z in _ml_brackets(model, true_s, mu, batches, seed,
+                                         search_interval, scan_points):
         c, d = z - invphi * (z - a), a + invphi * (z - a)
         fc, fd = loglike(c), loglike(d)
         while (z - a) > x_tol:
@@ -451,6 +466,43 @@ def ml_reference(model, true_s: float, mu: float, batches: int, seed: int,
                 fd = loglike(d)
         estimates.append(0.5 * (a + z))
     return estimates
+
+
+def ml_score_roots(model, true_s: float, mu: float, batches: int, seed: int,
+                   search_interval, scan_points: int = 256, h: float = 1e-3,
+                   x_tol: float = 1e-12) -> list:
+    """Root of each batch's Poisson score S(s) = sum n_c N'_c / N_c -
+    sum N'_c in the bracket of its scan maximum, by bisection to ``x_tol``.
+
+    N' is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
+    differences D of the model's rows (error O(h^4)); channels with
+    N < 1e-300, whose logarithm is floored, contribute only -N'.  A batch
+    whose score does not change sign on its bracket gets the end its
+    likelihood rises toward (the lower end unless S > 0 there).  Every
+    bracket must lie at least h above zero, below which the model clips.
+    """
+    def score(counts, s):
+        n, up, down, up_half, down_half = mu * np.asarray(
+            model([s, s + h, s - h, s + 0.5 * h, s - 0.5 * h]), dtype=float)
+        slope = (4.0 * (up_half - down_half) / h - (up - down) / (2.0 * h)) / 3.0
+        lit = n >= 1e-300
+        return float(counts[lit] @ (slope[lit] / n[lit]) - slope.sum())
+
+    roots = []
+    for counts, _, a, z in _ml_brackets(model, true_s, mu, batches, seed,
+                                        search_interval, scan_points):
+        s_a, s_z = score(counts, a), score(counts, z)
+        if not (s_a > 0.0 > s_z):
+            roots.append(z if s_a > 0.0 else a)
+            continue
+        while z - a > x_tol:
+            mid = 0.5 * (a + z)
+            if score(counts, mid) > 0.0:
+                a = mid
+            else:
+                z = mid
+        roots.append(0.5 * (a + z))
+    return roots
 
 
 # --------------------------------------------------------------------------

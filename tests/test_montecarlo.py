@@ -22,7 +22,7 @@ from carsfisher import (
 )
 
 import carsfisher.montecarlo as montecarlo
-from oracles import ml_reference, plane_sites, vortex_sites
+from oracles import ml_reference, ml_score_roots, plane_sites, vortex_sites
 
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
 
@@ -76,6 +76,18 @@ def test_sample_counts_rejects_negative_expectation():
         sample_counts([1.0, -0.1], 7)
 
 
+def _times(mu, model):
+    # the count model of mu shots: its rows, and with slope=True its rows
+    # and their slopes, scaled by mu
+    def scaled(s_values, slope=False):
+        if slope:
+            n, dn = model(s_values, slope=True)
+            return mu * n, mu * dn
+        return mu * model(s_values)
+
+    return scaled
+
+
 def _ml_alone(counts, model, interval):
     # the maximum-likelihood search for one batch of counts
     return montecarlo._ml_search(np.asarray(counts)[None, :], model, interval)[0]
@@ -92,9 +104,9 @@ def test_each_batch_estimate_is_its_search_alone_within_x_tol(measurement):
     expected = mu * model([1.0])[0]
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((5, b)))
                        for b in range(12)])
-    together = montecarlo._ml_search(counts, lambda s: mu * model(s), interval)
+    together = montecarlo._ml_search(counts, _times(mu, model), interval)
     for row, estimate in zip(counts, together):
-        alone = _ml_alone(row, lambda s: mu * model(s), interval)
+        alone = _ml_alone(row, _times(mu, model), interval)
         assert abs(alone - estimate) <= 1e-6
 
 
@@ -120,11 +132,26 @@ def test_ml_estimate_validation():
         _ml_alone(np.array([3]), lambda s: np.asarray(s)[:, None], (1.0, 0.5))
 
 
+def test_ml_search_rejects_a_non_finite_score():
+    # a NaN score would stall the secant bracket; the search raises instead
+    model = _times(1e4, spade_count_model(PLANE_K2, 10))
+
+    def broken(s_values, slope=False):
+        if not slope:
+            return model(s_values)
+        n, dn = model(s_values, slope=True)
+        return n, np.where(np.asarray(s_values)[:, None] > 1.0, np.nan, dn)
+
+    counts = sample_counts(model([1.0])[0], 3)
+    with pytest.raises(ValueError, match=r"non-finite likelihood score at s=1\.00196"):
+        _ml_alone(counts, broken, (0.5, 1.5))
+
+
 def test_ml_estimate_recovers_truth_from_noise_free_counts():
     mu = 1e8
     model = spade_count_model(PLANE_K2, 10)
     counts = np.round(mu * model([1.0])[0]).astype(int)
-    est = _ml_alone(counts, lambda s: mu * model(s), (0.5, 1.5))
+    est = _ml_alone(counts, _times(mu, model), (0.5, 1.5))
     assert est == pytest.approx(1.0, abs=1e-4)
 
 
@@ -263,58 +290,77 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
     mu, batches, interval = 1e4, 12, (0.5, 1.5)
     report = run_experiment(model, 1.0, mu, batches, seed, interval,
                             fisher_per_shot=16.0, method=measurement)
-    assert report.estimates == ml_reference(model, 1.0, mu, batches, seed,
-                                            interval)
+    # the golden-section search of the likelihood maximum and the secant
+    # search of the score root each land within x_tol/2 of the maximum
+    reference = ml_reference(model, 1.0, mu, batches, seed, interval)
+    assert max(abs(a - b) for a, b in zip(report.estimates, reference)) <= 1e-6
     # a batch searched alone gives the same estimate
     counts = sample_counts(mu * model([1.0])[0],
                            np.random.SeedSequence((seed, 4)))
-    assert _ml_alone(counts, lambda s: mu * model(s), interval) \
-        == report.estimates[4]
+    assert _ml_alone(counts, _times(mu, model), interval) == report.estimates[4]
 
 
 def test_run_experiment_model_work(monkeypatch):
-    # the scan evaluates the 32-column camera model once per point for all
-    # batches and the golden rounds once per distinct abscissa: no s is
-    # evaluated twice, and no model call sees more than 16 separations
+    # the scan evaluates the 32-column camera's rows once per point for all
+    # batches, and each secant round evaluates rows and slopes once per
+    # distinct abscissa: no s is evaluated twice for either, and no model
+    # call sees more than 16 separations
     batches = 50
     model = _di_model()
-    seen, calls, widths = [], [], set()
+    seen = {False: [], True: []}  # separations by slope=
+    calls = {False: [], True: []}
+    widths = set()
 
-    def counted(s_values):
-        seen.extend(np.asarray(s_values).tolist())
-        calls.append(len(s_values))
-        rows = model(s_values)
-        widths.add(rows.shape[1])
+    def counted(s_values, slope=False):
+        seen[slope].extend(np.asarray(s_values).tolist())
+        calls[slope].append(len(s_values))
+        rows = model(s_values, slope=slope)
+        for r in (rows if slope else (rows,)):
+            widths.add(r.shape[1])
         return rows
 
     rounds = []
-    lockstep = montecarlo.golden_section_max_many
+    score_terms = montecarlo._score_terms
 
-    def counting_search(f, lo, hi, x_tol):
-        assert len(seen) == 1 + 256  # the truth and the scan
-        assert len(calls) == 1 + 16
+    def counting_terms(m, s_values):
+        if not rounds:
+            assert len(seen[False]) == 1 + 256  # the truth and the scan
+            assert len(calls[False]) == 1 + 16
+        rounds.append(len(s_values))
+        return score_terms(m, s_values)
 
-        def g(rows, x):
-            rounds.append(len(rows))
-            return f(rows, x)
-
-        return lockstep(g, lo, hi, x_tol)
-
-    monkeypatch.setattr(montecarlo, "golden_section_max_many", counting_search)
+    monkeypatch.setattr(montecarlo, "_score_terms", counting_terms)
     run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
                    fisher_per_shot=16.0, method="di")
     assert widths == {32}
-    assert len(seen) == len(set(seen))
-    assert max(calls) <= 16
-    assert rounds[0] == 2 * batches
-    assert len(rounds) == 20
-    assert len(seen) <= 256 + batches * len(rounds) + 1
-    # truth + scan + 723 distinct golden abscissae (a count that depends on
-    # the draw); a search per batch with no shared evaluations would
-    # evaluate 50 * (256 + 21) separations
-    assert len(seen) == 980
-    # each round's new abscissae in blocks of at most 16
-    assert len(calls) <= 1 + 16 + len(rounds) * math.ceil(2 * batches / 16)
+    for slope in (False, True):
+        assert len(seen[slope]) == len(set(seen[slope]))
+        assert max(calls[slope]) <= 16
+    assert len(seen[False]) == 1 + 256
+    assert sum(rounds) == len(seen[True])
+    # the first round scores both ends of every bracket, 7 distinct scan
+    # points here; each later one a secant point per batch still refining
+    assert rounds[0] <= 2 * batches
+    assert all(r <= batches for r in rounds[1:])
+    # 3 rounds and 107 slope abscissae (counts that depend on the draw)
+    assert rounds == [7, 50, 50]
+    assert len(calls[True]) == sum(math.ceil(r / 16) for r in rounds)
+
+
+def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
+    # the first round scores the 6 distinct bracket ends, three secant
+    # rounds follow
+    rounds = []
+    score_terms = montecarlo._score_terms
+
+    def counting_terms(m, s_values):
+        rounds.append(len(s_values))
+        return score_terms(m, s_values)
+
+    monkeypatch.setattr(montecarlo, "_score_terms", counting_terms)
+    run_experiment(spade_count_model(PLANE_K2, 10), 1.0, 1e4, 50, 20260817,
+                   (0.5, 1.5), fisher_per_shot=16.0)
+    assert rounds == [6, 50, 50, 50]
 
 
 def test_spade_variance_meets_crb_long_campaign():
@@ -324,7 +370,7 @@ def test_spade_variance_meets_crb_long_campaign():
     report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5),
                             fisher_per_shot=fisher, method="spade")
     assert 0.8 < report.ratio < 1.25
-    assert report.ratio == pytest.approx(0.98581896383530798, rel=1e-9)
+    assert report.ratio == pytest.approx(0.9858278689076911, rel=1e-9)
 
 
 def test_direct_imaging_variance_exceeds_spade_variance():
@@ -341,8 +387,8 @@ def test_direct_imaging_variance_exceeds_spade_variance():
                                (0.5, 1.5), fisher_per_shot=di_fisher,
                                method="di")
 
-    assert spade_report.ratio == pytest.approx(0.70437763973459899, rel=1e-9)
-    assert di_report.ratio == pytest.approx(0.8293503405077302, rel=1e-9)
+    assert spade_report.ratio == pytest.approx(0.7044116035769831, rel=1e-9)
+    assert di_report.ratio == pytest.approx(0.829352249372382, rel=1e-9)
     assert di_report.empirical_variance > 2.0 * spade_report.empirical_variance
     assert di_fisher < spade_fisher
 
@@ -357,4 +403,100 @@ def test_low_information_regime_stays_near_the_bound():
     report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6),
                             fisher_per_shot=fisher)
     assert 0.9 < report.ratio < 2.0
-    assert report.ratio == pytest.approx(1.3058790579655588, rel=1e-9)
+    assert report.ratio == pytest.approx(1.3058727907730847, rel=1e-9)
+
+
+_DEFAULT_VORTEX = VortexExcitation(a=math.sqrt(0.5))
+
+
+def _count_model(exc, measurement, domain_s=1.0):
+    if measurement == "spade":
+        return spade_count_model(exc, 10)
+    return BinnedImager(exc, domain_s=domain_s).expectations
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("exc", [
+    pytest.param(PLANE_K2, id="plane"),
+    pytest.param(_DEFAULT_VORTEX, id="vortex"),
+])
+def test_estimates_are_score_roots(exc, measurement):
+    # each estimate is the midpoint of a bracket at most x_tol = 1e-6 wide
+    # around the root of its batch's score; the oracle's root comes from
+    # bisection on a finite-difference score
+    model = _count_model(exc, measurement)
+    mu, batches, seed, interval = 1e4, 30, 20260817, (0.5, 1.5)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval,
+                            fisher_per_shot=16.0, method=measurement)
+    roots = ml_score_roots(model, 1.0, mu, batches, seed, interval)
+    for estimate, root in zip(report.estimates, roots):
+        assert abs(estimate - root) <= 5e-7 + 1e-9
+
+
+def test_low_information_estimates_are_score_roots():
+    exc = PlaneWaveExcitation(ktilde=0.0)
+    model = spade_count_model(exc, 10)
+    args = (model, 0.2, 1e4, 50, 20260817, (0.02, 0.6))
+    report = run_experiment(*args, fisher_per_shot=0.1)
+    for estimate, root in zip(report.estimates, ml_score_roots(*args)):
+        assert abs(estimate - root) <= 5e-7 + 1e-9
+
+
+@pytest.mark.parametrize("exc", [
+    pytest.param(PLANE_K2, id="plane"),
+    pytest.param(VortexExcitation(a=1.2, psi=0.3), id="vortex"),
+])
+@pytest.mark.parametrize("s", [0.4, 1.0, 1.6])
+def test_spade_slope_rows_equal_richardson_difference(exc, s):
+    # the analytic mode-count slopes against a Richardson-extrapolated
+    # central difference of the mode counts (error O(h^4) ~ 1e-13)
+    model = spade_count_model(exc, 10, x0=0.7, kappa=0.8)
+
+    def central(h):
+        up, down = model([s + h, s - h])
+        return (up - down) / (2.0 * h)
+
+    want = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+    n, dn = model([s], slope=True)
+    assert n[0].tolist() == model([s])[0].tolist()
+    np.testing.assert_allclose(dn[0], want, rtol=0.0,
+                               atol=2e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+def test_slope_rows_keep_the_count_rows_and_vanish_where_s_clips(measurement):
+    # the counts are even in s, so their slope at s = 0, which a clipped
+    # separation takes, is exactly zero
+    model = _count_model(VortexExcitation(a=1.2, psi=0.3), measurement)
+    s_values = np.array([-0.3, 0.0, 1e-9, 0.8, 1.4])
+    n, dn = model(s_values, slope=True)
+    assert n.tolist() == model(s_values).tolist()
+    assert dn.shape == n.shape
+    assert np.all(np.isfinite(dn))
+    assert n[0].tolist() == n[1].tolist()
+    assert not np.any(dn[0])
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("interval,end", [
+    pytest.param((0.3, 0.8), 0.8, id="truth-above"),
+    pytest.param((1.2, 1.7), 1.2, id="truth-below"),
+])
+def test_truth_outside_the_interval_gives_the_nearer_end(measurement, interval, end):
+    model = _count_model(PLANE_K2, measurement)
+    report = run_experiment(model, 1.0, 1e4, 20, 20260817, interval,
+                            fisher_per_shot=16.0, method=measurement)
+    assert max(abs(e - end) for e in report.estimates) <= 1e-6
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+def test_search_from_zero_separation(measurement):
+    # the score is finite at s = 0, and a search from there stays inside
+    model = _count_model(PLANE_K2, measurement, domain_s=0.3)
+    ratio, total = montecarlo._score_terms(model, [0.0, 1e-12, 0.01])
+    assert np.all(np.isfinite(ratio)) and np.all(np.isfinite(total))
+    report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6),
+                            fisher_per_shot=1.0, method=measurement)
+    est = np.array(report.estimates)
+    assert np.all(np.isfinite(est))
+    assert est.min() >= 0.0 and est.max() <= 0.6
