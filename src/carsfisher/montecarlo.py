@@ -19,7 +19,7 @@ batches x channels array, and the model and its logarithm are evaluated
 once per scan point for every batch.  A secant search for the root of each
 batch's Poisson score, built from the model's slopes, then refines the
 scan's bracket; it makes one model pass per round for all batches still
-refining, and the default campaigns finish in 3 or 4 rounds.  The model
+refining, and the default campaigns finish in 4 rounds.  The model
 sees at most 16 separations per call, which bounds the size of its work
 arrays.  The scan scores every batch at a scan point with one
 matrix-vector product, and each secant round scores the batches still
@@ -138,20 +138,24 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     toward the interval midpoint), scoring all batches at a scan point with
     one matrix-vector product.
 
-    A safeguarded secant search (regula falsi with the Anderson-Bjorck
-    weighting, a refinement of the Illinois rule) then finds the root of
-    each batch's score S(s) = sum(n_c N'_c / N_c) - sum(N'_c) in its
-    bracket.  The first round scores both ends of every bracket; a batch
-    whose score does not change sign there returns the end its likelihood
-    rises toward.  Each later round scores one secant point per batch still
-    refining, clamped at least _X_TOL/2 inside its bracket, and replaces the
-    bracket end of the same sign.  When the same end moves in two rounds
-    running (or in the first), the score kept at the other end is scaled
-    down, so that end moves next.  A batch stops when its bracket is at
-    most _X_TOL = 1e-6 wide and returns the midpoint, within _X_TOL/2 of
-    the root.  Every round evaluates the model once per distinct abscissa (batches
-    that share a bracket end share it) and scores its batches with one
-    row-wise product.
+    A safeguarded secant search (regula falsi with the Illinois rule) then
+    finds the root of each batch's score S(s) = sum(n_c N'_c / N_c) -
+    sum(N'_c) in its bracket.  The first round scores both ends of every
+    bracket; a batch whose score does not change sign there returns the end
+    its likelihood rises toward.  A zero score at the lower end counts as
+    positive: the counts are even in s, so the score vanishes at s = 0
+    whether or not the likelihood rises from there, and the first secant
+    point, _X_TOL/2 above it, tells which.  Each later round scores one
+    secant point per batch still refining, clamped at least _X_TOL/2
+    inside its bracket, and replaces the bracket end of the same sign;
+    when the same end moves in two rounds running, the score kept at the
+    other end is halved, so that end moves next.  A batch stops when its
+    bracket is at most _X_TOL = 1e-6 wide and returns the midpoint, within
+    _X_TOL/2 of the root.  Every round evaluates the model once per
+    distinct abscissa (batches that share a bracket end share it) and
+    scores its batches with one row-wise product.  Separations are
+    nonnegative: the models clip s < 0 to 0, where the score vanishes, so
+    the search interval must start at s >= 0.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -159,6 +163,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not hi > lo:
         raise ValueError("search interval must be increasing")
+    if lo < 0.0:
+        raise ValueError("search interval must start at s >= 0")
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
     values = _scores(counts, *_log_terms(model, scan))
@@ -189,7 +195,7 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     batches = np.arange(len(counts))
     both = score(np.concatenate((batches, batches)), np.concatenate((a, b)))
     s_a, s_b = both[:len(counts)], both[len(counts):]
-    refine = (s_a > 0.0) & (s_b < 0.0)
+    refine = (s_a >= 0.0) & (s_b < 0.0)
     estimates = np.where(s_a > 0.0, b, a)
     # the end each batch moved last round: +1 the lower, -1 the upper, 0 none
     moved = np.zeros(len(counts))
@@ -200,15 +206,9 @@ def _ml_search(counts, model, search_interval) -> list[float]:
         x = np.minimum(np.maximum(x, a_i + 0.5 * _X_TOL), b_i - 0.5 * _X_TOL)
         sx = score(active, x)
         up, down = sx > 0.0, sx < 0.0
-        # Anderson-Bjorck: unless the other end moved last round, the end
-        # kept has its score scaled by m = 1 - S(x) / S(moved end), or 1/2
-        # where that m is not positive
         last = moved[active]
-        m_up, m_down = 1.0 - sx / sa_i, 1.0 - sx / sb_i
-        s_a[active] = np.where(up, sx, np.where(
-            down & (last <= 0.0), np.where(m_down > 0.0, m_down, 0.5) * sa_i, sa_i))
-        s_b[active] = np.where(down, sx, np.where(
-            up & (last >= 0.0), np.where(m_up > 0.0, m_up, 0.5) * sb_i, sb_i))
+        s_a[active] = np.where(up, sx, np.where(down & (last < 0.0), 0.5 * sa_i, sa_i))
+        s_b[active] = np.where(down, sx, np.where(up & (last > 0.0), 0.5 * sb_i, sb_i))
         # a zero score closes the bracket on its root
         a[active] = np.where(sx >= 0.0, x, a_i)
         b[active] = np.where(sx <= 0.0, x, b_i)

@@ -475,15 +475,19 @@ def ml_score_roots(model, true_s: float, mu: float, batches: int, seed: int,
     sum N'_c in the bracket of its scan maximum, by bisection to ``x_tol``.
 
     N' is the Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
-    differences D of the model's rows (error O(h^4)); channels with
-    N < 1e-300, whose logarithm is floored, contribute only -N'.  A batch
-    whose score does not change sign on its bracket gets the end its
-    likelihood rises toward (the lower end unless S > 0 there).  Every
-    bracket must lie at least h above zero, below which the model clips.
+    differences D of the model's rows (error O(h^4)); the counts are even
+    in s, so a difference that reaches below zero takes the model at |s|.
+    Channels with N < 1e-300, whose logarithm is floored, contribute only
+    -N'.  A batch whose score does not change sign on its bracket gets the
+    end its likelihood rises toward (the lower end unless S > 0 there).  A
+    zero score at the lower end, as at s = 0 where every score vanishes,
+    counts as positive: bisection then keeps the lower end unless the score
+    rises above it.
     """
     def score(counts, s):
         n, up, down, up_half, down_half = mu * np.asarray(
-            model([s, s + h, s - h, s + 0.5 * h, s - 0.5 * h]), dtype=float)
+            model(np.abs([s, s + h, s - h, s + 0.5 * h, s - 0.5 * h])),
+            dtype=float)
         slope = (4.0 * (up_half - down_half) / h - (up - down) / (2.0 * h)) / 3.0
         lit = n >= 1e-300
         return float(counts[lit] @ (slope[lit] / n[lit]) - slope.sum())
@@ -492,7 +496,7 @@ def ml_score_roots(model, true_s: float, mu: float, batches: int, seed: int,
     for counts, _, a, z in _ml_brackets(model, true_s, mu, batches, seed,
                                         search_interval, scan_points):
         s_a, s_z = score(counts, a), score(counts, z)
-        if not (s_a > 0.0 > s_z):
+        if not (s_a >= 0.0 > s_z):
             roots.append(z if s_a > 0.0 else a)
             continue
         while z - a > x_tol:

@@ -357,6 +357,16 @@ def test_simulate_at_zero_separation_is_a_usage_error(tmp_path, capsys):
     assert "Fisher information vanishes" in capsys.readouterr().err
 
 
+def test_simulate_with_a_negative_search_bound_is_a_usage_error(tmp_path, capsys):
+    # separations are nonnegative; the count models clip s < 0 to 0
+    cfg = _write_cfg(tmp_path, "simneg.cfg", family="plane", ktilde=2.0,
+                     mu=100, batches=2, M=8, search_lo=-0.1, search_hi=1.5)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "search interval must start at s >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unreachable_tolerance_exits_nonconvergence(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "stall.cfg", s_min=1.0, s_max=1.0, s_points=1,
                      ktilde_grid="0", M=5)

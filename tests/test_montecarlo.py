@@ -22,7 +22,8 @@ from carsfisher import (
 )
 
 import carsfisher.montecarlo as montecarlo
-from oracles import ml_reference, ml_score_roots, plane_sites, vortex_sites
+from oracles import (_ml_brackets, ml_reference, ml_score_roots, plane_sites,
+                     vortex_sites)
 
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
 
@@ -130,6 +131,8 @@ def test_ml_estimate_validation():
         _ml_alone(np.array([0]), lambda s: np.asarray(s)[:, None], (0.1, 1.0))
     with pytest.raises(ValueError, match="increasing"):
         _ml_alone(np.array([3]), lambda s: np.asarray(s)[:, None], (1.0, 0.5))
+    with pytest.raises(ValueError, match="s >= 0"):
+        _ml_alone(np.array([3]), lambda s: np.asarray(s)[:, None], (-0.1, 0.5))
 
 
 def test_ml_search_rejects_a_non_finite_score():
@@ -342,8 +345,8 @@ def test_run_experiment_model_work(monkeypatch):
     # points here; each later one a secant point per batch still refining
     assert rounds[0] <= 2 * batches
     assert all(r <= batches for r in rounds[1:])
-    # 3 rounds and 107 slope abscissae (counts that depend on the draw)
-    assert rounds == [7, 50, 50]
+    # 4 rounds and 108 slope abscissae (counts that depend on the draw)
+    assert rounds == [7, 50, 50, 1]
     assert len(calls[True]) == sum(math.ceil(r / 16) for r in rounds)
 
 
@@ -370,7 +373,7 @@ def test_spade_variance_meets_crb_long_campaign():
     report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5),
                             fisher_per_shot=fisher, method="spade")
     assert 0.8 < report.ratio < 1.25
-    assert report.ratio == pytest.approx(0.9858278689076911, rel=1e-9)
+    assert report.ratio == pytest.approx(0.9858279841890103, rel=1e-9)
 
 
 def test_direct_imaging_variance_exceeds_spade_variance():
@@ -387,8 +390,8 @@ def test_direct_imaging_variance_exceeds_spade_variance():
                                (0.5, 1.5), fisher_per_shot=di_fisher,
                                method="di")
 
-    assert spade_report.ratio == pytest.approx(0.7044116035769831, rel=1e-9)
-    assert di_report.ratio == pytest.approx(0.829352249372382, rel=1e-9)
+    assert spade_report.ratio == pytest.approx(0.7044113684030046, rel=1e-9)
+    assert di_report.ratio == pytest.approx(0.82934452649437, rel=1e-9)
     assert di_report.empirical_variance > 2.0 * spade_report.empirical_variance
     assert di_fisher < spade_fisher
 
@@ -403,7 +406,7 @@ def test_low_information_regime_stays_near_the_bound():
     report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6),
                             fisher_per_shot=fisher)
     assert 0.9 < report.ratio < 2.0
-    assert report.ratio == pytest.approx(1.3058727907730847, rel=1e-9)
+    assert report.ratio == pytest.approx(1.3058717711084737, rel=1e-9)
 
 
 _DEFAULT_VORTEX = VortexExcitation(a=math.sqrt(0.5))
@@ -500,3 +503,43 @@ def test_search_from_zero_separation(measurement):
     est = np.array(report.estimates)
     assert np.all(np.isfinite(est))
     assert est.min() >= 0.0 and est.max() <= 0.6
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("true_s", [0.001, 0.003])
+def test_search_from_zero_refines_a_root_near_zero(measurement, true_s):
+    # noise-free counts put the likelihood maximum, the score root, at the
+    # truth; the scan brackets it from s = 0, where every score vanishes,
+    # and the search must still refine it
+    model = _count_model(PLANE_K2, measurement, domain_s=0.3)
+    mu = 1e4
+    counts = mu * model([true_s])[0]
+    estimate = _ml_alone(counts, _times(mu, model), (0.0, 0.6))
+    assert abs(estimate - true_s) <= 5e-7
+
+
+@pytest.mark.parametrize("measurement,exc,true_s,interval", [
+    pytest.param("spade", PlaneWaveExcitation(ktilde=0.0), 0.01, (0.0, 0.6),
+                 id="spade-k0"),
+    pytest.param("di", PLANE_K2, 0.05, (0.0, 1.5), id="di-k2"),
+])
+def test_search_from_zero_finds_the_score_root(measurement, exc, true_s, interval):
+    # brackets that start at s = 0, where every score vanishes, hold either
+    # a root (the di-k2 draw has two) or a maximum at zero: each estimate
+    # is the oracle's score root, and as likely as the golden-section
+    # maximum to within 4 ulps wherever the two differ by more than x_tol
+    # (the golden search compares likelihoods that agree to roundoff on
+    # these flat maxima)
+    model = _count_model(exc, measurement, domain_s=0.3)
+    args = (model, true_s, 1e4, 30, 20260817, interval)
+    report = run_experiment(*args, fisher_per_shot=1.0, method=measurement)
+    roots = ml_score_roots(*args)
+    golden = ml_reference(*args)
+    brackets = _ml_brackets(*args, 256)
+    assert sum(a == 0.0 for _, _, a, _ in brackets) >= 10
+    for estimate, root, best, (_, loglike, _, _) in zip(
+            report.estimates, roots, golden, brackets):
+        assert abs(estimate - root) <= 5e-7 + 1e-9
+        ulps = 4.0 * np.spacing(abs(loglike(best)))
+        assert abs(estimate - best) <= 1e-6 \
+            or loglike(estimate) >= loglike(best) - ulps
