@@ -38,6 +38,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -296,15 +297,19 @@ def _out_path(cfg: RunConfig, command: str, default_ext: str) -> str:
     return cfg.output_path or f"{command}.{default_ext}"
 
 
-def _pick(report, cfg: RunConfig) -> float:
-    return report.value if cfg.raw else report.normalized_value
+def _pick(report, cfg: RunConfig) -> list[float]:
+    """A curve report's values as the output shows them."""
+    return (report.value if cfg.raw else report.normalized_value).tolist()
 
 
-def _pick_error(report, cfg: RunConfig) -> float:
-    # error_estimate is raw (units 1/w^2)
-    if cfg.raw:
-        return report.error_estimate
-    return report.error_estimate / (2.0 * cfg.kappa * cfg.g**2)
+def _pick_raw(raw, cfg: RunConfig) -> list[float]:
+    """Raw values (units 1/w^2) as the output shows them."""
+    return (raw if cfg.raw else raw / (2.0 * cfg.kappa * cfg.g**2)).tolist()
+
+
+def _ratio(value, qfi) -> np.ndarray:
+    """value / qfi where the QFI is positive, else 0."""
+    return np.divide(value, qfi, out=np.zeros_like(value), where=qfi > 0.0)
 
 
 def _curve(exc, s_grid, cfg: RunConfig):
@@ -321,11 +326,10 @@ def cmd_figure2(cfg: RunConfig) -> str:
     rows = []
     for kt in cfg.ktilde_grid:
         curve = _curve(PlaneWaveExcitation(ktilde=float(kt)), s_grid, cfg)
-        for s, qfi, di, spade in zip(s_grid.tolist(), qfi_separation(curve),
-                                     fi_direct(curve, abs_tol=cfg.tol),
-                                     fi_spade(curve, cfg.M)):
-            rows.append([s, float(kt), _pick(qfi, cfg), _pick(di, cfg),
-                         _pick_error(di, cfg), _pick(spade, cfg), cfg.M])
+        di = fi_direct(curve, abs_tol=cfg.tol)
+        rows += zip(s_grid.tolist(), repeat(float(kt)), _pick(qfi_separation(curve), cfg),
+                    _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
+                    _pick(fi_spade(curve, cfg.M), cfg), repeat(cfg.M))
     path = _out_path(cfg, "figure2", "csv")
     _write_csv(path, "figure2", cfg,
                ["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"],
@@ -339,25 +343,19 @@ def cmd_figure3(cfg: RunConfig) -> str:
     """Vortex FI sweep over psi, with the waist-optimized envelope at psi=0."""
     if cfg.family != "vortex":
         raise ConfigError("figure3 requires family=vortex")
-    s_grid = _s_grid(cfg).tolist()
+    s_grid = _s_grid(cfg)
     # waist-optimized envelope, computed on the psi = 0 axis
-    raw_scale = 2.0 * cfg.kappa * cfg.g**2
-    envelope = {}
-    for s, (a_star, q_star) in zip(
-            s_grid, optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
-                                   kappa=cfg.kappa, g=cfg.g)):
-        envelope[s] = (a_star, q_star if cfg.raw else q_star / raw_scale)
+    a_opt, q_opt = optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
+                                  kappa=cfg.kappa, g=cfg.g)
+    envelope = a_opt.tolist(), _pick_raw(q_opt, cfg)
     rows = []
     for psi in cfg.psi_grid:
         curve = _curve(VortexExcitation(a=cfg.a, psi=float(psi)), s_grid, cfg)
-        for s, qfi, di, spade in zip(s_grid, qfi_separation(curve),
-                                     fi_direct(curve, abs_tol=cfg.tol),
-                                     fi_spade(curve, cfg.M)):
-            ratio = di.value / qfi.value if qfi.value > 0.0 else 0.0
-            a_opt, q_opt = envelope[s]
-            rows.append([s, float(psi), cfg.a, _pick(qfi, cfg),
-                         _pick(di, cfg), _pick_error(di, cfg),
-                         _pick(spade, cfg), ratio, a_opt, q_opt])
+        qfi, di = qfi_separation(curve), fi_direct(curve, abs_tol=cfg.tol)
+        rows += zip(s_grid.tolist(), repeat(float(psi)), repeat(cfg.a), _pick(qfi, cfg),
+                    _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
+                    _pick(fi_spade(curve, cfg.M), cfg), _ratio(di.value, qfi.value).tolist(),
+                    *envelope)
     path = _out_path(cfg, "figure3", "csv")
     _write_csv(path, "figure3", cfg,
                ["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
@@ -375,21 +373,22 @@ def cmd_convergence(cfg: RunConfig) -> str:
     """
     s_grid = _s_grid(cfg)
     curve = _curve(PlaneWaveExcitation(ktilde=cfg.ktilde), s_grid, cfg)
-    running = _spade_running_fi(curve, max(_CONVERGENCE_M))
-    raw_scale = 2.0 * cfg.kappa * cfg.g**2
-    rows = []
-    for s, qfi, fi_by_cutoff in zip(s_grid.tolist(), qfi_separation(curve),
-                                    running.tolist()):
-        for m_cut in _CONVERGENCE_M:
-            norm = fi_by_cutoff[m_cut]
-            value = norm * raw_scale
-            ratio = value / qfi.value if qfi.value > 0.0 else 0.0
-            rows.append([s, cfg.ktilde, m_cut, value if cfg.raw else norm,
-                         _pick(qfi, cfg), ratio])
+    norm = _spade_running_fi(curve, max(_CONVERGENCE_M))[:, list(_CONVERGENCE_M)]  # s x M
+    value = norm * (2.0 * cfg.kappa * cfg.g**2)
+    qfi = qfi_separation(curve)
+    rows = [(s, cfg.ktilde, m_cut, fi, q, ratio)
+            for s, q, fi_row, ratio_row in zip(
+                s_grid.tolist(), _pick(qfi, cfg), (value if cfg.raw else norm).tolist(),
+                _ratio(value, qfi.value[:, None]).tolist())
+            for m_cut, fi, ratio in zip(_CONVERGENCE_M, fi_row, ratio_row)]
     path = _out_path(cfg, "convergence", "csv")
     _write_csv(path, "convergence", cfg,
                ["s", "ktilde", "M", "fi_spade", "qfi", "ratio"], rows)
     return path
+
+
+def _max_deviation(report, closed) -> float:
+    return float(np.max(np.abs(report.normalized_value - closed.normalized_value)))
 
 
 def _adjudicate_plane(cfg: RunConfig) -> dict:
@@ -397,9 +396,7 @@ def _adjudicate_plane(cfg: RunConfig) -> dict:
     s_grid = np.linspace(0.01, 3.0, 120)
     for kt in (0.0, 1.0, 2.0, 4.0):
         amps = image_amplitudes(PlaneWaveExcitation(ktilde=kt), EmitterScene(s=s_grid))
-        for s, general in zip(s_grid.tolist(), qfi_separation(amps)):
-            closed = qfi_plane_closed(kt, s).normalized_value
-            worst = max(worst, abs(general.normalized_value - closed))
+        worst = max(worst, _max_deviation(qfi_separation(amps), qfi_plane_closed(kt, s_grid)))
     return {"tolerance": 1e-10, "max_deviation": worst,
             "grid": "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
             "matches": worst < 1e-10}
@@ -411,7 +408,7 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
     for a in (0.5, math.sqrt(2.0) / 2.0, 1.0):
         for psi in (0.0, 0.2):
             amps = image_amplitudes(VortexExcitation(a=a, psi=psi), EmitterScene(s=s_grid))
-            general = np.array([r.normalized_value for r in qfi_separation(amps)])
+            general = qfi_separation(amps).normalized_value
             for name, value in vortex_closed_variants(a, psi, s_grid).items():
                 devs[name] = max(devs[name], float(np.max(np.abs(general - value))))
     matches = {name: dev < 1e-9 for name, dev in devs.items()}
@@ -512,10 +509,7 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
 def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
     s_grid = np.linspace(0.05, 3.0, 60)
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=0.0), EmitterScene(s=s_grid))
-    worst = 0.0
-    for s, series in zip(s_grid.tolist(), fi_spade(curve, 30)):
-        closed = spade_collinear_closed(s).normalized_value
-        worst = max(worst, abs(series.normalized_value - closed))
+    worst = _max_deviation(fi_spade(curve, 30), spade_collinear_closed(s_grid))
     return {"tolerance": 1e-8, "max_deviation": worst,
             "grid": "ktilde=0, 60 s-points in [0.05, 3], M=30",
             "matches": worst < 1e-8}
@@ -598,13 +592,9 @@ def cmd_spectral_dump(cfg: RunConfig) -> str:
 def cmd_optimize_waist(cfg: RunConfig) -> str:
     """Per-separation optimal vortex waist ratio a*(s)."""
     s_grid = _s_grid(cfg)
-    results = optimize_waist(cfg.psi, s_grid, (cfg.a_min, cfg.a_max),
-                             kappa=cfg.kappa, g=cfg.g)
-    raw_scale = 2.0 * cfg.kappa * cfg.g**2
-    rows = []
-    for s, (a_star, q_star) in zip(s_grid, results):
-        value = q_star if cfg.raw else q_star / raw_scale
-        rows.append([float(s), cfg.psi, a_star, value])
+    a_opt, q_opt = optimize_waist(cfg.psi, s_grid, (cfg.a_min, cfg.a_max),
+                                  kappa=cfg.kappa, g=cfg.g)
+    rows = list(zip(s_grid.tolist(), repeat(cfg.psi), a_opt.tolist(), _pick_raw(q_opt, cfg)))
     path = _out_path(cfg, "waist", "csv")
     _write_csv(path, "optimize-waist", cfg,
                ["s", "psi", "a_opt", "qfi_opt"], rows)

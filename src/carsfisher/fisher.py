@@ -17,10 +17,10 @@ comes from the scene's ImageAmplitudes record (the QFI adds the
 PsfGeometry at the record's separation).  Every estimator takes a record
 of one scene or of an array of separations (one sweep curve, evaluated
 as arrays: the DI integrals of a curve refine as one lockstep batch) and
-returns one report per scene: a report for a one-scene record, else a
-list.  All reports carry both the raw value (units 1/w^2) and the
-dimensionless normalization w^2 F / (2 kappa g^2) used throughout for
-plotting and comparisons.
+returns one report: numbers for one scene, else arrays with one entry per
+separation (so do the closed forms for an array s).  All reports carry
+both the raw value (units 1/w^2) and the dimensionless normalization
+w^2 F / (2 kappa g^2) used throughout for plotting and comparisons.
 
 The general QFI path expands the image-plane field in the symmetric /
 antisymmetric PSF modes and their derivative complements; for a coherent
@@ -41,7 +41,8 @@ import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
 from .numerics import golden_section_max_many, integrate_1d_many
-from .psf_modes import PsfGeometry, _gamma_table, _require_finite, psf_geometry
+from .psf_modes import PsfGeometry, _gamma_table, psf_geometry
+from .psf_modes import _require_finite, _require_separation
 
 _VALID_METHODS = frozenset({
     "qfi_general", "qfi_closed", "di_quadrature",
@@ -49,46 +50,67 @@ _VALID_METHODS = frozenset({
 })
 
 
+def _require_finite_fields(owner: str, **fields):
+    # one numpy test per field; _require_finite's scan only names the failure
+    if not all(np.isfinite(v).all() for v in fields.values()):
+        _require_finite(owner, **fields)
+
+
+def _require_entries(ok, message: str, **shown):
+    """Raise ValueError(message) unless ``ok`` (a bool, or one per scene) holds
+    everywhere; name the first failing entry's ``shown`` values and (flat) index."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        where = f" at entry {i}" if np.ndim(ok) else ""
+        details = ", ".join(f"{name}={np.ravel(v)[i]}" for name, v in shown.items())
+        raise ValueError(f"{message}{where} ({details})")
+
+
 @dataclass(frozen=True)
 class FisherReport:
     """A Fisher-information value with its dimensionless normalization.
 
     value is in 1/w^2; normalized_value = value * w^2 / (2 kappa g^2).
+    Each numeric field is a float for one scene, or an array for a curve.
     """
 
-    value: float
-    normalized_value: float
+    value: float | np.ndarray
+    normalized_value: float | np.ndarray
     method: str
-    error_estimate: float = 0.0
+    error_estimate: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.method not in _VALID_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        _require_finite("FisherReport", value=self.value,
-                        normalized_value=self.normalized_value,
-                        error_estimate=self.error_estimate)
-        if self.value < 0.0:
-            raise ValueError("Fisher information must be nonnegative")
+        _require_finite_fields("FisherReport", value=self.value,
+                               normalized_value=self.normalized_value,
+                               error_estimate=self.error_estimate)
+        _require_entries(self.value >= 0.0, "Fisher information must be nonnegative",
+                         value=self.value)
 
 
 @dataclass(frozen=True)
 class QfiMatrix:
-    """QFI matrix for joint (separation, centroid) estimation.
+    """QFI matrix for joint (separation, centroid) estimation: each entry a
+    float for one scene, or an array for a curve.
 
     The determinant test is relative to the two products it subtracts,
     because every entry scales with g^2 and the determinant with g^4.
     """
 
-    q_dd: float
-    q_dx0: float
-    q_x0x0: float
+    q_dd: float | np.ndarray
+    q_dx0: float | np.ndarray
+    q_x0x0: float | np.ndarray
 
     def __post_init__(self):
-        if self.q_dd < 0.0 or self.q_x0x0 < 0.0:
-            raise ValueError("diagonal QFI entries must be nonnegative")
-        det = self.q_dd * self.q_x0x0 - self.q_dx0**2
-        if det < -1e-9 * (self.q_dd * self.q_x0x0 + self.q_dx0**2):
-            raise ValueError(f"QFI matrix not positive semidefinite (det={det})")
+        q_dd, q_dx0, q_x0x0 = self.q_dd, self.q_dx0, self.q_x0x0
+        _require_finite_fields("QfiMatrix", q_dd=q_dd, q_dx0=q_dx0, q_x0x0=q_x0x0)
+        _require_entries((q_dd >= 0.0) & (q_x0x0 >= 0.0),
+                         "diagonal QFI entries must be nonnegative",
+                         q_dd=q_dd, q_x0x0=q_x0x0)
+        det = q_dd * q_x0x0 - q_dx0**2
+        _require_entries(det >= -1e-9 * (q_dd * q_x0x0 + q_dx0**2),
+                         "QFI matrix not positive semidefinite", det=det)
 
 
 def _scale(amps: ImageAmplitudes) -> float:
@@ -96,19 +118,16 @@ def _scale(amps: ImageAmplitudes) -> float:
     return 2.0 * amps.kappa * amps.g**2
 
 
-def _per_scene(amps: ImageAmplitudes, items: list):
-    """The one item of a one-scene record, else the list."""
-    return items if np.ndim(amps.s) else items[0]
+def _fields(curve, *columns):
+    """Columns broadcast together: the arrays for a curve, else numbers."""
+    columns = np.broadcast_arrays(*columns)
+    return columns if curve else [c.item() for c in columns]
 
 
-def _reports(amps: ImageAmplitudes, method: str, value, normalized,
-             error=0.0):
-    """FisherReports from arrays of raw values, normalized values and raw
-    error bounds, one per scene of ``amps``."""
-    columns = np.broadcast_arrays(value, normalized, error)
-    return _per_scene(amps, [
-        FisherReport(value=v, normalized_value=n, method=method, error_estimate=e)
-        for v, n, e in zip(*(np.ravel(c).tolist() for c in columns))])
+def _report(curve, method: str, value, normalized, error=0.0) -> FisherReport:
+    """A FisherReport from raw values, normalized values and raw error bounds."""
+    value, normalized, error = _fields(curve, value, normalized, error)
+    return FisherReport(value, normalized, method, error)
 
 
 def _q_dd(geom: PsfGeometry, ap, am, dd_p, dd_m):
@@ -124,7 +143,7 @@ def qfi_separation(amps: ImageAmplitudes):
     """
     q = _q_dd(psf_geometry(amps.s), amps.alpha_plus, amps.alpha_minus,
               amps.d_d_alpha_plus, amps.d_d_alpha_minus)
-    return _reports(amps, "qfi_general", q, q / _scale(amps))
+    return _report(np.ndim(amps.s), "qfi_general", q, q / _scale(amps))
 
 
 def _centroid_coupling_from_geometry(geom: PsfGeometry):
@@ -138,8 +157,7 @@ def _centroid_coupling_from_geometry(geom: PsfGeometry):
 
 
 def qfi_matrix(amps: ImageAmplitudes):
-    """Full 2x2 QFI matrix for joint (d, x0) estimation at amps.s, one per
-    scene.
+    """Full 2x2 QFI matrix for joint (d, x0) estimation at amps.s.
 
     The centroid derivative mixes the +/- modes (coupling W) and leaks into
     their orthogonal complements (xi_+-^2); the off-diagonal entry also
@@ -167,32 +185,30 @@ def qfi_matrix(amps: ImageAmplitudes):
                          geom.eta_plus2 * root + geom.eta_minus2 / root, 0.0)
     q_dx0 = (4.0 * (np.conj(dd_p) * cx_p + np.conj(dd_m) * cx_m).real
              - 8.0 * (np.conj(ap) * am).real * cross)
-    return _per_scene(amps, [
-        QfiMatrix(q_dd=a, q_dx0=b, q_x0x0=c)
-        for a, b, c in zip(*(np.ravel(q).tolist() for q in (q_dd, q_dx0, q_x0x0)))])
+    return QfiMatrix(*_fields(np.ndim(amps.s), q_dd, q_dx0, q_x0x0))
 
 
-def qfi_plane_closed(ktilde: float, s: float, kappa: float = 1.0,
-                     g: float = 1.0) -> FisherReport:
+def _closed_report(norm, method: str, kappa: float, g: float) -> FisherReport:
+    """The report of a closed form's normalized values, floored at zero as
+    max() floors them, keeping a -0.0 (np.maximum would not).  The closed
+    forms work elementwise on numbers or arrays; squares and cubes are
+    products, so a number and an array entry round alike."""
+    norm = np.where(0.0 > norm, 0.0, norm)
+    return _report(np.ndim(norm), method, norm * (2.0 * kappa * g**2), norm)
+
+
+def qfi_plane_closed(ktilde: float, s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
     """Closed-form separation QFI for plane-wave excitation.
 
     Normalized value: 1 + kt^2 + e^{-s^2/2}[(s^2 - 1 - kt^2) cos(kt s)
     + 2 kt s sin(kt s)].
     """
-    if s < 0.0:
-        raise ValueError("separation must be nonnegative")
+    _require_separation(s)
     kt = ktilde
-    norm = (1.0 + kt**2 + math.exp(-s * s / 2.0)
-            * ((s * s - 1.0 - kt**2) * math.cos(kt * s)
-               + 2.0 * kt * s * math.sin(kt * s)))
-    norm = max(norm, 0.0)
-    scale = 2.0 * kappa * g**2
-    return FisherReport(value=norm * scale, normalized_value=norm, method="qfi_closed")
+    norm = (1.0 + kt**2 + np.exp(-s * s / 2.0) * ((s * s - 1.0 - kt**2) * np.cos(kt * s)
+                                                 + 2.0 * kt * s * np.sin(kt * s)))
+    return _closed_report(norm, "qfi_closed", kappa, g)
 
-
-# The vortex closed forms below work elementwise on numbers or arrays of
-# a and s; squares and cubes are products, so a number and an array entry
-# round alike.
 
 def _vortex_pref(a, psi, s):
     a2 = a * a
@@ -236,27 +252,25 @@ def vortex_closed_variants(a: float, psi: float, s) -> dict[str, float]:
     }
 
 
-def qfi_vortex_closed(a: float, psi: float, s: float, kappa: float = 1.0,
-                      g: float = 1.0) -> FisherReport:
+def qfi_vortex_closed(a, psi: float, s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
     """Closed-form separation QFI for the shifted vortex excitation.
 
     Ships the candidate certified against the general-path computation
     (see vortex_closed_variants); it vanishes at s = 0 for every psi.
     """
-    if not a > 0.0:
+    if not np.all(np.asarray(a) > 0.0):
         raise ValueError("waist ratio a must be positive")
-    norm = max(float(vortex_closed_variants(a, psi, s)["psi_dependent"]), 0.0)
-    scale = 2.0 * kappa * g**2
-    return FisherReport(value=norm * scale, normalized_value=norm, method="qfi_closed")
+    _require_separation(s)
+    return _closed_report(_vortex_pref(a, psi, s) * _vortex_bracket_a(a, psi, s),
+                          "qfi_closed", kappa, g)
 
 
-def spade_collinear_closed(s: float, kappa: float = 1.0,
-                           g: float = 1.0) -> FisherReport:
+def spade_collinear_closed(s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
     """Closed-form SPADE FI for collinear plane-wave excitation (kt = 0),
     full mode sum: normalized 1 + e^{-s^2/2} (s^2 - 1)."""
-    norm = 1.0 + math.exp(-s * s / 2.0) * (s * s - 1.0)
-    scale = 2.0 * kappa * g**2
-    return FisherReport(value=norm * scale, normalized_value=norm, method="spade_closed")
+    _require_separation(s)
+    norm = 1.0 + np.exp(-s * s / 2.0) * (s * s - 1.0)
+    return _closed_report(norm, "spade_closed", kappa, g)
 
 
 _DI_GUARD = 1e-15       # x-profile floor, relative to the profile maximum
@@ -281,8 +295,8 @@ def _x_profiles(a1, a2, g1, g2, x1, x2, xx):
 
 
 def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
-    """Direct-imaging FI for the separation, F = int (d_d I)^2 / I, per
-    scene of ``amps``.
+    """Direct-imaging FI for the separation, F = int (d_d I)^2 / I, at
+    each scene of ``amps``.
 
     Both emitters sit on y = 0, so I and d_d I share the y-factor
     exp(-2 y^2) and the plane integral is sqrt(pi/2) times an x-integral
@@ -325,7 +339,7 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     norm, err = np.array(results).reshape(-1, 2).T
     norm = np.maximum(norm, 0.0)
     scale = _scale(amps)
-    return _reports(amps, "di_quadrature", norm * scale, norm, err * scale)
+    return _report(np.ndim(amps.s), "di_quadrature", norm * scale, norm, err * scale)
 
 
 def _spade_table(amps: ImageAmplitudes, modes: int):
@@ -403,14 +417,14 @@ def _spade_running_fi(amps: ImageAmplitudes, M: int) -> np.ndarray:
 
 
 def fi_spade(amps: ImageAmplitudes, M: int):
-    """SPADE FI from modes 0..M, F = sum (d_d N_m)^2 / N_m, per scene of
-    ``amps``.
+    """SPADE FI from modes 0..M, F = sum (d_d N_m)^2 / N_m, at each scene
+    of ``amps``.
 
     Monotone nondecreasing in M by construction.  M must be a nonnegative
     integer.
     """
     fi = _spade_running_fi(amps, M)[:, -1]
-    return _reports(amps, "spade_series", fi * _scale(amps), fi)
+    return _report(np.ndim(amps.s), "spade_series", fi * _scale(amps), fi)
 
 
 def small_s_coefficients(family: str, params: dict | None = None,
@@ -428,25 +442,22 @@ def small_s_coefficients(family: str, params: dict | None = None,
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=ktilde), EmitterScene(s=s_pts))
     basis_fn = s_pts**2 / 2.0
     denom = float(basis_fn @ basis_fn)
-
-    def fit(reports):
-        return float(np.array([r.normalized_value for r in reports]) @ basis_fn) / denom
-
-    return (fit(fi_direct(curve)), fit(qfi_separation(curve)),
-            fit(fi_spade(curve, modes)))
+    return tuple(float(report.normalized_value @ basis_fn) / denom for report in (
+        fi_direct(curve), qfi_separation(curve), fi_spade(curve, modes)))
 
 
 def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
-                   kappa: float = 1.0, g: float = 1.0) -> list[tuple[float, float]]:
-    """Per-separation optimal vortex waist ratio: [(a*, Q_d*), ...].
+                   kappa: float = 1.0, g: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-separation optimal vortex waist ratio: the arrays (a*, Q_d*),
+    one entry per separation of ``s_grid``.
 
     Maximizes the (adjudicated) closed-form vortex QFI over a at each s:
     coarse 64-point log-spaced scan, then golden-section refinement of the
     bracketing interval to |delta a| < 1e-6; grid ties resolve to the
     smaller a; the refinements run in lockstep, each making the steps it
     would make alone.  The scan, each refinement round and the final Q_d*
-    evaluate the closed form as one array, entry by entry the
-    ``qfi_vortex_closed`` value.  Q_d* is reported in raw units (1/w^2).
+    are each one array evaluation of ``qfi_vortex_closed``.  Q_d* is
+    reported in raw units (1/w^2).
     """
     lo, hi = a_bounds
     if not (0.0 < lo < hi):
@@ -455,14 +466,12 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     s_values = np.array([float(s) for s in s_grid])
 
     def q(a, s):
-        norm = _vortex_pref(a, psi, s) * _vortex_bracket_a(a, psi, s)
-        # the floor keeps a -0.0 as max() does (np.maximum would not)
-        return np.where(0.0 > norm, 0.0, norm) * (2.0 * kappa * g**2)
+        return qfi_vortex_closed(a, psi, s, kappa, g).value
 
     # first maximum: grid ties resolve to the smaller a
     best = np.argmax(q(grid[None, :], s_values[:, None]), axis=1)
     b_lo = [grid[i - 1] if i > 0 else lo for i in best.tolist()]
     b_hi = [grid[i + 1] if i < len(grid) - 1 else hi for i in best.tolist()]
-    a_star = golden_section_max_many(
-        lambda rows, x: q(np.array(x), s_values[rows]), b_lo, b_hi, x_tol=1e-6)
-    return list(zip(a_star, q(np.array(a_star), s_values).tolist()))
+    a_star = np.array(golden_section_max_many(
+        lambda rows, x: q(x, s_values[rows]), b_lo, b_hi, x_tol=1e-6))
+    return a_star, q(a_star, s_values)

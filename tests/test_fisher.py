@@ -1,5 +1,6 @@
 """QFI/FI routes: general Gram path, closed forms, direct imaging, SPADE."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,6 +89,25 @@ def test_qfi_matrix_validation():
     QfiMatrix(q_dd=1.0, q_dx0=0.999, q_x0x0=1.0)  # PSD boundary is fine
 
 
+@pytest.mark.parametrize("field", ["q_dd", "q_dx0", "q_x0x0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_qfi_matrix_rejects_non_finite_entries(field, bad):
+    # every comparison with NaN is False, so the sign and determinant tests
+    # alone let a NaN entry through
+    entries = {"q_dd": 1.0, "q_dx0": 0.0, "q_x0x0": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"finite: {field}="):
+        QfiMatrix(**entries)
+
+
+def test_array_records_name_the_first_bad_entry():
+    with pytest.raises(ValueError, match="nonnegative at entry 2 \\(value=-1e-30\\)"):
+        FisherReport(value=np.array([1.0, 0.0, -1e-30, -2.0]),
+                     normalized_value=np.zeros(4), method="qfi_general")
+    ones = np.ones(3)
+    with pytest.raises(ValueError, match="semidefinite at entry 1 \\(det=-3.0\\)"):
+        QfiMatrix(q_dd=ones, q_dx0=np.array([0.5, 2.0, 3.0]), q_x0x0=ones)
+
+
 @pytest.mark.parametrize("g,a,s", [(100.0, 0.8, 4.8), (1e6, 0.5, 2.6)])
 def test_qfi_matrix_psd_check_is_relative(g, a, s):
     # one emitter on the vortex core: the matrix is rank one up to roundoff,
@@ -116,6 +136,10 @@ def test_qfi_plane_closed_limits():
     assert qfi_plane_closed(0.0, 40.0).normalized_value == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         qfi_plane_closed(1.0, -0.3)
+    with pytest.raises(ValueError, match="separation must be finite"):
+        qfi_plane_closed(2.0, math.nan)
+    with pytest.raises(ValueError, match="separation must be finite"):
+        qfi_plane_closed(2.0, np.array([0.5, -0.1]))
 
 
 @pytest.mark.parametrize("ktilde", [0.0, 1.0, 2.0, 4.0])
@@ -229,6 +253,10 @@ def test_qfi_vortex_closed_limits_and_validation():
     assert qfi_vortex_closed(SQ2I, 0.3, 0.0).value == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError):
         qfi_vortex_closed(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="separation must be finite"):
+        qfi_vortex_closed(0.7, 0.0, -1.0)
+    with pytest.raises(ValueError, match="separation must be finite"):
+        qfi_vortex_closed(0.7, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +318,8 @@ def test_fi_direct_shares_integrand_calls_along_a_curve(monkeypatch):
         return batch(counted, *args, **kwargs)
 
     monkeypatch.setattr(fisher, "integrate_1d_many", counting)
-    reports = fi_direct(_plane(2.0, np.linspace(0.01, 3.0, 120)))
-    assert len(reports) == 120
+    report = fi_direct(_plane(2.0, np.linspace(0.01, 3.0, 120)))
+    assert report.value.shape == (120,)
     assert 0 < calls < 120
 
 
@@ -346,6 +374,9 @@ def test_spade_collinear_closed_matches_mode_sum():
         assert closed.normalized_value == pytest.approx(
             1.0 + math.exp(-s * s / 2.0) * (s * s - 1.0), rel=1e-15)
         assert series.value == pytest.approx(closed.value, abs=1e-8)
+    for s in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            spade_collinear_closed(s)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -548,21 +579,56 @@ def test_small_s_information_does_not_cancel():
     assert per_s2(1e-8) == pytest.approx(at_1e5, rel=1e-6)
 
 
-@pytest.mark.parametrize("make,params", [
-    (_plane, (2.0,)), (_plane, (0.0,)), (_vortex, (1.2, 0.3)), (_vortex, (SQ2I, 0.0)),
-], ids=["plane-k2", "collinear", "vortex-offset", "vortex-axis"])
-def test_estimators_report_each_scene_of_an_array_record(make, params):
-    # one record for the whole curve; each report is the one-scene report
+def _estimator_records(make, *params):
+    def records(s):
+        amps = make(*params, s, x0=0.4, kappa=0.8, g=1.3)
+        return (fi_spade(amps, 12), qfi_separation(amps), qfi_matrix(amps),
+                fi_direct(amps), mean_photons_spade(amps, 3))
+
+    return records
+
+
+def _entry_bits(record, one_scene):
+    """Each field of a record: a method name as is, else the float.hex of
+    each entry (one entry, a Python float, for a one-scene record)."""
+    if isinstance(record, tuple):  # optimize_waist: (a*, Q*), arrays per grid
+        return {k: [x.hex() for x in v.tolist()] for k, v in enumerate(record)}
+    fields = (vars(record) if dataclasses.is_dataclass(record)
+              else {"n": record})  # mean_photons_spade
+    bits = {}
+    for name, value in fields.items():
+        if isinstance(value, str):
+            bits[name] = value
+        elif one_scene:
+            assert type(value) is float
+            bits[name] = [value.hex()]
+        else:
+            bits[name] = [x.hex() for x in value.tolist()]
+    return bits
+
+
+@pytest.mark.parametrize("records", [
+    _estimator_records(_plane, 2.0), _estimator_records(_plane, 0.0),
+    _estimator_records(_vortex, 1.2, 0.3), _estimator_records(_vortex, SQ2I, 0.0),
+    lambda s: (qfi_plane_closed(2.0, s, 0.8, 1.3),),
+    lambda s: (qfi_vortex_closed(1.2, 0.3, s, 0.8, 1.3),),
+    lambda s: (spade_collinear_closed(s, 0.8, 1.3),),
+    lambda s: (optimize_waist(0.3, np.atleast_1d(s), kappa=0.8, g=1.3),),
+], ids=["plane-k2", "collinear", "vortex-offset", "vortex-axis", "qfi_plane_closed",
+        "qfi_vortex_closed", "spade_collinear_closed", "optimize_waist"])
+def test_estimators_report_each_scene_of_an_array_record(records):
+    # one record for the whole curve; entry i of each field is, bit for
+    # bit, the one-scene value at s_i
     s_values = [0.0, 1e-8, 0.3, 1.0, 2.5, 6.0]
-    kw = dict(x0=0.4, kappa=0.8, g=1.3)
-    curve = make(*params, np.array(s_values), **kw)
-    scenes = [make(*params, s, **kw) for s in s_values]
-    assert fi_spade(curve, 12) == [fi_spade(amps, 12) for amps in scenes]
-    assert qfi_separation(curve) == [qfi_separation(amps) for amps in scenes]
-    assert qfi_matrix(curve) == [qfi_matrix(amps) for amps in scenes]
-    assert fi_direct(curve) == [fi_direct(amps) for amps in scenes]
-    assert mean_photons_spade(curve, 3).tolist() == [
-        mean_photons_spade(amps, 3) for amps in scenes]
+    curve = records(np.array(s_values))
+    scenes = [records(s) for s in s_values]
+    for k, record in enumerate(curve):
+        want = [_entry_bits(one[k], one_scene=True) for one in scenes]
+        for name, got in _entry_bits(record, one_scene=False).items():
+            if isinstance(got, str):
+                assert all(one[name] == got for one in want)
+            else:
+                assert got == [bits for one in want for bits in one[name]]
 
 
 def test_spade_saturates_plane_qfi_with_transverse_phase():
@@ -598,7 +664,7 @@ def test_small_s_coefficients_family_guard():
 
 
 def test_optimize_waist_frozen_point():
-    [(a_star, q_star)] = optimize_waist(0.0, [1.0])
+    (a_star,), (q_star,) = optimize_waist(0.0, [1.0])
     assert a_star == pytest.approx(1.1040581162434564, abs=1e-5)
     assert q_star == pytest.approx(4.4071601947647272, rel=1e-8)
     # local optimality
@@ -613,10 +679,11 @@ def test_optimize_waist_frozen_point():
 def test_optimize_waist_pairs_are_the_scalar_closed_form(psi, kappa, g, s_grid):
     # the scan, the refinement rounds and Q* evaluate the closed form as
     # arrays; each Q* must still be the scalar value, sign of zero included
-    for s, (a_star, q_star) in zip(s_grid, optimize_waist(psi, s_grid,
-                                                          kappa=kappa, g=g)):
-        want = qfi_vortex_closed(a_star, psi, float(s), kappa, g).value
-        assert type(a_star) is float and type(q_star) is float
+    a_stars, q_stars = optimize_waist(psi, s_grid, kappa=kappa, g=g)
+    assert a_stars.dtype == q_stars.dtype == np.float64
+    assert a_stars.shape == q_stars.shape == s_grid.shape
+    for s, a_star, q_star in zip(s_grid.tolist(), a_stars.tolist(), q_stars.tolist()):
+        want = qfi_vortex_closed(a_star, psi, s, kappa, g).value
         assert (q_star, math.copysign(1.0, q_star)) == (want, math.copysign(1.0, want))
 
 
