@@ -35,11 +35,7 @@ from .montecarlo import (
     sample_counts,
     spade_count_model,
 )
-from .numerics import (
-    ConvergenceError,
-    golden_section_max_many,
-    integrate_1d_many,
-)
+from .numerics import ConvergenceError, integrate_1d_many
 from .spectral import PulseSpectrum, RamanResonance, normalize_phi, spectral_weight
 
 __version__ = "0.1.0"
@@ -58,7 +54,6 @@ __all__ = [
     "VortexExcitation",
     "fi_direct",
     "fi_spade",
-    "golden_section_max_many",
     "image_amplitudes",
     "integrate_1d_many",
     "mean_photons_spade",

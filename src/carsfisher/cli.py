@@ -59,7 +59,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import psf_geometry
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 7
+_SCHEMA_VERSION = 8
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 

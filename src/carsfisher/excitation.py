@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import _require_finite
+from .psf_modes import _require_finite, _require_separation
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ class EmitterScene:
             raise ValueError("separation must be a number or a 1D array")
         _require_finite("EmitterScene", s=np.asarray(self.s, dtype=float),
                         x0=self.x0, g=self.g, kappa=self.kappa)
-        if np.any(np.asarray(self.s) < 0.0):
-            raise ValueError("separation must be nonnegative")
+        _require_separation(self.s)
         if not self.g > 0.0:
             raise ValueError("coupling g must be positive")
         if not 0.0 < self.kappa <= 1.0:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
-from .numerics import golden_section_max_many, integrate_1d_many
+from .numerics import integrate_1d_many
 from .psf_modes import PsfGeometry, _gamma_table, psf_geometry
 from .psf_modes import _require_finite, _require_separation
 
@@ -216,17 +216,30 @@ def _vortex_pref(a, psi, s):
             * np.exp(-s * s / (2.0 * a2)) * np.exp(-2.0 * (psi * psi) / a2))
 
 
-def _vortex_bracket_a(a, psi, s):
-    # candidate consistent with the general path (vanishes at s = 0)
-    a2 = a * a
-    s2 = s * s
-    psi2 = psi * psi
-    a2p1_sq = (a2 + 1.0) * (a2 + 1.0)
-    poly = s2 * s2 + s2 * (4.0 * psi2 + a2 * (a2 - 4.0)) + 4.0 * a2 * a2 * (1.0 + psi2)
-    sub = (s2 * s2 * a2p1_sq
-           - s2 * (a2 * (5.0 * a2 + 4.0) + 4.0 * a2p1_sq * psi2)
-           + 4.0 * a2 * a2 * (psi2 + 1.0))
-    return poly - np.exp(-s2 / 2.0) * sub
+def _vortex_coefficients(psi, s):
+    """(B2, B1, B0): the bracket B(u) = (B2 u + B1) u + B0 of the shipped
+    vortex closed form (the candidate consistent with the general path; it
+    vanishes at s = 0) as a quadratic in u = a^2.  Every difference with
+    e^{-s^2/2} goes through expm1, so B keeps its digits at small s."""
+    t = s * s
+    p = psi * psi
+    e = np.exp(-t / 2.0)
+    em1 = np.expm1(-t / 2.0)
+    b2 = t * (1.0 + e * (5.0 + 4.0 * p - t)) - 4.0 * (1.0 + p) * em1
+    b1 = 4.0 * t * em1 - e * (2.0 * t * t - 8.0 * p * t)
+    b0 = 4.0 * p * t * (1.0 + e) - t * t * em1
+    return b2, b1, b0
+
+
+def _vortex_closed(a, psi, s):
+    """Normalized value of the shipped vortex closed form, after checking
+    that a is positive and s a separation."""
+    if not np.all(np.asarray(a) > 0.0):
+        raise ValueError("waist ratio a must be positive")
+    _require_separation(s)
+    b2, b1, b0 = _vortex_coefficients(psi, s)
+    u = a * a
+    return _vortex_pref(a, psi, s) * ((b2 * u + b1) * u + b0)
 
 
 def _vortex_bracket_b(a, psi, s):
@@ -243,12 +256,12 @@ def vortex_closed_variants(a: float, psi: float, s) -> dict[str, float]:
     (arrays for an array of separations s).
 
     Exposed so the adjudication command (and tests) can compare each against
-    the general-path oracle and certify which one is shipped.
+    the general-path oracle and certify which one is shipped.  Checks a and
+    s as ``qfi_vortex_closed`` does.
     """
-    pref = _vortex_pref(a, psi, s)
     return {
-        "psi_dependent": pref * _vortex_bracket_a(a, psi, s),
-        "psi_independent": pref * _vortex_bracket_b(a, psi, s),
+        "psi_dependent": _vortex_closed(a, psi, s),
+        "psi_independent": _vortex_pref(a, psi, s) * _vortex_bracket_b(a, psi, s),
     }
 
 
@@ -258,11 +271,7 @@ def qfi_vortex_closed(a, psi: float, s, kappa: float = 1.0, g: float = 1.0) -> F
     Ships the candidate certified against the general-path computation
     (see vortex_closed_variants); it vanishes at s = 0 for every psi.
     """
-    if not np.all(np.asarray(a) > 0.0):
-        raise ValueError("waist ratio a must be positive")
-    _require_separation(s)
-    return _closed_report(_vortex_pref(a, psi, s) * _vortex_bracket_a(a, psi, s),
-                          "qfi_closed", kappa, g)
+    return _closed_report(_vortex_closed(a, psi, s), "qfi_closed", kappa, g)
 
 
 def spade_collinear_closed(s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
@@ -451,27 +460,40 @@ def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),
     """Per-separation optimal vortex waist ratio: the arrays (a*, Q_d*),
     one entry per separation of ``s_grid``.
 
-    Maximizes the (adjudicated) closed-form vortex QFI over a at each s:
-    coarse 64-point log-spaced scan, then golden-section refinement of the
-    bracketing interval to |delta a| < 1e-6; grid ties resolve to the
-    smaller a; the refinements run in lockstep, each making the steps it
-    would make alone.  The scan, each refinement round and the final Q_d*
-    are each one array evaluation of ``qfi_vortex_closed``.  Q_d* is
-    reported in raw units (1/w^2).
+    Maximizes the (adjudicated) closed-form vortex QFI
+    Q = (e/2) u^-3 exp(-c/u) B(u) over a in ``a_bounds``, with u = a^2,
+    c = s^2/2 + 2 psi^2 and B(u) = B2 u^2 + B1 u + B0.  Its stationary
+    points are the roots of the cubic (c - 3u) B + u^2 B' =
+    -B2 u^3 + (c B2 - 2 B1) u^2 + (c B1 - 3 B0) u + c B0: eigenvalues of
+    3x3 companion matrices for all s at once, each polished by one Newton
+    step.  One array evaluation of Q at a_min, the real roots inside the
+    bounds and a_max picks the first maximum (at s = 0, where Q vanishes,
+    a_min).  Q_d* is reported in raw units (1/w^2).
     """
     lo, hi = a_bounds
     if not (0.0 < lo < hi):
         raise ValueError("a_bounds must be a positive increasing interval")
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
-    s_values = np.array([float(s) for s in s_grid])
-
-    def q(a, s):
-        return qfi_vortex_closed(a, psi, s, kappa, g).value
-
-    # first maximum: grid ties resolve to the smaller a
-    best = np.argmax(q(grid[None, :], s_values[:, None]), axis=1)
-    b_lo = [grid[i - 1] if i > 0 else lo for i in best.tolist()]
-    b_hi = [grid[i + 1] if i < len(grid) - 1 else hi for i in best.tolist()]
-    a_star = np.array(golden_section_max_many(
-        lambda rows, x: q(x, s_values[rows]), b_lo, b_hi, x_tol=1e-6))
-    return a_star, q(a_star, s_values)
+    s = np.array([float(v) for v in s_grid])
+    _require_separation(s)
+    b2, b1, b0 = _vortex_coefficients(psi, s)
+    c = s * s / 2.0 + 2.0 * (psi * psi)
+    companion = np.zeros((s.size, 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the monic cubic u^3 + k2 u^2 + k1 u + k0, one row per separation;
+        # at s = 0 it is 0/0, and its stand-in u^3 has no root in the bounds
+        k2, k1, k0 = (np.stack((c * b2 - 2.0 * b1, c * b1 - 3.0 * b0, c * b0))
+                      / -b2)[:, :, None]
+        companion[:, 0] = np.nan_to_num(-np.concatenate((k2, k1, k0), axis=1),
+                                        nan=0.0, posinf=0.0, neginf=0.0)
+        roots = np.linalg.eigvals(companion)
+        u = roots.real
+        u = u - (((u + k2) * u + k1) * u + k0) / ((3.0 * u + 2.0 * k2) * u + k1)
+        inside = (roots.imag == 0.0) & (u >= lo * lo) & (u <= hi * hi)
+        a = np.where(inside, np.sqrt(u), lo)
+    ends = np.ones((s.size, 1))
+    a = np.concatenate((lo * ends, a, hi * ends), axis=1)
+    q = qfi_vortex_closed(a, psi, s[:, None], kappa, g).value
+    best = np.argmax(q, axis=1)[:, None]
+    return (np.take_along_axis(a, best, axis=1)[:, 0],
+            np.take_along_axis(q, best, axis=1)[:, 0])

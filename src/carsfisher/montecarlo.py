@@ -127,6 +127,25 @@ def _score_terms(model, s_values):
     return np.concatenate(ratios), np.concatenate(totals)
 
 
+def _pole_secant(a, b, score_a, score_b, pole):
+    """The secant step in u = s^2 on an interval from s = 0: the root in
+    each bracket (a, b) of R/u + p + q u, the form of the score in u,
+    S(s) / (2 s), near s = 0 (the counts are even in s), through the scores
+    S at both ends (s = 0 taken at _X_TOL/2).  R is ``pole``, sum(n_c k_c)
+    over the channels that vanish at s = 0 as u^k_c.  A degenerate step is
+    NaN or infinite, which the caller's clamp moves into the bracket."""
+    a = np.maximum(a, 0.5 * _X_TOL)
+    u_a, u_b = a * a, b * b
+    k_a = score_a / (2.0 * a) - pole / u_a
+    k_b = score_b / (2.0 * b) - pole / u_b
+    q = (k_b - k_a) / (u_b - u_a)
+    p = k_a - q * u_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(p * p - 4.0 * q * pole)
+        u = np.where(p < 0.0, 2.0 * pole / (d - p), -(p + d) / (2.0 * q))
+        return np.sqrt(u)
+
+
 def _ml_search(counts, model, search_interval) -> list[float]:
     """ML separations of the batches (rows) of ``counts``, in lockstep.
 
@@ -142,20 +161,20 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     finds the root of each batch's score S(s) = sum(n_c N'_c / N_c) -
     sum(N'_c) in its bracket.  The first round scores both ends of every
     bracket; a batch whose score does not change sign there returns the end
-    its likelihood rises toward.  A zero score at the lower end counts as
-    positive: the counts are even in s, so the score vanishes at s = 0
-    whether or not the likelihood rises from there, and the first secant
-    point, _X_TOL/2 above it, tells which.  Each later round scores one
-    secant point per batch still refining, clamped at least _X_TOL/2
-    inside its bracket, and replaces the bracket end of the same sign;
-    when the same end moves in two rounds running, the score kept at the
-    other end is halved, so that end moves next.  A batch stops when its
-    bracket is at most _X_TOL = 1e-6 wide and returns the midpoint, within
-    _X_TOL/2 of the root.  Every round evaluates the model once per
-    distinct abscissa (batches that share a bracket end share it) and
-    scores its batches with one row-wise product.  Separations are
-    nonnegative: the models clip s < 0 to 0, where the score vanishes, so
-    the search interval must start at s >= 0.
+    its likelihood rises toward.  Each later round scores one secant point
+    per batch still refining, clamped at least _X_TOL/2 inside its bracket,
+    and replaces the bracket end of the same sign; when the same end moves
+    in two rounds running, the score kept at the other end is halved, so
+    that end moves next.  A batch stops when its bracket is at most
+    _X_TOL = 1e-6 wide and returns the midpoint, within _X_TOL/2 of the
+    root.  Every round evaluates the model once per distinct abscissa
+    (batches that share a bracket end share it) and scores its batches
+    with one row-wise product.
+
+    The secant runs in s, where a bracket away from s = 0 sees a nearly
+    linear score, and on an interval from s = 0 in u = s^2
+    (``_pole_secant``).  The models clip s < 0 to 0, so the interval must
+    start at s >= 0.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -179,6 +198,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     terms = {}
 
     def score(rows, x):
+        # s = 0 is scored at s = _X_TOL/2, where the score in u is finite
+        x = np.maximum(x, 0.5 * _X_TOL)
         new = list(dict.fromkeys(s for s in x.tolist() if s not in terms))
         if new:
             terms.update(zip(new, zip(*_score_terms(model, new))))
@@ -192,18 +213,28 @@ def _ml_search(counts, model, search_interval) -> list[float]:
                              f"at s={float(x[~finite][0])!r}")
         return values
 
+    # an interval from s = 0 also scores s = 0 (at _X_TOL/2), where
+    # (s/2) N'_c / N_c rounds to each channel's order k_c in u
+    in_u = lo == 0.0
     batches = np.arange(len(counts))
-    both = score(np.concatenate((batches, batches)), np.concatenate((a, b)))
-    s_a, s_b = both[:len(counts)], both[len(counts):]
-    refine = (s_a >= 0.0) & (s_b < 0.0)
+    extra = int(in_u)
+    both = score(np.concatenate((batches, batches, batches[:extra])),
+                 np.concatenate((a, b, np.zeros(extra))))
+    s_a, s_b = both[:len(counts)], both[len(counts):2 * len(counts)]
+    if in_u:
+        pole = counts @ np.rint(0.25 * _X_TOL * terms[0.5 * _X_TOL][0])
+    refine = (s_a > 0.0) & (s_b < 0.0)
     estimates = np.where(s_a > 0.0, b, a)
     # the end each batch moved last round: +1 the lower, -1 the upper, 0 none
     moved = np.zeros(len(counts))
     active = np.flatnonzero(refine & (b - a > _X_TOL))
     while active.size:
         a_i, b_i, sa_i, sb_i = a[active], b[active], s_a[active], s_b[active]
-        x = a_i + (b_i - a_i) * (sa_i / (sa_i - sb_i))
-        x = np.minimum(np.maximum(x, a_i + 0.5 * _X_TOL), b_i - 0.5 * _X_TOL)
+        if in_u:
+            x = _pole_secant(a_i, b_i, sa_i, sb_i, pole[active])
+        else:
+            x = a_i + (b_i - a_i) * (sa_i / (sa_i - sb_i))
+        x = np.fmin(np.fmax(x, a_i + 0.5 * _X_TOL), b_i - 0.5 * _X_TOL)
         sx = score(active, x)
         up, down = sx > 0.0, sx < 0.0
         last = moved[active]

@@ -1,12 +1,10 @@
 """Shared numerical kernels.
 
 Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
-binned camera model reuses) and golden-section maximization (the waist
-refinement of ``fisher.optimize_waist``), each run as a lockstep batch:
-every member refines on its own and makes exactly the steps it would make
-alone, while one integrand or objective call per round evaluates the new
-points of every unfinished member.  The golden-section members keep
-their brackets, interior points and values in arrays.
+binned camera model reuses), run as a lockstep batch: every member refines
+on its own and makes exactly the steps it would make alone, while one
+integrand call per round evaluates the new cells of every unfinished
+member.
 
 The quadrature keeps the cells of all members in padded (members x cells)
 arrays, in creation order.  Each round every unconverged member splits its
@@ -18,7 +16,6 @@ not depend on the rest of the batch.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,50 +219,3 @@ def integrate_1d_many(
 
     return list(zip(_ordered_sums(val.reshape(n, width)),
                     _ordered_sums(err.reshape(n, width))))
-
-
-def golden_section_max_many(
-    f: Callable[[np.ndarray, np.ndarray], Sequence[float]],
-    lo: Sequence[float],
-    hi: Sequence[float],
-    x_tol: float = 1e-6,
-) -> list[float]:
-    """Golden-section searches for the maxima bracketed by [lo[i], hi[i]],
-    run in lockstep.
-
-    Member i maximizes ``f(rows, x)`` on its bracket, where the objective
-    receives the abscissae ``x`` of one round (a float array) together
-    with ``rows``, the member index of each, and returns one value per
-    abscissa.  Each member keeps its own bracket and stopping test and
-    makes exactly the steps it would make alone; per round, the new
-    abscissae of all unfinished members are evaluated in one objective call
-    (the first round evaluates both interior points of every bracket).
-    Assumes unimodality on each bracket; returns the abscissa of each
-    maximum to within ``x_tol``.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    # per member: bracket [a, b], interior points c < d and their values
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    values = np.asarray(f(np.repeat(np.arange(a.size), 2),
-                          np.stack((c, d), axis=1).ravel()), dtype=float)
-    fc, fd = values[0::2].copy(), values[1::2].copy()
-
-    active = np.flatnonzero(b - a > x_tol)
-    while active.size:
-        a_i, b_i, c_i, d_i, fc_i, fd_i = (
-            t[active] for t in (a, b, c, d, fc, fd))
-        # the maximum lies left of d: [a, d] with c as its upper point;
-        # else right of c: [c, b] with d as its lower point
-        left = fc_i >= fd_i
-        b_i = np.where(left, d_i, b_i)
-        a_i = np.where(left, a_i, c_i)
-        x = np.where(left, b_i - invphi * (b_i - a_i), a_i + invphi * (b_i - a_i))
-        v = np.asarray(f(active, x), dtype=float)
-        a[active], b[active] = a_i, b_i
-        c[active] = np.where(left, x, d_i)
-        d[active] = np.where(left, c_i, x)
-        fc[active] = np.where(left, v, fd_i)
-        fd[active] = np.where(left, fc_i, v)
-        active = active[b_i - a_i > x_tol]
-    return (0.5 * (a + b)).tolist()

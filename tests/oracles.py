@@ -12,7 +12,8 @@ The adaptive-quadrature reference restates the package's algorithm in
 its plain one-at-a-time form, to pin its batched version bit for bit;
 the maximum-likelihood references refine each batch alone, one by
 golden-section search on the likelihood and one by bisection on a
-finite-difference score.
+finite-difference score.  The optimal-waist reference maximizes its own
+transcription of the vortex closed form on a dense grid.
 
 The image plane separates: every mode involved (displaced PSFs, their
 derivatives, Hermite-Gauss analysis modes) shares the same unit-norm
@@ -400,6 +401,63 @@ def spectral_g_reference(omega_vib: float, gamma_vib: float, weight: float,
     dw = grid[1] - grid[0]
     total = power.sum() - 0.5 * (power[0] + power[-1])
     return math.sqrt(total * dw / (2.0 * math.pi))
+
+
+# --------------------------------------------------------------------------
+# optimal vortex waist: the shipped vortex QFI closed form written out in
+# the waist ratio a, Q = (e/2) a^-6 exp(-(s^2/2 + 2 psi^2)/a^2) B(a), with
+# B = poly - e^{-s^2/2} sub regrouped as (poly - sub) - expm1(-s^2/2) sub
+# so that nothing cancels at small s; its maximum over a dense log grid of
+# a, refined by bisection on the sign of the analytic dQ/da.
+# --------------------------------------------------------------------------
+
+def _vortex_parts(a, psi: float, s: float):
+    """(prefactor, B, dB/da) of the normalized vortex closed form at a."""
+    a2, s2, p2 = a * a, s * s, psi * psi
+    em1 = math.expm1(-s2 / 2.0)
+    diff = -s2 * s2 * a2 * (a2 + 2.0) + s2 * (6.0 * a2 * a2 + 4.0 * p2 * (1.0 + (a2 + 1.0) ** 2))
+    sub = (s2 * s2 * (a2 + 1.0) ** 2 - s2 * (a2 * (5.0 * a2 + 4.0) + 4.0 * (a2 + 1.0) ** 2 * p2)
+           + 4.0 * a2 * a2 * (p2 + 1.0))
+    d_diff = -s2 * s2 * (4.0 * a2 * a + 4.0 * a) + s2 * (24.0 * a2 * a + 16.0 * p2 * a * (a2 + 1.0))
+    d_sub = (4.0 * s2 * s2 * a * (a2 + 1.0) - s2 * (20.0 * a2 * a + 8.0 * a + 16.0 * p2 * a * (a2 + 1.0))
+             + 16.0 * a2 * a * (p2 + 1.0))
+    pref = math.e / 2.0 / a2 ** 3 * np.exp(-(s2 / 2.0 + 2.0 * p2) / a2)
+    return pref, diff - em1 * sub, d_diff - em1 * d_sub
+
+
+def optimal_waist(psi: float, s: float, a_bounds=(0.05, 5.0),
+                  grid_points: int = 4096, x_tol: float = 1e-13):
+    """(a*, grid values): the first maximum of the normalized closed form
+    over a log-spaced grid of ``grid_points`` waists in ``a_bounds``,
+    refined by bisection on the sign of dQ/da between its grid neighbours
+    (a bound when Q falls from it), and the grid values themselves."""
+    lo, hi = a_bounds
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
+    grid[0], grid[-1] = lo, hi
+    pref, bracket, _ = _vortex_parts(grid, psi, s)
+    values = pref * bracket
+
+    def rising(a):
+        # dQ/da = pref (B (2c/a^3 - 6/a) + dB/da); pref > 0
+        _, bracket, slope = _vortex_parts(a, psi, s)
+        c = s * s / 2.0 + 2.0 * psi * psi
+        return bracket * (2.0 * c / a ** 3 - 6.0 / a) + slope > 0.0
+
+    i = int(np.argmax(values))
+    left, right = grid[max(i - 1, 0)], grid[min(i + 1, grid_points - 1)]
+    if i == 0 and not rising(lo):
+        a_star = lo
+    elif i == grid_points - 1 and rising(hi):
+        a_star = hi
+    else:
+        while right - left > x_tol:
+            mid = 0.5 * (left + right)
+            if rising(mid):
+                left = mid
+            else:
+                right = mid
+        a_star = 0.5 * (left + right)
+    return a_star, values
 
 
 # --------------------------------------------------------------------------

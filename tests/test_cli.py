@@ -43,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=7" in lines[0]
+    assert "schema=8" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -382,7 +382,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

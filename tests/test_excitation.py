@@ -33,7 +33,8 @@ def test_vortex_waist_must_be_positive():
 
 
 def test_scene_validation():
-    with pytest.raises(ValueError):
+    # one separation check, and one message, for scenes and the PSF geometry
+    with pytest.raises(ValueError, match="separation must be finite and nonnegative, got -0.1"):
         EmitterScene(s=-0.1)
     with pytest.raises(ValueError):
         EmitterScene(s=1.0, g=0.0)

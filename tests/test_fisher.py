@@ -33,6 +33,7 @@ from carsfisher import (
 from oracles import (
     di_fisher_fd,
     field_1d,
+    optimal_waist,
     plane_sites,
     plane_slopes,
     qfi_matrix_fd,
@@ -251,12 +252,14 @@ def test_qfi_vortex_closed_offaxis_frozen():
 def test_qfi_vortex_closed_limits_and_validation():
     assert qfi_vortex_closed(SQ2I, 0.0, 0.0).value == pytest.approx(0.0, abs=1e-13)
     assert qfi_vortex_closed(SQ2I, 0.3, 0.0).value == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        qfi_vortex_closed(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="separation must be finite"):
-        qfi_vortex_closed(0.7, 0.0, -1.0)
-    with pytest.raises(ValueError, match="separation must be finite"):
-        qfi_vortex_closed(0.7, 0.0, math.inf)
+    # the shipped closed form and both candidates check a and s alike
+    for closed_form in (qfi_vortex_closed, vortex_closed_variants):
+        for a in (0.0, -0.7, math.nan):
+            with pytest.raises(ValueError, match="waist ratio a must be positive"):
+                closed_form(a, 0.0, 1.0)
+        for s in (-1.0, math.inf, math.nan, np.array([0.5, -1.0])):
+            with pytest.raises(ValueError, match="separation must be finite"):
+                closed_form(0.7, 0.0, s)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +690,70 @@ def test_optimize_waist_pairs_are_the_scalar_closed_form(psi, kappa, g, s_grid):
         assert (q_star, math.copysign(1.0, q_star)) == (want, math.copysign(1.0, want))
 
 
+_WAIST_S = (0.01, 0.3, 0.7, 1.007, 1.505, 2.2, 3.0)
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.2])
+def test_optimize_waist_matches_the_grid_and_bisection_oracle(psi):
+    # the cubic's roots give the oracle's maximizer, and no point of its
+    # 4,096-point grid beats Q* (up to the rounding between the package's
+    # and the oracle's transcriptions of the closed form)
+    a_stars, q_stars = optimize_waist(psi, _WAIST_S)
+    for s, a_star, q_star in zip(_WAIST_S, a_stars.tolist(), q_stars.tolist()):
+        a_ref, grid_values = optimal_waist(psi, s)
+        assert abs(a_star - a_ref) <= 1e-9
+        assert q_star / 2.0 >= grid_values.max() * (1.0 - 1e-15)
+
+
+def test_optimize_waist_at_and_near_zero_separation():
+    # Q vanishes for every a at s = 0; at s = 0.01 on axis the optimum is
+    # the lower bound itself
+    (a_zero, a_small), (q_zero, _) = optimize_waist(0.0, [0.0, 0.01])
+    assert (a_zero, q_zero) == (0.05, 0.0)
+    assert a_small == 0.05 == optimal_waist(0.0, 0.01)[0]
+    (a_custom,), (q_custom,) = optimize_waist(0.2, [0.0], a_bounds=(0.3, 2.0))
+    assert (a_custom, q_custom) == (0.3, 0.0)
+
+
+def test_optimize_waist_follows_the_jump_between_two_local_maxima():
+    # on axis, the optimum moves from one local maximum (a* ~ 1.11 at
+    # s = 1.007) to another (a* ~ 0.525 at s = 1.505); at every s between,
+    # the package picks the oracle's global maximum
+    s_grid = np.linspace(1.007, 1.505, 25)
+    a_stars, _ = optimize_waist(0.0, s_grid)
+    assert a_stars[0] == pytest.approx(1.11, abs=0.01)
+    assert a_stars[-1] == pytest.approx(0.525, abs=0.01)
+    for s, a_star in zip(s_grid.tolist(), a_stars.tolist()):
+        assert abs(a_star - optimal_waist(0.0, s)[0]) <= 1e-9
+
+
+def test_qfi_vortex_closed_keeps_its_digits_at_small_s():
+    # every e^{-s^2/2} difference of the bracket goes through expm1, so the
+    # closed form matches 40-digit arithmetic at s down to 1e-6
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def reference(a, psi, s):
+        a, psi, s = mp.mpf(a), mp.mpf(psi), mp.mpf(s)
+        a2, s2, p2 = a * a, s * s, psi * psi
+        poly = s2 * s2 + s2 * (4 * p2 + a2 * (a2 - 4)) + 4 * a2 * a2 * (1 + p2)
+        sub = (s2 * s2 * (a2 + 1) ** 2 - s2 * (a2 * (5 * a2 + 4) + 4 * (a2 + 1) ** 2 * p2)
+               + 4 * a2 * a2 * (p2 + 1))
+        return (mp.e / (2 * a2 ** 3) * mp.exp(-(s2 / 2 + 2 * p2) / a2)
+                * (poly - mp.exp(-s2 / 2) * sub))
+
+    for a in (0.3, SQ2I, 2.0):
+        for psi in (0.0, 0.2, 1.0):
+            for s in (1e-6, 1e-4, 1e-2, 1.0):
+                want = reference(a, psi, s)
+                got = qfi_vortex_closed(a, psi, s).normalized_value
+                assert abs(float((got - want) / want)) <= 1e-13
+
+
 def test_optimize_waist_bounds_validation():
     with pytest.raises(ValueError):
         optimize_waist(0.0, [1.0], a_bounds=(0.0, 1.0))
     with pytest.raises(ValueError):
         optimize_waist(0.0, [1.0], a_bounds=(2.0, 1.0))
+    with pytest.raises(ValueError, match="separation must be finite"):
+        optimize_waist(0.0, [1.0, -1.0])

@@ -350,9 +350,9 @@ def test_run_experiment_model_work(monkeypatch):
     assert len(calls[True]) == sum(math.ceil(r / 16) for r in rounds)
 
 
-def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
-    # the first round scores the 6 distinct bracket ends, three secant
-    # rounds follow
+def _rounds(monkeypatch):
+    # the new abscissae that each search round scores, in a list that
+    # fills as the search runs
     rounds = []
     score_terms = montecarlo._score_terms
 
@@ -361,6 +361,13 @@ def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
         return score_terms(m, s_values)
 
     monkeypatch.setattr(montecarlo, "_score_terms", counting_terms)
+    return rounds
+
+
+def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
+    # the first round scores the 6 distinct bracket ends, three secant
+    # rounds follow
+    rounds = _rounds(monkeypatch)
     run_experiment(spade_count_model(PLANE_K2, 10), 1.0, 1e4, 50, 20260817,
                    (0.5, 1.5), fisher_per_shot=16.0)
     assert rounds == [6, 50, 50, 50]
@@ -493,29 +500,56 @@ def test_truth_outside_the_interval_gives_the_nearer_end(measurement, interval, 
 
 
 @pytest.mark.parametrize("measurement", ["spade", "di"])
-def test_search_from_zero_separation(measurement):
+def test_search_from_zero_separation(monkeypatch, measurement):
     # the score is finite at s = 0, and a search from there stays inside
     model = _count_model(PLANE_K2, measurement, domain_s=0.3)
     ratio, total = montecarlo._score_terms(model, [0.0, 1e-12, 0.01])
     assert np.all(np.isfinite(ratio)) and np.all(np.isfinite(total))
+    rounds = _rounds(monkeypatch)
     report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6),
                             fisher_per_shot=1.0, method=measurement)
     est = np.array(report.estimates)
     assert np.all(np.isfinite(est))
     assert est.min() >= 0.0 and est.max() <= 0.6
+    assert len(rounds) <= 6
+
+
+@pytest.mark.parametrize("pole", [0.0, 2.0, 1e-8])
+def test_pole_secant_is_exact_on_its_interpolant(pole):
+    # a score in u = s^2 of the form R/u + p + q u, root at s = 0.03: one
+    # step from each bracket lands on the root.  From s = 0, scored at
+    # _X_TOL/2, the end's p + q u is R/u - its score, which cancels to
+    # about eps R / u there and moves the step by up to ~3e-9
+    root = 0.03
+    q = -50.0
+    p = -pole / root**2 - q * root**2
+
+    def score_s(s):
+        u = np.maximum(s, 0.5 * montecarlo._X_TOL) ** 2
+        return 2.0 * np.sqrt(u) * (pole / u + p + q * u)
+
+    for a, b in [(0.0, 0.05), (0.0, 0.6), (0.01, 0.04)]:
+        a_, b_ = np.array([a]), np.array([b])
+        step = montecarlo._pole_secant(a_, b_, score_s(a_), score_s(b_),
+                                       np.array([pole]))
+        assert abs(step[0] - root) <= (1e-8 if a == 0.0 else 1e-15)
 
 
 @pytest.mark.parametrize("measurement", ["spade", "di"])
 @pytest.mark.parametrize("true_s", [0.001, 0.003])
-def test_search_from_zero_refines_a_root_near_zero(measurement, true_s):
+def test_search_from_zero_refines_a_root_near_zero(monkeypatch, measurement, true_s):
     # noise-free counts put the likelihood maximum, the score root, at the
-    # truth; the scan brackets it from s = 0, where every score vanishes,
-    # and the search must still refine it
+    # truth, and the scan brackets it from s = 0.  The noise-free SPADE
+    # counts put fractions (~1e-8) of a photon in modes 1 and 2, which are
+    # dark at s = 0, so the score in u = s^2 has a pole there; every camera
+    # column is lit at s = 0, so the DI score in u has none
     model = _count_model(PLANE_K2, measurement, domain_s=0.3)
     mu = 1e4
     counts = mu * model([true_s])[0]
+    rounds = _rounds(monkeypatch)
     estimate = _ml_alone(counts, _times(mu, model), (0.0, 0.6))
     assert abs(estimate - true_s) <= 5e-7
+    assert len(rounds) <= 6
 
 
 @pytest.mark.parametrize("measurement,exc,true_s,interval", [
@@ -523,7 +557,8 @@ def test_search_from_zero_refines_a_root_near_zero(measurement, true_s):
                  id="spade-k0"),
     pytest.param("di", PLANE_K2, 0.05, (0.0, 1.5), id="di-k2"),
 ])
-def test_search_from_zero_finds_the_score_root(measurement, exc, true_s, interval):
+def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, true_s,
+                                              interval):
     # brackets that start at s = 0, where every score vanishes, hold either
     # a root (the di-k2 draw has two) or a maximum at zero: each estimate
     # is the oracle's score root, and as likely as the golden-section
@@ -532,7 +567,9 @@ def test_search_from_zero_finds_the_score_root(measurement, exc, true_s, interva
     # these flat maxima)
     model = _count_model(exc, measurement, domain_s=0.3)
     args = (model, true_s, 1e4, 30, 20260817, interval)
+    rounds = _rounds(monkeypatch)
     report = run_experiment(*args, fisher_per_shot=1.0, method=measurement)
+    assert len(rounds) <= 6
     roots = ml_score_roots(*args)
     golden = ml_reference(*args)
     brackets = _ml_brackets(*args, 256)

@@ -1,4 +1,4 @@
-"""Adaptive 1D quadrature and the golden-section maximizer."""
+"""Adaptive 1D quadrature."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from carsfisher import (
     ConvergenceError,
-    golden_section_max_many,
     integrate_1d_many,
 )
 
@@ -199,57 +198,3 @@ def _assert_matches_heap_reference(f, a, b, tol, max_depth):
                                f"(error {error:.3e} > tol {tol:.3e})")
     assert _bits(info.value.estimate) == _bits(estimate)
     assert _bits(info.value.error) == _bits(error)
-
-
-def _golden_alone(fn, lo, hi, x_tol=1e-6):
-    # the one-member search; fn takes one abscissa
-    return golden_section_max_many(lambda rows, x: [fn(v) for v in x],
-                                   (lo,), (hi,), x_tol)[0]
-
-
-def test_golden_section_quadratic_peak():
-    x_star = _golden_alone(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, x_tol=1e-8)
-    assert x_star == pytest.approx(1.3, abs=1e-7)
-
-
-def test_golden_section_log_gamma_minimum():
-    # the minimum of log Gamma on (1, 2) is a classic non-polynomial target
-    x_star = _golden_alone(lambda x: -math.lgamma(x), 1.0, 2.0)
-    assert x_star == pytest.approx(1.4616321449683623, abs=1e-5)
-
-
-# (objective, bracket): a plain peak, a member needing many more rounds, a
-# flat objective (every comparison a tie), a bracket already below x_tol,
-# and a peak at the bracket edge
-_GOLDEN_MEMBERS = [
-    (lambda x: -(x - 1.3) ** 2, 0.0, 3.0),
-    (lambda x: -math.lgamma(x), 1.0, 2.0e3),
-    (lambda x: 0.0, -1.0, 1.0),
-    (lambda x: math.sin(x), 0.3, 0.3 + 5e-7),
-    (lambda x: x, 0.0, 0.01),
-]
-
-
-def test_golden_section_max_many_equals_one_call_per_member():
-    alone, evals = [], []
-    for fn, lo, hi in _GOLDEN_MEMBERS:
-        calls = []
-        alone.append(_golden_alone(lambda x: calls.append(x) or fn(x),
-                                   lo, hi, x_tol=1e-9))
-        evals.append(len(calls))
-
-    batch_calls = []
-
-    def objective(rows, x):
-        batch_calls.append(list(rows))
-        return np.array([_GOLDEN_MEMBERS[r][0](float(v)) for r, v in zip(rows, x)])
-
-    got = golden_section_max_many(objective, [m[1] for m in _GOLDEN_MEMBERS],
-                                  [m[2] for m in _GOLDEN_MEMBERS], x_tol=1e-9)
-    assert got == alone
-    # one objective call per round: the first evaluates both interior points
-    # of every bracket, each later one the new point of every unfinished member
-    assert len(batch_calls) == max(evals) - 1
-    assert sorted(batch_calls[0]) == sorted(2 * list(range(len(_GOLDEN_MEMBERS))))
-    for r in range(len(_GOLDEN_MEMBERS)):
-        assert sum(row.count(r) for row in batch_calls) == evals[r]
