@@ -56,10 +56,10 @@ from .fisher import (
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
 from .numerics import ConvergenceError, integrate_1d_many
-from .psf_modes import psf_geometry
+from .psf_modes import _psf_gram
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 8
+_SCHEMA_VERSION = 9
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -423,18 +423,27 @@ def _adjudicate_vortex(cfg: RunConfig) -> dict:
     }
 
 
-def _quadrature_geometry(s_values) -> dict:
-    """The geometry scalars at each separation, {s: {name: value}}, by
-    quadrature and central differences, without the closed forms.
+# the Gram entries checked: name -> the coefficients over (u1, u1', u2, u2')
+# of the two fields overlapped
+_GRAM_ENTRIES = {
+    "delta": ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)),   # <u1|u2>
+    "sigma": ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),   # <u1|u2'>
+    "beta": ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),    # <u1'|u2'>
+}
 
-    Every PSF copy is displaced along x, so each overlap integral is an
-    x-integral of the y = 0 factor e(x) = sqrt(2/pi) exp(-x^2) times the
-    common int f(y)^2 dy; dividing every scalar by the computed
-    int e(x)^2 dx cancels that factor.  Three lockstep quadrature batches
-    serve all separations: that norm, the overlaps, the derivative modes.
+
+def _quadrature_gram(s_values) -> dict:
+    """Each entry of _GRAM_ENTRIES at each separation, {name: array}, by
+    quadrature of the sampled PSF copies at -/+ s/2 and their
+    central-difference gradients, without the Gram form.
+
+    Every PSF copy is displaced along x, so each overlap is an x-integral of
+    the y = 0 factor e(x) = sqrt(2/pi) exp(-x^2) times the common
+    int f(y)^2 dy; dividing by the computed int e(x)^2 dx (the first
+    member, <u1|u1> at s = 0) cancels that factor.  One lockstep batch
+    serves every member.
     """
     h = 1e-5
-    support = 8.0
 
     def e(x):
         return math.sqrt(2.0 / math.pi) * np.exp(-x**2)
@@ -442,67 +451,39 @@ def _quadrature_geometry(s_values) -> dict:
     def grad(x):
         return (e(x + h) - e(x - h)) / (2.0 * h)
 
-    def q(f, half, *params):
-        # member i integrates f(x, *its params) over [-half[i], half[i]]
-        columns, half = [np.array(p)[:, None] for p in params], np.array(half)
-        return [value for value, _ in integrate_1d_many(
-            lambda rows, x: f(x, *(c[rows] for c in columns)), -half, half,
-            abs_tol=1e-10, max_depth=40)]
+    unit = (1.0, 0.0, 0.0, 0.0)
+    members = [(0.0, unit, unit)] + [(s, c, d) for c, d in _GRAM_ENTRIES.values()
+                                     for s in s_values]
+    s, c, d = (np.array(column) for column in zip(*members))
+    half_s = s[:, None] / 2.0
 
-    (n2,) = q(lambda x: e(x) ** 2, [support])
-    # per s: the copies' overlap at s - h, s and s + h, then beta at s
-    shifts = [sep / 2.0 for s in s_values for sep in (s - h, s, s + h, s)]
-    is_beta = [k % 4 == 3 for k in range(len(shifts))]
-    overlaps = q(lambda x, c, b: np.where(b, grad(x + c) * grad(x - c),
-                                          e(x + c) * e(x - c)),
-                 [support + c for c in shifts], shifts, is_beta)
-    out, params = {}, []
-    for k, s in enumerate(s_values):
-        d_down, d_at, d_up, beta = (v / n2 for v in overlaps[4 * k:4 * k + 4])
-        out[s] = {"delta": d_at, "delta_prime": (d_up - d_down) / (2.0 * h),
-                  "beta": beta}
-        params += [(support + s / 2.0 + 2.0 * h, s, sign, d_down, d_at, d_up, kind)
-                   for sign in (1.0, -1.0) for kind in (0, 1, 2)]
+    def integrand(rows, x):
+        left, right = x + half_s[rows], x - half_s[rows]
+        basis = (e(left), grad(left), e(right), grad(right))
+        return (sum(c[rows, k:k + 1] * b for k, b in enumerate(basis))
+                * sum(d[rows, k:k + 1] * b for k, b in enumerate(basis)))
 
-    def mode(x, sep, sign, delta, x0=0.0):
-        return ((e(x - (x0 - sep / 2.0)) + sign * e(x - (x0 + sep / 2.0)))
-                / np.sqrt(2.0 * n2 * (1.0 + sign * delta)))
-
-    def derivative_modes(x, s, sign, d_down, d_at, d_up, kind):
-        # by kind: eta^2 (the separation derivative's squared norm), the
-        # centroid derivative's partner-mode component, its squared norm
-        d_sep = (mode(x, s + h, sign, d_up) - mode(x, s - h, sign, d_down)) / (2.0 * h)
-        d_cen = (mode(x, s, sign, d_at, h) - mode(x, s, sign, d_at, -h)) / (2.0 * h)
-        return np.choose(kind, (d_sep**2, mode(x, s, -sign, d_at) * d_cen, d_cen**2))
-
-    triples = zip(*[iter(q(derivative_modes, *zip(*params)))] * 3)
-    for geometry in out.values():
-        for tag in ("plus2", "minus2"):
-            geometry[f"eta_{tag}"], coupling, d_cen2 = next(triples)
-            # the centroid derivative without its partner-mode component
-            geometry[f"xi_{tag}"] = d_cen2 - coupling**2
-    return out
+    half = 8.0 + half_s[:, 0]
+    values = np.array([value for value, _ in integrate_1d_many(
+        integrand, -half, half, abs_tol=1e-10, max_depth=40)])
+    entries = (values[1:] / values[0]).reshape(len(_GRAM_ENTRIES), len(s_values))
+    return dict(zip(_GRAM_ENTRIES, entries))
 
 
 def _adjudicate_geometry(cfg: RunConfig) -> dict:
-    worst = {name: 0.0 for name in
-             ("delta", "delta_prime", "beta", "eta_plus2", "eta_minus2",
-              "xi_plus2", "xi_minus2")}
-    for s, quad in _quadrature_geometry((0.3, 1.0, 2.0)).items():
-        closed = psf_geometry(s)
-        for name in worst:
-            worst[name] = max(worst[name], abs(getattr(closed, name) - quad[name]))
-    max_dev = max(worst.values())
+    s_values = np.array([0.3, 1.0, 2.0])
+    quad = _quadrature_gram(s_values)
+    worst = {name: float(np.max(np.abs(_psf_gram(s_values, c, d) - quad[name])))
+             for name, (c, d) in _GRAM_ENTRIES.items()}
     return {
         "tolerance": 1e-7,
-        "grid": "s in {0.3, 1.0, 2.0}, closed forms vs quadrature geometry",
+        "grid": "s in {0.3, 1.0, 2.0}, Gram form vs quadrature of the PSF copies",
         "max_deviation_per_scalar": worst,
         "resolved_signs": {
-            "beta_at_zero_times_w2": 1.0,
-            "delta_prime": "nonpositive for s >= 0",
-            "eta_squared": "(dk2 -+ beta)/(4(1 +- delta)) - delta'^2/(4(1 +- delta)^2)",
+            "sigma": "<u1|u2'> = s delta, nonnegative for s >= 0",
+            "beta": "<u1'|u2'> = (1 - s^2) delta, 1 at s = 0",
         },
-        "matches": max_dev < 1e-7,
+        "matches": max(worst.values()) < 1e-7,
     }
 
 

@@ -8,10 +8,13 @@ local Stokes field times the squared conjugate pump field,
 
     alpha(r) = -i g u_St(r) (u_pu*(r))^2,
 
-and the image-plane signal is a two-mode coherent state in the symmetric /
-antisymmetric superpositions of the displaced PSF copies:
+and the image-plane signal is the coherent field
 
-    alpha_pm = sqrt(kappa (1 +/- delta) / 2) [alpha(r1) +/- alpha(r2)].
+    A = sqrt(kappa) [alpha(r1) u1 + alpha(r2) u2]
+
+in the displaced PSF copies u1, u2 (see psf_modes).  The record keeps the
+site amplitudes alpha(r_k) and their analytic x-gradients: since
+r_k = x0 -/+ s/2, those give every derivative of A in s and x0.
 
 Supported excitation families:
 
@@ -20,9 +23,8 @@ Supported excitation families:
 * a first-order vortex (ring-shaped, spiral-phase) Stokes beam with a plane
   pump, optionally shifted vertically by psi relative to the emitters.
 
-Both families have analytic derivatives of alpha_pm with respect to the
-separation (the ``d_d_*`` fields) and the centroid x0.  The emitters sit
-on y = 0, so only the excitation's profile along that line enters.
+The emitters sit on y = 0, so only the excitation's profile along that
+line enters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psf_modes import _require_finite, _require_separation
+from .psf_modes import _psf_gram, _require_finite, _require_separation
 
 
 @dataclass(frozen=True)
@@ -96,25 +98,15 @@ class EmitterScene:
 
 @dataclass(frozen=True)
 class ImageAmplitudes:
-    """Amplitudes of the symmetric/antisymmetric image modes of a scene.
+    """The site amplitudes alpha(r1), alpha(r2) of a scene and their in-plane
+    x-gradients (units of 1/w), with the scene itself.
 
-    ``d_d_*`` are derivatives with respect to the separation s,
-    ``d_x0_*`` with respect to the centroid x0 (both in units of 1/w).
-    Site-level values are kept so downstream code can rebuild the full
-    image-plane field (direct imaging and its camera model).  For a scene
-    whose s is an array, s and every amplitude field are arrays with one
-    entry per separation; x0, kappa and g stay numbers.
+    For a scene whose s is an array, s and every site entry are arrays with
+    one entry per separation; x0, kappa and g stay numbers.
     """
 
-    alpha_plus: complex
-    alpha_minus: complex
-    d_d_alpha_plus: complex
-    d_d_alpha_minus: complex
-    d_x0_alpha_plus: complex
-    d_x0_alpha_minus: complex
-    # site amplitudes alpha(r1), alpha(r2) and their in-plane x-gradients
-    site_amplitudes: tuple = (0j, 0j)
-    site_gradients: tuple = (0j, 0j)
+    site_amplitudes: tuple
+    site_gradients: tuple
     s: float = 0.0
     x0: float = 0.0
     kappa: float = 1.0
@@ -122,8 +114,9 @@ class ImageAmplitudes:
 
     @property
     def n_total(self) -> float:
-        """Total mean photon number |alpha+|^2 + |alpha-|^2."""
-        return abs(self.alpha_plus) ** 2 + abs(self.alpha_minus) ** 2
+        """Total mean photon number <A|A>."""
+        a1, a2 = self.site_amplitudes
+        return self.kappa * _psf_gram(self.s, (a1, 0.0, a2, 0.0), (a1, 0.0, a2, 0.0))
 
 
 class _SiteField(NamedTuple):
@@ -153,45 +146,11 @@ def _site_field(exc, g: float, x) -> _SiteField:
 
 
 def image_amplitudes(exc, scene: EmitterScene) -> ImageAmplitudes:
-    """Image-mode amplitudes alpha_pm with analytic derivatives in s and x0,
-    elementwise over the scene's separations."""
+    """Site amplitudes and their analytic x-gradients, elementwise over the
+    scene's separations."""
     s = np.asarray(scene.s, dtype=float)
-    x = s * s / 2.0
-    delta = np.exp(-x)  # overlap of the two PSF copies
-    # 1 - delta, exact at small s, where the subtraction would cancel
-    one_minus_delta = -np.expm1(-x)
-    x1 = scene.x0 - s / 2.0
-    x2 = scene.x0 + s / 2.0
-
-    a1, g1 = _site_field(exc, scene.g, x1)
-    a2, g2 = _site_field(exc, scene.g, x2)
-
-    kappa = scene.kappa
-    np_half = np.sqrt(kappa * (1.0 + delta) / 2.0)
-    nm_half = np.sqrt(kappa * one_minus_delta / 2.0)
-    alpha_p = np_half * (a1 + a2)
-    alpha_m = nm_half * (a1 - a2)
-
-    # d/ds of the normalization factors sqrt((1 +/- delta)/2) is
-    # +/- delta' / (2 sqrt(2(1 +/- delta))), delta' = -s delta; the
-    # antisymmetric one tends to 1/2 as s -> 0
-    root_m = np.sqrt(2.0 * one_minus_delta)
-    ratio_m = np.divide(s * delta, 2.0 * root_m, out=np.full_like(s, 0.5),
-                        where=root_m > 0.0)
-    ratio_p = -s * delta / (2.0 * np.sqrt(2.0 * (1.0 + delta)))
-
-    sk = math.sqrt(kappa)
-    d_d_sum = 0.5 * (g2 - g1)        # d/ds (a1 + a2)
-    d_d_diff = -0.5 * (g1 + g2)      # d/ds (a1 - a2)
-    d_d_alpha_p = sk * (ratio_p * (a1 + a2) + np.sqrt((1.0 + delta) / 2.0) * d_d_sum)
-    d_d_alpha_m = sk * (ratio_m * (a1 - a2) + np.sqrt(one_minus_delta / 2.0) * d_d_diff)
-
-    d_x0_alpha_p = np_half * (g1 + g2)
-    d_x0_alpha_m = nm_half * (g1 - g2)
-
+    a1, g1 = _site_field(exc, scene.g, scene.x0 - s / 2.0)
+    a2, g2 = _site_field(exc, scene.g, scene.x0 + s / 2.0)
     return ImageAmplitudes(
-        alpha_plus=alpha_p[()], alpha_minus=alpha_m[()],
-        d_d_alpha_plus=d_d_alpha_p[()], d_d_alpha_minus=d_d_alpha_m[()],
-        d_x0_alpha_plus=d_x0_alpha_p[()], d_x0_alpha_minus=d_x0_alpha_m[()],
         site_amplitudes=(a1[()], a2[()]), site_gradients=(g1[()], g2[()]),
-        s=s[()], x0=scene.x0, kappa=kappa, g=scene.g)
+        s=s[()], x0=scene.x0, kappa=scene.kappa, g=scene.g)

@@ -13,22 +13,24 @@ the two measurements of interest:
   table of the mode photon numbers and their separation derivatives.
 
 Lengths are in units of the PSF width w, and everything an estimator needs
-comes from the scene's ImageAmplitudes record (the QFI adds the
-PsfGeometry at the record's separation).  Every estimator takes a record
-of one scene or of an array of separations (one sweep curve, evaluated
-as arrays: the DI integrals of a curve refine as one lockstep batch) and
-returns one report: numbers for one scene, else arrays with one entry per
-separation (so do the closed forms for an array s).  All reports carry
-both the raw value (units 1/w^2) and the dimensionless normalization
+comes from the scene's ImageAmplitudes record: the site amplitudes a1, a2
+and their x-gradients g1, g2.  Every estimator takes a record of one scene
+or of an array of separations (one sweep curve, evaluated as arrays: the
+DI integrals of a curve refine as one lockstep batch) and returns one
+report: numbers for one scene, else arrays with one entry per separation
+(so do the closed forms for an array s).  All reports carry both the raw
+value (units 1/w^2) and the dimensionless normalization
 w^2 F / (2 kappa g^2) used throughout for plotting and comparisons.
 
-The general QFI path expands the image-plane field in the symmetric /
-antisymmetric PSF modes and their derivative complements; for a coherent
-state the QFI reduces to a Gram matrix of field derivatives, which keeps
-the matrix positive semidefinite by construction.  Closed forms for the
-plane-wave and vortex excitation families are provided separately and are
-cross-checked against the general path (see vortex_closed_variants for the
-two published vortex candidates the adjudication command arbitrates).
+The image-plane signal is a coherent state, so its QFI matrix is the Gram
+matrix of the field derivatives, Q_ij = 4 Re <d_i A|d_j A>, positive
+semidefinite by construction.  Both derivatives are combinations of the
+PSF copies and their gradients with site coefficients, and one Gram form
+of the PSF pair (psf_modes._psf_gram) evaluates them.  Closed forms for
+the plane-wave and vortex excitation families are provided separately and
+are cross-checked against this general path (see vortex_closed_variants
+for the two published vortex candidates the adjudication command
+arbitrates).
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
 from .numerics import integrate_1d_many
-from .psf_modes import PsfGeometry, _gamma_table, psf_geometry
-from .psf_modes import _require_finite, _require_separation
+from .psf_modes import _gamma_table, _psf_gram, _require_finite, _require_separation
 
 _VALID_METHODS = frozenset({
     "qfi_general", "qfi_closed", "di_quadrature",
@@ -130,61 +131,30 @@ def _report(curve, method: str, value, normalized, error=0.0) -> FisherReport:
     return FisherReport(value, normalized, method, error)
 
 
-def _q_dd(geom: PsfGeometry, ap, am, dd_p, dd_m):
-    return 4.0 * (np.abs(dd_p) ** 2 + np.abs(dd_m) ** 2
-                  + geom.eta_plus2 * np.abs(ap) ** 2 + geom.eta_minus2 * np.abs(am) ** 2)
+def _derivative_coefficients(amps: ImageAmplitudes):
+    """Coefficients over (u1, u1', u2, u2') of 2 d_s A / sqrt(kappa) and of
+    d_x0 A / sqrt(kappa): the sites move as x0 -/+ s/2, and moving a copy
+    by dx adds -u' dx to it."""
+    (a1, a2), (g1, g2) = amps.site_amplitudes, amps.site_gradients
+    return (-g1, a1, g2, -a2), (g1, -a1, g2, -a2)
 
 
 def qfi_separation(amps: ImageAmplitudes):
-    """QFI for the separation from the mode amplitudes and the geometry at amps.s.
-
-    Q_d = 4 [ |d_d alpha_+|^2 + |d_d alpha_-|^2
-              + eta_+^2 |alpha_+|^2 + eta_-^2 |alpha_-|^2 ].
-    """
-    q = _q_dd(psf_geometry(amps.s), amps.alpha_plus, amps.alpha_minus,
-              amps.d_d_alpha_plus, amps.d_d_alpha_minus)
+    """QFI for the separation, Q_d = 4 Re <d_s A|d_s A>, at each scene of
+    ``amps``."""
+    u, _ = _derivative_coefficients(amps)
+    q = amps.kappa * _psf_gram(amps.s, u, u)
     return _report(np.ndim(amps.s), "qfi_general", q, q / _scale(amps))
 
 
-def _centroid_coupling_from_geometry(geom: PsfGeometry):
-    # |W| via the exact decomposition identity
-    #   W^2 = (dk2 + beta)/(1 + delta) - xi_+^2,
-    # which stays accurate at small s where 1 - delta^2 cancels badly.
-    w2 = (geom.dk2 + geom.beta) / (1.0 + geom.delta) - geom.xi_plus2
-    mag = np.sqrt(np.maximum(w2, 0.0))
-    # the overlap delta decreases with separation for the PSFs in scope
-    return np.where(geom.delta_prime <= 0.0, -mag, mag)[()]
-
-
 def qfi_matrix(amps: ImageAmplitudes):
-    """Full 2x2 QFI matrix for joint (d, x0) estimation at amps.s.
-
-    The centroid derivative mixes the +/- modes (coupling W) and leaks into
-    their orthogonal complements (xi_+-^2); the off-diagonal entry also
-    picks up the overlap between the d- and x0-derivatives of the modes.
-    """
-    # as arrays even for one scene: numpy rounds a complex product of two
-    # array entries differently from one of two numbers
-    geom = psf_geometry(np.atleast_1d(amps.s))
-    ap, am, dd_p, dd_m, dx_p, dx_m = (np.atleast_1d(z) for z in (
-        amps.alpha_plus, amps.alpha_minus, amps.d_d_alpha_plus,
-        amps.d_d_alpha_minus, amps.d_x0_alpha_plus, amps.d_x0_alpha_minus))
-    w_coup = _centroid_coupling_from_geometry(geom)
-    cx_p = dx_p - w_coup * am
-    cx_m = dx_m + w_coup * ap
-
-    q_dd = _q_dd(geom, ap, am, dd_p, dd_m)
-    q_x0x0 = 4.0 * (np.abs(cx_p) ** 2 + np.abs(cx_m) ** 2
-                    + geom.xi_plus2 * np.abs(ap) ** 2 + geom.xi_minus2 * np.abs(am) ** 2)
-
-    # at s = 0 (delta = 1) eta_+-^2 vanish faster than the mode ratio
-    # diverges, and the cross term is zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt((1.0 + geom.delta) / (1.0 - geom.delta))
-        cross = np.where(geom.delta < 1.0,
-                         geom.eta_plus2 * root + geom.eta_minus2 / root, 0.0)
-    q_dx0 = (4.0 * (np.conj(dd_p) * cx_p + np.conj(dd_m) * cx_m).real
-             - 8.0 * (np.conj(ap) * am).real * cross)
+    """Full 2x2 QFI matrix for joint (d, x0) estimation,
+    Q_ij = 4 Re <d_i A|d_j A>, at each scene of ``amps``."""
+    u, w = _derivative_coefficients(amps)
+    kappa = amps.kappa
+    q_dd = kappa * _psf_gram(amps.s, u, u)
+    q_dx0 = 2.0 * kappa * _psf_gram(amps.s, u, w)
+    q_x0x0 = 4.0 * kappa * _psf_gram(amps.s, w, w)
     return QfiMatrix(*_fields(np.ndim(amps.s), q_dd, q_dx0, q_x0x0))
 
 
@@ -355,47 +325,24 @@ def _spade_table(amps: ImageAmplitudes, modes: int):
     """Mean photon numbers N_m in HG modes m = 0..modes and their
     s-derivatives, as two arrays with one row per scene.
 
-    The image field couples to mode m through f_{m,+-} gamma_m: even modes
-    see only alpha_+, odd modes only alpha_-.  Raises ValueError unless
+    The copy at x0 + s/2 overlaps mode m by gamma_m, the copy at x0 - s/2
+    by (-1)^m gamma_m, so mode m holds
+    b_m = sqrt(kappa) gamma_m ((-1)^m a1 + a2).  Raises ValueError unless
     ``modes`` is a nonnegative integer (a bool is not one).
     """
     if not isinstance(modes, numbers.Integral) or isinstance(modes, bool) or modes < 0:
         raise ValueError(f"mode cutoff must be a nonnegative integer, got {modes!r}")
-    s = np.atleast_1d(amps.s)
-    gam, gam_d = _gamma_table(s, modes)
-    # normalizations of the +/- image modes; expm1 keeps 1 - delta exact
-    # at small s
-    x = s * s / 2.0
-    delta = np.exp(-x)
-    delta_prime = (-s * delta)[:, None]
-    np2 = 2.0 * (1.0 + delta)
-    nm2 = -2.0 * np.expm1(-x)
-    root_p, pow_p = np.sqrt(np2)[:, None], (np2 ** 1.5)[:, None]
-    root_m, pow_m = np.sqrt(nm2)[:, None], (nm2 ** 1.5)[:, None]
-    # s = 0, and s < ~1e-108 where (2(1 - delta))^1.5 underflows: the s -> 0
-    # limit, all light in mode 0 and no N_m moving (every F term is O(s^2))
-    dark = pow_m[:, 0] == 0.0
-    root_m[dark] = pow_m[dark] = 1.0
-
+    gam, gam_d = _gamma_table(np.atleast_1d(amps.s), modes)
+    a1, a2, g1, g2 = (np.atleast_1d(z)[:, None]
+                      for z in (*amps.site_amplitudes, *amps.site_gradients))
     sign = np.where(np.arange(modes + 1) % 2, -1.0, 1.0)
-    c_p = sign + 1.0
-    c_m = sign - 1.0
-    f_p = c_p * gam / root_p
-    f_m = c_m * gam / root_m
-    df_p = c_p * (gam_d / root_p - gam * delta_prime / pow_p)
-    df_m = c_m * (gam_d / root_m + gam * delta_prime / pow_m)
-
-    ap, am, dp, dm = (np.atleast_1d(z)[:, None] for z in (
-        amps.alpha_plus, amps.alpha_minus, amps.d_d_alpha_plus, amps.d_d_alpha_minus))
-    # beta_m = f_p alpha_+ + f_m alpha_- and its d-derivative
-    beta = f_p * ap + f_m * am
-    dbeta = df_p * ap + f_p * dp + df_m * am + f_m * dm
-    n = np.abs(beta) ** 2
-    dn = 2.0 * (np.conj(beta) * dbeta).real
-    n[dark] = 0.0
-    dn[dark] = 0.0
-    n[dark, 0] = np.abs(ap[dark, 0]) ** 2
-    return n, dn
+    sites = sign * a1 + a2
+    # d/ds of the site amplitudes: the sites move as x0 -/+ s/2
+    d_sites = 0.5 * (g2 - sign * g1)
+    root = math.sqrt(amps.kappa)
+    b = root * (gam * sites)
+    db = root * (gam_d * sites + gam * d_sites)
+    return np.abs(b) ** 2, 2.0 * (np.conj(b) * db).real
 
 
 def mean_photons_spade(amps: ImageAmplitudes, m: int):
@@ -436,17 +383,14 @@ def fi_spade(amps: ImageAmplitudes, M: int):
     return _report(np.ndim(amps.s), "spade_series", fi * _scale(amps), fi)
 
 
-def small_s_coefficients(family: str, params: dict | None = None,
+def small_s_coefficients(ktilde: float = 0.0,
                          modes: int = 30) -> tuple[float, float, float]:
-    """Leading quadratic coefficients of DI, QFI, and SPADE at small s.
+    """Leading quadratic coefficients of DI, QFI, and SPADE at small s for
+    plane-wave excitation.
 
-    Fits F_normalized ~ c s^2/2 over s in [0.01, 0.05] for the plane-wave
-    family and returns (c_di, c_qfi, c_spade).
+    Fits F_normalized ~ c s^2/2 over s in [0.01, 0.05] and returns
+    (c_di, c_qfi, c_spade).
     """
-    if family != "plane":
-        raise ValueError("small-s coefficient extraction supports the "
-                         "plane-wave family only")
-    ktilde = float((params or {}).get("ktilde", 0.0))
     s_pts = np.linspace(0.01, 0.05, 9)
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=ktilde), EmitterScene(s=s_pts))
     basis_fn = s_pts**2 / 2.0

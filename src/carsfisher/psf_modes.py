@@ -1,4 +1,4 @@
-"""Displaced-PSF overlap geometry and the Hermite-Gauss mode overlaps.
+"""Displaced-PSF Gram form and the Hermite-Gauss mode overlaps.
 
 The imaging model is a diffraction-limited Gaussian amplitude PSF of 1/e
 half-width w.  Every length in the package is in units of w, so the PSF is
@@ -6,28 +6,22 @@ half-width w.  Every length in the package is in units of w, so the PSF is
     u0(r) = sqrt(2/pi) * exp(-r^2),
 
 normalized so that the integral of u0^2 over the image plane is one.  Two
-emitters a separation s apart produce the two displaced copies of u0 whose
-overlap scalars (delta, beta, derivative-mode norms eta, xi) drive every
-Fisher-information expression downstream; the derivative scalars are in
-units of 1/w and 1/w^2.  The Hermite-Gauss demultiplexing basis is matched
-to the same width.  Every function takes a separation or a 1D array of
-separations.
+emitters a separation s apart produce the copies u1, u2 of u0 centred at
+x0 -/+ s/2; with their x-gradients u1', u2' they span every image-plane
+field and field derivative downstream.  Their Gram matrix depends on s
+alone, through delta = exp(-s^2/2) = <u1|u2>, <u1|u2'> = s delta and
+<u1'|u2'> = (1 - s^2) delta (each copy is unit-norm, its gradient has unit
+norm in 1/w, and the two are orthogonal).  The Hermite-Gauss
+demultiplexing basis is matched to the same width.  Every function takes
+a separation or a 1D array of separations.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-# Below this separation the symmetric/antisymmetric mode pair degenerates
-# numerically; closed forms switch to their exact limits.
-S_TINY = 1e-12
-# Above this x = s^2/2, sinh(x) overflows and the closed forms switch to
-# their ratios in exp(-x).
-_X_HUGE = math.log(np.finfo(float).max)
 
 
 def _require_finite(owner: str, **fields):
@@ -53,30 +47,42 @@ def _require_separation(s):
         raise ValueError(f"separation must be finite and nonnegative, got {bad[0]}")
 
 
-@dataclass(frozen=True)
-class PsfGeometry:
-    """Overlap scalars of the two displaced PSF copies at separation s
-    (each field an array of the shape of s when s is an array).
+def _psf_gram(s, c, d):
+    """Re <c|d> of two image-plane fields at separation s, each given by its
+    coefficients (c1, c2, c3, c4) over (u1, u1', u2, u2'); s is a number or
+    an array, and the coefficients broadcast with it.
 
-    delta        overlap of the two copies
-    delta_prime  d(delta)/ds
-    dk2          squared width of the PSF gradient, int (dx u0)^2
-    beta         gradient cross-overlap int dx u0(r-r1) dx u0(r-r2)
-    eta_plus2/eta_minus2   squared norms of the separation-derivatives of the
-                 normalized symmetric/antisymmetric modes
-    xi_plus2/xi_minus2     squared norms of the centroid-derivatives of those
-                 modes, projected out of the mode span
+    In the site sums and differences P = c1 + c3, M = c1 - c3,
+    P' = c2 + c4, M' = c2 - c4 the Gram matrix is nearly diagonal.  With
+    eps = delta - 1 (through expm1, exact at small s),
+
+        2 <c|d> = (2 + eps) P~P + (-eps) M~M + (2 + eps - s^2 delta) P'~P'
+                  + (s^2 delta - eps) M'~M' + s delta (M~P' + P'~M - P~M' - M'~P),
+
+    where X~Y is conj(X of c) times (Y of d).  Every weight is a sum of
+    like-signed terms, so nothing cancels as s -> 0, and nothing overflows
+    at large s.  Evaluated on 1D arrays even for one scene, because numpy
+    rounds a complex product of two numbers differently from one of two
+    array entries; a number s gives a number.
     """
+    s1 = np.atleast_1d(np.asarray(s, dtype=float))
+    x = -s1 * s1 / 2.0
+    delta, eps = np.exp(x), np.expm1(x)
+    s2d = s1 * s1 * delta
+    cp, cm, cpd, cmd = _site_sums(c)
+    dp, dm, dpd, dmd = _site_sums(d)
+    out = 0.5 * ((2.0 + eps) * (np.conj(cp) * dp).real - eps * (np.conj(cm) * dm).real
+                 + (2.0 + eps - s2d) * (np.conj(cpd) * dpd).real
+                 + (s2d - eps) * (np.conj(cmd) * dmd).real
+                 + s1 * delta * (np.conj(cm) * dpd + np.conj(cpd) * dm
+                                 - np.conj(cp) * dmd - np.conj(cmd) * dp).real)
+    return out if np.ndim(s) else out[0]
 
-    s: float
-    delta: float
-    delta_prime: float
-    dk2: float
-    beta: float
-    eta_plus2: float
-    eta_minus2: float
-    xi_plus2: float
-    xi_minus2: float
+
+def _site_sums(coeffs):
+    # (c1 + c3, c1 - c3, c2 + c4, c2 - c4) as 1D arrays
+    c1, c2, c3, c4 = (np.atleast_1d(z) for z in coeffs)
+    return c1 + c3, c1 - c3, c2 + c4, c2 - c4
 
 
 def _gamma_table(s_values, k_max: int):
@@ -102,55 +108,3 @@ def _gamma_table(s_values, k_max: int):
     if k_max >= 1:
         gam_d[~lit, 1] = 0.5
     return gam, gam_d
-
-
-def _sinh_minus_arg(x):
-    """sinh(x) - x without cancellation (series below x = 0.5), elementwise.
-
-    The nine series terms x^3/3! ... x^19/19! reach 1e-18 relative accuracy
-    everywhere below x = 0.5; the fixed count also ends on NaN input.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = x**3 / 6.0
-        acc = term
-        for k in range(2, 10):
-            term = term * (x * x / ((2.0 * k) * (2.0 * k + 1.0)))
-            acc = acc + term
-        return np.where(x >= 0.5, np.sinh(x) - x, acc)[()]
-
-
-def psf_geometry(s) -> PsfGeometry:
-    """All overlap scalars of the displaced-PSF pair at separation s (a
-    number, or an array of separations)."""
-    _require_separation(s)
-    s = np.asarray(s, dtype=float)
-    x = s * s / 2.0
-    delta = np.exp(-x)
-    tiny = x < S_TINY
-    huge = x > _X_HUGE
-    smx = _sinh_minus_arg(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sinh = np.sinh(x)
-        # below x = S_TINY the leading terms of the derivative-mode norms
-        # as s -> 0 (relative corrections O(x^2) ~ 1e-24 at most)
-        eta_p2 = np.where(tiny, x / 4.0, (sinh + x) / (8.0 * np.cosh(x / 2.0) ** 2))
-        eta_m2 = np.where(tiny, x / 12.0, smx / (8.0 * np.sinh(x / 2.0) ** 2))
-        xi_p2 = np.where(tiny, x * x / 6.0, smx / sinh)
-        xi_m2 = np.where(tiny, 2.0, 1.0 + x / sinh)
-    if np.any(huge):
-        # above x = _X_HUGE sinh(x) and cosh(x/2)^2 overflow: the same
-        # ratios with e^x divided out, in e = exp(-x) and r = x / sinh(x)
-        e = delta
-        r = 2.0 * x * e / (1.0 - e * e)
-        eta_p2 = np.where(huge, (0.5 * (1.0 - e * e) + x * e)
-                          / (2.0 * (1.0 + e) ** 2), eta_p2)
-        eta_m2 = np.where(huge, (0.5 * (1.0 - e * e) - x * e)
-                          / (2.0 * (1.0 - e) ** 2), eta_m2)
-        xi_p2 = np.where(huge, 1.0 - r, xi_p2)
-        xi_m2 = np.where(huge, 1.0 + r, xi_m2)
-
-    return PsfGeometry(s=s[()], delta=delta[()], delta_prime=(-s * delta)[()],
-                       dk2=1.0, beta=((1.0 - s * s) * delta)[()],
-                       eta_plus2=eta_p2[()], eta_minus2=eta_m2[()],
-                       xi_plus2=xi_p2[()], xi_minus2=xi_m2[()])

@@ -7,7 +7,9 @@ differences, and inner products are trapezoid sums wide enough that the
 Gaussian tails are below double precision.  Agreement between these
 oracles and the analytic package paths is what the frozen constants in
 the test modules encode.  One spectral oracle integrates at 30 digits
-with mpmath instead; the tests that use it skip when mpmath is missing.
+with mpmath instead, and one QFI oracle evaluates the Gram form of the
+field derivatives at 50 digits; the tests that use them skip when mpmath
+is missing.
 The adaptive-quadrature reference restates the package's algorithm in
 its plain one-at-a-time form, to pin its batched version bit for bit;
 the maximum-likelihood references refine each batch alone, one by
@@ -57,41 +59,22 @@ def psf_1d(x: np.ndarray) -> np.ndarray:
 
 
 def psf_geometry_fd(s: float, h: float = FD_STEP) -> dict:
-    """Overlap scalars of the PSF pair at x = -/+ s/2 from their definitions.
+    """Gram entries of the PSF pair at x = -/+ s/2 from their definitions:
+    the copies u1, u2 and their gradients, central differences of the
+    sampled copies, are sampled on the grid and overlapped."""
 
-    The copies' overlap, gradient overlaps and the normalized symmetric /
-    antisymmetric modes are sampled on the grid; separation and centroid
-    derivatives are central differences of the sampled fields.  The xi
-    norms drop the centroid derivative's component along the partner mode.
-    """
-
-    def copies(sep: float, x0: float = 0.0):
-        return psf_1d(_X - (x0 - sep / 2.0)), psf_1d(_X - (x0 + sep / 2.0))
-
-    def overlap(sep: float) -> float:
-        return inner(*copies(sep)).real
-
-    def mode(sign: float, sep: float, x0: float = 0.0) -> np.ndarray:
-        u1, u2 = copies(sep, x0)
-        v = u1 + sign * u2
-        return v / math.sqrt(inner(v, v).real)
+    def copy(center: float) -> np.ndarray:
+        return psf_1d(_X - center)
 
     def grad(center: float) -> np.ndarray:
         return (psf_1d(_X - center + h) - psf_1d(_X - center - h)) / (2.0 * h)
 
-    out = {
-        "delta": overlap(s),
-        "delta_prime": (overlap(s + h) - overlap(s - h)) / (2.0 * h),
-        "dk2": inner(grad(0.0), grad(0.0)).real,
+    return {
+        "delta": inner(copy(-s / 2.0), copy(s / 2.0)).real,
+        "sigma": inner(copy(-s / 2.0), grad(s / 2.0)).real,
         "beta": inner(grad(-s / 2.0), grad(s / 2.0)).real,
+        "dk2": inner(grad(0.0), grad(0.0)).real,
     }
-    for sign, tag in ((1.0, "plus2"), (-1.0, "minus2")):
-        d_sep = (mode(sign, s + h) - mode(sign, s - h)) / (2.0 * h)
-        d_cen = (mode(sign, s, h) - mode(sign, s, -h)) / (2.0 * h)
-        out[f"eta_{tag}"] = inner(d_sep, d_sep).real
-        out[f"xi_{tag}"] = (inner(d_cen, d_cen).real
-                            - inner(mode(-sign, s), d_cen).real ** 2)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +155,37 @@ def qfi_matrix_fd(amps, s: float, x0: float = 0.0, kappa: float = 1.0,
     q_dx = 4.0 * inner(d_d, d_x).real
     q_xx = 4.0 * inner(d_x, d_x).real
     return q_dd, q_dx, q_xx
+
+
+def qfi_matrix_mpmath(a1, a2, g1, g2, s: float, kappa: float = 1.0,
+                      dps: int = 50) -> tuple[float, float, float]:
+    """(q_dd, q_dx0, q_x0x0) at ``dps`` digits for given site amplitudes a_k
+    and site x-gradients g_k, taken as exact.  Needs mpmath.
+
+    The field is sqrt(kappa) (a1 u1 + a2 u2) with unit-norm copies u_k
+    centred at x_k = x0 -/+ s/2, so d_s a_k = -/+ g_k / 2, d_x0 a_k = g_k and
+    d u_k / d x_k = -u_k'.  The Gram matrix of (u1, u1', u2, u2') follows
+    from int u(x) u(x - t) dx = exp(-t^2/2) and its t-derivatives.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(s)
+        a1, a2, g1, g2 = (mpmath.mpc(complex(z).real, complex(z).imag)
+                          for z in (a1, a2, g1, g2))
+        delta = mpmath.exp(-s * s / 2)
+        sigma, beta = s * delta, (1 - s * s) * delta
+        gram = mpmath.matrix([[1, 0, delta, sigma], [0, 1, -sigma, beta],
+                              [delta, -sigma, 1, 0], [sigma, beta, 0, 1]])
+        root = mpmath.sqrt(mpmath.mpf(kappa))
+        d_s = [root * c for c in (-g1 / 2, a1 / 2, g2 / 2, -a2 / 2)]
+        d_x0 = [root * c for c in (g1, -a1, g2, -a2)]
+
+        def metric(f, g):
+            return float(4 * mpmath.re(sum(mpmath.conj(f[i]) * gram[i, j] * g[j]
+                                           for i in range(4) for j in range(4))))
+
+        return metric(d_s, d_s), metric(d_s, d_x0), metric(d_x0, d_x0)
 
 
 def qfi_fd(amps, s: float, x0: float = 0.0, kappa: float = 1.0) -> float:

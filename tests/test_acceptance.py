@@ -93,7 +93,7 @@ def test_criterion_03_small_separation_coefficients(acceptance):
     worst = 0.0
     details = []
     for ktilde in (0.0, 1.0, 2.0):
-        c_di, c_qfi, c_spade = small_s_coefficients("plane", {"ktilde": ktilde})
+        c_di, c_qfi, c_spade = small_s_coefficients(ktilde=ktilde)
         kt2 = ktilde * ktilde
         want_di = 3.0 + 2.0 * kt2 + kt2 * kt2
         want_q = 3.0 + 6.0 * kt2 + kt2 * kt2

@@ -43,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=8" in lines[0]
+    assert "schema=9" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -310,7 +310,7 @@ def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeyp
 
 
 def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
-    # three batches (norm, overlaps, derivative modes) cover every s
+    # one batch (the norm and every Gram entry) covers every s
     counts = _count_quadrature_work(monkeypatch)
     report = cli._adjudicate_geometry(None)
     assert report["matches"]
@@ -382,7 +382,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 8
+    assert doc["schema_version"] == 9
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -394,8 +394,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert geometry["tolerance"] == 1e-7
     assert geometry["matches"] is True
     deviations = geometry["max_deviation_per_scalar"]
-    assert set(deviations) == {"delta", "delta_prime", "beta", "eta_plus2",
-                               "eta_minus2", "xi_plus2", "xi_minus2"}
+    assert set(deviations) == {"delta", "sigma", "beta"}
     # far inside the tolerance, so the check cannot pass vacuously
     assert all(dev < 1e-8 for dev in deviations.values()), deviations
     assert "output_path" not in doc["config"]

@@ -12,7 +12,10 @@ from carsfisher import (
     PlaneWaveExcitation,
     VortexExcitation,
     image_amplitudes,
+    mean_photons_spade,
+    qfi_separation,
 )
+from carsfisher.fisher import _spade_table
 
 SQ2I = math.sqrt(2.0) / 2.0
 
@@ -33,7 +36,7 @@ def test_vortex_waist_must_be_positive():
 
 
 def test_scene_validation():
-    # one separation check, and one message, for scenes and the PSF geometry
+    # one separation check, and one message, for scenes and the mode overlaps
     with pytest.raises(ValueError, match="separation must be finite and nonnegative, got -0.1"):
         EmitterScene(s=-0.1)
     with pytest.raises(ValueError):
@@ -91,17 +94,23 @@ def test_vortex_emission_ring():
 
 
 def test_plane_coincident_emitters_fill_symmetric_mode():
+    # the symmetric mode of coincident copies is the PSF itself, HG mode 0
     scene = EmitterScene(s=0.0, g=1.0, kappa=0.81)
     amps = image_amplitudes(PlaneWaveExcitation(ktilde=2.0), scene)
-    assert amps.alpha_plus == pytest.approx(-2.0j * 0.9, rel=1e-12)
-    assert amps.alpha_minus == 0.0
+    assert amps.n_total == pytest.approx(4.0 * 0.81, rel=1e-15)
+    assert mean_photons_spade(amps, 0) == amps.n_total
+    assert all(mean_photons_spade(amps, m) == 0.0 for m in range(1, 6))
 
 
 def test_vortex_on_axis_is_purely_antisymmetric():
+    # the ring's field is odd in x on axis, so a1 = -a2 and the light
+    # fills only the odd (antisymmetric) HG modes
     scene = EmitterScene(s=1.2)
     amps = image_amplitudes(VortexExcitation(a=SQ2I, psi=0.0), scene)
-    assert abs(amps.alpha_plus) < 1e-15
-    assert abs(amps.alpha_minus) > 0.1
+    n, dn = _spade_table(amps, 12)
+    assert n[0, ::2].tolist() == [0.0] * 7
+    assert dn[0, ::2].tolist() == [0.0] * 7
+    assert n[0, 1::2].sum() > 0.1
 
 
 @pytest.mark.parametrize("ktilde,s", [(0.0, 1.0), (2.0, 0.7), (4.0, 2.0)])
@@ -119,32 +128,16 @@ def test_plane_total_photon_number_frozen_point():
 
 
 def test_vortex_mirror_symmetry_in_offset():
-    scene = EmitterScene(s=0.8)
+    # psi -> -psi conjugates the site amplitudes up to a global sign, which
+    # no photon number or Fisher information can see
+    scene = EmitterScene(s=0.8, x0=0.3)
     up = image_amplitudes(VortexExcitation(a=1.0, psi=0.4), scene)
     down = image_amplitudes(VortexExcitation(a=1.0, psi=-0.4), scene)
-    assert abs(up.alpha_plus) == pytest.approx(abs(down.alpha_plus), rel=1e-12)
-    assert abs(up.alpha_minus) == pytest.approx(abs(down.alpha_minus), rel=1e-12)
-    assert abs(up.d_d_alpha_plus) == pytest.approx(abs(down.d_d_alpha_plus), rel=1e-11, abs=1e-13)
-    assert abs(up.d_d_alpha_minus) == pytest.approx(abs(down.d_d_alpha_minus), rel=1e-11, abs=1e-13)
-
-
-def _fd_derivatives(exc, scene, h=1e-5):
-    """Central differences of (alpha_+, alpha_-) in d and x0; in d the
-    three-point one-sided rule where s < h keeps s >= 0."""
-
-    def alphas(s, x0):
-        amps = image_amplitudes(exc, EmitterScene(s=s, x0=x0, g=scene.g,
-                                                  kappa=scene.kappa))
-        return np.array([amps.alpha_plus, amps.alpha_minus])
-
-    s, x0 = scene.s, scene.x0
-    if s >= h:
-        d_d = (alphas(s + h, x0) - alphas(s - h, x0)) / (2.0 * h)
-    else:
-        d_d = (-3.0 * alphas(s, x0) + 4.0 * alphas(s + h, x0)
-               - alphas(s + 2.0 * h, x0)) / (2.0 * h)
-    d_x0 = (alphas(s, x0 + h) - alphas(s, x0 - h)) / (2.0 * h)
-    return d_d, d_x0
+    assert up.n_total == pytest.approx(down.n_total, rel=1e-14)
+    assert qfi_separation(up).value == pytest.approx(qfi_separation(down).value,
+                                                     rel=1e-14)
+    for got, want in zip(_spade_table(up, 20), _spade_table(down, 20)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
 
 @pytest.mark.parametrize("exc", [
@@ -155,14 +148,18 @@ def _fd_derivatives(exc, scene, h=1e-5):
 ], ids=["plane-k0", "plane-k2", "vortex-axis", "vortex-offset"])
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
 def test_analytic_derivatives_match_finite_differences(exc, s):
-    scene = EmitterScene(s=s, x0=0.1)
-    amps = image_amplitudes(exc, scene)
-    analytic = np.array([amps.d_d_alpha_plus, amps.d_d_alpha_minus,
-                         amps.d_x0_alpha_plus, amps.d_x0_alpha_minus])
-    numeric = np.concatenate(_fd_derivatives(exc, scene))
-    # one scale for all four, so a dark mode's derivative is not held to
+    # the analytic site gradients against central differences of the site
+    # amplitudes in x0: moving the centroid by h moves both sites by h
+    h = 1e-5
+    kw = dict(s=s, g=1.3, kappa=0.7)
+    amps = image_amplitudes(exc, EmitterScene(x0=0.1, **kw))
+    up = image_amplitudes(exc, EmitterScene(x0=0.1 + h, **kw)).site_amplitudes
+    down = image_amplitudes(exc, EmitterScene(x0=0.1 - h, **kw)).site_amplitudes
+    numeric = (np.array(up) - np.array(down)) / (2.0 * h)
+    analytic = np.array(amps.site_gradients)
+    # one scale for both sites, so a site on the vortex core is not held to
     # a relative bound on roundoff
-    scale = max(np.abs(analytic).max(), abs(amps.alpha_plus), abs(amps.alpha_minus))
+    scale = max(np.abs(analytic).max(), np.abs(amps.site_amplitudes).max())
     assert np.abs(analytic - numeric).max() < 1e-6 * scale
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carsfisher import fisher
-from carsfisher.psf_modes import psf_geometry
 from carsfisher import (
     EmitterScene,
     FisherReport,
@@ -37,6 +36,7 @@ from oracles import (
     plane_sites,
     plane_slopes,
     qfi_matrix_fd,
+    qfi_matrix_mpmath,
     spade_closed,
     spade_fisher_fd,
     spade_gamma,
@@ -155,7 +155,8 @@ def test_plane_general_path_equals_closed_form(ktilde, s):
 @pytest.mark.parametrize("ktilde", [0.0, 2.0])
 @pytest.mark.parametrize("s", [38.0, 50.0, 100.0])
 def test_plane_general_path_equals_closed_form_where_sinh_overflows(ktilde, s):
-    # s^2/2 > 709.8: psf_geometry switches to its exp(-s^2/2) forms
+    # s^2/2 > 709.8: sinh(s^2/2) would overflow, and delta = exp(-s^2/2)
+    # underflows to zero in the Gram form
     general = qfi_separation(_plane(ktilde, s))
     closed = qfi_plane_closed(ktilde, s)
     assert general.value == pytest.approx(closed.value, rel=1e-12)
@@ -187,6 +188,21 @@ def test_qfi_matrix_against_independent_oracle(family, kwargs, s):
     assert got.q_x0x0 == pytest.approx(want_xx, rel=5e-7, abs=5e-7)
 
 
+def test_qfi_keeps_its_digits_off_centre_at_tiny_separation():
+    # at x0 = 1 the site amplitudes are far from zero while the field
+    # derivative is O(s): products of one site's amplitude with the other's
+    # gradient would cancel, site sums and differences do not
+    pytest.importorskip("mpmath")
+    amps = _plane(0.5, 1e-10, x0=1.0, kappa=0.5)
+    want = qfi_matrix_mpmath(*amps.site_amplitudes, *amps.site_gradients,
+                             amps.s, amps.kappa)
+    got = qfi_matrix(amps)
+    assert got.q_dd == pytest.approx(want[0], rel=1e-14, abs=0.0)
+    assert qfi_separation(amps).value == got.q_dd
+    assert got.q_x0x0 == pytest.approx(want[2], rel=1e-14, abs=0.0)
+    assert abs(got.q_dx0 - want[1]) <= 1e-14 * math.sqrt(want[0] * want[2])
+
+
 def test_qfi_matrix_diagonal_matches_scalar_route():
     for amps in (_plane(2.0, 1.0), _vortex(SQ2I, 0.3, 0.7)):
         assert qfi_matrix(amps).q_dd == pytest.approx(
@@ -195,12 +211,12 @@ def test_qfi_matrix_diagonal_matches_scalar_route():
 
 @pytest.mark.parametrize("s", [1e-8, 1.0, 6.0])
 def test_qfi_geometry_comes_from_the_scene_separation(s):
-    # no geometry argument: a PsfGeometry at another separation can no
-    # longer reach the QFI, and both routes share the scene's geometry
+    # no geometry argument: another separation can not reach the QFI, and
+    # both routes share the scene's Gram form
     for amps in (_plane(2.0, s), _vortex(SQ2I, 0.3, s)):
         assert qfi_matrix(amps).q_dd == qfi_separation(amps).value
         with pytest.raises(TypeError):
-            qfi_separation(amps, psf_geometry(3.0))
+            qfi_separation(amps, 3.0)
 
 
 def test_plane_qfi_matrix_is_diagonal_on_axis():
@@ -394,8 +410,7 @@ def test_fi_spade_against_independent_oracle(s):
 
 
 # fi_spade (M = 30, M = 10) and N_0, N_1, N_4 as float.hex, frozen from the
-# schema 4 table (numpy's exp, log and pow; 1 - delta through expm1, so at
-# s = 1e-8 N_1 no longer cancels to zero)
+# schema 9 table (mode amplitudes straight from the site amplitudes)
 SPADE_BITS = {
     "plane-s0": (
         _plane, (2.0, 0.0), {},
@@ -404,18 +419,18 @@ SPADE_BITS = {
     "plane-s1e-8": (
         _plane, (2.0, 1e-8), {},
         ("0x1.35d8ffe057c89p-48", "0x1.35d8ffe057c89p-48"),
-        ("0x1.0000000000000p+2", "0x1.9f623d5a8a732p-107", "0x1.c1551b1463436p-224")),
+        ("0x1.0000000000000p+2", "0x1.9f623d5a8a730p-107", "0x1.c1551b1463436p-224")),
     "plane-s1": (
         _plane, (2.0, 1.0), {},
-        ("0x1.06e6ef6a45b4ep+4", "0x1.06e6ef6a453bbp+4"),
-        ("0x1.d19e4432a9475p-1", "0x1.1a5768de1dcedp-1", "0x1.366982cc70dadp-13")),
+        ("0x1.06e6ef6a45b4dp+4", "0x1.06e6ef6a453bap+4"),
+        ("0x1.d19e4432a9475p-1", "0x1.1a5768de1dcefp-1", "0x1.366982cc70dacp-13")),
     "plane-s20": (
         _plane, (2.0, 20.0), {},
-        ("0x1.5d9d199069684p-46", "0x1.780d90020a9b1p-93"),
-        ("0x1.1af0f09b2f550p-145", "0x1.14947586c24ffp-136", "0x1.1913a92d5190ap-123")),
+        ("0x1.5d9d199069682p-46", "0x1.780d90020a9b2p-93"),
+        ("0x1.1af0f09b2f54fp-145", "0x1.14947586c24ffp-136", "0x1.1913a92d5190ap-123")),
     "collinear-kappa-g": (
         _plane, (0.0, 0.5), {"kappa": 0.8, "g": 1.3},
-        ("0x1.d41ea4684bbb4p-1", "0x1.d41ea4684bbb4p-1"),
+        ("0x1.d41ea4684bbb5p-1", "0x1.d41ea4684bbb5p-1"),
         ("0x1.452462e4c29b9p+2", "0x0.0p+0", "0x1.b185d931037a5p-19")),
     "vortex-offset": (
         _vortex, (1.2, 0.3, 0.9), {"x0": 0.7},
@@ -569,9 +584,9 @@ def test_mean_photons_spade_bounds():
 
 
 def test_small_s_information_does_not_cancel():
-    # 1 - delta comes from expm1: at s = 1e-8 the antisymmetric mode keeps
-    # its light, so FI/s^2 holds its small-s value (it read 13.5 for SPADE
-    # and 15.5 for the QFI when 1 - delta cancelled to a few ulps)
+    # the O(s) light that tells the emitters apart sits in site differences
+    # and in 1 - delta, which must not cancel to a few ulps at s = 1e-8
+    # (a cancelling 1 - delta reads 13.5 for SPADE and 15.5 for the QFI)
     def per_s2(s):
         amps = _plane(2.0, s)
         return (fi_spade(amps, 30).normalized_value / s**2,
@@ -655,15 +670,10 @@ def test_intensity_profile_integrates_to_photon_number():
 
 
 def test_small_s_coefficients_frozen_collinear():
-    c_di, c_qfi, c_spade = small_s_coefficients("plane", {"ktilde": 0.0})
+    c_di, c_qfi, c_spade = small_s_coefficients(ktilde=0.0)
     assert c_di == pytest.approx(2.9975606126539955, rel=1e-9)
     assert c_qfi == pytest.approx(2.9975606126679111, rel=1e-9)
     assert c_spade == pytest.approx(2.9975606126679124, rel=1e-9)
-
-
-def test_small_s_coefficients_family_guard():
-    with pytest.raises(ValueError):
-        small_s_coefficients("vortex")
 
 
 def test_optimize_waist_frozen_point():

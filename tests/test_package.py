@@ -15,7 +15,7 @@ def test_all_names_resolve_without_duplicates():
 
 def test_one_estimator_per_job():
     # the estimators take array-valued records, so there are no per-list
-    # twins, and the PSF geometry is an internal of the QFI
+    # twins, and the QFI needs no PSF geometry record
     for name in ("fi_direct_many", "fi_spade_many", "PsfGeometry", "psf_geometry"):
         assert name not in carsfisher.__all__
         assert not hasattr(carsfisher, name)

@@ -1,4 +1,4 @@
-"""Displaced-PSF overlap geometry and the Hermite-Gauss mode overlaps."""
+"""Displaced-PSF Gram form and the Hermite-Gauss mode overlaps."""
 
 import math
 import signal
@@ -7,76 +7,101 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from carsfisher.psf_modes import psf_geometry
-from carsfisher.fisher import _centroid_coupling_from_geometry
-from carsfisher.psf_modes import _gamma_table, _sinh_minus_arg
+from carsfisher.psf_modes import _gamma_table, _psf_gram
 
 import oracles
 from oracles import gamma_overlap, hg_1d
 
+# unit coefficient vectors over (u1, u1', u2, u2')
+U1, U1P, U2, U2P = np.eye(4)
+
+
 def test_overlap_delta_gaussian():
     for s in (0.0, 0.3, 1.0, 2.5):
-        assert psf_geometry(s).delta == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        psf_geometry(-0.1)
+        assert _psf_gram(s, U1, U2) == pytest.approx(math.exp(-s * s / 2.0), rel=1e-15)
+        assert _psf_gram(s, U1, U1) == 1.0 == _psf_gram(s, U2P, U2P)
+        assert _psf_gram(s, U1, U1P) == 0.0 == _psf_gram(s, U2, U2P)
 
 
 def test_overlap_beta_sign_and_zero():
-    assert psf_geometry(0.0).beta == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
-    assert psf_geometry(1.0).beta == 0.0  # gradient overlaps cancel exactly
-    assert psf_geometry(2.0).beta < 0.0
+    assert _psf_gram(0.0, U1P, U2P) == pytest.approx(1.0, rel=1e-15)  # = dk2 at s=0
+    assert _psf_gram(1.0, U1P, U2P) == 0.0  # gradient overlaps cancel exactly
+    assert _psf_gram(2.0, U1P, U2P) < 0.0
+    # <u1|u2'> = s delta = -<u2|u1'>: u1 sits on the rising flank of u2
+    for s in (0.5, 2.0):
+        assert _psf_gram(s, U1, U2P) == pytest.approx(s * math.exp(-s * s / 2.0),
+                                                      rel=1e-15)
+        assert _psf_gram(s, U2, U1P) == -_psf_gram(s, U1, U2P)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.0])
 def test_geometry_mode_norm_identities(s):
-    # eta/xi fields must agree with their definitions in terms of the
-    # primitive overlaps (delta, delta', beta, dk2).  Below s ~ 0.1 the
-    # naive expressions cancel catastrophically (that is why the library
-    # uses sinh series there); the small-s regime is pinned separately.
-    g = psf_geometry(s)
-    one_p = 1.0 + g.delta
-    one_m = 1.0 - g.delta
-    eta_p = (g.dk2 - g.beta) / (4.0 * one_p) - g.delta_prime**2 / (4.0 * one_p**2)
-    eta_m = (g.dk2 + g.beta) / (4.0 * one_m) - g.delta_prime**2 / (4.0 * one_m**2)
-    w2 = g.delta_prime**2 / (one_p * one_m)
-    xi_p = (g.dk2 + g.beta) / one_p - w2
-    xi_m = (g.dk2 - g.beta) / one_m - w2
-    assert g.eta_plus2 == pytest.approx(eta_p, abs=1e-13)
-    assert g.eta_minus2 == pytest.approx(eta_m, rel=1e-10, abs=1e-13)
-    assert g.xi_plus2 == pytest.approx(xi_p, rel=1e-10, abs=1e-13)
-    assert g.xi_minus2 == pytest.approx(xi_m, rel=1e-10)
+    # the site sums and differences diagonalize each block: the norms of
+    # u1 +/- u2 and u1' +/- u2' are 2(1 +/- delta) and 2(1 +/- beta), and
+    # the two blocks couple only through s delta
+    delta = math.exp(-s * s / 2.0)
+    beta = (1.0 - s * s) * delta
+    for sign in (1.0, -1.0):
+        mode, grad = U1 + sign * U2, U1P + sign * U2P
+        assert _psf_gram(s, mode, mode) == pytest.approx(2.0 * (1.0 + sign * delta),
+                                                         rel=1e-14)
+        assert _psf_gram(s, grad, grad) == pytest.approx(2.0 * (1.0 + sign * beta),
+                                                         rel=1e-14)
+        assert _psf_gram(s, mode, grad) == 0.0
+        assert _psf_gram(s, mode, U1P - sign * U2P) == pytest.approx(
+            -sign * 2.0 * s * delta, rel=1e-14)
 
 
 def test_geometry_small_s_limits():
-    g = psf_geometry(1e-8)
-    x = 0.5e-16
-    assert g.eta_plus2 == pytest.approx(x / 4.0, rel=1e-12, abs=0.0)
-    assert g.eta_minus2 == pytest.approx(x / 12.0, rel=1e-12, abs=0.0)
-    assert g.xi_plus2 == pytest.approx(x * x / 6.0, rel=1e-12, abs=0.0)
-    assert g.xi_minus2 == pytest.approx(2.0, rel=1e-12)
-
-
-def _centroid_coupling(s):
-    return _centroid_coupling_from_geometry(psf_geometry(s))
+    # no cancellation as the copies merge: |u1 - u2|^2 = 2(1 - delta) ~ s^2
+    # and |u1' - u2'|^2 = 2(1 - beta) ~ 3 s^2
+    s = 1e-8
+    x = s * s / 2.0
+    assert _psf_gram(s, U1 - U2, U1 - U2) == pytest.approx(2.0 * x, rel=1e-12, abs=0.0)
+    assert _psf_gram(s, U1P - U2P, U1P - U2P) == pytest.approx(6.0 * x, rel=1e-12,
+                                                               abs=0.0)
+    assert _psf_gram(0.0, U1 - U2, U1 - U2) == 0.0
 
 
 def test_centroid_mode_coupling_limit_and_value():
-    # W = delta' / sqrt(1 - delta^2) tends to -1/w as s -> 0
-    assert _centroid_coupling(0.0) == pytest.approx(-1.0, rel=1e-15)
-    assert _centroid_coupling(1e-9) == pytest.approx(-1.0, rel=1e-10)
+    # W = <m_-|d_x0 m_+> for the normalized modes m_+- = (u1 +/- u2)/N_+-,
+    # with d_x0 u_k = -u_k': W = delta' / sqrt(1 - delta^2), -1/w as s -> 0
+    def coupling(s):
+        eps = math.expm1(-s * s / 2.0)
+        n_p, n_m = math.sqrt(2.0 * (2.0 + eps)), math.sqrt(-2.0 * eps)
+        return _psf_gram(s, (U1 - U2) / n_m, -(U1P + U2P) / n_p)
+
+    assert coupling(1e-9) == pytest.approx(-1.0, rel=1e-10)
     s = 1.3
     expected = -s * math.exp(-s * s / 2.0) / math.sqrt(1.0 - math.exp(-s * s))
-    assert _centroid_coupling(s) == pytest.approx(expected, rel=1e-12)
+    assert coupling(s) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.0])
 def test_geometry_matches_independent_oracle(s):
-    closed = psf_geometry(s)
     oracle = oracles.psf_geometry_fd(s)
-    for field in ("delta", "delta_prime", "beta", "dk2",
-                  "eta_plus2", "eta_minus2", "xi_plus2", "xi_minus2"):
-        assert getattr(closed, field) == pytest.approx(
-            oracle[field], rel=1e-6, abs=1e-8), field
+    for name, c, d in (("delta", U1, U2), ("sigma", U1, U2P), ("beta", U1P, U2P),
+                       ("dk2", U1P, U1P)):
+        assert _psf_gram(s, c, d) == pytest.approx(oracle[name], rel=1e-6,
+                                                   abs=1e-8), name
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.3, 1.0, 2.5, 6.0])
+def test_psf_gram_against_sampled_copies(s):
+    # Re <c|d> of random complex combinations of the sampled copies and
+    # their central-difference gradients, on the oracle grid
+    rng = np.random.default_rng(int(s * 1000) + 7)
+    h = oracles.FD_STEP
+    basis = []
+    for center in (-s / 2.0, s / 2.0):
+        basis.append(oracles.psf_1d(oracles._X - center))
+        basis.append((oracles.psf_1d(oracles._X - center + h)
+                      - oracles.psf_1d(oracles._X - center - h)) / (2.0 * h))
+    for _ in range(4):
+        c, d = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        want = oracles.inner(np.tensordot(c, basis, 1), np.tensordot(d, basis, 1)).real
+        scale = np.linalg.norm(c) * np.linalg.norm(d)
+        assert abs(_psf_gram(s, c, d) - want) < 1e-9 * scale
 
 
 def test_hg_modes_orthonormal():
@@ -132,27 +157,6 @@ def test_oracle_helpers_sanity():
     assert norm.imag == 0.0
 
 
-def _sinh_minus_arg_decimal(x: float) -> float:
-    # the Taylor series of sinh(x) - x in 50-digit decimal arithmetic
-    with localcontext() as ctx:
-        ctx.prec = 50
-        xd = Decimal(x)
-        term = xd**3 / 6
-        acc = term
-        k = 1
-        while abs(term) > Decimal(10) ** -45 * acc:
-            k += 1
-            term *= xd * xd / ((2 * k) * (2 * k + 1))
-            acc += term
-        return float(acc)
-
-
-@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.4999999999])
-def test_sinh_minus_arg_series_against_decimal(x):
-    assert _sinh_minus_arg(x) == pytest.approx(_sinh_minus_arg_decimal(x),
-                                               rel=4e-16)
-
-
 def _raise_timeout(signum, frame):
     raise TimeoutError("no result within 2 s")
 
@@ -162,40 +166,32 @@ def test_nan_separation_returns_promptly():
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.setitimer(signal.ITIMER_REAL, 2.0)
     try:
-        smx = _sinh_minus_arg(float("nan"))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            psf_geometry(float("nan"))
+            _gamma_table([float("nan")], 30)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    assert math.isnan(smx)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.25])
-def test_psf_geometry_rejects_bad_separation(s):
+def test_gamma_table_rejects_bad_separation(s):
     with pytest.raises(ValueError, match="separation must be finite and nonnegative"):
-        psf_geometry(s)
+        _gamma_table([0.5, s], 4)
 
 
 @pytest.mark.parametrize("s", [1e-9, 1e-7, 1.4e-6, 1.5e-6, 1e-3])
 def test_derivative_mode_norms_against_decimal(s):
-    # eta_+-^2 and xi_+^2 from their defining sinh/cosh expressions at 80
-    # digits, on both sides of the small-x branch (x = s^2/2 < 1e-12)
-    def sinh(v):
-        return (v.exp() - (-v).exp()) / 2
-
-    def cosh(v):
-        return (v.exp() + (-v).exp()) / 2
-
+    # the squared norms of the separation and centroid derivatives of the
+    # unnormalized modes u1 +/- u2 (u1 at -s/2 moves as -u1'/2 per unit s,
+    # u2 as +u2'/2; both move as -u_k' per unit x0), against 80 digits
     with localcontext() as ctx:
         ctx.prec = 80
-        x = Decimal(s) * Decimal(s) / 2
-        want = {
-            "eta_plus2": (sinh(x) + x) / (8 * cosh(x / 2) ** 2),
-            "eta_minus2": (sinh(x) - x) / (8 * sinh(x / 2) ** 2),
-            "xi_plus2": (sinh(x) - x) / sinh(x),
-        }
-    geom = psf_geometry(s)
-    for name, value in want.items():
-        assert getattr(geom, name) == pytest.approx(float(value), rel=1e-12, abs=0.0)
-
+        sd = Decimal(s)
+        beta = (1 - sd * sd) * (-(sd * sd) / 2).exp()
+        want = {"d_s plus": (1 - beta) / 2, "d_s minus": (1 + beta) / 2,
+                "d_x0 plus": 2 * (1 + beta), "d_x0 minus": 2 * (1 - beta)}
+    got = {"d_s plus": (U1P - U2P) / 2.0, "d_s minus": (U1P + U2P) / 2.0,
+           "d_x0 plus": -(U1P + U2P), "d_x0 minus": -(U1P - U2P)}
+    for name, c in got.items():
+        assert _psf_gram(s, c, c) == pytest.approx(float(want[name]), rel=1e-14,
+                                                   abs=0.0), name
