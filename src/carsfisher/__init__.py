@@ -18,7 +18,6 @@ from .fisher import (
     QfiMatrix,
     fi_direct,
     fi_spade,
-    mean_photons_spade,
     optimize_waist,
     qfi_matrix,
     qfi_plane_closed,
@@ -56,7 +55,6 @@ __all__ = [
     "fi_spade",
     "image_amplitudes",
     "integrate_1d_many",
-    "mean_photons_spade",
     "normalize_phi",
     "optimize_waist",
     "qfi_matrix",

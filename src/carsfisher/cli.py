@@ -59,7 +59,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 9
+_SCHEMA_VERSION = 10
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -526,24 +526,16 @@ def cmd_simulate(cfg: RunConfig) -> str:
     else:
         exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
     s = cfg.s_sim
-    scene = EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)
-    amps = image_amplitudes(exc, scene)
-    n_total = amps.n_total
+    n_total = image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)).n_total
     if cfg.measurement == "spade":
         model = spade_count_model(exc, cfg.M, g=cfg.g, kappa=cfg.kappa)
-        fisher = fi_spade(amps, cfg.M).value
     else:
         try:
-            imager = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa)
+            model = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa).expectations
         except ValueError as err:
             raise ValueError(f"s_sim={s}: {err}") from err
-        model = imager.expectations
-        fisher = imager.fisher_information(s)
-    if not fisher > 0.0:
-        raise ValueError("Fisher information vanishes: separation not "
-                         "identifiable at this configuration")
     report = run_experiment(model, s, cfg.mu, cfg.batches, cfg.seed,
-                            (cfg.search_lo, cfg.search_hi), fisher,
+                            (cfg.search_lo, cfg.search_hi),
                             n_total=n_total, method=cfg.measurement)
     payload = {"report": dataclasses.asdict(report)}
     path = _out_path(cfg, "simulation", "json")

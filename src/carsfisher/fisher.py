@@ -12,6 +12,9 @@ the two measurements of interest:
   modes, FI by summing per-mode contributions of one (scenes x modes)
   table of the mode photon numbers and their separation derivatives.
 
+Both are one Poisson channel law, F = sum (dN/ds)^2 / N over image points
+or modes, whose terms ``_channel_terms`` forms for every user.
+
 Lengths are in units of the PSF width w, and everything an estimator needs
 comes from the scene's ImageAmplitudes record: the site amplitudes a1, a2
 and their x-gradients g1, g2.  Every estimator takes a record of one scene
@@ -45,12 +48,6 @@ from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, imag
 from .numerics import integrate_1d_many
 from .psf_modes import _gamma_table, _psf_gram, _require_finite, _require_separation
 
-_VALID_METHODS = frozenset({
-    "qfi_general", "qfi_closed", "di_quadrature",
-    "spade_series", "spade_closed",
-})
-
-
 def _require_finite_fields(owner: str, **fields):
     # one numpy test per field; _require_finite's scan only names the failure
     if not all(np.isfinite(v).all() for v in fields.values()):
@@ -77,12 +74,9 @@ class FisherReport:
 
     value: float | np.ndarray
     normalized_value: float | np.ndarray
-    method: str
     error_estimate: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.method not in _VALID_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         _require_finite_fields("FisherReport", value=self.value,
                                normalized_value=self.normalized_value,
                                error_estimate=self.error_estimate)
@@ -120,15 +114,10 @@ def _scale(amps: ImageAmplitudes) -> float:
 
 
 def _fields(curve, *columns):
-    """Columns broadcast together: the arrays for a curve, else numbers."""
+    """Columns broadcast together: the arrays for a curve, else numbers (a
+    report's error 0.0 becomes one zero per scene)."""
     columns = np.broadcast_arrays(*columns)
     return columns if curve else [c.item() for c in columns]
-
-
-def _report(curve, method: str, value, normalized, error=0.0) -> FisherReport:
-    """A FisherReport from raw values, normalized values and raw error bounds."""
-    value, normalized, error = _fields(curve, value, normalized, error)
-    return FisherReport(value, normalized, method, error)
 
 
 def _derivative_coefficients(amps: ImageAmplitudes):
@@ -144,7 +133,7 @@ def qfi_separation(amps: ImageAmplitudes):
     ``amps``."""
     u, _ = _derivative_coefficients(amps)
     q = amps.kappa * _psf_gram(amps.s, u, u)
-    return _report(np.ndim(amps.s), "qfi_general", q, q / _scale(amps))
+    return FisherReport(*_fields(np.ndim(amps.s), q, q / _scale(amps), 0.0))
 
 
 def qfi_matrix(amps: ImageAmplitudes):
@@ -158,13 +147,13 @@ def qfi_matrix(amps: ImageAmplitudes):
     return QfiMatrix(*_fields(np.ndim(amps.s), q_dd, q_dx0, q_x0x0))
 
 
-def _closed_report(norm, method: str, kappa: float, g: float) -> FisherReport:
+def _closed_report(norm, kappa: float, g: float) -> FisherReport:
     """The report of a closed form's normalized values, floored at zero as
     max() floors them, keeping a -0.0 (np.maximum would not).  The closed
     forms work elementwise on numbers or arrays; squares and cubes are
     products, so a number and an array entry round alike."""
     norm = np.where(0.0 > norm, 0.0, norm)
-    return _report(np.ndim(norm), method, norm * (2.0 * kappa * g**2), norm)
+    return FisherReport(*_fields(np.ndim(norm), norm * (2.0 * kappa * g**2), norm, 0.0))
 
 
 def qfi_plane_closed(ktilde: float, s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
@@ -177,7 +166,7 @@ def qfi_plane_closed(ktilde: float, s, kappa: float = 1.0, g: float = 1.0) -> Fi
     kt = ktilde
     norm = (1.0 + kt**2 + np.exp(-s * s / 2.0) * ((s * s - 1.0 - kt**2) * np.cos(kt * s)
                                                  + 2.0 * kt * s * np.sin(kt * s)))
-    return _closed_report(norm, "qfi_closed", kappa, g)
+    return _closed_report(norm, kappa, g)
 
 
 def _vortex_pref(a, psi, s):
@@ -241,7 +230,7 @@ def qfi_vortex_closed(a, psi: float, s, kappa: float = 1.0, g: float = 1.0) -> F
     Ships the candidate certified against the general-path computation
     (see vortex_closed_variants); it vanishes at s = 0 for every psi.
     """
-    return _closed_report(_vortex_closed(a, psi, s), "qfi_closed", kappa, g)
+    return _closed_report(_vortex_closed(a, psi, s), kappa, g)
 
 
 def spade_collinear_closed(s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
@@ -249,11 +238,19 @@ def spade_collinear_closed(s, kappa: float = 1.0, g: float = 1.0) -> FisherRepor
     full mode sum: normalized 1 + e^{-s^2/2} (s^2 - 1)."""
     _require_separation(s)
     norm = 1.0 + np.exp(-s * s / 2.0) * (s * s - 1.0)
-    return _closed_report(norm, "spade_closed", kappa, g)
+    return _closed_report(norm, kappa, g)
 
 
-_DI_GUARD = 1e-15       # x-profile floor, relative to the profile maximum
-_DI_COARSE_N = 41       # coarse sampling used to locate that maximum
+def _channel_terms(n, dn):
+    """Fisher-information terms (dN/sqrt(N))^2 of Poisson channels with
+    means ``n`` and s-derivatives ``dn`` (arrays of one shape): the law
+    F = sum (dN/ds)^2 / N of every classical measurement here.  Dividing
+    before squaring keeps a term whose dN^2 would underflow.  A channel
+    whose N is below the smallest normal double (zero, or subnormal with
+    its digits gone) counts zero."""
+    terms = np.zeros(np.shape(dn))
+    np.divide(dn, np.sqrt(n), out=terms, where=n >= np.finfo(float).tiny)
+    return terms * terms
 
 
 def _x_profiles(a1, a2, g1, g2, x1, x2, xx):
@@ -282,12 +279,12 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     (the window |y| <= 8 makes erf exactly 1 at double precision); with the
     PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  Integrates with
     amplitudes scaled by sqrt(2) g, so the quadrature tolerance applies to
-    the normalized value.  Points where the x-profile
-    |a_1 e_1 + a_2 e_2|^2 falls below 1e-15 of its maximum, or underflows
-    to zero, contribute zero (nodes and far tails; the removable-singularity
-    limit is zero there).  The x-integrals of all scenes form one lockstep
-    batch (``integrate_1d_many``, one integrand call per round), in which
-    each refines as it would alone.  Raises ConvergenceError naming the
+    the normalized value.  Points where the x-profile |a_1 e_1 + a_2 e_2|^2
+    is not a normal double (nodes and far tails, where it underflows)
+    contribute zero, as every dark channel does (``_channel_terms``).  The
+    x-integrals of all scenes form one lockstep batch
+    (``integrate_1d_many``, one integrand call per round), in which each
+    refines as it would alone.  Raises ConvergenceError naming the
     first scene whose quadrature stalls, with its estimate.
     """
     s = np.atleast_1d(amps.s)
@@ -296,29 +293,18 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
                       for c in (*amps.site_amplitudes, *amps.site_gradients))
     half = np.maximum(8.0, s / 2.0 + 8.0)
     scene = (a1, a2, g1, g2, amps.x0 - s / 2.0, amps.x0 + s / 2.0)
-    lo_x, hi_x = amps.x0 - half, amps.x0 + half
-
-    def profiles(rows, xx):
-        return _x_profiles(*(p.take(rows)[:, None] for p in scene), xx)
-
-    coarse_x = np.linspace(lo_x, hi_x, _DI_COARSE_N, axis=1)
-    floor = _DI_GUARD * profiles(np.arange(s.size), coarse_x)[0].max(axis=1)
     weight = math.sqrt(2.0 / math.pi)
 
     def integrand(rows, xx):
-        inten, d_inten = profiles(rows, xx)
-        out = np.zeros_like(inten)
-        # the second test matters only when the whole profile underflows
-        # (floor 0): a zero intensity then contributes zero, not 0/0
-        np.divide(d_inten * d_inten, inten, out=out,
-                  where=(inten >= floor.take(rows)[:, None]) & (inten > 0.0))
-        return weight * out
+        profiles = _x_profiles(*(p.take(rows)[:, None] for p in scene), xx)
+        return weight * _channel_terms(*profiles)
 
-    results = integrate_1d_many(integrand, lo_x, hi_x, abs_tol=abs_tol, max_depth=44)
+    results = integrate_1d_many(integrand, amps.x0 - half, amps.x0 + half,
+                                abs_tol=abs_tol, max_depth=44)
     norm, err = np.array(results).reshape(-1, 2).T
     norm = np.maximum(norm, 0.0)
     scale = _scale(amps)
-    return _report(np.ndim(amps.s), "di_quadrature", norm * scale, norm, err * scale)
+    return FisherReport(*_fields(np.ndim(amps.s), norm * scale, norm, err * scale))
 
 
 def _spade_table(amps: ImageAmplitudes, modes: int):
@@ -345,31 +331,17 @@ def _spade_table(amps: ImageAmplitudes, modes: int):
     return np.abs(b) ** 2, 2.0 * (np.conj(b) * db).real
 
 
-def mean_photons_spade(amps: ImageAmplitudes, m: int):
-    """Mean photon number in Hermite-Gauss mode m for the given amplitudes
-    (one column of the SPADE table): a number, or an array per scene."""
-    n = _spade_table(amps, m)[0][:, m]
-    return n if np.ndim(amps.s) else float(n[0])
-
-
-_SPADE_N_FLOOR = 1e-300
-_SPADE_DN_FLOOR = 1e-150
-
-
 def _spade_running_fi(amps: ImageAmplitudes, M: int) -> np.ndarray:
     """Normalized SPADE FI from modes 0..m for every cutoff m = 0..M: the
-    running sums over modes of each scene's terms (dN_m)^2 / N_m, one row
-    per scene.
+    running sums over modes of each scene's channel terms (dN_m)^2 / N_m,
+    one row per scene.
 
-    Terms where both N_m and its derivative underflow contribute zero (they
-    vanish at the same order; the limiting term is zero or unresolvable at
-    double precision).
+    A mode whose N_m is not a normal double counts zero.  For plane
+    k~ = 0.5 and 2 at M = 30 the sum stays within 1.5e-14 of the QFI down
+    to s = 1e-75; below about s = 1e-77, N_1 ~ s^4 leaves the normal range
+    and its term drops out.
     """
-    n, dn = _spade_table(amps, M)
-    skip = ((n < _SPADE_N_FLOOR) & (np.abs(dn) < _SPADE_DN_FLOOR)) | (n <= 0.0)
-    terms = np.zeros_like(n)
-    np.divide(dn * dn, n, out=terms, where=~skip)
-    return np.cumsum(terms, axis=1) / _scale(amps)
+    return np.cumsum(_channel_terms(*_spade_table(amps, M)), axis=1) / _scale(amps)
 
 
 def fi_spade(amps: ImageAmplitudes, M: int):
@@ -380,7 +352,7 @@ def fi_spade(amps: ImageAmplitudes, M: int):
     integer.
     """
     fi = _spade_running_fi(amps, M)[:, -1]
-    return _report(np.ndim(amps.s), "spade_series", fi * _scale(amps), fi)
+    return FisherReport(*_fields(np.ndim(amps.s), fi * _scale(amps), fi, 0.0))
 
 
 def small_s_coefficients(ktilde: float = 0.0,

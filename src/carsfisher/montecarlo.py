@@ -6,7 +6,8 @@ total over mu repetitions is itself Poisson with mean mu * N_c(s) and is a
 sufficient statistic for s.  Each simulated batch therefore draws one
 aggregate count per channel, runs maximum-likelihood estimation of the
 separation, and the spread of the per-batch estimates is compared against
-the Cramer-Rao bound 1/(mu F).
+the Cramer-Rao bound 1/(mu F), with F = sum_c (dN_c/ds)^2 / N_c of the
+same count model at the true separation (``fisher._channel_terms``).
 
 Both count models (``spade_count_model`` and
 ``BinnedImager.expectations``) take a vector of separations and return
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
-from .fisher import _spade_table, _x_profiles, fi_direct
+from .fisher import _channel_terms, _spade_table, _x_profiles, fi_direct
 from .numerics import _WK, _XK
 
 _LOG_FLOOR = 1e-300
@@ -62,9 +63,9 @@ _BIN_FI_REL_TOL = 0.02
 class EstimationReport:
     """Outcome of a Monte Carlo estimation campaign.
 
-    crb = 1/(mu F) for the measurement's continuum Fisher information;
-    n_total is the mean photon number per shot, so the photon budget behind
-    the bound is self-documenting.
+    crb = 1/(mu F) for the per-shot Fisher information F of the model's
+    channels at true_s; n_total is the mean photon number per shot, so the
+    photon budget behind the bound is self-documenting.
     """
 
     true_s: float
@@ -88,17 +89,16 @@ def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
     return rng.poisson(expected)
 
 
-def _log_terms(model, s_values):
-    """(ln max(N, floor), sum N) of the rows N of model(s_values): a
-    (separations x channels) array and a vector, from blocks of at most
-    _MODEL_BLOCK separations per model call."""
-    logs, totals = [], []
+def _model_rows(model, s_values, slope: bool = False):
+    """model(s_values), or with ``slope`` the pair model(s_values,
+    slope=True), from blocks of at most _MODEL_BLOCK separations per model
+    call, concatenated."""
+    blocks = []
     for start in range(0, len(s_values), _MODEL_BLOCK):
         block = np.asarray(s_values[start:start + _MODEL_BLOCK], dtype=float)
-        n = np.asarray(model(block), dtype=float)
-        logs.append(np.log(np.maximum(n, _LOG_FLOOR)))
-        totals.append(n.sum(axis=1))
-    return np.concatenate(logs), np.concatenate(totals)
+        blocks.append(model(block, slope=True) if slope else (model(block),))
+    rows = [np.asarray(np.concatenate(part), dtype=float) for part in zip(*blocks)]
+    return rows if slope else rows[0]
 
 
 def _scores(counts, log_n, total) -> np.ndarray:
@@ -114,17 +114,11 @@ def _scores(counts, log_n, total) -> np.ndarray:
 def _score_terms(model, s_values):
     """The per-separation parts of the Poisson score at each separation of
     ``s_values``: the rows N'_c / N_c (zero where N_c < _LOG_FLOOR, whose
-    logarithm is floored and so does not move) and the totals sum N'_c, from
-    model(s, slope=True) in blocks of at most _MODEL_BLOCK separations."""
-    ratios, totals = [], []
-    for start in range(0, len(s_values), _MODEL_BLOCK):
-        block = np.asarray(s_values[start:start + _MODEL_BLOCK], dtype=float)
-        n, dn = model(block, slope=True)
-        ratio = np.zeros_like(dn)
-        np.divide(dn, n, out=ratio, where=n >= _LOG_FLOOR)
-        ratios.append(ratio)
-        totals.append(dn.sum(axis=1))
-    return np.concatenate(ratios), np.concatenate(totals)
+    logarithm is floored and so does not move) and the totals sum N'_c."""
+    n, dn = _model_rows(model, s_values, slope=True)
+    ratio = np.zeros_like(dn)
+    np.divide(dn, n, out=ratio, where=n >= _LOG_FLOOR)
+    return ratio, dn.sum(axis=1)
 
 
 def _pole_secant(a, b, score_a, score_b, pole):
@@ -186,7 +180,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
         raise ValueError("search interval must start at s >= 0")
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
-    values = _scores(counts, *_log_terms(model, scan))
+    n = _model_rows(model, scan)
+    values = _scores(counts, np.log(np.maximum(n, _LOG_FLOOR)), n.sum(axis=1))
 
     # each batch's maximum nearest the midpoint, the first on equal distance,
     # bracketed by its neighbours (the interval ends beyond the first and last)
@@ -337,32 +332,39 @@ class BinnedImager:
         """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the
         columns, from the analytic derivative of the x-profile."""
         n, dn = (row[0] for row in self.expectations([s], slope=True))
-        mask = n > 1e-15 * n.max()
-        return float(np.sum(dn[mask] ** 2 / n[mask]))
+        return float(np.sum(_channel_terms(n, dn)))
 
 
 def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
-                   search_interval, fisher_per_shot: float,
-                   n_total: float = 0.0, method: str = "spade") -> EstimationReport:
+                   search_interval, n_total: float = 0.0,
+                   method: str = "spade") -> EstimationReport:
     """Simulate `batches` campaigns of mu shots each and compare the spread
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
     model(s) takes a 1D array of separations and returns the per-shot
     expected count per channel, one row per separation; model(s,
     slope=True) returns those rows and their s-derivatives.  Both are
-    scaled by mu for the search.  Batch b draws its counts from the Philox
-    stream of SeedSequence((seed, b)); the batches' counts form one integer
-    array and their ML searches run in lockstep.  The count rows of each
-    separation are evaluated once: the truth, then the 256 scan points in
-    16 calls of 16.  So are the rows with slopes: each secant round's new
-    distinct abscissae in calls of at most 16.
+    scaled by mu for the search.  The bound comes from the model itself:
+    one slope row at the truth gives the mean counts to draw from and the
+    per-shot F = sum (dN_c/ds)^2 / N_c of its channels
+    (``fisher._channel_terms``), and a vanishing F raises ValueError.
+    Batch b draws its counts from the Philox stream of
+    SeedSequence((seed, b)); the batches' counts form one integer array
+    and their ML searches run in lockstep.  The count rows of each scan
+    point are evaluated once, the 256 of them in 16 calls of 16, and so
+    are the rows with slopes: each secant round's new distinct abscissae
+    in calls of at most 16.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
-    if not fisher_per_shot > 0.0:
-        raise ValueError("Fisher information must be positive for a CRB")
 
-    expected = mu * np.asarray(model(np.array([float(true_s)])), dtype=float)[0]
+    n, dn = (np.asarray(rows, dtype=float)[0]
+             for rows in model(np.array([float(true_s)]), slope=True))
+    fisher = float(np.sum(_channel_terms(n, dn)))
+    if not fisher > 0.0:
+        raise ValueError("Fisher information vanishes: separation not "
+                         "identifiable at this configuration")
+    expected = mu * n
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])
 
@@ -375,7 +377,7 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     estimates = _ml_search(counts, scaled, search_interval)
 
     variance = float(np.var(np.asarray(estimates), ddof=1))
-    crb = 1.0 / (mu * fisher_per_shot)
+    crb = 1.0 / (mu * fisher)
     return EstimationReport(
         true_s=true_s, estimates=estimates, empirical_variance=variance,
         crb=crb, ratio=variance / crb, mu=mu, seed=seed,

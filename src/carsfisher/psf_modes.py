@@ -90,21 +90,20 @@ def _gamma_table(s_values, k_max: int):
 
     gamma_k = exp(-s^2/8) (s/2)^k / sqrt(k!) is the overlap of a PSF
     displaced by s/2 with the k-th basis mode, computed in the log domain
-    so large k and small s underflow gracefully instead of overflowing;
-    d(gamma_k)/ds = gamma_k (k/s - s/4).  At s = 0 only gamma_0 = 1 and
-    the slope 1/2 of gamma_1 ~ s/2 survive.
+    so large k and small s underflow gracefully instead of overflowing
+    (k log(s/2) is 0 for k = 0, so s = 0 gives gamma_0 = 1).  Its slope
+    d(gamma_k)/ds = (sqrt(k)/2) gamma_{k-1} - (s/4) gamma_k divides by
+    nothing, so it holds at s = 0 and at subnormal s alike.
     """
     s = np.asarray(s_values, dtype=float)
     _require_separation(s)
+    s = s[:, None]  # one row per separation
     k = np.arange(k_max + 1, dtype=float)
-    gam = np.zeros((s.size, k.size))
-    gam_d = np.zeros_like(gam)
-    lit = s > 0.0
-    s_lit = s[lit][:, None]
     half_lgamma = np.array([math.lgamma(j + 1.0) for j in range(k_max + 1)]) * 0.5
-    gam[lit] = np.exp(-s_lit * s_lit / 8.0 + k * np.log(s_lit / 2.0) - half_lgamma)
-    gam_d[lit] = gam[lit] * (k / s_lit - s_lit / 4.0)
-    gam[~lit, 0] = 1.0
-    if k_max >= 1:
-        gam_d[~lit, 1] = 0.5
+    power = np.zeros((s.size, k.size))
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives gamma_k = 0
+        power[:, 1:] = k[1:] * np.log(s / 2.0)
+    gam = np.exp(-s * s / 8.0 + power - half_lgamma)
+    gam_d = -(s / 4.0) * gam
+    gam_d[:, 1:] += (0.5 * np.sqrt(k[1:])) * gam[:, :-1]
     return gam, gam_d

@@ -12,7 +12,6 @@ from carsfisher import (
     PlaneWaveExcitation,
     VortexExcitation,
     image_amplitudes,
-    mean_photons_spade,
     qfi_separation,
 )
 from carsfisher.fisher import _spade_table
@@ -98,8 +97,9 @@ def test_plane_coincident_emitters_fill_symmetric_mode():
     scene = EmitterScene(s=0.0, g=1.0, kappa=0.81)
     amps = image_amplitudes(PlaneWaveExcitation(ktilde=2.0), scene)
     assert amps.n_total == pytest.approx(4.0 * 0.81, rel=1e-15)
-    assert mean_photons_spade(amps, 0) == amps.n_total
-    assert all(mean_photons_spade(amps, m) == 0.0 for m in range(1, 6))
+    n = _spade_table(amps, 5)[0][0]
+    assert n[0] == amps.n_total
+    assert n[1:].tolist() == [0.0] * 5
 
 
 def test_vortex_on_axis_is_purely_antisymmetric():

@@ -1,7 +1,7 @@
 """QFI/FI routes: general Gram path, closed forms, direct imaging, SPADE."""
 
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from carsfisher import (
     fi_direct,
     fi_spade,
     image_amplitudes,
-    mean_photons_spade,
     optimize_waist,
     qfi_matrix,
     qfi_plane_closed,
@@ -68,10 +67,8 @@ def _vortex(a, psi, s, **scene_kw):
 
 
 def test_fisher_report_validation():
-    with pytest.raises(ValueError, match="method"):
-        FisherReport(value=1.0, normalized_value=0.5, method="guesswork")
     with pytest.raises(ValueError, match="nonnegative"):
-        FisherReport(value=-1.0, normalized_value=-0.5, method="qfi_closed")
+        FisherReport(value=-1.0, normalized_value=-0.5)
 
 
 @pytest.mark.parametrize("field", ["value", "normalized_value", "error_estimate"])
@@ -79,7 +76,7 @@ def test_fisher_report_validation():
 def test_fisher_report_rejects_non_finite_fields(field, bad):
     fields = {"value": 1.0, "normalized_value": 0.5, field: bad}
     with pytest.raises(ValueError, match=f"finite: {field}="):
-        FisherReport(method="qfi_closed", **fields)
+        FisherReport(**fields)
 
 
 def test_qfi_matrix_validation():
@@ -103,7 +100,7 @@ def test_qfi_matrix_rejects_non_finite_entries(field, bad):
 def test_array_records_name_the_first_bad_entry():
     with pytest.raises(ValueError, match="nonnegative at entry 2 \\(value=-1e-30\\)"):
         FisherReport(value=np.array([1.0, 0.0, -1e-30, -2.0]),
-                     normalized_value=np.zeros(4), method="qfi_general")
+                     normalized_value=np.zeros(4))
     ones = np.ones(3)
     with pytest.raises(ValueError, match="semidefinite at entry 1 \\(det=-3.0\\)"):
         QfiMatrix(q_dd=ones, q_dx0=np.array([0.5, 2.0, 3.0]), q_x0x0=ones)
@@ -287,7 +284,6 @@ def test_fi_direct_frozen_plane(ktilde, frozen):
     for s, expected in sorted(frozen.items()):
         report = fi_direct(_plane(ktilde, s))
         assert report.value == pytest.approx(expected, rel=1e-12)
-        assert report.method == "di_quadrature"
         assert 0.0 <= report.error_estimate <= 2.1e-8  # tol * raw scale
 
 
@@ -410,7 +406,8 @@ def test_fi_spade_against_independent_oracle(s):
 
 
 # fi_spade (M = 30, M = 10) and N_0, N_1, N_4 as float.hex, frozen from the
-# schema 9 table (mode amplitudes straight from the site amplitudes)
+# schema 9 table (mode amplitudes straight from the site amplitudes); the
+# fi_spade bits from schema 10's channel terms (dN_m / sqrt(N_m))^2
 SPADE_BITS = {
     "plane-s0": (
         _plane, (2.0, 0.0), {},
@@ -418,7 +415,7 @@ SPADE_BITS = {
         ("0x1.0000000000000p+2", "0x0.0p+0", "0x0.0p+0")),
     "plane-s1e-8": (
         _plane, (2.0, 1e-8), {},
-        ("0x1.35d8ffe057c89p-48", "0x1.35d8ffe057c89p-48"),
+        ("0x1.35d8ffe057c8ap-48", "0x1.35d8ffe057c8ap-48"),
         ("0x1.0000000000000p+2", "0x1.9f623d5a8a730p-107", "0x1.c1551b1463436p-224")),
     "plane-s1": (
         _plane, (2.0, 1.0), {},
@@ -426,15 +423,15 @@ SPADE_BITS = {
         ("0x1.d19e4432a9475p-1", "0x1.1a5768de1dcefp-1", "0x1.366982cc70dacp-13")),
     "plane-s20": (
         _plane, (2.0, 20.0), {},
-        ("0x1.5d9d199069682p-46", "0x1.780d90020a9b2p-93"),
+        ("0x1.5d9d199069685p-46", "0x1.780d90020a9b4p-93"),
         ("0x1.1af0f09b2f54fp-145", "0x1.14947586c24ffp-136", "0x1.1913a92d5190ap-123")),
     "collinear-kappa-g": (
         _plane, (0.0, 0.5), {"kappa": 0.8, "g": 1.3},
-        ("0x1.d41ea4684bbb5p-1", "0x1.d41ea4684bbb5p-1"),
+        ("0x1.d41ea4684bbafp-1", "0x1.d41ea4684bbafp-1"),
         ("0x1.452462e4c29b9p+2", "0x0.0p+0", "0x1.b185d931037a5p-19")),
     "vortex-offset": (
         _vortex, (1.2, 0.3, 0.9), {"x0": 0.7},
-        ("0x1.ac7f0d8cec6fbp+2", "0x1.ac7f0d8cec691p+2"),
+        ("0x1.ac7f0d8cec6fcp+2", "0x1.ac7f0d8cec692p+2"),
         ("0x1.c72a8370a0a24p+0", "0x1.586dc644edf9ap-5", "0x1.053ed40ea987cp-13")),
 }
 
@@ -445,7 +442,8 @@ def test_spade_bits_are_frozen(name):
     amps = make(*args, **scene_kw)
     assert (fi_spade(amps, 30).value.hex(),
             fi_spade(amps, 10).value.hex()) == fi_bits
-    assert tuple(mean_photons_spade(amps, m).hex() for m in (0, 1, 4)) == n_bits
+    n = fisher._spade_table(amps, 4)[0][0]
+    assert tuple(n[m].hex() for m in (0, 1, 4)) == n_bits
 
 
 def test_fi_spade_builds_one_table_per_curve(monkeypatch):
@@ -480,7 +478,7 @@ def test_spade_against_closed_oracle(case):
         photons, fisher_norm = spade_closed(sites, slopes, s, x0, M, kappa, g)
         assert fi_spade(amps, M).normalized_value == pytest.approx(
             fisher_norm, rel=1e-12)
-        got = [mean_photons_spade(amps, m) for m in range(M + 1)]
+        got = fisher._spade_table(amps, M)[0][0].tolist()
         assert got == pytest.approx(photons, rel=1e-12, abs=1e-300)
 
 
@@ -512,7 +510,7 @@ def test_spade_properties_over_random_scenes(scenes):
         tail = amps.kappa * sum(
             spade_gamma(m, amps.s) ** 2 * abs(a2 + (-1) ** m * a1) ** 2
             for m in range(31, 260))
-        photons = sum(mean_photons_spade(amps, m) for m in range(31))
+        photons = fisher._spade_table(amps, 30)[0].sum()
         assert photons + tail == pytest.approx(amps.n_total, rel=1e-10)
 
 
@@ -560,8 +558,31 @@ def test_fi_spade_validation_and_degenerate_cases():
     assert fi_spade(_plane(2.0, 0.0), 30).value == 0.0
 
 
+def test_fi_spade_at_a_subnormal_separation_is_finite_and_quiet():
+    # the mode slopes divide by nothing, so s = 1e-320 neither overflows
+    # nor puts 0 * inf into a dark mode's slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fi_spade(_plane(2.0, 1e-320), 30)
+    assert math.isfinite(report.value) and report.value >= 0.0
+
+
+@pytest.mark.parametrize("ktilde", [0.5, 2.0])
+@pytest.mark.parametrize("s", [1e-54, 1e-58, 1e-70])
+def test_fi_spade_saturates_qfi_at_tiny_separations(ktilde, s):
+    # (dN_m)^2 underflows below s ~ 1e-51 (dN_1 ~ s^3), but dN_m / sqrt(N_m)
+    # does not: every mode's term survives while N_m is a normal double
+    amps = _plane(ktilde, s)
+    ratio = fi_spade(amps, 30).value / qfi_separation(amps).value
+    assert abs(ratio - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("M", [10.5, True, 30.0, "30", -1])
-@pytest.mark.parametrize("estimator", [fi_spade, mean_photons_spade])
+@pytest.mark.parametrize("estimator", [
+    pytest.param(fi_spade, id="fi_spade"),
+    # the table of mode photon numbers that the count model reads
+    pytest.param(fisher._spade_table, id="mean_photons_spade"),
+])
 def test_spade_mode_cutoff_must_be_a_nonnegative_integer(estimator, M):
     # a fractional cutoff must not round to some number of modes, a bool
     # is not a count, and no count is negative
@@ -571,16 +592,17 @@ def test_spade_mode_cutoff_must_be_a_nonnegative_integer(estimator, M):
 
 def test_mean_photons_spade_conservation():
     for amps in (_plane(2.0, 1.3, kappa=0.8), _vortex(SQ2I, 0.2, 0.9)):
-        total = sum(mean_photons_spade(amps, m) for m in range(31))
+        total = fisher._spade_table(amps, 30)[0].sum()
         assert total == pytest.approx(amps.n_total, rel=1e-10)
 
 
 def test_mean_photons_spade_bounds():
     amps = _plane(0.0, 1.0)
     with pytest.raises(ValueError):
-        mean_photons_spade(amps, -1)
+        fi_spade(amps, -1)
     # no upper cap: an even mode beyond 30 holds its tiny share of the light
-    assert 0.0 < mean_photons_spade(amps, 32) < mean_photons_spade(amps, 30)
+    n = fisher._spade_table(amps, 32)[0][0]
+    assert 0.0 < n[32] < n[30]
 
 
 def test_small_s_information_does_not_cancel():
@@ -601,23 +623,19 @@ def _estimator_records(make, *params):
     def records(s):
         amps = make(*params, s, x0=0.4, kappa=0.8, g=1.3)
         return (fi_spade(amps, 12), qfi_separation(amps), qfi_matrix(amps),
-                fi_direct(amps), mean_photons_spade(amps, 3))
+                fi_direct(amps))
 
     return records
 
 
 def _entry_bits(record, one_scene):
-    """Each field of a record: a method name as is, else the float.hex of
-    each entry (one entry, a Python float, for a one-scene record)."""
+    """Each field of a record: the float.hex of each entry (one entry, a
+    Python float, for a one-scene record)."""
     if isinstance(record, tuple):  # optimize_waist: (a*, Q*), arrays per grid
         return {k: [x.hex() for x in v.tolist()] for k, v in enumerate(record)}
-    fields = (vars(record) if dataclasses.is_dataclass(record)
-              else {"n": record})  # mean_photons_spade
     bits = {}
-    for name, value in fields.items():
-        if isinstance(value, str):
-            bits[name] = value
-        elif one_scene:
+    for name, value in vars(record).items():
+        if one_scene:
             assert type(value) is float
             bits[name] = [value.hex()]
         else:

@@ -15,13 +15,13 @@ from carsfisher import (
     fi_direct,
     fi_spade,
     image_amplitudes,
-    mean_photons_spade,
     run_experiment,
     sample_counts,
     spade_count_model,
 )
 
 import carsfisher.montecarlo as montecarlo
+from carsfisher.fisher import _spade_table
 from oracles import (_ml_brackets, ml_reference, ml_score_roots, plane_sites,
                      vortex_sites)
 
@@ -166,8 +166,7 @@ def test_spade_count_model_matches_mode_expectations():
     assert got.shape == (4, 13)
     for row, s in zip(got, s_values):
         amps = image_amplitudes(PLANE_K2, EmitterScene(s=s, kappa=0.8))
-        want = [mean_photons_spade(amps, m) for m in range(13)]
-        assert row.tolist() == want
+        assert row.tolist() == _spade_table(amps, 12)[0][0].tolist()
     # negative separations clip to zero
     assert model([-0.3]).tolist() == model([0.0]).tolist()
 
@@ -266,16 +265,31 @@ def test_binned_imager_matches_full_tensor_rule(exc, sites):
 def test_run_experiment_validation():
     model = spade_count_model(PLANE_K2, 10)
     with pytest.raises(ValueError, match="batches"):
-        run_experiment(model, 1.0, 1e4, 1, 7, (0.5, 1.5), fisher_per_shot=16.0)
-    with pytest.raises(ValueError, match="positive"):
-        run_experiment(model, 1.0, 1e4, 10, 7, (0.5, 1.5), fisher_per_shot=0.0)
+        run_experiment(model, 1.0, 1e4, 1, 7, (0.5, 1.5))
+    # every slope vanishes at s = 0, and with them the Fisher information
+    with pytest.raises(ValueError, match="not identifiable"):
+        run_experiment(model, 0.0, 1e4, 10, 7, (0.0, 1.5))
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+def test_crb_is_the_model_fisher_information_at_the_truth(measurement):
+    # the bound 1/(mu F) takes F from the campaign's own count model: the
+    # SPADE series at the model's cutoff, or the 32-column camera's
+    exc, s, mu = VortexExcitation(a=1.2, psi=0.3), 0.9, 1e4
+    if measurement == "spade":
+        model = spade_count_model(exc, 12)
+        fisher = fi_spade(_amps(exc, s), 12).value
+    else:
+        imager = BinnedImager(exc, domain_s=s)
+        model, fisher = imager.expectations, imager.fisher_information(s)
+    report = run_experiment(model, s, mu, 4, 5, (0.5, 1.5), method=measurement)
+    assert report.crb == pytest.approx(1.0 / (mu * fisher), rel=1e-14, abs=0.0)
 
 
 def test_run_experiment_reproducible():
     model = spade_count_model(PLANE_K2, 10)
-    fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
-    a = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5), fisher_per_shot=fisher)
-    b = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5), fisher_per_shot=fisher)
+    a = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5))
+    b = run_experiment(model, 1.0, 1e4, 5, 11, (0.5, 1.5))
     assert a.estimates == b.estimates
     assert a.ratio == b.ratio
     assert a.seed == 11
@@ -291,8 +305,7 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
     model = spade_count_model(PLANE_K2, 10) if measurement == "spade" \
         else _di_model()
     mu, batches, interval = 1e4, 12, (0.5, 1.5)
-    report = run_experiment(model, 1.0, mu, batches, seed, interval,
-                            fisher_per_shot=16.0, method=measurement)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval, method=measurement)
     # the golden-section search of the likelihood maximum and the secant
     # search of the score root each land within x_tol/2 of the maximum
     reference = ml_reference(model, 1.0, mu, batches, seed, interval)
@@ -304,10 +317,11 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
 
 
 def test_run_experiment_model_work(monkeypatch):
-    # the scan evaluates the 32-column camera's rows once per point for all
-    # batches, and each secant round evaluates rows and slopes once per
-    # distinct abscissa: no s is evaluated twice for either, and no model
-    # call sees more than 16 separations
+    # the truth is one row with slopes (its counts and its Fisher
+    # information), the scan evaluates the 32-column camera's rows once per
+    # point for all batches, and each secant round evaluates rows and slopes
+    # once per distinct abscissa: no s is evaluated twice for either, and
+    # no model call sees more than 16 separations
     batches = 50
     model = _di_model()
     seen = {False: [], True: []}  # separations by slope=
@@ -327,27 +341,27 @@ def test_run_experiment_model_work(monkeypatch):
 
     def counting_terms(m, s_values):
         if not rounds:
-            assert len(seen[False]) == 1 + 256  # the truth and the scan
-            assert len(calls[False]) == 1 + 16
+            assert seen[True] == [1.0]  # the truth
+            assert len(seen[False]) == 256  # the scan
+            assert len(calls[False]) == 16
         rounds.append(len(s_values))
         return score_terms(m, s_values)
 
     monkeypatch.setattr(montecarlo, "_score_terms", counting_terms)
-    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5),
-                   fisher_per_shot=16.0, method="di")
+    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5), method="di")
     assert widths == {32}
     for slope in (False, True):
         assert len(seen[slope]) == len(set(seen[slope]))
         assert max(calls[slope]) <= 16
-    assert len(seen[False]) == 1 + 256
-    assert sum(rounds) == len(seen[True])
+    assert len(seen[False]) == 256
+    assert 1 + sum(rounds) == len(seen[True])
     # the first round scores both ends of every bracket, 7 distinct scan
     # points here; each later one a secant point per batch still refining
     assert rounds[0] <= 2 * batches
     assert all(r <= batches for r in rounds[1:])
     # 4 rounds and 108 slope abscissae (counts that depend on the draw)
     assert rounds == [7, 50, 50, 1]
-    assert len(calls[True]) == sum(math.ceil(r / 16) for r in rounds)
+    assert len(calls[True]) == 1 + sum(math.ceil(r / 16) for r in rounds)
 
 
 def _rounds(monkeypatch):
@@ -369,16 +383,14 @@ def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
     # rounds follow
     rounds = _rounds(monkeypatch)
     run_experiment(spade_count_model(PLANE_K2, 10), 1.0, 1e4, 50, 20260817,
-                   (0.5, 1.5), fisher_per_shot=16.0)
+                   (0.5, 1.5))
     assert rounds == [6, 50, 50, 50]
 
 
 def test_spade_variance_meets_crb_long_campaign():
     # 400 batches: the batch-variance ratio has sd ~ sqrt(2/399) ~ 0.07
     model = spade_count_model(PLANE_K2, 10)
-    fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
-    report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5),
-                            fisher_per_shot=fisher, method="spade")
+    report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5), method="spade")
     assert 0.8 < report.ratio < 1.25
     assert report.ratio == pytest.approx(0.9858279841890103, rel=1e-9)
 
@@ -387,20 +399,17 @@ def test_direct_imaging_variance_exceeds_spade_variance():
     # same photon budget, same seed: the DI spread reflects its smaller
     # Fisher information
     spade_model = spade_count_model(PLANE_K2, 10)
-    spade_fisher = fi_spade(_amps(PLANE_K2, 1.0), 10).value
     spade_report = run_experiment(spade_model, 1.0, 1e4, 50, 20260817,
-                                  (0.5, 1.5), fisher_per_shot=spade_fisher)
+                                  (0.5, 1.5))
 
-    imager = BinnedImager(PLANE_K2, domain_s=1.0)
-    di_fisher = imager.fisher_information(1.0)
-    di_report = run_experiment(imager.expectations, 1.0, 1e4, 50, 20260817,
-                               (0.5, 1.5), fisher_per_shot=di_fisher,
+    di_model = BinnedImager(PLANE_K2, domain_s=1.0).expectations
+    di_report = run_experiment(di_model, 1.0, 1e4, 50, 20260817, (0.5, 1.5),
                                method="di")
 
     assert spade_report.ratio == pytest.approx(0.7044113684030046, rel=1e-9)
     assert di_report.ratio == pytest.approx(0.82934452649437, rel=1e-9)
     assert di_report.empirical_variance > 2.0 * spade_report.empirical_variance
-    assert di_fisher < spade_fisher
+    assert di_report.crb > spade_report.crb
 
 
 def test_low_information_regime_stays_near_the_bound():
@@ -408,10 +417,8 @@ def test_low_information_regime_stays_near_the_bound():
     # ratio drifts above one but must stay the right order of magnitude
     exc = PlaneWaveExcitation(ktilde=0.0)
     model = spade_count_model(exc, 10)
-    fisher = fi_spade(_amps(exc, 0.2), 10).value
-    assert fisher < 0.2
-    report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6),
-                            fisher_per_shot=fisher)
+    assert fi_spade(_amps(exc, 0.2), 10).value < 0.2
+    report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6))
     assert 0.9 < report.ratio < 2.0
     assert report.ratio == pytest.approx(1.3058717711084737, rel=1e-9)
 
@@ -436,8 +443,7 @@ def test_estimates_are_score_roots(exc, measurement):
     # bisection on a finite-difference score
     model = _count_model(exc, measurement)
     mu, batches, seed, interval = 1e4, 30, 20260817, (0.5, 1.5)
-    report = run_experiment(model, 1.0, mu, batches, seed, interval,
-                            fisher_per_shot=16.0, method=measurement)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval, method=measurement)
     roots = ml_score_roots(model, 1.0, mu, batches, seed, interval)
     for estimate, root in zip(report.estimates, roots):
         assert abs(estimate - root) <= 5e-7 + 1e-9
@@ -447,7 +453,7 @@ def test_low_information_estimates_are_score_roots():
     exc = PlaneWaveExcitation(ktilde=0.0)
     model = spade_count_model(exc, 10)
     args = (model, 0.2, 1e4, 50, 20260817, (0.02, 0.6))
-    report = run_experiment(*args, fisher_per_shot=0.1)
+    report = run_experiment(*args)
     for estimate, root in zip(report.estimates, ml_score_roots(*args)):
         assert abs(estimate - root) <= 5e-7 + 1e-9
 
@@ -494,8 +500,7 @@ def test_slope_rows_keep_the_count_rows_and_vanish_where_s_clips(measurement):
 ])
 def test_truth_outside_the_interval_gives_the_nearer_end(measurement, interval, end):
     model = _count_model(PLANE_K2, measurement)
-    report = run_experiment(model, 1.0, 1e4, 20, 20260817, interval,
-                            fisher_per_shot=16.0, method=measurement)
+    report = run_experiment(model, 1.0, 1e4, 20, 20260817, interval, method=measurement)
     assert max(abs(e - end) for e in report.estimates) <= 1e-6
 
 
@@ -506,8 +511,7 @@ def test_search_from_zero_separation(monkeypatch, measurement):
     ratio, total = montecarlo._score_terms(model, [0.0, 1e-12, 0.01])
     assert np.all(np.isfinite(ratio)) and np.all(np.isfinite(total))
     rounds = _rounds(monkeypatch)
-    report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6),
-                            fisher_per_shot=1.0, method=measurement)
+    report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6), method=measurement)
     est = np.array(report.estimates)
     assert np.all(np.isfinite(est))
     assert est.min() >= 0.0 and est.max() <= 0.6
@@ -568,7 +572,7 @@ def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, tr
     model = _count_model(exc, measurement, domain_s=0.3)
     args = (model, true_s, 1e4, 30, 20260817, interval)
     rounds = _rounds(monkeypatch)
-    report = run_experiment(*args, fisher_per_shot=1.0, method=measurement)
+    report = run_experiment(*args, method=measurement)
     assert len(rounds) <= 6
     roots = ml_score_roots(*args)
     golden = ml_reference(*args)
