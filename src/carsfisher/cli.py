@@ -3,7 +3,7 @@
 Subcommands:
 
 * figure2        — plane-wave sweep: QFI, direct-imaging FI (with its
-                   quadrature error bound, fi_di_err), SPADE FI vs s
+                   Gauss-Kronrod error estimate, fi_di_err), SPADE FI vs s
 * figure3        — vortex sweep over the vertical shift psi, with the
                    optimize-over-a envelope on the psi = 0 rows
 * convergence    — SPADE FI vs mode cutoff M at fixed ktilde
@@ -59,7 +59,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 10
+_SCHEMA_VERSION = 11
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 

@@ -6,8 +6,8 @@ the two measurements of interest:
 
 * direct imaging (DI): spatially resolved intensity, FI by 1D quadrature
   of the x-profile (the Gaussian image factorizes exactly in y); every DI
-  report carries its quadrature error bound, which the sweep commands
-  write as the ``fi_di_err`` column;
+  report carries its Gauss-Kronrod error estimate, which the sweep
+  commands write as the ``fi_di_err`` column;
 * spatial-mode demultiplexing (SPADE): photon counting in Hermite-Gauss
   modes, FI by summing per-mode contributions of one (scenes x modes)
   table of the mode photon numbers and their separation derivatives.
@@ -253,16 +253,14 @@ def _channel_terms(n, dn):
     return terms * terms
 
 
-def _x_profiles(a1, a2, g1, g2, x1, x2, xx):
-    """The DI x-profile I = |A|^2, A = a1 e1 + a2 e2 with
-    e_k = exp(-(xx - x_k)^2), and its s-derivative dI/ds = 2 Re(conj(A) dA)
-    at the points ``xx`` (the emitters at x1 = x0 - s/2 and x2 = x0 + s/2,
-    site amplitudes a_k with site gradients g_k), broadcast together.
-    Gradients None give (I, None): the intensity alone, without the cost
-    of its derivative.
+def _x_profiles(a1, a2, g1, g2, d1, d2, e1, e2):
+    """The DI x-profile I = |A|^2, A = a1 e1 + a2 e2, and its s-derivative
+    dI/ds = 2 Re(conj(A) dA) at image points whose offsets from the
+    emitters at x0 -/+ s/2 are d1 and d2, with the Gaussians
+    e_k = exp(-d_k^2) (site amplitudes a_k with site gradients g_k, all
+    broadcast together).  Gradients None give (I, None): the intensity
+    alone, without the cost of its derivative.
     """
-    d1, d2 = xx - x1, xx - x2
-    e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
     amp = a1 * e1 + a2 * e2
     if g1 is None:
         return np.abs(amp) ** 2, None
@@ -277,30 +275,41 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     Both emitters sit on y = 0, so I and d_d I share the y-factor
     exp(-2 y^2) and the plane integral is sqrt(pi/2) times an x-integral
     (the window |y| <= 8 makes erf exactly 1 at double precision); with the
-    PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  Integrates with
-    amplitudes scaled by sqrt(2) g, so the quadrature tolerance applies to
-    the normalized value.  Points where the x-profile |a_1 e_1 + a_2 e_2|^2
-    is not a normal double (nodes and far tails, where it underflows)
-    contribute zero, as every dark channel does (``_channel_terms``).  The
-    x-integrals of all scenes form one lockstep batch
-    (``integrate_1d_many``, one integrand call per round), in which each
-    refines as it would alone.  Raises ConvergenceError naming the
-    first scene whose quadrature stalls, with its estimate.
+    PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  The x-window
+    x0 -/+ h, h = max(8, s/2 + 8), is folded about the centroid: the
+    integral over u in [0, h] of f(x0 + u) + f(x0 - u) equals it exactly
+    for any scene.  Both mirror points share one pair of Gaussians: at
+    x0 + u the offsets from the emitters are d1 = u + s/2 and
+    d2 = u - s/2, and at x0 - u they are -d2 and -d1, with e1 and e2
+    swapped.  Integrates with amplitudes scaled by sqrt(2) g, so the
+    quadrature tolerance applies to the normalized value; the reported
+    error is the Gauss-Kronrod error estimate, not a bound.  Points where
+    the x-profile |a_1 e_1 + a_2 e_2|^2 is not a normal double (nodes and
+    far tails, where it underflows) contribute zero, as every dark
+    channel does (``_channel_terms``).  The x-integrals of all scenes form
+    one lockstep batch (``integrate_1d_many``, one integrand call per
+    round), in which each refines as it would alone.  Raises
+    ConvergenceError naming the first scene whose quadrature stalls, with
+    its estimate.
     """
     s = np.atleast_1d(amps.s)
     root2g = math.sqrt(2.0) * amps.g
-    a1, a2, g1, g2 = (np.atleast_1d(c) / root2g
-                      for c in (*amps.site_amplitudes, *amps.site_gradients))
-    half = np.maximum(8.0, s / 2.0 + 8.0)
-    scene = (a1, a2, g1, g2, amps.x0 - s / 2.0, amps.x0 + s / 2.0)
+    sites = (*amps.site_amplitudes, *amps.site_gradients)
+    scene = (*(np.atleast_1d(c) / root2g for c in sites), s / 2.0)
     weight = math.sqrt(2.0 / math.pi)
 
-    def integrand(rows, xx):
-        profiles = _x_profiles(*(p.take(rows)[:, None] for p in scene), xx)
-        return weight * _channel_terms(*profiles)
+    def integrand(rows, uu):
+        a1, a2, g1, g2, half_s = (p.take(rows)[:, None] for p in scene)
+        d1, d2 = uu + half_s, uu - half_s
+        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
+        plus = _channel_terms(*_x_profiles(a1, a2, g1, g2, d1, d2, e1, e2))
+        minus = _channel_terms(*_x_profiles(a1, a2, g1, g2, -d2, -d1, e2, e1))
+        return weight * (plus + minus)
 
-    results = integrate_1d_many(integrand, amps.x0 - half, amps.x0 + half,
-                                abs_tol=abs_tol, max_depth=44)
+    # depth 43 on [0, h] keeps the finest cell at h / 2^43 = 2h / 2^44
+    results = integrate_1d_many(integrand, np.zeros(s.size),
+                                np.maximum(8.0, s / 2.0 + 8.0),
+                                abs_tol=abs_tol, max_depth=43)
     norm, err = np.array(results).reshape(-1, 2).T
     norm = np.maximum(norm, 0.0)
     scale = _scale(amps)

@@ -324,7 +324,9 @@ class BinnedImager:
             self.x0 - s / 2.0, self.x0 + s / 2.0))
         if not slope:
             g1 = g2 = None
-        inten, d_inten = _x_profiles(a1, a2, g1, g2, x1, x2, self._nodes_x)
+        d1, d2 = self._nodes_x - x1, self._nodes_x - x2
+        inten, d_inten = _x_profiles(a1, a2, g1, g2, d1, d2,
+                                     np.exp(-d1 ** 2), np.exp(-d2 ** 2))
         n = inten @ self._weights_x
         return (n, d_inten @ self._weights_x) if slope else n
 

@@ -3,13 +3,14 @@
 Everything here is rebuilt from first principles on dense grids with plain
 numpy — no imports from the package under test.  Fields are sampled
 directly from their defining expressions, derivatives are central finite
-differences, and inner products are trapezoid sums wide enough that the
-Gaussian tails are below double precision.  Agreement between these
-oracles and the analytic package paths is what the frozen constants in
-the test modules encode.  One spectral oracle integrates at 30 digits
-with mpmath instead, and one QFI oracle evaluates the Gram form of the
-field derivatives at 50 digits; the tests that use them skip when mpmath
-is missing.
+differences (one DI oracle takes the field's exact s-derivative instead,
+to resolve the quadrature tolerance), and inner products are trapezoid
+sums wide enough that the Gaussian tails are below double precision.
+Agreement between these oracles and the analytic package paths is what
+the frozen constants in the test modules encode.  One spectral oracle
+integrates at 30 digits with mpmath instead, and one QFI oracle
+evaluates the Gram form of the field derivatives at 50 digits; the tests
+that use them skip when mpmath is missing.
 The adaptive-quadrature reference restates the package's algorithm in
 its plain one-at-a-time form, to pin its batched version bit for bit;
 the maximum-likelihood references refine each batch alone, one by
@@ -206,6 +207,27 @@ def di_fisher_fd(amps, s: float, x0: float = 0.0, kappa: float = 1.0,
     keep = mid > 1e-14 * mid.max()
     ratio[keep] = d_i[keep] ** 2 / mid[keep]
     return trapezoid(ratio).real
+
+
+def di_fisher_analytic(amps, slopes, s: float, x0: float = 0.0,
+                       kappa: float = 1.0) -> float:
+    """F = int (d_d I)^2 / I with d_d I from the field's exact s-derivative:
+    the sites sit at x_k = x0 -/+ s/2, so d/ds of a_k psf(x - x_k) is
+    -/+ (1/2) (g_k psf(x - x_k) - a_k psf'(x - x_k)), psf'(z) = -2 z psf(z).
+    No finite-difference step, so the result is limited only by the
+    trapezoid sum; points where I is exactly zero count zero."""
+    a1, a2 = amps(s, x0)
+    g1, g2 = slopes(s, x0)
+    z1, z2 = _X - (x0 - s / 2.0), _X - (x0 + s / 2.0)
+    p1, p2 = psf_1d(z1), psf_1d(z2)
+    field = a1 * p1 + a2 * p2
+    d_field = (-0.5 * g1 - a1 * z1) * p1 + (0.5 * g2 + a2 * z2) * p2
+    inten = np.abs(field) ** 2
+    d_inten = 2.0 * (np.conj(field) * d_field).real
+    ratio = np.zeros_like(inten)
+    keep = inten > 0.0
+    ratio[keep] = d_inten[keep] ** 2 / inten[keep]
+    return kappa * trapezoid(ratio).real
 
 
 # --------------------------------------------------------------------------

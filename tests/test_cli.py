@@ -43,7 +43,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=10" in lines[0]
+    assert "schema=11" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -302,11 +302,12 @@ def _count_quadrature_work(monkeypatch):
 
 def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeypatch):
     # the lockstep batches split exactly the cells the per-scene rule
-    # splits: 137 integrand calls fill 22,110 cells for figure2 + figure3
+    # splits: 69 integrand calls fill 10,748 cells of the folded DI
+    # windows for figure2 + figure3
     counts = _count_quadrature_work(monkeypatch)
     for command in ("figure2", "figure3"):
         assert cli.main([command, "--out", str(tmp_path / command)]) == 0
-    assert counts == {"calls": 137, "cells": 22_110}
+    assert counts == {"calls": 69, "cells": 10_748}
 
 
 def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
@@ -382,7 +383,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 10
+    assert doc["schema_version"] == 11
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -431,7 +432,7 @@ def test_simulate_direct_imaging_smoke(tmp_path):
     assert len(report["estimates"]) == 2
 
 
-@pytest.mark.parametrize("family,s_sim", [("plane", 6.0), ("vortex", 5.5)])
+@pytest.mark.parametrize("family,s_sim", [("plane", 6.0)])
 def test_simulate_direct_imaging_beyond_the_camera_is_a_usage_error(
         tmp_path, capsys, family, s_sim):
     # the 32-column camera's field of view grows with s_sim until its bins miss

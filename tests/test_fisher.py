@@ -29,6 +29,7 @@ from carsfisher import (
 )
 
 from oracles import (
+    di_fisher_analytic,
     di_fisher_fd,
     field_1d,
     optimal_waist,
@@ -293,6 +294,9 @@ def test_fi_direct_frozen_plane(ktilde, frozen):
     pytest.param(_plane, (2.0,), 2.0, 0.0, id="2.0"),
     pytest.param(_vortex, (SQ2I, 0.3), 1.0, 0.0, id="vortex-psi0.3"),
     pytest.param(_plane, (2.0,), 1.0, 0.7, id="x0-0.7"),
+    # the one profile here that is not mirror-symmetric about x0, so the
+    # two halves of fi_direct's folded window differ
+    pytest.param(_vortex, (SQ2I, 0.3), 1.0, 0.7, id="vortex-x0-0.7"),
     pytest.param(_plane, (2.0,), math.pi / 2.0, 0.0, id="dark-fringe"),
     pytest.param(_plane, (2.0,), 6.0, 0.0, id="large-s"),
 ])
@@ -301,6 +305,18 @@ def test_fi_direct_against_independent_oracle(amps, sites, s, x0):
     report = fi_direct(amps(*sites, s, x0=x0), abs_tol=1e-10)
     want = di_fisher_fd(oracle_sites(*sites), s, x0=x0)
     assert report.value == pytest.approx(want, rel=1e-7)
+
+
+def test_fi_direct_meets_its_tolerance_on_the_default_figure3_curve():
+    # fi_di_err is the Gauss-Kronrod error estimate, not a bound: on this
+    # curve (figure3's psi = 0.1 row) the value at s = 2.69849 is 2.1e-9
+    # from the converged one, 3.3 times its estimate.  What holds is the
+    # tolerance: every normalized value within tol = 1e-8 of the exact one.
+    s = np.linspace(0.01, 3.0, 120)
+    report = fi_direct(_vortex(SQ2I, 0.1, s))
+    sites, slopes = vortex_sites(SQ2I, 0.1), vortex_slopes(SQ2I, 0.1)
+    want = np.array([di_fisher_analytic(sites, slopes, v) for v in s]) / 2.0
+    assert np.all(np.abs(report.normalized_value - want) <= 1e-8)
 
 
 def test_fi_direct_saturates_qfi_for_collinear_plane():

@@ -223,12 +223,24 @@ def test_binned_fisher_information_equals_richardson_difference(exc, s):
 
 def test_binned_imager_rejects_too_coarse_grid():
     # the camera widens its field of view with the separation, so its
-    # bins outgrow the 2% bound above s ~ 3.07 (plane kt = 2) and s ~ 5.27
-    # (vortex a = 1/sqrt(2))
+    # bins outgrow the 2% bound above s ~ 3.07 (plane kt = 2)
     with pytest.raises(ValueError, match=r"at s=3\.25 deviates 2\.1"):
         BinnedImager(PLANE_K2, domain_s=3.25)
-    with pytest.raises(ValueError, match="too coarse"):
-        BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=5.5)
+
+
+def test_binned_imager_builds_the_vortex_camera_at_s_5_5():
+    # against converged values the 32 columns are within 0.03% of the
+    # continuum out to s = 8 (vortex a = 1/sqrt(2))
+    imager = BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=5.5)
+    assert imager.fisher_information(5.5) > 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 2: fi_direct's absolute tolerance "
+                          "exceeds the dark vortex's DI value here, so the 2% "
+                          "check compares against an unconverged continuum")
+def test_binned_imager_builds_the_vortex_camera_at_s_6_5():
+    BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=6.5)
 
 
 @pytest.mark.parametrize("exc,sites", [
