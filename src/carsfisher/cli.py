@@ -56,10 +56,10 @@ from .fisher import (
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
 from .numerics import ConvergenceError, integrate_1d_many
-from .psf_modes import _psf_gram
+from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 11
+_SCHEMA_VERSION = 12
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -434,23 +434,12 @@ _GRAM_ENTRIES = {
 
 def _quadrature_gram(s_values) -> dict:
     """Each entry of _GRAM_ENTRIES at each separation, {name: array}, by
-    quadrature of the sampled PSF copies at -/+ s/2 and their
-    central-difference gradients, without the Gram form.
-
-    Every PSF copy is displaced along x, so each overlap is an x-integral of
-    the y = 0 factor e(x) = sqrt(2/pi) exp(-x^2) times the common
-    int f(y)^2 dy; dividing by the computed int e(x)^2 dx (the first
-    member, <u1|u1> at s = 0) cancels that factor.  One lockstep batch
-    serves every member.
+    quadrature of the two fields at image points (``psf_modes._psf_points``),
+    without the Gram form.  Each overlap is an x-integral on y = 0 times the
+    common y-integral and PSF prefactor, which dividing by the computed
+    <u1|u1> at s = 0 (the first member) cancels.  One lockstep batch serves
+    every member.
     """
-    h = 1e-5
-
-    def e(x):
-        return math.sqrt(2.0 / math.pi) * np.exp(-x**2)
-
-    def grad(x):
-        return (e(x + h) - e(x - h)) / (2.0 * h)
-
     unit = (1.0, 0.0, 0.0, 0.0)
     members = [(0.0, unit, unit)] + [(s, c, d) for c, d in _GRAM_ENTRIES.values()
                                      for s in s_values]
@@ -458,10 +447,10 @@ def _quadrature_gram(s_values) -> dict:
     half_s = s[:, None] / 2.0
 
     def integrand(rows, x):
-        left, right = x + half_s[rows], x - half_s[rows]
-        basis = (e(left), grad(left), e(right), grad(right))
-        return (sum(c[rows, k:k + 1] * b for k, b in enumerate(basis))
-                * sum(d[rows, k:k + 1] * b for k, b in enumerate(basis)))
+        d1, d2 = x + half_s[rows], x - half_s[rows]
+        points = (d1, d2, np.exp(-d1 ** 2), np.exp(-d2 ** 2))
+        return (_psf_points(c[rows].T[:, :, None], *points)
+                * _psf_points(d[rows].T[:, :, None], *points))
 
     half = 8.0 + half_s[:, 0]
     values = np.array([value for value, _ in integrate_1d_many(

@@ -28,8 +28,10 @@ w^2 F / (2 kappa g^2) used throughout for plotting and comparisons.
 The image-plane signal is a coherent state, so its QFI matrix is the Gram
 matrix of the field derivatives, Q_ij = 4 Re <d_i A|d_j A>, positive
 semidefinite by construction.  Both derivatives are combinations of the
-PSF copies and their gradients with site coefficients, and one Gram form
-of the PSF pair (psf_modes._psf_gram) evaluates them.  Closed forms for
+PSF copies and their gradients with site coefficients, written once
+(``_derivative_coefficients``).  Every estimator reads d_s A from those
+coefficients through psf_modes: the QFI as their Gram form, DI at image
+points, SPADE on the Hermite-Gauss modes.  Closed forms for
 the plane-wave and vortex excitation families are provided separately and
 are cross-checked against this general path (see vortex_closed_variants
 for the two published vortex candidates the adjudication command
@@ -46,7 +48,8 @@ import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
 from .numerics import integrate_1d_many
-from .psf_modes import _gamma_table, _psf_gram, _require_finite, _require_separation
+from .psf_modes import (_gamma_table, _mode_overlaps, _psf_gram, _psf_points,
+                        _require_finite, _require_separation)
 
 def _require_finite_fields(owner: str, **fields):
     # one numpy test per field; _require_finite's scan only names the failure
@@ -253,19 +256,14 @@ def _channel_terms(n, dn):
     return terms * terms
 
 
-def _x_profiles(a1, a2, g1, g2, d1, d2, e1, e2):
+def _di_profile(a1, a2, slope, d1, d2, e1, e2):
     """The DI x-profile I = |A|^2, A = a1 e1 + a2 e2, and its s-derivative
-    dI/ds = 2 Re(conj(A) dA) at image points whose offsets from the
-    emitters at x0 -/+ s/2 are d1 and d2, with the Gaussians
-    e_k = exp(-d_k^2) (site amplitudes a_k with site gradients g_k, all
-    broadcast together).  Gradients None give (I, None): the intensity
-    alone, without the cost of its derivative.
-    """
+    2 Re(conj(A) d_s A) at image points with offsets d_k from the emitters
+    and Gaussians e_k = exp(-d_k^2), reading 2 d_s A from its coefficients
+    ``slope`` (``_derivative_coefficients``) through ``_psf_points``."""
     amp = a1 * e1 + a2 * e2
-    if g1 is None:
-        return np.abs(amp) ** 2, None
-    damp = 0.5 * (g2 * e2 - g1 * e1) - (a1 * d1 * e1 - a2 * d2 * e2)
-    return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * damp).real
+    d_amp = _psf_points(slope, d1, d2, e1, e2)
+    return np.abs(amp) ** 2, amp.real * d_amp.real + amp.imag * d_amp.imag
 
 
 def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
@@ -278,32 +276,30 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     PSF prefactor 2/pi the x-integrand carries sqrt(2/pi).  The x-window
     x0 -/+ h, h = max(8, s/2 + 8), is folded about the centroid: the
     integral over u in [0, h] of f(x0 + u) + f(x0 - u) equals it exactly
-    for any scene.  Both mirror points share one pair of Gaussians: at
-    x0 + u the offsets from the emitters are d1 = u + s/2 and
-    d2 = u - s/2, and at x0 - u they are -d2 and -d1, with e1 and e2
-    swapped.  Integrates with amplitudes scaled by sqrt(2) g, so the
-    quadrature tolerance applies to the normalized value; the reported
-    error is the Gauss-Kronrod error estimate, not a bound.  Points where
-    the x-profile |a_1 e_1 + a_2 e_2|^2 is not a normal double (nodes and
-    far tails, where it underflows) contribute zero, as every dark
-    channel does (``_channel_terms``).  The x-integrals of all scenes form
-    one lockstep batch (``integrate_1d_many``, one integrand call per
-    round), in which each refines as it would alone.  Raises
-    ConvergenceError naming the first scene whose quadrature stalls, with
-    its estimate.
+    for any scene, and the offsets from the emitters at x0 - u are those
+    at x0 + u negated and swapped, so both share one pair of Gaussians.
+    Integrates with amplitudes scaled by sqrt(2) g, so the quadrature
+    tolerance applies to the normalized value; the reported error is the
+    Gauss-Kronrod error estimate, not a bound.  Points where the x-profile
+    is not a normal double (nodes and far tails, where it underflows)
+    contribute zero, as every dark channel does (``_channel_terms``).
+    The x-integrals of all scenes form one lockstep batch
+    (``integrate_1d_many``, one integrand call per round), in which each
+    refines as it would alone.  Raises ConvergenceError naming the first
+    scene whose quadrature stalls, with its estimate.
     """
     s = np.atleast_1d(amps.s)
     root2g = math.sqrt(2.0) * amps.g
-    sites = (*amps.site_amplitudes, *amps.site_gradients)
+    sites = (*amps.site_amplitudes, *_derivative_coefficients(amps)[0])
     scene = (*(np.atleast_1d(c) / root2g for c in sites), s / 2.0)
     weight = math.sqrt(2.0 / math.pi)
 
     def integrand(rows, uu):
-        a1, a2, g1, g2, half_s = (p.take(rows)[:, None] for p in scene)
+        a1, a2, *slope, half_s = (p.take(rows)[:, None] for p in scene)
         d1, d2 = uu + half_s, uu - half_s
         e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
-        plus = _channel_terms(*_x_profiles(a1, a2, g1, g2, d1, d2, e1, e2))
-        minus = _channel_terms(*_x_profiles(a1, a2, g1, g2, -d2, -d1, e2, e1))
+        plus = _channel_terms(*_di_profile(a1, a2, slope, d1, d2, e1, e2))
+        minus = _channel_terms(*_di_profile(a1, a2, slope, -d2, -d1, e2, e1))
         return weight * (plus + minus)
 
     # depth 43 on [0, h] keeps the finest cell at h / 2^43 = 2h / 2^44
@@ -320,24 +316,19 @@ def _spade_table(amps: ImageAmplitudes, modes: int):
     """Mean photon numbers N_m in HG modes m = 0..modes and their
     s-derivatives, as two arrays with one row per scene.
 
-    The copy at x0 + s/2 overlaps mode m by gamma_m, the copy at x0 - s/2
-    by (-1)^m gamma_m, so mode m holds
-    b_m = sqrt(kappa) gamma_m ((-1)^m a1 + a2).  Raises ValueError unless
+    Mode m holds b_m = <phi_m|A>, and dN_m/ds = 2 Re(conj(b_m) d_s b_m):
+    the field and 2 d_s A (``_derivative_coefficients``) projected onto the
+    modes by ``psf_modes._mode_overlaps``.  Raises ValueError unless
     ``modes`` is a nonnegative integer (a bool is not one).
     """
     if not isinstance(modes, numbers.Integral) or isinstance(modes, bool) or modes < 0:
         raise ValueError(f"mode cutoff must be a nonnegative integer, got {modes!r}")
     gam, gam_d = _gamma_table(np.atleast_1d(amps.s), modes)
-    a1, a2, g1, g2 = (np.atleast_1d(z)[:, None]
-                      for z in (*amps.site_amplitudes, *amps.site_gradients))
-    sign = np.where(np.arange(modes + 1) % 2, -1.0, 1.0)
-    sites = sign * a1 + a2
-    # d/ds of the site amplitudes: the sites move as x0 -/+ s/2
-    d_sites = 0.5 * (g2 - sign * g1)
+    a1, a2, *slope = (np.atleast_1d(z)[:, None] for z in (
+        *amps.site_amplitudes, *_derivative_coefficients(amps)[0]))
     root = math.sqrt(amps.kappa)
-    b = root * (gam * sites)
-    db = root * (gam_d * sites + gam * d_sites)
-    return np.abs(b) ** 2, 2.0 * (np.conj(b) * db).real
+    b = root * _mode_overlaps((a1, 0.0, a2, 0.0), gam, gam_d)
+    return np.abs(b) ** 2, (np.conj(b) * (root * _mode_overlaps(slope, gam, gam_d))).real
 
 
 def _spade_running_fi(amps: ImageAmplitudes, M: int) -> np.ndarray:

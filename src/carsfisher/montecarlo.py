@@ -27,15 +27,9 @@ matrix-vector product, and each secant round scores the batches still
 refining with one row-wise product; each batch makes the search steps it
 would make alone.
 
-Direct imaging counts photons on a 32-column camera (``BinnedImager``):
-each channel is one x-bin column, the total over the field of view's
-y-extent.  Recording only the columns loses nothing.  Both emitters sit on
-y = 0, so a 2D camera's bin expectations are N_ij(s) = P_i(s) W_j with
-y-bin weights W_j free of s; its Poisson log-likelihood is that of the
-column totals plus a term that does not depend on s, and the column
-totals are a sufficient statistic.  SPADE and direct imaging therefore
-share one path: each draws and searches on the channels of its own
-model.
+Direct imaging counts photons in the 32 x-bin columns of a camera
+(``BinnedImager``), whose totals lose nothing, so SPADE and direct imaging
+share one path: each draws and searches on the channels of its own model.
 
 RNG is counter-based (Philox) with the seed recorded in every report; a
 fixed seed reproduces counts, estimates, and ratios bit-for-bit.
@@ -49,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
-from .fisher import _channel_terms, _spade_table, _x_profiles, fi_direct
+from .fisher import (_channel_terms, _derivative_coefficients, _di_profile, _spade_table,
+                     fi_direct)
 from .numerics import _WK, _XK
 
 _LOG_FLOOR = 1e-300
@@ -122,7 +117,7 @@ def _score_terms(model, s_values):
 
 
 def _pole_secant(a, b, score_a, score_b, pole):
-    """The secant step in u = s^2 on an interval from s = 0: the root in
+    """The secant step in u = s^2 on an interval from near s = 0: the root in
     each bracket (a, b) of R/u + p + q u, the form of the score in u,
     S(s) / (2 s), near s = 0 (the counts are even in s), through the scores
     S at both ends (s = 0 taken at _X_TOL/2).  R is ``pole``, sum(n_c k_c)
@@ -166,9 +161,9 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     with one row-wise product.
 
     The secant runs in s, where a bracket away from s = 0 sees a nearly
-    linear score, and on an interval from s = 0 in u = s^2
-    (``_pole_secant``).  The models clip s < 0 to 0, so the interval must
-    start at s >= 0.
+    linear score, and in u = s^2 (``_pole_secant``) on an interval that
+    starts within one scan step, (hi - lo)/255, of s = 0.  The models clip
+    s < 0 to 0, so the interval must start at s >= 0.
     """
     counts = np.asarray(counts, dtype=float)
     if not np.all(np.any(counts > 0, axis=1)):
@@ -208,9 +203,9 @@ def _ml_search(counts, model, search_interval) -> list[float]:
                              f"at s={float(x[~finite][0])!r}")
         return values
 
-    # an interval from s = 0 also scores s = 0 (at _X_TOL/2), where
-    # (s/2) N'_c / N_c rounds to each channel's order k_c in u
-    in_u = lo == 0.0
+    # an interval from within one scan step of s = 0 also scores s = 0 (at
+    # _X_TOL/2), where (s/2) N'_c / N_c rounds to each channel's order k_c in u
+    in_u = lo <= (hi - lo) / (_SCAN_POINTS - 1)
     batches = np.arange(len(counts))
     extra = int(in_u)
     both = score(np.concatenate((batches, batches, batches[:extra])),
@@ -274,7 +269,7 @@ class BinnedImager:
     totals are a sufficient statistic for s.  Their expectations are
     N_i = P_i(s) Y, with the y-integral Y = kappa sqrt(2/pi)
     erf(sqrt(2) half) in closed form, and P_i the x-profile of
-    ``fisher._x_profiles`` on a 15-node Gauss-Kronrod rule per bin.  The
+    ``fisher._di_profile`` on a 15-node Gauss-Kronrod rule per bin.  The
     Fisher information sums (dN_i/ds)^2 / N_i, integrating the profile's
     analytic s-derivative on the same nodes.  Construction verifies the 2%
     bound at domain_s and raises ValueError where the bins are too coarse
@@ -319,16 +314,15 @@ class BinnedImager:
         amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
                                                        kappa=self.kappa))
         # one entry per separation, broadcast against the (bins, nodes) grid
-        a1, a2, g1, g2, x1, x2 = (np.reshape(v, (-1, 1, 1)) for v in (
-            *amps.site_amplitudes, *amps.site_gradients,
-            self.x0 - s / 2.0, self.x0 + s / 2.0))
-        if not slope:
-            g1 = g2 = None
+        x1, x2, a1, a2, *coeffs = (np.reshape(v, (-1, 1, 1)) for v in (
+            self.x0 - s / 2.0, self.x0 + s / 2.0, *amps.site_amplitudes,
+            *_derivative_coefficients(amps)[0]))
         d1, d2 = self._nodes_x - x1, self._nodes_x - x2
-        inten, d_inten = _x_profiles(a1, a2, g1, g2, d1, d2,
-                                     np.exp(-d1 ** 2), np.exp(-d2 ** 2))
-        n = inten @ self._weights_x
-        return (n, d_inten @ self._weights_x) if slope else n
+        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
+        if not slope:
+            return np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
+        inten, d_inten = _di_profile(a1, a2, coeffs, d1, d2, e1, e2)
+        return inten @ self._weights_x, d_inten @ self._weights_x
 
     def fisher_information(self, s: float) -> float:
         """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the

@@ -1,4 +1,4 @@
-"""Displaced-PSF Gram form and the Hermite-Gauss mode overlaps.
+"""The displaced PSF pair and the three evaluations of a field over it.
 
 The imaging model is a diffraction-limited Gaussian amplitude PSF of 1/e
 half-width w.  Every length in the package is in units of w, so the PSF is
@@ -11,9 +11,13 @@ x0 -/+ s/2; with their x-gradients u1', u2' they span every image-plane
 field and field derivative downstream.  Their Gram matrix depends on s
 alone, through delta = exp(-s^2/2) = <u1|u2>, <u1|u2'> = s delta and
 <u1'|u2'> = (1 - s^2) delta (each copy is unit-norm, its gradient has unit
-norm in 1/w, and the two are orthogonal).  The Hermite-Gauss
-demultiplexing basis is matched to the same width.  Every function takes
-a separation or a 1D array of separations.
+norm in 1/w, and the two are orthogonal).
+
+A field is a coefficient 4-tuple over (u1, u1', u2, u2'), and only this
+module knows those four functions.  It evaluates a 4-tuple three ways: as
+an overlap of two fields (``_psf_gram``), at image points (``_psf_points``)
+and on the Hermite-Gauss demultiplexing modes of the same width
+(``_mode_overlaps``).
 """
 
 from __future__ import annotations
@@ -77,6 +81,27 @@ def _psf_gram(s, c, d):
                  + s1 * delta * (np.conj(cm) * dpd + np.conj(cpd) * dm
                                  - np.conj(cp) * dmd - np.conj(cmd) * dp).real)
     return out if np.ndim(s) else out[0]
+
+
+def _psf_points(c, d1, d2, e1, e2):
+    """The field of coefficients c over (u1, u1', u2, u2') on y = 0, in units
+    of the PSF prefactor sqrt(2/pi), at points with offsets d_k from the
+    copies and Gaussians e_k = exp(-d_k^2), so u_k' = -2 d_k e_k (all
+    broadcast together): (c1 - 2 c2 d1) e1 + (c3 - 2 c4 d2) e2."""
+    c1, c2, c3, c4 = c
+    return (c1 - 2.0 * c2 * d1) * e1 + (c3 - 2.0 * c4 * d2) * e2
+
+
+def _mode_overlaps(c, gam, gam_d):
+    """<phi_m|c> of the field of coefficients c over (u1, u1', u2, u2') with
+    the HG modes centred on x0, from the ``_gamma_table`` rows (gam, gam_d)
+    of its separations (c broadcast as columns).  The copy u2 at x0 + s/2
+    overlaps mode m by gamma_m and its mirror image u1 by (-1)^m gamma_m;
+    u2 moves by s/2 when s does, and moving it by dx adds -u2' dx, so
+    <phi_m|u2'> = -2 gamma_m' and <phi_m|u1'> = 2 (-1)^m gamma_m'."""
+    c1, c2, c3, c4 = c
+    sign = np.where(np.arange(gam.shape[-1]) % 2, -1.0, 1.0)
+    return gam * (sign * c1 + c3) + gam_d * (2.0 * (sign * c2 - c4))
 
 
 def _site_sums(coeffs):

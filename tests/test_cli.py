@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -43,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=11" in lines[0]
+    assert "schema=12" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -378,12 +379,23 @@ def test_unreachable_tolerance_exits_nonconvergence(tmp_path, capsys):
     assert "estimate" in err
 
 
+def test_readme_documents_the_current_schema():
+    # the schema every output carries, and the newest line of the README's
+    # per-schema list, are the one the outputs write
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    carried = re.findall(r"carries schema version (\d+) \(`schema=(\d+)`", text)
+    newest = re.search(r"moved these outputs; .*? - (\d+): ", text)
+    version = str(cli._SCHEMA_VERSION)
+    assert carried == [(version, version)]
+    assert newest and newest.group(1) == version
+
+
 def test_adjudicate_passes_and_reports(tmp_path, capsys):
     out = tmp_path / "adj.json"
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 11
+    assert doc["schema_version"] == 12
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -396,8 +408,9 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert geometry["matches"] is True
     deviations = geometry["max_deviation_per_scalar"]
     assert set(deviations) == {"delta", "sigma", "beta"}
-    # far inside the tolerance, so the check cannot pass vacuously
-    assert all(dev < 1e-8 for dev in deviations.values()), deviations
+    # roundoff of the quadrature: the fields at image points carry their
+    # analytic gradients, so the check cannot pass vacuously
+    assert all(dev < 1e-13 for dev in deviations.values()), deviations
     assert "output_path" not in doc["config"]
 
 

@@ -568,6 +568,21 @@ def test_search_from_zero_refines_a_root_near_zero(monkeypatch, measurement, tru
     assert len(rounds) <= 6
 
 
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("lo", [1e-9, 1e-4])
+def test_search_from_just_above_zero_steps_in_u(monkeypatch, measurement, lo):
+    # an interval that starts within one scan step, 0.6/255, of s = 0
+    # steps in u = s^2 as one from s = 0 does; stepping in s, the secant
+    # crept toward a root near zero for 13-18 rounds
+    model = _count_model(PLANE_K2, measurement, domain_s=0.3)
+    mu = 1e4
+    counts = mu * model([0.001])[0]
+    rounds = _rounds(monkeypatch)
+    estimate = _ml_alone(counts, _times(mu, model), (lo, 0.6))
+    assert abs(estimate - 0.001) <= 5e-7
+    assert len(rounds) <= 4
+
+
 @pytest.mark.parametrize("measurement,exc,true_s,interval", [
     pytest.param("spade", PlaneWaveExcitation(ktilde=0.0), 0.01, (0.0, 0.6),
                  id="spade-k0"),

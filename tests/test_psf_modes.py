@@ -1,4 +1,4 @@
-"""Displaced-PSF Gram form and the Hermite-Gauss mode overlaps."""
+"""Displaced-PSF Gram form, point and Hermite-Gauss mode evaluations."""
 
 import math
 import signal
@@ -6,8 +6,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carsfisher.psf_modes import _gamma_table, _psf_gram
+from carsfisher.psf_modes import _gamma_table, _mode_overlaps, _psf_gram, _psf_points
 
 import oracles
 from oracles import gamma_overlap, hg_1d
@@ -102,6 +104,31 @@ def test_psf_gram_against_sampled_copies(s):
         want = oracles.inner(np.tensordot(c, basis, 1), np.tensordot(d, basis, 1)).real
         scale = np.linalg.norm(c) * np.linalg.norm(d)
         assert abs(_psf_gram(s, c, d) - want) < 1e-9 * scale
+
+
+_COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+    lambda v: np.array(v[:4]) + 1j * np.array(v[4:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 4.0), _COEFFS, _COEFFS)
+def test_points_modes_and_gram_give_one_overlap(s, c, d):
+    # Re <c|d> three ways: the Gram form; the x-integral on y = 0 of the
+    # fields at image points, times the PSF prefactor 2/pi and the
+    # y-integral sqrt(pi/2) (a trapezoid sum on a 0.05 grid, exact to
+    # roundoff for these Gaussians); and Parseval over the HG modes m <= 60
+    x = np.arange(-12.0, 12.0 + 0.025, 0.05)
+    d1, d2 = x + s / 2.0, x - s / 2.0
+    points = (d1, d2, np.exp(-d1 ** 2), np.exp(-d2 ** 2))
+    on_points = (np.conj(_psf_points(c, *points)) * _psf_points(d, *points)).real
+    by_points = on_points.sum() * 0.05 * (2.0 / math.pi) * math.sqrt(math.pi / 2.0)
+    gam, gam_d = _gamma_table([s], 60)
+    c_m, d_m = (_mode_overlaps(v, gam, gam_d)[0] for v in (c, d))
+    by_modes = (np.conj(c_m) * d_m).real.sum()
+    scale = np.linalg.norm(c) * np.linalg.norm(d)
+    gram = _psf_gram(s, c, d)
+    assert abs(by_points - gram) <= 1e-12 * scale
+    assert abs(by_modes - gram) <= 1e-12 * scale
 
 
 def test_hg_modes_orthonormal():
