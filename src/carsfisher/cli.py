@@ -59,7 +59,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 12
+_SCHEMA_VERSION = 13
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -465,14 +465,14 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
     worst = {name: float(np.max(np.abs(_psf_gram(s_values, c, d) - quad[name])))
              for name, (c, d) in _GRAM_ENTRIES.items()}
     return {
-        "tolerance": 1e-7,
+        "tolerance": 1e-13,
         "grid": "s in {0.3, 1.0, 2.0}, Gram form vs quadrature of the PSF copies",
         "max_deviation_per_scalar": worst,
         "resolved_signs": {
             "sigma": "<u1|u2'> = s delta, nonnegative for s >= 0",
             "beta": "<u1'|u2'> = (1 - s^2) delta, 1 at s = 0",
         },
-        "matches": max(worst.values()) < 1e-7,
+        "matches": max(worst.values()) < 1e-13,
     }
 
 
@@ -543,7 +543,9 @@ def cmd_spectral_dump(cfg: RunConfig) -> str:
                            amplitude=cfg.stokes_amplitude)
     grid, weight, g = _sampled_weight(res, pump, stokes)
     values = weight / g
-    rows = [[float(w), v.real, v.imag, abs(v)] for w, v in zip(grid, values)]
+    re, im = values.real, values.imag
+    # np.hypot rounds as the scalar abs(v) does; np.abs(values) does not
+    rows = np.column_stack((grid, re, im, np.hypot(re, im))).tolist()
     path = _out_path(cfg, "spectral", "csv")
     _write_csv(path, "spectral-dump", cfg,
                ["omega", "phi_re", "phi_im", "phi_abs"], rows,

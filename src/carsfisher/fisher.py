@@ -30,8 +30,12 @@ matrix of the field derivatives, Q_ij = 4 Re <d_i A|d_j A>, positive
 semidefinite by construction.  Both derivatives are combinations of the
 PSF copies and their gradients with site coefficients, written once
 (``_derivative_coefficients``).  Every estimator reads d_s A from those
-coefficients through psf_modes: the QFI as their Gram form, DI at image
-points, SPADE on the Hermite-Gauss modes.  Closed forms for
+coefficients through psf_modes: the QFI as their Gram form, SPADE on the
+Hermite-Gauss modes, and DI through their site sums, which give the
+intensity and its s-derivative on either side of the centroid as real
+quadratic forms over the far and the mirror-odd Gaussian of the PSF pair
+(``_di_coefficients``); DI and the camera do not evaluate fields at image
+points (``psf_modes._psf_points``).  Closed forms for
 the plane-wave and vortex excitation families are provided separately and
 are cross-checked against this general path (see vortex_closed_variants
 for the two published vortex candidates the adjudication command
@@ -48,8 +52,8 @@ import numpy as np
 
 from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
 from .numerics import integrate_1d_many
-from .psf_modes import (_gamma_table, _mode_overlaps, _psf_gram, _psf_points,
-                        _require_finite, _require_separation)
+from .psf_modes import (_gamma_table, _mode_overlaps, _psf_gram, _require_finite,
+                        _require_separation, _site_sums)
 
 def _require_finite_fields(owner: str, **fields):
     # one numpy test per field; _require_finite's scan only names the failure
@@ -249,21 +253,95 @@ def _channel_terms(n, dn):
     means ``n`` and s-derivatives ``dn`` (arrays of one shape): the law
     F = sum (dN/ds)^2 / N of every classical measurement here.  Dividing
     before squaring keeps a term whose dN^2 would underflow.  A channel
-    whose N is below the smallest normal double (zero, or subnormal with
-    its digits gone) counts zero."""
+    whose N is below the smallest normal double (zero, subnormal with its
+    digits gone, or negative by roundoff next to a dark point) counts
+    zero."""
     terms = np.zeros(np.shape(dn))
-    np.divide(dn, np.sqrt(n), out=terms, where=n >= np.finfo(float).tiny)
-    return terms * terms
+    normal = n >= np.finfo(float).tiny
+    np.sqrt(n, out=terms, where=normal)
+    np.divide(dn, terms, out=terms, where=normal)
+    return np.square(terms, out=terms)
 
 
-def _di_profile(a1, a2, slope, d1, d2, e1, e2):
-    """The DI x-profile I = |A|^2, A = a1 e1 + a2 e2, and its s-derivative
-    2 Re(conj(A) d_s A) at image points with offsets d_k from the emitters
-    and Gaussians e_k = exp(-d_k^2), reading 2 d_s A from its coefficients
-    ``slope`` (``_derivative_coefficients``) through ``_psf_points``."""
-    amp = a1 * e1 + a2 * e2
-    d_amp = _psf_points(slope, d1, d2, e1, e2)
-    return np.abs(amp) ** 2, amp.real * d_amp.real + amp.imag * d_amp.imag
+def _di_products(u, s, moments: bool = False):
+    """The products (F^2, D^2, FD) of the far and the odd Gaussian of the
+    PSF pair on y = 0, at offsets u >= 0 from the centroid (u and s
+    broadcast together), stacked on a new first axis; with ``moments``,
+    their moments (d F^2, d D^2, d FD) in the offset d = u - s/2 from the
+    near copy after them.
+
+    At x0 + u the far copy is u1, and at x0 - u it is u2; either way its
+    Gaussian is F = exp(-(u + s/2)^2), and the near copy's is
+    N = exp(-d^2) >= F.  D = F - N (e1 - e2 at x0 + u) comes from
+    N expm1(-2 u s), so it keeps its digits as s -> 0."""
+    near = u - s / 2.0
+    far = np.exp(-(u + s / 2.0) ** 2)
+    odd = np.exp(-near ** 2)
+    odd *= np.expm1(-2.0 * u * s)
+    out = np.empty((6 if moments else 3, *far.shape))
+    np.multiply(far, far, out=out[0])
+    np.multiply(odd, odd, out=out[1])
+    np.multiply(far, odd, out=out[2])
+    if moments:
+        np.multiply(near, out[:3], out=out[3:])
+    return out
+
+
+def _di_coefficients(amps: ImageAmplitudes, slope: bool = True):
+    """Real coefficients of the DI profile I = |A|^2 over (F^2, D^2, FD)
+    (``_di_products``), and with ``slope`` those of its s-derivative over
+    (F^2, D^2, FD, d F^2, d D^2, d FD) after them: an array (3 or 9,
+    sides, scenes) for the sides x0 + u and x0 - u of every scene of
+    ``amps``, in units of kappa times the PSF prefactor squared.
+
+    On a side whose near copy holds a_n, the field is A = Sigma F - a_n D
+    with Sigma = a1 + a2.  With (c_f, c_f') and (c_n, c_n') the far and
+    the near copy's coefficients in 2 d_s A (``_derivative_coefficients``),
+    (P, M, P', M') their site sums (``_site_sums``), sigma = +1 on the
+    right and -1 on the left, and d = u - s/2 the offset from the near
+    copy,
+
+        2 d_s A = (P - 2 sigma s c_f' - 2 sigma d P') F
+                  - (c_n - 2 sigma d c_n') D,
+
+    and dI/ds = Re(conj(A) 2 d_s A).  So I and dI/ds are real quadratic
+    forms in (F, D) whose terms are no larger than those of the two
+    copies' own fields and slopes: nothing cancels on the dim side of a
+    lopsided profile, nor where e1 - e2 would at small s, nor where a
+    copy's slope term vanishes next to it.
+    """
+    a1, a2 = (np.atleast_1d(z) for z in amps.site_amplitudes)
+    sig = a1 + a2
+    # A = Sigma F + y D, and 2 d_s A = (q0 + d q1) F + (r0 + d r1) D
+    factors = [np.array((sig, sig)), -np.array((a2, a1))]
+    if slope:
+        c1, c2, c3, c4 = (np.atleast_1d(z) for z in _derivative_coefficients(amps)[0])
+        p, _, p_d, _ = _site_sums((c1, c2, c3, c4))
+        s = np.atleast_1d(amps.s)
+        sign = np.array([[1.0], [-1.0]])  # the right side, then the left
+        far_d, near, near_d = np.array((c2, c4)), np.array((c3, c1)), np.array((c4, c2))
+        factors += [p - (2.0 * sign) * s * far_d, -near,
+                    (-2.0 * sign) * p_d, (2.0 * sign) * near_d]
+    factors = np.array(factors)
+    # Re(conj(x) z) for x = Sigma, y and every factor z
+    (ss, sy, *s_by), (_, yy, *y_by) = (np.conj(factors[:2, None]) * factors).real
+    rows = [ss, yy, 2.0 * sy]
+    if slope:
+        (sq0, sr0, sq1, sr1), (yq0, yr0, yq1, yr1) = s_by, y_by
+        rows += [sq0, yr0, sr0 + yq0, sq1, yr1, sr1 + yq1]
+    return np.array(rows)
+
+
+def _di_sides(coeffs, products):
+    """I on the right and the left side (a first axis of two), from the
+    ``_di_coefficients`` and the products of ``_di_products`` or their bin
+    sums, (products, points, scenes); given slope coefficients and the
+    moments, the pair (I, dI/ds).  Linear in the products, so it serves
+    image points and bin integrals alike."""
+    inten = np.einsum("ksn,kmn->smn", coeffs[:3], products[:3])
+    if len(coeffs) == 3:
+        return inten
+    return inten, np.einsum("ksn,kmn->smn", coeffs[3:], products)
 
 
 def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
@@ -277,8 +355,11 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     x0 -/+ h, h = max(8, s/2 + 8), is folded about the centroid: the
     integral over u in [0, h] of f(x0 + u) + f(x0 - u) equals it exactly
     for any scene, and the offsets from the emitters at x0 - u are those
-    at x0 + u negated and swapped, so both share one pair of Gaussians.
-    Integrates with amplitudes scaled by sqrt(2) g, so the quadrature
+    at x0 + u negated and swapped.  So both points take I and d_d I as
+    real quadratic forms, with their own coefficients, over the same
+    products of the far and the odd Gaussian (``_di_coefficients``,
+    ``_di_products``): two exp and one expm1 per pair of points.
+    Integrates with the coefficients divided by 2 g^2, so the quadrature
     tolerance applies to the normalized value; the reported error is the
     Gauss-Kronrod error estimate, not a bound.  Points where the x-profile
     is not a normal double (nodes and far tails, where it underflows)
@@ -289,18 +370,17 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     scene whose quadrature stalls, with its estimate.
     """
     s = np.atleast_1d(amps.s)
-    root2g = math.sqrt(2.0) * amps.g
-    sites = (*amps.site_amplitudes, *_derivative_coefficients(amps)[0])
-    scene = (*(np.atleast_1d(c) / root2g for c in sites), s / 2.0)
+    coeffs = _di_coefficients(amps) / (2.0 * amps.g**2)
     weight = math.sqrt(2.0 / math.pi)
 
     def integrand(rows, uu):
-        a1, a2, *slope, half_s = (p.take(rows)[:, None] for p in scene)
-        d1, d2 = uu + half_s, uu - half_s
-        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
-        plus = _channel_terms(*_di_profile(a1, a2, slope, d1, d2, e1, e2))
-        minus = _channel_terms(*_di_profile(a1, a2, slope, -d2, -d1, e2, e1))
-        return weight * (plus + minus)
+        # the scenes on the last axis of C-ordered arrays, the layout in
+        # which the products combine fastest
+        products = _di_products(np.ascontiguousarray(uu.T), s.take(rows), moments=True)
+        right, left = _channel_terms(*_di_sides(coeffs.take(rows, axis=2), products))
+        # back to one row per cell, in C order: the quadrature's row sums
+        # of a transposed array would depend on the number of rows
+        return np.ascontiguousarray((weight * (right + left)).T)
 
     # depth 43 on [0, h] keeps the finest cell at h / 2^43 = 2h / 2^44
     results = integrate_1d_many(integrand, np.zeros(s.size),
@@ -317,18 +397,22 @@ def _spade_table(amps: ImageAmplitudes, modes: int):
     s-derivatives, as two arrays with one row per scene.
 
     Mode m holds b_m = <phi_m|A>, and dN_m/ds = 2 Re(conj(b_m) d_s b_m):
-    the field and 2 d_s A (``_derivative_coefficients``) projected onto the
-    modes by ``psf_modes._mode_overlaps``.  Raises ValueError unless
+    the field, b_m = gamma_m ((-1)^m a1 + a2), and 2 d_s A
+    (``_derivative_coefficients``) projected onto the modes by
+    ``psf_modes._mode_overlaps``.  Raises ValueError unless
     ``modes`` is a nonnegative integer (a bool is not one).
     """
     if not isinstance(modes, numbers.Integral) or isinstance(modes, bool) or modes < 0:
         raise ValueError(f"mode cutoff must be a nonnegative integer, got {modes!r}")
     gam, gam_d = _gamma_table(np.atleast_1d(amps.s), modes)
+    sign = np.where(np.arange(modes + 1) % 2, -1.0, 1.0)  # (-1)^m
     a1, a2, *slope = (np.atleast_1d(z)[:, None] for z in (
         *amps.site_amplitudes, *_derivative_coefficients(amps)[0]))
     root = math.sqrt(amps.kappa)
-    b = root * _mode_overlaps((a1, 0.0, a2, 0.0), gam, gam_d)
-    return np.abs(b) ** 2, (np.conj(b) * (root * _mode_overlaps(slope, gam, gam_d))).real
+    # the field a1 u1 + a2 u2 has no gradient terms
+    b = root * (gam * (sign * a1 + a2))
+    d_b = root * _mode_overlaps(slope, gam, gam_d, sign)
+    return np.abs(b) ** 2, (np.conj(b) * d_b).real
 
 
 def _spade_running_fi(amps: ImageAmplitudes, M: int) -> np.ndarray:

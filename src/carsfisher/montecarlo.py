@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
-from .fisher import (_channel_terms, _derivative_coefficients, _di_profile, _spade_table,
-                     fi_direct)
+from .fisher import (_channel_terms, _di_coefficients, _di_products, _di_sides,
+                     _spade_table, fi_direct)
 from .numerics import _WK, _XK
 
 _LOG_FLOOR = 1e-300
@@ -268,12 +268,19 @@ class BinnedImager:
     N_ij(s) = P_i(s) W_j with y-bin weights W_j free of s, and its column
     totals are a sufficient statistic for s.  Their expectations are
     N_i = P_i(s) Y, with the y-integral Y = kappa sqrt(2/pi)
-    erf(sqrt(2) half) in closed form, and P_i the x-profile of
-    ``fisher._di_profile`` on a 15-node Gauss-Kronrod rule per bin.  The
-    Fisher information sums (dN_i/ds)^2 / N_i, integrating the profile's
-    analytic s-derivative on the same nodes.  Construction verifies the 2%
-    bound at domain_s and raises ValueError where the bins are too coarse
-    for it.
+    erf(sqrt(2) half) in closed form, and P_i the x-profile on a 15-node
+    Gauss-Kronrod rule per bin.  The Fisher information sums
+    (dN_i/ds)^2 / N_i, integrating the profile's analytic s-derivative on
+    the same nodes.  Construction verifies the 2% bound at domain_s and
+    raises ValueError where the bins are too coarse for it.
+
+    It is a half camera: the view is mirror-symmetric about x0, so only
+    the nodes of the 16 columns right of x0, at offsets u, are evaluated.
+    Their bin sums of F^2, D^2 and FD (``fisher._di_products``), and for
+    slopes their moments, give every column: a right column and its
+    mirror image on the left (at -u, in reverse order) apply each side's
+    own coefficients (``fisher._di_coefficients``) to the same sums.  So
+    _NBINS must stay even.
     """
 
     _FOV_MARGIN = 2.5  # PSF widths beyond each emitter
@@ -286,10 +293,12 @@ class BinnedImager:
         self.g = g
         self.kappa = kappa
         half = domain_s / 2.0 + self._FOV_MARGIN
-        edges = np.linspace(x0 - half, x0 + half, self._NBINS + 1)
+        # the right half of the view, offsets u > 0 from x0; the left half
+        # is its mirror image
+        edges = np.linspace(0.0, half, self._NBINS // 2 + 1)
         half_bin = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
-        self._nodes_x = mids[:, None] + half_bin * _XK[None, :]
+        self._nodes_u = mids[:, None] + half_bin * _XK[None, :]
         # x-bin rule times the y-integral of kappa * (2/pi) * exp(-2 y^2)
         column = kappa * math.sqrt(2.0 / math.pi) * math.erf(math.sqrt(2.0) * half)
         self._weights_x = _WK * half_bin * column
@@ -313,16 +322,17 @@ class BinnedImager:
         s = np.maximum(np.asarray(s_values, dtype=float), 0.0)
         amps = image_amplitudes(self.exc, EmitterScene(s=s, x0=self.x0, g=self.g,
                                                        kappa=self.kappa))
-        # one entry per separation, broadcast against the (bins, nodes) grid
-        x1, x2, a1, a2, *coeffs = (np.reshape(v, (-1, 1, 1)) for v in (
-            self.x0 - s / 2.0, self.x0 + s / 2.0, *amps.site_amplitudes,
-            *_derivative_coefficients(amps)[0]))
-        d1, d2 = self._nodes_x - x1, self._nodes_x - x2
-        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
-        if not slope:
-            return np.abs(a1 * e1 + a2 * e2) ** 2 @ self._weights_x
-        inten, d_inten = _di_profile(a1, a2, coeffs, d1, d2, e1, e2)
-        return inten @ self._weights_x, d_inten @ self._weights_x
+        # bin sums of the products on the right half's (bins, nodes) grid,
+        # summed with one row per separation (the row sums then do not
+        # depend on the number of rows) and laid out with one column each
+        sums = _di_products(self._nodes_u, s[:, None, None], slope) @ self._weights_x
+        sides = _di_sides(_di_coefficients(amps, slope),
+                          np.ascontiguousarray(sums.transpose(0, 2, 1)))
+        # the right half's columns run outward from x0, the left half's
+        # mirrored columns inward to it; one row per separation
+        rows = [np.concatenate((left[::-1].T, right.T), axis=1)
+                for right, left in (sides if slope else (sides,))]
+        return tuple(rows) if slope else rows[0]
 
     def fisher_information(self, s: float) -> float:
         """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the

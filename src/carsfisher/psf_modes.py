@@ -1,4 +1,4 @@
-"""The displaced PSF pair and the three evaluations of a field over it.
+"""The displaced PSF pair and the evaluations of a field over it.
 
 The imaging model is a diffraction-limited Gaussian amplitude PSF of 1/e
 half-width w.  Every length in the package is in units of w, so the PSF is
@@ -14,10 +14,14 @@ alone, through delta = exp(-s^2/2) = <u1|u2>, <u1|u2'> = s delta and
 norm in 1/w, and the two are orthogonal).
 
 A field is a coefficient 4-tuple over (u1, u1', u2, u2'), and only this
-module knows those four functions.  It evaluates a 4-tuple three ways: as
-an overlap of two fields (``_psf_gram``), at image points (``_psf_points``)
-and on the Hermite-Gauss demultiplexing modes of the same width
-(``_mode_overlaps``).
+module knows those four functions.  It evaluates a 4-tuple as an overlap
+of two fields (``_psf_gram``) and on the Hermite-Gauss demultiplexing
+modes of the same width (``_mode_overlaps``), and gives its site sums
+(``_site_sums``), over which the Gram matrix is nearly diagonal and from
+which ``fisher`` writes the DI profile as real forms on either side of
+the centroid.  The field at image points (``_psf_points``) no longer
+serves DI; it remains for ``adjudicate``'s quadrature of the Gram form,
+which shares nothing with ``_psf_gram``.
 """
 
 from __future__ import annotations
@@ -92,15 +96,15 @@ def _psf_points(c, d1, d2, e1, e2):
     return (c1 - 2.0 * c2 * d1) * e1 + (c3 - 2.0 * c4 * d2) * e2
 
 
-def _mode_overlaps(c, gam, gam_d):
+def _mode_overlaps(c, gam, gam_d, sign):
     """<phi_m|c> of the field of coefficients c over (u1, u1', u2, u2') with
     the HG modes centred on x0, from the ``_gamma_table`` rows (gam, gam_d)
-    of its separations (c broadcast as columns).  The copy u2 at x0 + s/2
-    overlaps mode m by gamma_m and its mirror image u1 by (-1)^m gamma_m;
-    u2 moves by s/2 when s does, and moving it by dx adds -u2' dx, so
-    <phi_m|u2'> = -2 gamma_m' and <phi_m|u1'> = 2 (-1)^m gamma_m'."""
+    of its separations (c broadcast as columns) and the mode parities
+    ``sign`` = (-1)^m.  The copy u2 at x0 + s/2 overlaps mode m by gamma_m
+    and its mirror image u1 by (-1)^m gamma_m; u2 moves by s/2 when s
+    does, and moving it by dx adds -u2' dx, so <phi_m|u2'> = -2 gamma_m'
+    and <phi_m|u1'> = 2 (-1)^m gamma_m'."""
     c1, c2, c3, c4 = c
-    sign = np.where(np.arange(gam.shape[-1]) % 2, -1.0, 1.0)
     return gam * (sign * c1 + c3) + gam_d * (2.0 * (sign * c2 - c4))
 
 

@@ -8,9 +8,10 @@ to resolve the quadrature tolerance), and inner products are trapezoid
 sums wide enough that the Gaussian tails are below double precision.
 Agreement between these oracles and the analytic package paths is what
 the frozen constants in the test modules encode.  One spectral oracle
-integrates at 30 digits with mpmath instead, and one QFI oracle
-evaluates the Gram form of the field derivatives at 50 digits; the tests
-that use them skip when mpmath is missing.
+integrates at 30 digits with mpmath instead, one QFI oracle evaluates
+the Gram form of the field derivatives at 50 digits, and one camera
+oracle sums the DI intensity and its s-derivative over the camera's own
+nodes at 40 digits; the tests that use them skip when mpmath is missing.
 The adaptive-quadrature reference restates the package's algorithm in
 its plain one-at-a-time form, to pin its batched version bit for bit;
 the maximum-likelihood references refine each batch alone, one by
@@ -228,6 +229,72 @@ def di_fisher_analytic(amps, slopes, s: float, x0: float = 0.0,
     keep = inten > 0.0
     ratio[keep] = d_inten[keep] ** 2 / inten[keep]
     return kappa * trapezoid(ratio).real
+
+
+# --------------------------------------------------------------------------
+# the binned camera at high precision: the site fields written out in
+# mpmath, the intensity |A|^2 and its s-derivative 2 Re(conj(A) d_s A)
+# evaluated node by node in complex arithmetic, and the column sums taken
+# on a given node grid and weight vector (the camera's own rule), so the
+# comparison sees the camera's arithmetic and nothing of its quadrature.
+# --------------------------------------------------------------------------
+
+def plane_field_mpmath(ktilde: float, g: float = 1.0):
+    """x -> (alpha(x), alpha'(x)) of the plane wave on y = 0, in mpmath."""
+    import mpmath
+
+    def field(x):
+        value = -1j * mpmath.mpf(g) * mpmath.expj(ktilde * x)
+        return value, 1j * ktilde * value
+
+    return field
+
+
+def vortex_field_mpmath(a: float, psi: float, g: float = 1.0):
+    """x -> (alpha(x), alpha'(x)) of the ring beam on y = 0, in mpmath."""
+    import mpmath
+
+    def field(x):
+        a_sq = mpmath.mpf(a) ** 2
+        norm = mpmath.sqrt(2 * mpmath.e) / mpmath.mpf(a)
+        envelope = mpmath.exp(-(x * x + mpmath.mpf(psi) ** 2) / a_sq)
+        value = -1j * g * norm * (x + 1j * psi) * envelope
+        slope = -1j * g * norm * envelope * (1 - 2 * x * (x + 1j * psi) / a_sq)
+        return value, slope
+
+    return field
+
+
+def camera_columns_mpmath(field, s: float, x0: float, nodes_x, weights,
+                          dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """(N, dN/ds) per column at ``dps`` digits: N_i = sum_k w_k I(x_ik) over
+    the nodes x_ik of row i of ``nodes_x`` and the weights w_k, with
+    I = |a1 e1 + a2 e2|^2, e_j = exp(-(x - x_j)^2) and sites x_j = x0 -/+ s/2
+    whose fields (a_j, a_j') come from ``field``.  Moving a site by
+    dx_j = -/+ ds/2 changes a_j by a_j' dx_j and e_j by 2 (x - x_j) e_j dx_j.
+    Every float input is taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s, x0 = mpmath.mpf(s), mpmath.mpf(x0)
+        sites = [(x0 - s / 2, -mpmath.mpf(1) / 2), (x0 + s / 2, mpmath.mpf(1) / 2)]
+        fields = [field(x) for x, _ in sites]
+        weights = [mpmath.mpf(w) for w in np.asarray(weights).tolist()]
+        n_cols, dn_cols = [], []
+        for row in np.asarray(nodes_x).tolist():
+            n_sum = dn_sum = mpmath.mpf(0)
+            for x, w in zip(row, weights):
+                x = mpmath.mpf(x)
+                amp = d_amp = mpmath.mpc(0)
+                for (x_j, move), (a_j, slope_j) in zip(sites, fields):
+                    e_j = mpmath.exp(-(x - x_j) ** 2)
+                    amp += a_j * e_j
+                    d_amp += move * (slope_j + 2 * (x - x_j) * a_j) * e_j
+                n_sum += w * abs(amp) ** 2
+                dn_sum += w * 2 * mpmath.re(mpmath.conj(amp) * d_amp)
+            n_cols.append(float(n_sum))
+            dn_cols.append(float(dn_sum))
+    return np.array(n_cols), np.array(dn_cols)
 
 
 # --------------------------------------------------------------------------

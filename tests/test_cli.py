@@ -44,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=12" in lines[0]
+    assert "schema=13" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -395,7 +395,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 12
+    assert doc["schema_version"] == 13
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -404,7 +404,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     geometry = doc["mode_geometry"]
     assert set(geometry) == {"tolerance", "grid", "max_deviation_per_scalar",
                              "resolved_signs", "matches"}
-    assert geometry["tolerance"] == 1e-7
+    assert geometry["tolerance"] == 1e-13
     assert geometry["matches"] is True
     deviations = geometry["max_deviation_per_scalar"]
     assert set(deviations) == {"delta", "sigma", "beta"}

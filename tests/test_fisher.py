@@ -307,6 +307,19 @@ def test_fi_direct_against_independent_oracle(amps, sites, s, x0):
     assert report.value == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_fi_direct_of_a_dark_site(s):
+    # site 1 on the vortex axis (x0 = s/2): left of x0 the only light is
+    # site 2's far tail, yet it carries the gradient of site 1's field.  A
+    # split of the folded profile into mirror-even and odd parts loses it
+    # (at s = 3 the quadrature then exhausts its cell budget); the oracle
+    # keeps every point where I > 0
+    amps = _vortex(1.0, 0.0, s, x0=s / 2.0)
+    assert amps.site_amplitudes[0] == 0.0
+    want = di_fisher_analytic(vortex_sites(1.0, 0.0), vortex_slopes(1.0, 0.0), s, s / 2.0)
+    assert fi_direct(amps, abs_tol=1e-10).value == pytest.approx(want, rel=1e-10)
+
+
 def test_fi_direct_meets_its_tolerance_on_the_default_figure3_curve():
     # fi_di_err is the Gauss-Kronrod error estimate, not a bound: on this
     # curve (figure3's psi = 0.1 row) the value at s = 2.69849 is 2.1e-9
@@ -379,6 +392,45 @@ def test_fi_direct_is_below_qfi_over_random_scenes(scene):
             else _vortex(p, psi, s, x0=x0, kappa=kappa))
     di = fi_direct(amps)
     assert di.normalized_value <= qfi_separation(amps).normalized_value + 1e-8
+
+
+_profile_scenes = st.tuples(
+    st.one_of(st.tuples(st.just("plane"), st.floats(0.0, 4.0), st.just(0.0)),
+              st.tuples(st.just("vortex"), st.floats(0.3, 3.0), st.floats(-1.0, 1.0))),
+    st.floats(0.0, 8.0),                                         # s
+    st.floats(-1.0, 1.0).filter(lambda x0: abs(x0) > 1e-3),      # x0
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_profile_scenes, st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8))
+def test_di_real_form_equals_the_complex_profile(scene, offsets):
+    # the real forms of I and dI/ds at x0 + u and x0 - u against |A|^2 and
+    # Re(conj(A) 2 d_s A) of the complex field A = a1 e1 + a2 e2, with
+    # 2 d_s A = (-g1 - 2 a1 d1) e1 + (g2 + 2 a2 d2) e2 and d_k the offsets
+    # from the sites x0 -/+ s/2.  Errors are relative to the sizes of the
+    # two copies' terms, which is all a lopsided profile leaves: a test
+    # relative to the mirror-even part would pass a form that loses the
+    # dim side (x0 != 0 makes the sites unequal).  Against 40-digit
+    # values both sides err by up to ~4e-14 of these sizes, from rounding
+    # exp(-64)-sized Gaussians
+    (family, p, psi), s, x0 = scene
+    amps = _plane(p, s, x0=x0) if family == "plane" else _vortex(p, psi, s, x0=x0)
+    (a1, a2), (g1, g2) = amps.site_amplitudes, amps.site_gradients
+    u = np.array(offsets)
+    products = fisher._di_products(u, s, moments=True)[:, None]  # one scene
+    sides = zip((1.0, -1.0), *fisher._di_sides(fisher._di_coefficients(amps), products))
+    for sign, (inten,), (d_inten,) in sides:
+        d1, d2 = sign * u + s / 2.0, sign * u - s / 2.0
+        e1, e2 = np.exp(-d1 ** 2), np.exp(-d2 ** 2)
+        field = a1 * e1 + a2 * e2
+        d_field = (-g1 - 2.0 * a1 * d1) * e1 + (g2 + 2.0 * a2 * d2) * e2
+        size = np.abs(a1 * e1) + np.abs(a2 * e2)
+        d_size = ((np.abs(g1) + 2.0 * np.abs(a1 * d1)) * e1
+                  + (np.abs(g2) + 2.0 * np.abs(a2 * d2)) * e2)
+        assert np.all(np.abs(inten - np.abs(field) ** 2) <= 1e-13 * size ** 2)
+        assert np.all(np.abs(d_inten - (np.conj(field) * d_field).real)
+                      <= 1e-13 * size * d_size)
 
 
 def test_offset_vortex_di_gap_and_spade_recovery():

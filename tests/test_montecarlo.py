@@ -22,8 +22,8 @@ from carsfisher import (
 
 import carsfisher.montecarlo as montecarlo
 from carsfisher.fisher import _spade_table
-from oracles import (_ml_brackets, ml_reference, ml_score_roots, plane_sites,
-                     vortex_sites)
+from oracles import (_ml_brackets, camera_columns_mpmath, ml_reference, ml_score_roots,
+                     plane_field_mpmath, plane_sites, vortex_field_mpmath, vortex_sites)
 
 PLANE_K2 = PlaneWaveExcitation(ktilde=2.0)
 
@@ -272,6 +272,42 @@ def test_binned_imager_matches_full_tensor_rule(exc, sites):
             want[i, j] = hx * hy * weights @ intensity @ weights
     np.testing.assert_allclose(imager.expectations([s])[0], want.sum(axis=1),
                                rtol=1e-12)
+
+
+def _assert_camera_matches_mpmath(imager, field, s):
+    # the half camera's right columns at x0 + u, and the left ones at
+    # x0 - u in mirrored order, each within 1e-13 of its 40-digit value
+    u = imager._nodes_u
+    nodes = imager.x0 + np.concatenate((-u[::-1], u))
+    want_n, want_dn = camera_columns_mpmath(field, s, imager.x0, nodes, imager._weights_x)
+    n, dn = (row[0] for row in imager.expectations([s], slope=True))
+    np.testing.assert_allclose(n, want_n, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(dn, want_dn, rtol=1e-13, atol=0.0)
+    assert imager.expectations([s])[0].tolist() == n.tolist()
+
+
+@pytest.mark.parametrize("exc,field", [
+    pytest.param(PLANE_K2, lambda: plane_field_mpmath(2.0), id="plane"),
+    pytest.param(VortexExcitation(a=math.sqrt(0.5)),
+                 lambda: vortex_field_mpmath(math.sqrt(0.5), 0.0), id="vortex"),
+])
+@pytest.mark.parametrize("s", [5e-7, 1e-5, 1e-3, 0.7])
+def test_camera_columns_against_mpmath(exc, field, s):
+    # every column and column slope on the camera's own nodes and weights.
+    # At s = 5e-7, |a1 e1 + a2 e2|^2 taken in complex arithmetic is ~1e-9
+    # off in the dark vortex's central columns, where e1 - e2 cancels
+    pytest.importorskip("mpmath")
+    _assert_camera_matches_mpmath(BinnedImager(exc, domain_s=1.0), field(), s)
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_camera_columns_of_a_dark_site_against_mpmath(s):
+    # site 1 on the vortex axis (x0 = s/2): left of x0 the only light is
+    # site 2's far tail, ~1e-17 of the brightest column at s = 3, which a
+    # split of the profile into mirror-even and odd parts loses
+    pytest.importorskip("mpmath")
+    imager = BinnedImager(VortexExcitation(a=1.0), domain_s=1.0, x0=s / 2.0)
+    _assert_camera_matches_mpmath(imager, vortex_field_mpmath(1.0, 0.0), s)
 
 
 def test_run_experiment_validation():
