@@ -21,11 +21,12 @@ once per scan point for every batch.  A secant search for the root of each
 batch's Poisson score, built from the model's slopes, then refines the
 scan's bracket; it makes one model pass per round for all batches still
 refining, and the default campaigns finish in 4 rounds.  The model
-sees at most 16 separations per call, which bounds the size of its work
-arrays.  The scan scores every batch at a scan point with one
-matrix-vector product, and each secant round scores the batches still
-refining with one row-wise product; each batch makes the search steps it
-would make alone.
+sees at most _MODEL_BLOCK = 64 separations per call, which bounds the size
+of its work arrays: the 256-point scan takes 4 calls, and a secant round
+one call per 64 new abscissae.  The scan scores every batch at every scan
+point with one matrix product, and each secant round scores the batches
+still refining with one row-wise product; each batch makes the search
+steps it would make alone.
 
 Direct imaging counts photons in the 32 x-bin columns of a camera
 (``BinnedImager``), whose totals lose nothing, so SPADE and direct imaging
@@ -50,8 +51,13 @@ from .numerics import _WK, _XK
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
 _X_TOL = 1e-6  # width of the final ML bracket
-_MODEL_BLOCK = 16  # separations per model call
+# separations per model call: the half camera's work arrays then hold
+# 64 x 240 nodes x 6 products x 8 B ~ 0.7 MB (with slopes)
+_MODEL_BLOCK = 64
 _BIN_FI_REL_TOL = 0.02
+# the largest mean numpy's Poisson sampler draws from, its POISSON_LAM_MAX =
+# int64 max - 10 sqrt(int64 max)
+_POISSON_LAM_MAX = 9.223372006484771e18
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,12 @@ def _model_rows(model, s_values, slope: bool = False):
 def _scores(counts, log_n, total) -> np.ndarray:
     """Poisson log-likelihoods sum(n_c ln N_c) - sum N of every batch (rows
     of ``counts``) at every separation (rows of ``log_n``, entries of
-    ``total``): a batches x separations array, one matrix-vector product
-    per separation (the Monte Carlo path makes no matrix-matrix product,
-    whose first OpenBLAS call allocates a work buffer that raises peak
-    memory)."""
-    return np.stack([counts @ row for row in log_n], axis=1) - total
+    ``total``): a batches x separations array from one matrix product.
+    The first such product allocates an OpenBLAS work buffer, which raises
+    the peak memory of a default DI campaign by at most 0.25 MB; the 256
+    matrix-vector products that avoided it took 14 times as long (660
+    against 48 us at 50 batches x 32 channels on a 2-core Xeon)."""
+    return counts @ log_n.T - total
 
 
 def _score_terms(model, s_values):
@@ -143,8 +150,8 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     as one row per separation; model(s, slope=True) returns those rows and
     their s-derivatives.  A 256-point scan brackets each batch's maximum of
     the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties resolve
-    toward the interval midpoint), scoring all batches at a scan point with
-    one matrix-vector product.
+    toward the interval midpoint), scoring all batches at all scan points
+    with one matrix product (``_scores``).
 
     A safeguarded secant search (regula falsi with the Illinois rule) then
     finds the root of each batch's score S(s) = sum(n_c N'_c / N_c) -
@@ -357,12 +364,18 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     Batch b draws its counts from the Philox stream of
     SeedSequence((seed, b)); the batches' counts form one integer array
     and their ML searches run in lockstep.  The count rows of each scan
-    point are evaluated once, the 256 of them in 16 calls of 16, and so
-    are the rows with slopes: each secant round's new distinct abscissae
-    in calls of at most 16.
+    point are evaluated once, the 256 of them in 4 calls of _MODEL_BLOCK =
+    64, and so are the rows with slopes: each secant round's new distinct
+    abscissae in calls of at most 64.  mu must be positive and finite, with
+    every expected count mu N_c within the Poisson sampler's limit, and
+    true_s finite and >= 0; a violation raises ValueError naming it.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    if not (math.isfinite(true_s) and true_s >= 0.0):
+        raise ValueError(f"true_s must be finite and >= 0, got {true_s!r}")
 
     n, dn = (np.asarray(rows, dtype=float)[0]
              for rows in model(np.array([float(true_s)]), slope=True))
@@ -370,6 +383,10 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     if not fisher > 0.0:
         raise ValueError("Fisher information vanishes: separation not "
                          "identifiable at this configuration")
+    if np.any(n > _POISSON_LAM_MAX / mu):
+        raise ValueError(f"mu={mu!r} gives an expected count of "
+                         f"{mu * float(n.max()):.3g} in a channel, above the "
+                         f"Poisson sampler's limit of {_POISSON_LAM_MAX:.3g}")
     expected = mu * n
     counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
                        for b in range(batches)])

@@ -359,6 +359,23 @@ def test_simulate_at_zero_separation_is_a_usage_error(tmp_path, capsys):
     assert "Fisher information vanishes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+@pytest.mark.parametrize("setting, message", [
+    ({"mu": 0.0}, "mu must be positive and finite, got 0.0"),
+    ({"mu": -5.0}, "mu must be positive and finite, got -5.0"),
+    ({"mu": 1e300}, "mu=1e+300 gives an expected count of "),
+    ({"s_sim": -1.0}, "separation must be finite and nonnegative, got -1.0"),
+])
+def test_simulate_with_an_invalid_mu_or_s_sim_is_a_usage_error(
+        tmp_path, capsys, measurement, setting, message):
+    cfg = _write_cfg(tmp_path, "simbad.cfg", measurement=measurement, batches=2,
+                     **setting)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_with_a_negative_search_bound_is_a_usage_error(tmp_path, capsys):
     # separations are nonnegative; the count models clip s < 0 to 0
     cfg = _write_cfg(tmp_path, "simneg.cfg", family="plane", ktilde=2.0,

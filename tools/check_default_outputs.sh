@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Regenerates the default output of every carsfisher command, plus the
+# direct-imaging simulate campaign, from two source trees and compares them
+# byte for byte.  Fails if any output differs while both trees carry the
+# same cli._SCHEMA_VERSION: an output may change only with a schema bump.
+#
+# usage: tools/check_default_outputs.sh <base-src> <head-src>
+#   e.g. tools/check_default_outputs.sh /tmp/base/src src
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <base-src> <head-src>" >&2
+    exit 2
+fi
+for var in $(compgen -e | grep '^CARSFISHER_' || true); do unset "$var"; done
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+printf 'measurement=di\n' > "$work/di.cfg"
+
+# the schema version of the carsfisher package under source tree $1
+schema() {
+    (cd "$work" && PYTHONPATH="$1" python3 -c '
+import sys
+import carsfisher, carsfisher.cli as cli
+if not carsfisher.__file__.startswith(sys.argv[1]):
+    sys.exit(f"carsfisher imported from {carsfisher.__file__}, not {sys.argv[1]}")
+print(cli._SCHEMA_VERSION)' "$1")
+}
+
+# writes the default outputs of source tree $1 into directory $2
+outputs() {
+    mkdir -p "$2"
+    run() { (cd "$work" && PYTHONPATH="$1" python3 -m carsfisher.cli "${@:2}" > /dev/null); }
+    run "$1" figure2 --out "$2/figure2.csv"
+    run "$1" figure3 --out "$2/figure3.csv"
+    run "$1" convergence --out "$2/convergence.csv"
+    run "$1" adjudicate --out "$2/adjudication.json"
+    run "$1" simulate --out "$2/simulation_spade.json"
+    run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
+    run "$1" spectral-dump --out "$2/spectral.csv"
+    run "$1" optimize-waist --out "$2/waist.csv"
+}
+
+base=$(cd "$1" && pwd) head=$(cd "$2" && pwd)
+base_schema=$(schema "$base") head_schema=$(schema "$head")
+outputs "$base" "$work/base"
+outputs "$head" "$work/head"
+if diff -rq "$work/base" "$work/head"; then
+    echo "default outputs byte-identical (schema $head_schema)"
+elif [ "$base_schema" = "$head_schema" ]; then
+    echo "default outputs differ while the schema stays $head_schema" >&2
+    exit 1
+else
+    echo "default outputs differ with the schema bump $base_schema -> $head_schema"
+fi
