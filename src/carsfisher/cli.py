@@ -38,6 +38,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -59,7 +60,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 13
+_SCHEMA_VERSION = 14
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -515,14 +516,15 @@ def cmd_simulate(cfg: RunConfig) -> str:
     else:
         exc = PlaneWaveExcitation(ktilde=cfg.ktilde)
     s = cfg.s_sim
-    n_total = image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)).n_total
-    if cfg.measurement == "spade":
-        model = spade_count_model(exc, cfg.M, g=cfg.g, kappa=cfg.kappa)
-    else:
-        try:
+    # a separation the scene or the camera refuses is named by its key
+    try:
+        n_total = image_amplitudes(exc, EmitterScene(s=s, g=cfg.g, kappa=cfg.kappa)).n_total
+        if cfg.measurement == "spade":
+            model = spade_count_model(exc, cfg.M, g=cfg.g, kappa=cfg.kappa)
+        else:
             model = BinnedImager(exc, s, g=cfg.g, kappa=cfg.kappa).expectations
-        except ValueError as err:
-            raise ValueError(f"s_sim={s}: {err}") from err
+    except ValueError as err:
+        raise ValueError(f"s_sim={s}: {err}") from err
     report = run_experiment(model, s, cfg.mu, cfg.batches, cfg.seed,
                             (cfg.search_lo, cfg.search_hi),
                             n_total=n_total, method=cfg.measurement)
@@ -586,6 +588,7 @@ _COMMANDS = {
 _FLAG_KEYS = {"seed": "seed", "modes": "M", "tol": "tol", "raw": "raw"}
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carsfisher",

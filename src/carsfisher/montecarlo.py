@@ -20,7 +20,8 @@ batches x channels array, and the model and its logarithm are evaluated
 once per scan point for every batch.  A secant search for the root of each
 batch's Poisson score, built from the model's slopes, then refines the
 scan's bracket; it makes one model pass per round for all batches still
-refining, and the default campaigns finish in 4 rounds.  The model
+refining, and the default campaigns finish in 3 (DI) and 4 (SPADE)
+rounds.  The model
 sees at most _MODEL_BLOCK = 64 separations per call, which bounds the size
 of its work arrays: the 256-point scan takes 4 calls, and a secant round
 one call per 64 new abscissae.  The scan scores every batch at every scan
@@ -32,8 +33,11 @@ Direct imaging counts photons in the 32 x-bin columns of a camera
 (``BinnedImager``), whose totals lose nothing, so SPADE and direct imaging
 share one path: each draws and searches on the channels of its own model.
 
-RNG is counter-based (Philox) with the seed recorded in every report; a
-fixed seed reproduces counts, estimates, and ratios bit-for-bit.
+RNG is counter-based (Philox) with the seed recorded in every report: a
+campaign draws all its counts in one call from the one stream of its seed,
+batch after batch, so a fixed seed reproduces counts, estimates, and
+ratios bit-for-bit, and the first B batches of a longer campaign are those
+of a B-batch campaign.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from .excitation import EmitterScene, image_amplitudes
 from .fisher import (_channel_terms, _di_coefficients, _di_products, _di_sides,
                      _spade_table, fi_direct)
-from .numerics import _WK, _XK
+from .numerics import _WK, _XK, _ordered_sums
 
 _LOG_FLOOR = 1e-300
 _SCAN_POINTS = 256
@@ -81,13 +85,15 @@ class EstimationReport:
 
 
 def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
-    """Independent Poisson draws per channel (an integer array);
-    reproducible for a seed."""
+    """Independent Poisson draws, one per entry of ``expected_per_channel``
+    (an array of any shape), as an integer array of its shape.  The entries
+    are drawn in C order from the one Philox stream of ``rng_seed``, so a
+    fixed seed reproduces them, and the first rows of a (batches, channels)
+    array do not depend on how many rows follow."""
     expected = np.asarray(expected_per_channel, dtype=float)
     if np.any(expected < 0.0):
         raise ValueError("negative expected count")
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    return rng.poisson(expected)
+    return np.random.Generator(np.random.Philox(rng_seed)).poisson(expected)
 
 
 def _model_rows(model, s_values, slope: bool = False):
@@ -116,11 +122,12 @@ def _scores(counts, log_n, total) -> np.ndarray:
 def _score_terms(model, s_values):
     """The per-separation parts of the Poisson score at each separation of
     ``s_values``: the rows N'_c / N_c (zero where N_c < _LOG_FLOOR, whose
-    logarithm is floored and so does not move) and the totals sum N'_c."""
+    logarithm is floored and so does not move) and the totals sum N'_c,
+    added left to right whatever the rows' memory layout."""
     n, dn = _model_rows(model, s_values, slope=True)
     ratio = np.zeros_like(dn)
     np.divide(dn, n, out=ratio, where=n >= _LOG_FLOOR)
-    return ratio, dn.sum(axis=1)
+    return ratio, _ordered_sums(dn)
 
 
 def _pole_secant(a, b, score_a, score_b, pole):
@@ -151,7 +158,9 @@ def _ml_search(counts, model, search_interval) -> list[float]:
     their s-derivatives.  A 256-point scan brackets each batch's maximum of
     the Poisson log-likelihood sum(n_c ln N_c - N_c) (exact ties resolve
     toward the interval midpoint), scoring all batches at all scan points
-    with one matrix product (``_scores``).
+    with one matrix product (``_scores``).  The totals sum N_c and
+    sum N'_c add each row left to right, so the estimates do not depend
+    on the rows' memory layout or on how many separations share a call.
 
     A safeguarded secant search (regula falsi with the Illinois rule) then
     finds the root of each batch's score S(s) = sum(n_c N'_c / N_c) -
@@ -183,7 +192,7 @@ def _ml_search(counts, model, search_interval) -> list[float]:
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
     n = _model_rows(model, scan)
-    values = _scores(counts, np.log(np.maximum(n, _LOG_FLOOR)), n.sum(axis=1))
+    values = _scores(counts, np.log(np.maximum(n, _LOG_FLOOR)), _ordered_sums(n))
 
     # each batch's maximum nearest the midpoint, the first on equal distance,
     # bracketed by its neighbours (the interval ends beyond the first and last)
@@ -361,14 +370,16 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     one slope row at the truth gives the mean counts to draw from and the
     per-shot F = sum (dN_c/ds)^2 / N_c of its channels
     (``fisher._channel_terms``), and a vanishing F raises ValueError.
-    Batch b draws its counts from the Philox stream of
-    SeedSequence((seed, b)); the batches' counts form one integer array
-    and their ML searches run in lockstep.  The count rows of each scan
-    point are evaluated once, the 256 of them in 4 calls of _MODEL_BLOCK =
-    64, and so are the rows with slopes: each secant round's new distinct
-    abscissae in calls of at most 64.  mu must be positive and finite, with
-    every expected count mu N_c within the Poisson sampler's limit, and
-    true_s finite and >= 0; a violation raises ValueError naming it.
+    The whole campaign's counts are one (batches, channels) integer array,
+    drawn by ``sample_counts`` in one call from the Philox stream of
+    ``seed``, row by row; a batch's counts do not depend on how many
+    batches follow, and the batches' ML searches run in lockstep.  The
+    count rows of each scan point are evaluated once, the 256 of them in
+    4 calls of _MODEL_BLOCK = 64, and so are the rows with slopes: each
+    secant round's new distinct abscissae in calls of at most 64.  mu must
+    be positive and finite, with every expected count mu N_c within the
+    Poisson sampler's limit, and true_s finite and >= 0; a violation
+    raises ValueError naming it.
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
@@ -388,8 +399,7 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
                          f"{mu * float(n.max()):.3g} in a channel, above the "
                          f"Poisson sampler's limit of {_POISSON_LAM_MAX:.3g}")
     expected = mu * n
-    counts = np.stack([sample_counts(expected, np.random.SeedSequence((seed, b)))
-                       for b in range(batches)])
+    counts = sample_counts(np.broadcast_to(expected, (batches, expected.size)), seed)
 
     def scaled(s_values, slope: bool = False):
         if not slope:

@@ -565,12 +565,13 @@ def optimal_waist(psi: float, s: float, a_bounds=(0.05, 5.0),
 
 # --------------------------------------------------------------------------
 # Monte Carlo: the per-batch scalar maximum-likelihood procedure written out
-# literally — one Poisson draw per batch from its own Philox stream, a
-# Python log-likelihood per abscissa and a 256-point scan per batch — then
-# two refinements of each scan bracket: a plain golden-section loop on the
-# log-likelihood, and bisection on its derivative, the Poisson score, built
-# from a Richardson-extrapolated central difference of the model's count
-# rows (no derivative from the package).
+# literally — one Philox stream per campaign, from which each batch draws
+# its Poisson counts after the batch before it, a Python log-likelihood per
+# abscissa and a 256-point scan per batch — then two refinements of each
+# scan bracket: a plain golden-section loop on the log-likelihood, and
+# bisection on its derivative, the Poisson score, built from a
+# Richardson-extrapolated central difference of the model's count rows (no
+# derivative from the package).
 # --------------------------------------------------------------------------
 
 def _ml_brackets(model, true_s: float, mu: float, batches: int, seed: int,
@@ -588,9 +589,8 @@ def _ml_brackets(model, true_s: float, mu: float, batches: int, seed: int,
     lo, hi = float(search_interval[0]), float(search_interval[1])
     scan = np.linspace(lo, hi, scan_points)
     out = []
-    for b in range(batches):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, b))))
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(batches):
         counts = rng.poisson(expected(float(true_s))).astype(float)
 
         def loglike(s, counts=counts):

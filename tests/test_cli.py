@@ -44,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=13" in lines[0]
+    assert "schema=14" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -372,7 +372,9 @@ def test_simulate_with_an_invalid_mu_or_s_sim_is_a_usage_error(
                      **setting)
     out = tmp_path / "sim.json"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    # a refused separation is named by its key, as the camera's refusals are
+    key = f"s_sim={setting['s_sim']}: " if "s_sim" in setting else ""
+    assert capsys.readouterr().err.startswith(f"invalid input: {key}{message}")
     assert not out.exists()
 
 
@@ -412,7 +414,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 13
+    assert doc["schema_version"] == 14
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

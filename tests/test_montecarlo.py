@@ -59,22 +59,61 @@ def test_sample_counts_reproducible():
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=40),
-       st.integers(0, 2**64 - 1), st.integers(0, 400))
-def test_sample_counts_reproduces_itself_per_seed(expected, seed, batch):
-    # both seed forms in use: a plain integer, and run_experiment's
-    # SeedSequence((seed, batch)) per batch
-    for key in (lambda: seed, lambda: np.random.SeedSequence((seed, batch))):
-        counts = sample_counts(expected, key())
+       st.integers(0, 2**64 - 1), st.integers(1, 40))
+def test_sample_counts_reproduces_itself_per_seed(expected, seed, batches):
+    # one channel row, and run_experiment's (batches, channels) campaign,
+    # whose rows are drawn one after another from the seed's one stream
+    campaign = np.broadcast_to(expected, (batches, len(expected)))
+    for means in (expected, campaign):
+        counts = sample_counts(means, seed)
         assert counts.dtype.kind == "i"
-        assert counts.shape == (len(expected),)
+        assert counts.shape == np.shape(means)
         assert counts.min() >= 0
-        assert counts[np.asarray(expected) == 0.0].tolist() == [0] * expected.count(0.0)
-        assert counts.tolist() == sample_counts(expected, key()).tolist()
+        assert not np.any(counts[np.asarray(means) == 0.0])
+        assert counts.tolist() == sample_counts(means, seed).tolist()
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = [rng.poisson(expected).tolist() for _ in range(batches)]
+    assert sample_counts(campaign, seed).tolist() == rows
+    assert sample_counts(expected, seed).tolist() == rows[0]
 
 
 def test_sample_counts_rejects_negative_expectation():
     with pytest.raises(ValueError):
         sample_counts([1.0, -0.1], 7)
+    # anywhere in a (batches, channels) array
+    for index in ((0, 0), (1, 2)):
+        expected = np.array([[0.5, 2.0, 7.0], [30.0, 0.0, 4.0]])
+        expected[index] = -1e-300
+        with pytest.raises(ValueError, match="negative expected count"):
+            sample_counts(expected, 9)
+
+
+def test_run_experiment_draws_its_campaign_in_one_call(monkeypatch):
+    # one sample_counts call for all batches, with a (batches, channels)
+    # array of the mean counts at the truth
+    model = spade_count_model(PLANE_K2, 10)
+    means = []
+
+    def counted(expected, rng_seed):
+        means.append(np.array(expected))
+        return sample_counts(expected, rng_seed)
+
+    monkeypatch.setattr(montecarlo, "sample_counts", counted)
+    run_experiment(model, 1.0, 1e4, 7, 11, (0.5, 1.5))
+    assert len(means) == 1
+    assert means[0].shape == (7, 11)
+    assert np.all(means[0] == 1e4 * model([1.0])[0])
+
+
+@pytest.mark.parametrize("measurement", ["spade", "di"])
+def test_a_longer_campaign_begins_with_the_shorter_one(measurement):
+    # the first B batches of a longer campaign draw, and so estimate, what
+    # a B-batch campaign does
+    model = spade_count_model(PLANE_K2, 10) if measurement == "spade" \
+        else _di_model()
+    short = run_experiment(model, 1.0, 1e4, 20, 20260817, (0.5, 1.5))
+    long = run_experiment(model, 1.0, 1e4, 50, 20260817, (0.5, 1.5))
+    assert long.estimates[:20] == short.estimates
 
 
 def _times(mu, model):
@@ -104,8 +143,7 @@ def test_each_batch_estimate_is_its_search_alone_within_x_tol(measurement):
         else _di_model()
     mu, interval = 1e4, (0.5, 1.5)
     expected = mu * model([1.0])[0]
-    counts = np.stack([sample_counts(expected, np.random.SeedSequence((5, b)))
-                       for b in range(12)])
+    counts = sample_counts(np.broadcast_to(expected, (12, expected.size)), 5)
     together = montecarlo._ml_search(counts, _times(mu, model), interval)
     for row, estimate in zip(counts, together):
         alone = _ml_alone(row, _times(mu, model), interval)
@@ -191,19 +229,14 @@ def test_count_model_rows_do_not_depend_on_the_batch(measurement):
         assert slope_row.tolist() == dn[0].tolist()
 
 
-@pytest.mark.parametrize("measurement", [
-    "spade",
-    pytest.param("di", marks=pytest.mark.xfail(strict=True, reason=(
-        "the camera returns column-major rows from a call of two or more "
-        "separations, whose totals sum N add the channels left to right, and "
-        "a one-row block is summed pairwise: 7 and 14 of the 50 estimates "
-        "move by 2.2e-16 (ROADMAP item 3)"))),
-])
+@pytest.mark.parametrize("measurement", ["spade", "di"])
 @pytest.mark.parametrize("interval", [(0.5, 1.5), (0.0, 1.5)])
 def test_estimates_do_not_depend_on_the_model_block(monkeypatch, measurement,
                                                     interval):
     # the model's rows do not depend on how many separations share a call,
-    # so neither should the estimates, bit for bit
+    # and their totals add left to right whatever the rows' layout (the
+    # camera's rows are column-major from a call of two or more
+    # separations), so the estimates do not either, bit for bit
     model = spade_count_model(PLANE_K2, 10) if measurement == "spade" \
         else _di_model()
     blocked = run_experiment(model, 1.0, 1e4, 50, 20260817, interval)
@@ -411,8 +444,8 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
     reference = ml_reference(model, 1.0, mu, batches, seed, interval)
     assert max(abs(a - b) for a, b in zip(report.estimates, reference)) <= 1e-6
     # a batch searched alone gives the same estimate
-    counts = sample_counts(mu * model([1.0])[0],
-                           np.random.SeedSequence((seed, 4)))
+    expected = mu * model([1.0])[0]
+    counts = sample_counts(np.broadcast_to(expected, (batches, expected.size)), seed)[4]
     assert _ml_alone(counts, _times(mu, model), interval) == report.estimates[4]
 
 
@@ -455,12 +488,12 @@ def test_run_experiment_model_work(monkeypatch):
         assert max(calls[slope]) <= block
     assert len(seen[False]) == 256
     assert 1 + sum(rounds) == len(seen[True])
-    # the first round scores both ends of every bracket, 7 distinct scan
+    # the first round scores both ends of every bracket, 8 distinct scan
     # points here; each later one a secant point per batch still refining
     assert rounds[0] <= 2 * batches
     assert all(r <= batches for r in rounds[1:])
-    # 4 rounds and 108 slope abscissae (counts that depend on the draw)
-    assert rounds == [7, 50, 50, 1]
+    # 3 rounds and 108 slope abscissae (counts that depend on the draw)
+    assert rounds == [8, 50, 50]
     assert len(calls[True]) == 1 + sum(math.ceil(r / block) for r in rounds)
 
 
@@ -492,7 +525,7 @@ def test_spade_variance_meets_crb_long_campaign():
     model = spade_count_model(PLANE_K2, 10)
     report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5), method="spade")
     assert 0.8 < report.ratio < 1.25
-    assert report.ratio == pytest.approx(0.9858279841890103, rel=1e-9)
+    assert report.ratio == pytest.approx(0.9843838971908441, rel=1e-9)
 
 
 def test_direct_imaging_variance_exceeds_spade_variance():
@@ -506,8 +539,8 @@ def test_direct_imaging_variance_exceeds_spade_variance():
     di_report = run_experiment(di_model, 1.0, 1e4, 50, 20260817, (0.5, 1.5),
                                method="di")
 
-    assert spade_report.ratio == pytest.approx(0.7044113684030046, rel=1e-9)
-    assert di_report.ratio == pytest.approx(0.82934452649437, rel=1e-9)
+    assert spade_report.ratio == pytest.approx(1.1087181985182109, rel=1e-9)
+    assert di_report.ratio == pytest.approx(1.2258109578476382, rel=1e-9)
     assert di_report.empirical_variance > 2.0 * spade_report.empirical_variance
     assert di_report.crb > spade_report.crb
 
@@ -520,7 +553,7 @@ def test_low_information_regime_stays_near_the_bound():
     assert fi_spade(_amps(exc, 0.2), 10).value < 0.2
     report = run_experiment(model, 0.2, 1e4, 50, 20260817, (0.02, 0.6))
     assert 0.9 < report.ratio < 2.0
-    assert report.ratio == pytest.approx(1.3058717711084737, rel=1e-9)
+    assert report.ratio == pytest.approx(1.1197050169929106, rel=1e-9)
 
 
 _DEFAULT_VORTEX = VortexExcitation(a=math.sqrt(0.5))
@@ -679,7 +712,9 @@ def test_search_from_just_above_zero_steps_in_u(monkeypatch, measurement, lo):
 def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, true_s,
                                               interval):
     # brackets that start at s = 0, where every score vanishes, hold either
-    # a root (the di-k2 draw has two) or a maximum at zero: each estimate
+    # a root or a maximum at zero (all 12 spade-k0 and 6 di-k2 ones of this
+    # draw hold a maximum at zero; the noise-free searches above find roots
+    # near zero from such brackets): each estimate
     # is the oracle's score root, and as likely as the golden-section
     # maximum to within 4 ulps wherever the two differ by more than x_tol
     # (the golden search compares likelihoods that agree to roundoff on
@@ -692,7 +727,7 @@ def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, tr
     roots = ml_score_roots(*args)
     golden = ml_reference(*args)
     brackets = _ml_brackets(*args, 256)
-    assert sum(a == 0.0 for _, _, a, _ in brackets) >= 10
+    assert sum(a == 0.0 for _, _, a, _ in brackets) >= 6
     for estimate, root, best, (_, loglike, _, _) in zip(
             report.estimates, roots, golden, brackets):
         assert abs(estimate - root) <= 5e-7 + 1e-9

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the default output of every carsfisher command, plus the
-# direct-imaging simulate campaign, from two source trees and compares them
-# byte for byte.  Fails if any output differs while both trees carry the
+# direct-imaging simulate campaign and the SPADE and direct-imaging
+# campaigns searched from s = 0 (search_lo=0, the only input that steps the
+# secant in u = s^2), from two source trees and compares them byte for
+# byte.  Fails if any output differs while both trees carry the
 # same cli._SCHEMA_VERSION: an output may change only with a schema bump.
 #
 # usage: tools/check_default_outputs.sh <base-src> <head-src>
@@ -17,6 +19,8 @@ for var in $(compgen -e | grep '^CARSFISHER_' || true); do unset "$var"; done
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 printf 'measurement=di\n' > "$work/di.cfg"
+printf 'search_lo=0\n' > "$work/spade0.cfg"
+printf 'measurement=di\nsearch_lo=0\n' > "$work/di0.cfg"
 
 # the schema version of the carsfisher package under source tree $1
 schema() {
@@ -38,6 +42,8 @@ outputs() {
     run "$1" adjudicate --out "$2/adjudication.json"
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
+    run "$1" simulate --config "$work/spade0.cfg" --out "$2/simulation_spade_from_0.json"
+    run "$1" simulate --config "$work/di0.cfg" --out "$2/simulation_di_from_0.json"
     run "$1" spectral-dump --out "$2/spectral.csv"
     run "$1" optimize-waist --out "$2/waist.csv"
 }
