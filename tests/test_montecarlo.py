@@ -704,30 +704,33 @@ def test_search_from_just_above_zero_steps_in_u(monkeypatch, measurement, lo):
     assert len(rounds) <= 4
 
 
-@pytest.mark.parametrize("measurement,exc,true_s,interval", [
-    pytest.param("spade", PlaneWaveExcitation(ktilde=0.0), 0.01, (0.0, 0.6),
-                 id="spade-k0"),
-    pytest.param("di", PLANE_K2, 0.05, (0.0, 1.5), id="di-k2"),
+@pytest.mark.parametrize("measurement,exc,true_s,seed,interval,from_zero,held", [
+    pytest.param("spade", PlaneWaveExcitation(ktilde=0.0), 0.01, 20260817,
+                 (0.0, 0.6), 12, 0, id="spade-k0"),
+    pytest.param("di", PLANE_K2, 0.05, 20260817, (0.0, 1.5), 6, 0, id="di-k2"),
+    pytest.param("di", PLANE_K2, 0.03, 3, (0.0, 1.5), 14, 1, id="di-k2-root"),
 ])
 def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, true_s,
-                                              interval):
+                                              seed, interval, from_zero, held):
     # brackets that start at s = 0, where every score vanishes, hold either
-    # a root or a maximum at zero (all 12 spade-k0 and 6 di-k2 ones of this
-    # draw hold a maximum at zero; the noise-free searches above find roots
-    # near zero from such brackets): each estimate
+    # a root or a maximum at zero; the number of each is pinned per draw
+    # (the di-k2-root draw has one bracket from zero that holds a root,
+    # which the u = s^2 secant must find on noisy counts): each estimate
     # is the oracle's score root, and as likely as the golden-section
     # maximum to within 4 ulps wherever the two differ by more than x_tol
     # (the golden search compares likelihoods that agree to roundoff on
     # these flat maxima)
     model = _count_model(exc, measurement, domain_s=0.3)
-    args = (model, true_s, 1e4, 30, 20260817, interval)
+    args = (model, true_s, 1e4, 30, seed, interval)
     rounds = _rounds(monkeypatch)
     report = run_experiment(*args, method=measurement)
     assert len(rounds) <= 6
     roots = ml_score_roots(*args)
     golden = ml_reference(*args)
     brackets = _ml_brackets(*args, 256)
-    assert sum(a == 0.0 for _, _, a, _ in brackets) >= 6
+    starts = [b for b, (_, _, a, _) in enumerate(brackets) if a == 0.0]
+    assert len(starts) == from_zero
+    assert sum(roots[b] > 1e-6 for b in starts) == held
     for estimate, root, best, (_, loglike, _, _) in zip(
             report.estimates, roots, golden, brackets):
         assert abs(estimate - root) <= 5e-7 + 1e-9
