@@ -23,7 +23,6 @@ from .fisher import (
     qfi_plane_closed,
     qfi_separation,
     qfi_vortex_closed,
-    small_s_coefficients,
     spade_collinear_closed,
     vortex_closed_variants,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "qfi_vortex_closed",
     "run_experiment",
     "sample_counts",
-    "small_s_coefficients",
     "spade_collinear_closed",
     "spade_count_model",
     "spectral_weight",

@@ -22,7 +22,8 @@ Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
-and the fully resolved configuration.  The table commands (figure2,
+and the value of every configuration key the command reads (``_COMMANDS``),
+as the JSON outputs' config object does.  The table commands (figure2,
 figure3, convergence, spectral-dump, optimize-waist) write CSV;
 adjudicate and simulate write JSON.
 
@@ -60,7 +61,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 14
+_SCHEMA_VERSION = 15
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -139,6 +140,11 @@ class RunConfig:
             raise ConfigError("need 0 < a_min < a_max")
         if self.batches < 2:
             raise ConfigError("batches must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 <= self.search_lo < self.search_hi:
+            raise ConfigError("need 0 <= search_lo < search_hi: the search interval "
+                              "must start at s >= 0 and be increasing")
 
 
 def _parse_bool(text: str) -> bool:
@@ -178,8 +184,8 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
     An unknown key in the file, or a CARSFISHER_ variable in ``env`` that
     names no key, raises ConfigError.  The returned config carries
     explicit_keys, the set of field names that were actually supplied
-    (rather than left at their defaults), so commands can apply their own
-    defaults to untouched fields.
+    (rather than left at their defaults), so a command can refuse those it
+    does not read.
     """
     cfg = RunConfig()
     explicit: set[str] = set()
@@ -222,19 +228,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _config_items(cfg: RunConfig):
-    """(name, value) of every field an output records, in field order.
-
-    output_path is deliberately excluded: where a file lives is not part of
-    its content, and identical config + seed must give identical bytes.
-    """
-    return [(name, getattr(cfg, name)) for name in _FIELD_TYPES
-            if name != "output_path"]
+def _config_items(command: str, cfg: RunConfig):
+    """(name, value) of each key the command reads (``_COMMANDS``), in field
+    order: the inputs that shaped its output, and no others.  No command
+    reads output_path: where a file lives is not part of its content."""
+    reads = _COMMANDS[command][1]
+    return [(name, getattr(cfg, name)) for name in _FIELD_TYPES if name in reads]
 
 
-def _config_comment(cfg: RunConfig) -> str:
+def _config_comment(command: str, cfg: RunConfig) -> str:
     parts = []
-    for name, value in _config_items(cfg):
+    for name, value in _config_items(command, cfg):
         if isinstance(value, tuple):
             rendered = ",".join(_fmt(v) for v in value)
         else:
@@ -248,7 +252,7 @@ def _write_csv(path: str, command: str, cfg: RunConfig, header: list[str],
     lines = [
         f"# carsfisher {__version__} schema={_SCHEMA_VERSION}",
         f"# command={command}",
-        f"# config {_config_comment(cfg)}",
+        f"# config {_config_comment(command, cfg)}",
     ]
     lines.extend(f"# {comment}" for comment in extra_comments)
     lines.append(",".join(header))
@@ -275,7 +279,7 @@ def _write_json(path: str, command: str, cfg: RunConfig, payload: dict):
         "tool_version": __version__,
         "command": command,
         "config": {name: list(value) if isinstance(value, tuple) else value
-                   for name, value in _config_items(cfg)},
+                   for name, value in _config_items(command, cfg)},
     }
     document.update(payload)
     _write_text(path, json.dumps(document, sort_keys=True, indent=2,
@@ -321,8 +325,6 @@ def _curve(exc, s_grid, cfg: RunConfig):
 
 def cmd_figure2(cfg: RunConfig) -> str:
     """Plane-wave FI sweep: one row per (ktilde, s)."""
-    if cfg.family != "plane":
-        raise ConfigError("figure2 requires family=plane")
     s_grid = _s_grid(cfg)
     rows = []
     for kt in cfg.ktilde_grid:
@@ -342,8 +344,6 @@ def cmd_figure2(cfg: RunConfig) -> str:
 
 def cmd_figure3(cfg: RunConfig) -> str:
     """Vortex FI sweep over psi, with the waist-optimized envelope at psi=0."""
-    if cfg.family != "vortex":
-        raise ConfigError("figure3 requires family=vortex")
     s_grid = _s_grid(cfg)
     # waist-optimized envelope, computed on the psi = 0 axis
     a_opt, q_opt = optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
@@ -388,22 +388,26 @@ def cmd_convergence(cfg: RunConfig) -> str:
     return path
 
 
-def _max_deviation(report, closed) -> float:
-    return float(np.max(np.abs(report.normalized_value - closed.normalized_value)))
+def _closed_form_record(tolerance: float, grid: str, pairs) -> dict:
+    """The record of a closed form checked against the general path: the
+    worst deviation of the normalized values over the (general, closed)
+    report pairs, and whether it stays below the tolerance."""
+    worst = max(float(np.max(np.abs(general.normalized_value - closed.normalized_value)))
+                for general, closed in pairs)
+    return {"tolerance": tolerance, "max_deviation": worst, "grid": grid,
+            "matches": worst < tolerance}
 
 
-def _adjudicate_plane(cfg: RunConfig) -> dict:
-    worst = 0.0
+def _adjudicate_plane() -> dict:
     s_grid = np.linspace(0.01, 3.0, 120)
-    for kt in (0.0, 1.0, 2.0, 4.0):
-        amps = image_amplitudes(PlaneWaveExcitation(ktilde=kt), EmitterScene(s=s_grid))
-        worst = max(worst, _max_deviation(qfi_separation(amps), qfi_plane_closed(kt, s_grid)))
-    return {"tolerance": 1e-10, "max_deviation": worst,
-            "grid": "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
-            "matches": worst < 1e-10}
+    pairs = [(qfi_separation(image_amplitudes(PlaneWaveExcitation(ktilde=kt),
+                                              EmitterScene(s=s_grid))),
+              qfi_plane_closed(kt, s_grid)) for kt in (0.0, 1.0, 2.0, 4.0)]
+    return _closed_form_record(1e-10, "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
+                               pairs)
 
 
-def _adjudicate_vortex(cfg: RunConfig) -> dict:
+def _adjudicate_vortex() -> dict:
     devs = {"psi_dependent": 0.0, "psi_independent": 0.0}
     s_grid = np.linspace(0.05, 3.0, 60)
     for a in (0.5, math.sqrt(2.0) / 2.0, 1.0):
@@ -460,7 +464,7 @@ def _quadrature_gram(s_values) -> dict:
     return dict(zip(_GRAM_ENTRIES, entries))
 
 
-def _adjudicate_geometry(cfg: RunConfig) -> dict:
+def _adjudicate_geometry() -> dict:
     s_values = np.array([0.3, 1.0, 2.0])
     quad = _quadrature_gram(s_values)
     worst = {name: float(np.max(np.abs(_psf_gram(s_values, c, d) - quad[name])))
@@ -477,21 +481,19 @@ def _adjudicate_geometry(cfg: RunConfig) -> dict:
     }
 
 
-def _adjudicate_spade_closed(cfg: RunConfig) -> dict:
+def _adjudicate_spade_closed() -> dict:
     s_grid = np.linspace(0.05, 3.0, 60)
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=0.0), EmitterScene(s=s_grid))
-    worst = _max_deviation(fi_spade(curve, 30), spade_collinear_closed(s_grid))
-    return {"tolerance": 1e-8, "max_deviation": worst,
-            "grid": "ktilde=0, 60 s-points in [0.05, 3], M=30",
-            "matches": worst < 1e-8}
+    return _closed_form_record(1e-8, "ktilde=0, 60 s-points in [0.05, 3], M=30",
+                               [(fi_spade(curve, 30), spade_collinear_closed(s_grid))])
 
 
 def cmd_adjudicate(cfg: RunConfig) -> str:
     """Compare every shipped closed form against the general-path oracle."""
-    plane = _adjudicate_plane(cfg)
-    vortex = _adjudicate_vortex(cfg)
-    geometry = _adjudicate_geometry(cfg)
-    spade = _adjudicate_spade_closed(cfg)
+    plane = _adjudicate_plane()
+    vortex = _adjudicate_vortex()
+    geometry = _adjudicate_geometry()
+    spade = _adjudicate_spade_closed()
     passed = (plane["matches"] and vortex["exactly_one_match"]
               and vortex["selected_matches"] and geometry["matches"]
               and spade["matches"])
@@ -526,9 +528,9 @@ def cmd_simulate(cfg: RunConfig) -> str:
     except ValueError as err:
         raise ValueError(f"s_sim={s}: {err}") from err
     report = run_experiment(model, s, cfg.mu, cfg.batches, cfg.seed,
-                            (cfg.search_lo, cfg.search_hi),
-                            n_total=n_total, method=cfg.measurement)
-    payload = {"report": dataclasses.asdict(report)}
+                            (cfg.search_lo, cfg.search_hi))
+    payload = {"report": {**dataclasses.asdict(report), "n_total": n_total,
+                          "method": cfg.measurement}}
     path = _out_path(cfg, "simulation", "json")
     _write_json(path, "simulate", cfg, payload)
     return path
@@ -568,12 +570,12 @@ def cmd_optimize_waist(cfg: RunConfig) -> str:
 
 
 _SWEEP_KEYS = {"s_min", "s_max", "s_points", "kappa", "g", "raw"}
-# command -> its function and the configuration keys it reads (every
-# command also reads output_path)
+# command -> its function and the configuration keys it reads, which its
+# output records (every command also takes output_path, never recorded)
 _COMMANDS = {
-    "figure2": (cmd_figure2, _SWEEP_KEYS | {"family", "ktilde_grid", "M", "tol"}),
-    "figure3": (cmd_figure3, _SWEEP_KEYS | {"family", "psi_grid", "a", "a_min",
-                                            "a_max", "M", "tol"}),
+    "figure2": (cmd_figure2, _SWEEP_KEYS | {"ktilde_grid", "M", "tol"}),
+    "figure3": (cmd_figure3, _SWEEP_KEYS | {"psi_grid", "a", "a_min", "a_max",
+                                            "M", "tol"}),
     "convergence": (cmd_convergence, _SWEEP_KEYS | {"ktilde"}),
     "adjudicate": (cmd_adjudicate, set()),
     "simulate": (cmd_simulate, {"family", "ktilde", "a", "psi", "s_sim", "kappa",
@@ -621,9 +623,6 @@ def main(argv=None) -> int:
                      if getattr(args, flag) is not None}
             raise ConfigError(f"{args.command} does not read "
                               f"{', '.join(flags.get(key, key) for key in ignored)}")
-        family = {"figure2": "plane", "figure3": "vortex"}.get(args.command)
-        if family and "family" not in cfg.explicit_keys:
-            cfg.family = family
         path = command(cfg)
     except AdjudicationMismatch as exc:
         print(exc)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,29 +118,24 @@ class ImageAmplitudes:
         return self.kappa * _psf_gram(self.s, (a1, 0.0, a2, 0.0), (a1, 0.0, a2, 0.0))
 
 
-class _SiteField(NamedTuple):
-    value: np.ndarray
-    grad_x: np.ndarray
-
-
 def _vortex_norm(a: float) -> float:
     # sqrt(2e)/w_St makes the ring intensity max equal one.
     return math.sqrt(2.0 * math.e) / a
 
 
-def _site_field(exc, g: float, x) -> _SiteField:
-    """alpha at (x, 0) and its analytic x-gradient."""
+def _site_field(exc, g: float, x) -> tuple:
+    """alpha at (x, 0) and its analytic x-gradient, as a pair."""
     if isinstance(exc, PlaneWaveExcitation):
         kx = exc.ktilde
         val = -1j * g * np.exp(1j * (kx * x))
-        return _SiteField(val, 1j * kx * val)
+        return val, 1j * kx * val
     if isinstance(exc, VortexExcitation):
         a, psi = exc.a, exc.psi
         envelope = np.exp(-(x**2 + psi**2) / a**2)
         core = x + 1j * psi
         val = -1j * g * _vortex_norm(a) * core * envelope
         grad = -1j * g * _vortex_norm(a) * envelope * (1.0 - 2.0 * x * core / a**2)
-        return _SiteField(val, grad)
+        return val, grad
     raise TypeError(f"unsupported excitation {type(exc).__name__}")
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excitation import EmitterScene, ImageAmplitudes, PlaneWaveExcitation, image_amplitudes
+from .excitation import ImageAmplitudes
 from .numerics import integrate_1d_many
 from .psf_modes import (_gamma_table, _mode_overlaps, _psf_gram, _require_finite,
                         _require_separation, _site_sums)
@@ -437,22 +437,6 @@ def fi_spade(amps: ImageAmplitudes, M: int):
     """
     fi = _spade_running_fi(amps, M)[:, -1]
     return FisherReport(*_fields(np.ndim(amps.s), fi * _scale(amps), fi, 0.0))
-
-
-def small_s_coefficients(ktilde: float = 0.0,
-                         modes: int = 30) -> tuple[float, float, float]:
-    """Leading quadratic coefficients of DI, QFI, and SPADE at small s for
-    plane-wave excitation.
-
-    Fits F_normalized ~ c s^2/2 over s in [0.01, 0.05] and returns
-    (c_di, c_qfi, c_spade).
-    """
-    s_pts = np.linspace(0.01, 0.05, 9)
-    curve = image_amplitudes(PlaneWaveExcitation(ktilde=ktilde), EmitterScene(s=s_pts))
-    basis_fn = s_pts**2 / 2.0
-    denom = float(basis_fn @ basis_fn)
-    return tuple(float(report.normalized_value @ basis_fn) / denom for report in (
-        fi_direct(curve), qfi_separation(curve), fi_spade(curve, modes)))
 
 
 def optimize_waist(psi: float, s_grid, a_bounds=(0.05, 5.0),

@@ -69,8 +69,7 @@ class EstimationReport:
     """Outcome of a Monte Carlo estimation campaign.
 
     crb = 1/(mu F) for the per-shot Fisher information F of the model's
-    channels at true_s; n_total is the mean photon number per shot, so the
-    photon budget behind the bound is self-documenting.
+    channels at true_s, and ratio = empirical_variance / crb.
     """
 
     true_s: float
@@ -80,8 +79,6 @@ class EstimationReport:
     ratio: float
     mu: float
     seed: int
-    n_total: float = 0.0
-    method: str = "spade"
 
 
 def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
@@ -94,6 +91,15 @@ def sample_counts(expected_per_channel, rng_seed) -> np.ndarray:
     if np.any(expected < 0.0):
         raise ValueError("negative expected count")
     return np.random.Generator(np.random.Philox(rng_seed)).poisson(expected)
+
+
+def _slope_fisher(model, s: float):
+    """The count row N_c of a count model at the one separation s, and the
+    per-shot Fisher information F = sum (dN_c/ds)^2 / N_c of its channels
+    (``fisher._channel_terms``), from the model's one slope row there."""
+    n, dn = (np.asarray(rows, dtype=float)[0]
+             for rows in model(np.array([float(s)]), slope=True))
+    return n, float(np.sum(_channel_terms(n, dn)))
 
 
 def _model_rows(model, s_values, slope: bool = False):
@@ -353,13 +359,11 @@ class BinnedImager:
     def fisher_information(self, s: float) -> float:
         """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the
         columns, from the analytic derivative of the x-profile."""
-        n, dn = (row[0] for row in self.expectations([s], slope=True))
-        return float(np.sum(_channel_terms(n, dn)))
+        return _slope_fisher(self.expectations, s)[1]
 
 
 def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
-                   search_interval, n_total: float = 0.0,
-                   method: str = "spade") -> EstimationReport:
+                   search_interval) -> EstimationReport:
     """Simulate `batches` campaigns of mu shots each and compare the spread
     of the ML estimates against the Cramer-Rao bound 1/(mu F).
 
@@ -369,7 +373,7 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     scaled by mu for the search.  The bound comes from the model itself:
     one slope row at the truth gives the mean counts to draw from and the
     per-shot F = sum (dN_c/ds)^2 / N_c of its channels
-    (``fisher._channel_terms``), and a vanishing F raises ValueError.
+    (``_slope_fisher``), and a vanishing F raises ValueError.
     The whole campaign's counts are one (batches, channels) integer array,
     drawn by ``sample_counts`` in one call from the Philox stream of
     ``seed``, row by row; a batch's counts do not depend on how many
@@ -379,7 +383,8 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     secant round's new distinct abscissae in calls of at most 64.  mu must
     be positive and finite, with every expected count mu N_c within the
     Poisson sampler's limit, and true_s finite and >= 0; a violation
-    raises ValueError naming it.
+    raises ValueError naming it.  The report holds only what the campaign
+    read and produced (the ``simulate`` command adds n_total and method).
     """
     if batches < 2:
         raise ValueError("need at least two batches for a variance")
@@ -388,9 +393,7 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     if not (math.isfinite(true_s) and true_s >= 0.0):
         raise ValueError(f"true_s must be finite and >= 0, got {true_s!r}")
 
-    n, dn = (np.asarray(rows, dtype=float)[0]
-             for rows in model(np.array([float(true_s)]), slope=True))
-    fisher = float(np.sum(_channel_terms(n, dn)))
+    n, fisher = _slope_fisher(model, true_s)
     if not fisher > 0.0:
         raise ValueError("Fisher information vanishes: separation not "
                          "identifiable at this configuration")
@@ -413,5 +416,4 @@ def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,
     crb = 1.0 / (mu * fisher)
     return EstimationReport(
         true_s=true_s, estimates=estimates, empirical_variance=variance,
-        crb=crb, ratio=variance / crb, mu=mu, seed=seed,
-        n_total=n_total, method=method)
+        crb=crb, ratio=variance / crb, mu=mu, seed=seed)

@@ -27,9 +27,10 @@ from carsfisher import (
     qfi_plane_closed,
     qfi_separation,
     run_experiment,
-    small_s_coefficients,
     spade_count_model,
 )
+
+from small_s import small_s_coefficients
 
 SQ2I = math.sqrt(2.0) / 2.0
 
@@ -248,8 +249,7 @@ def test_criterion_09_monte_carlo_crb(acceptance):
     exc = VortexExcitation(a=SQ2I, psi=0.0)
     amps = _amps(exc, 1.0, g=g10)
     model = spade_count_model(exc, 10, g=g10)
-    report = run_experiment(model, 1.0, 1e4, 50, 20260817, (0.5, 1.5),
-                            n_total=amps.n_total, method="spade")
+    report = run_experiment(model, 1.0, 1e4, 50, 20260817, (0.5, 1.5))
     dt = time.perf_counter() - t0
     ok = (0.9 <= report.ratio <= 1.3 and abs(amps.n_total - 10.0) < 1e-6
           and dt < 60.0)

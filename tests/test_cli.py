@@ -44,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=14" in lines[0]
+    assert "schema=15" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -86,10 +86,13 @@ def test_figure2_runs_are_byte_identical(tmp_path):
 
 
 def test_figure2_rejects_wrong_family(tmp_path, capsys):
-    cfg = _figure2_cfg(tmp_path, family="vortex")
-    assert cli.main(["figure2", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 2
-    assert "family=plane" in capsys.readouterr().err
+    # the sweep fixes its excitation family, so a family setting is refused
+    # like any key it does not read, whatever its value
+    for family in ("vortex", "plane"):
+        cfg = _figure2_cfg(tmp_path, family=family)
+        assert cli.main(["figure2", "--config", cfg,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "figure2 does not read family" in capsys.readouterr().err
 
 
 def test_figure3_defaults_to_vortex_family(tmp_path):
@@ -267,6 +270,58 @@ def test_every_key_a_command_reads_is_a_config_key():
         assert reads <= set(cli._FIELD_TYPES), command
 
 
+def test_every_config_key_is_read_by_some_command():
+    # output_path names where an output goes; every other key shapes one
+    read = set().union(*(reads for _, reads in cli._COMMANDS.values()))
+    assert set(cli._FIELD_TYPES) - read == {"output_path"}
+
+
+# small settings each command reads, so that every command runs quickly
+_SMALL_SETTINGS = {
+    "figure2": dict(s_points=2, ktilde_grid="0", M=4),
+    "figure3": dict(s_points=2, psi_grid="0", M=4),
+    "convergence": dict(s_points=2),
+    "adjudicate": {},
+    "simulate": dict(batches=2, M=4),
+    "spectral-dump": {},
+    "optimize-waist": dict(s_points=2),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_output_records_exactly_the_keys_its_command_reads(tmp_path, command):
+    cfg = _write_cfg(tmp_path, "small.cfg", **_SMALL_SETTINGS[command])
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    reads = cli._COMMANDS[command][1]
+    if command in ("adjudicate", "simulate"):
+        recorded = list(json.loads(out.read_text())["config"])
+        assert set(recorded) == reads
+        if command == "adjudicate":
+            assert recorded == []
+    else:
+        line = next(ln for ln in _read_lines(out) if ln.startswith("# config "))
+        recorded = [item.partition("=")[0] for item in line.split()[2:]]
+        # in RunConfig field order
+        assert recorded == [f.name for f in dataclasses.fields(cli.RunConfig)
+                            if f.name in reads]
+
+
+@pytest.mark.parametrize("flags,settings,key", [
+    pytest.param(["--seed", "-1"], {}, "seed", id="seed-negative"),
+    pytest.param([], {"search_lo": 1, "search_hi": 1}, "search_lo", id="search-empty"),
+])
+def test_simulate_names_a_refused_seed_or_search_interval(tmp_path, capsys, flags,
+                                                          settings, key):
+    cfg = _write_cfg(tmp_path, "sim.cfg", batches=2, **settings)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert key in err
+    assert not out.exists()
+
+
 def _bench_table(name):
     # the benchmark's workload tables, read without importing bench/run.py
     # (importing it rewrites the process environment)
@@ -314,7 +369,7 @@ def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeyp
 def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
     # one batch (the norm and every Gram entry) covers every s
     counts = _count_quadrature_work(monkeypatch)
-    report = cli._adjudicate_geometry(None)
+    report = cli._adjudicate_geometry()
     assert report["matches"]
     assert counts["calls"] <= 40
 
@@ -414,7 +469,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 14
+    assert doc["schema_version"] == 15
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True
@@ -534,7 +589,7 @@ def test_csv_rows_render_every_cell_like_fmt(tmp_path):
     rows = [[0.1, 1e-300, -0.0, float("inf"), float("nan"), 3, "x", np.float64(2.5e17)],
             [1.0 / 3.0, 5e-324, 1e22, -2.0, 0.0, -7, True, np.float64(-1e-5)]]
     out = tmp_path / "t.csv"
-    cli._write_csv(str(out), "test", cli.RunConfig(), list("abcdefgh"), rows)
+    cli._write_csv(str(out), "figure2", cli.RunConfig(), list("abcdefgh"), rows)
     lines = _read_lines(out)
     assert lines[-len(rows) - 1:-1] == [",".join(cli._fmt(v) for v in row)
                                         for row in rows]

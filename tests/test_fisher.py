@@ -23,7 +23,6 @@ from carsfisher import (
     qfi_plane_closed,
     qfi_separation,
     qfi_vortex_closed,
-    small_s_coefficients,
     spade_collinear_closed,
     vortex_closed_variants,
 )
@@ -44,6 +43,7 @@ from oracles import (
     vortex_sites,
     vortex_slopes,
 )
+from small_s import small_s_coefficients
 
 SQ2I = math.sqrt(2.0) / 2.0
 

@@ -415,7 +415,7 @@ def test_crb_is_the_model_fisher_information_at_the_truth(measurement):
     else:
         imager = BinnedImager(exc, domain_s=s)
         model, fisher = imager.expectations, imager.fisher_information(s)
-    report = run_experiment(model, s, mu, 4, 5, (0.5, 1.5), method=measurement)
+    report = run_experiment(model, s, mu, 4, 5, (0.5, 1.5))
     assert report.crb == pytest.approx(1.0 / (mu * fisher), rel=1e-14, abs=0.0)
 
 
@@ -438,7 +438,7 @@ def test_run_experiment_equals_per_batch_scalar_search(measurement, seed):
     model = spade_count_model(PLANE_K2, 10) if measurement == "spade" \
         else _di_model()
     mu, batches, interval = 1e4, 12, (0.5, 1.5)
-    report = run_experiment(model, 1.0, mu, batches, seed, interval, method=measurement)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval)
     # the golden-section search of the likelihood maximum and the secant
     # search of the score root each land within x_tol/2 of the maximum
     reference = ml_reference(model, 1.0, mu, batches, seed, interval)
@@ -481,7 +481,7 @@ def test_run_experiment_model_work(monkeypatch):
         return score_terms(m, s_values)
 
     monkeypatch.setattr(montecarlo, "_score_terms", counting_terms)
-    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5), method="di")
+    run_experiment(counted, 1.0, 1e4, batches, 20260817, (0.5, 1.5))
     assert widths == {32}
     for slope in (False, True):
         assert len(seen[slope]) == len(set(seen[slope]))
@@ -523,7 +523,7 @@ def test_default_spade_campaign_refines_in_four_rounds(monkeypatch):
 def test_spade_variance_meets_crb_long_campaign():
     # 400 batches: the batch-variance ratio has sd ~ sqrt(2/399) ~ 0.07
     model = spade_count_model(PLANE_K2, 10)
-    report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5), method="spade")
+    report = run_experiment(model, 1.0, 1e4, 400, 7, (0.5, 1.5))
     assert 0.8 < report.ratio < 1.25
     assert report.ratio == pytest.approx(0.9843838971908441, rel=1e-9)
 
@@ -536,8 +536,7 @@ def test_direct_imaging_variance_exceeds_spade_variance():
                                   (0.5, 1.5))
 
     di_model = BinnedImager(PLANE_K2, domain_s=1.0).expectations
-    di_report = run_experiment(di_model, 1.0, 1e4, 50, 20260817, (0.5, 1.5),
-                               method="di")
+    di_report = run_experiment(di_model, 1.0, 1e4, 50, 20260817, (0.5, 1.5))
 
     assert spade_report.ratio == pytest.approx(1.1087181985182109, rel=1e-9)
     assert di_report.ratio == pytest.approx(1.2258109578476382, rel=1e-9)
@@ -576,7 +575,7 @@ def test_estimates_are_score_roots(exc, measurement):
     # bisection on a finite-difference score
     model = _count_model(exc, measurement)
     mu, batches, seed, interval = 1e4, 30, 20260817, (0.5, 1.5)
-    report = run_experiment(model, 1.0, mu, batches, seed, interval, method=measurement)
+    report = run_experiment(model, 1.0, mu, batches, seed, interval)
     roots = ml_score_roots(model, 1.0, mu, batches, seed, interval)
     for estimate, root in zip(report.estimates, roots):
         assert abs(estimate - root) <= 5e-7 + 1e-9
@@ -633,7 +632,7 @@ def test_slope_rows_keep_the_count_rows_and_vanish_where_s_clips(measurement):
 ])
 def test_truth_outside_the_interval_gives_the_nearer_end(measurement, interval, end):
     model = _count_model(PLANE_K2, measurement)
-    report = run_experiment(model, 1.0, 1e4, 20, 20260817, interval, method=measurement)
+    report = run_experiment(model, 1.0, 1e4, 20, 20260817, interval)
     assert max(abs(e - end) for e in report.estimates) <= 1e-6
 
 
@@ -644,7 +643,7 @@ def test_search_from_zero_separation(monkeypatch, measurement):
     ratio, total = montecarlo._score_terms(model, [0.0, 1e-12, 0.01])
     assert np.all(np.isfinite(ratio)) and np.all(np.isfinite(total))
     rounds = _rounds(monkeypatch)
-    report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6), method=measurement)
+    report = run_experiment(model, 0.05, 1e4, 20, 20260817, (0.0, 0.6))
     est = np.array(report.estimates)
     assert np.all(np.isfinite(est))
     assert est.min() >= 0.0 and est.max() <= 0.6
@@ -723,7 +722,7 @@ def test_search_from_zero_finds_the_score_root(monkeypatch, measurement, exc, tr
     model = _count_model(exc, measurement, domain_s=0.3)
     args = (model, true_s, 1e4, 30, seed, interval)
     rounds = _rounds(monkeypatch)
-    report = run_experiment(*args, method=measurement)
+    report = run_experiment(*args)
     assert len(rounds) <= 6
     roots = ml_score_roots(*args)
     golden = ml_reference(*args)

@@ -5,6 +5,9 @@
 # secant in u = s^2), from two source trees and compares them byte for
 # byte.  Fails if any output differs while both trees carry the
 # same cli._SCHEMA_VERSION: an output may change only with a schema bump.
+# On a bump it prints, for each output, whether its data moved: all but
+# the provenance, which is a CSV's '#' lines and a JSON document's
+# schema_version, tool_version and config.
 #
 # usage: tools/check_default_outputs.sh <base-src> <head-src>
 #   e.g. tools/check_default_outputs.sh /tmp/base/src src
@@ -48,6 +51,28 @@ outputs() {
     run "$1" optimize-waist --out "$2/waist.csv"
 }
 
+# prints "<output>: data identical" or "<output>: data moved" for each
+# output in directory $1 against its namesake in directory $2
+data_moved() {
+    python3 - "$1" "$2" <<'PY'
+import json, os, sys
+
+def data(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if not path.endswith(".json"):
+        return [line for line in text.split("\r\n") if not line.startswith("#")]
+    doc = json.loads(text)
+    for key in ("schema_version", "tool_version", "config"):
+        doc.pop(key, None)
+    return json.dumps(doc, sort_keys=True)
+
+for name in sorted(os.listdir(sys.argv[1])):
+    same = data(os.path.join(sys.argv[1], name)) == data(os.path.join(sys.argv[2], name))
+    print(f"{name}: data {'identical' if same else 'moved'}")
+PY
+}
+
 base=$(cd "$1" && pwd) head=$(cd "$2" && pwd)
 base_schema=$(schema "$base") head_schema=$(schema "$head")
 outputs "$base" "$work/base"
@@ -59,4 +84,5 @@ elif [ "$base_schema" = "$head_schema" ]; then
     exit 1
 else
     echo "default outputs differ with the schema bump $base_schema -> $head_schema"
+    data_moved "$work/base" "$work/head"
 fi
