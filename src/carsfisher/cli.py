@@ -17,12 +17,14 @@ Configuration is a flat key=value text file; environment variables with the
 CARSFISHER_ prefix override the file, and command-line flags override both.
 An unknown key in the file or the environment is a configuration error, and
 so is a key or a --seed, --modes, --tol or --raw flag that the command does
-not read.
+not read (simulate reads M only for SPADE, ktilde only for the plane wave,
+a and psi only for the vortex); such a key is refused before any value is
+checked.
 Outputs are deterministic: a fixed config and seed reproduce files
 byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
-and the value of every configuration key the command reads (``_COMMANDS``),
+and the value of every configuration key the command reads (``_reads``),
 as the JSON outputs' config object does.  The table commands (figure2,
 figure3, convergence, spectral-dump, optimize-waist) write CSV;
 adjudicate and simulate write JSON.
@@ -61,7 +63,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 15
+_SCHEMA_VERSION = 16
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 
@@ -182,10 +184,11 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
     """Build a RunConfig with precedence flags > environment > file.
 
     An unknown key in the file, or a CARSFISHER_ variable in ``env`` that
-    names no key, raises ConfigError.  The returned config carries
-    explicit_keys, the set of field names that were actually supplied
-    (rather than left at their defaults), so a command can refuse those it
-    does not read.
+    names no key, raises ConfigError; values are not checked
+    (``RunConfig.validate``).  The returned config carries explicit_keys,
+    the set of field names that were actually supplied (rather than left
+    at their defaults), so a command can refuse those it does not read
+    before any value is checked.
     """
     cfg = RunConfig()
     explicit: set[str] = set()
@@ -217,7 +220,6 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
             explicit.add(key)
-    cfg.validate()
     cfg.explicit_keys = frozenset(explicit)
     return cfg
 
@@ -228,11 +230,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _reads(command: str, cfg: RunConfig) -> set[str]:
+    """The configuration keys ``command`` reads at ``cfg`` (``_COMMANDS``):
+    a simulate campaign reads M only for SPADE, ktilde only for the plane
+    wave, and a and psi only for the vortex."""
+    reads = _COMMANDS[command][1]
+    if command != "simulate":
+        return reads
+    unread = {"plane": {"a", "psi"}, "vortex": {"ktilde"}}.get(cfg.family, set())
+    return reads - unread - ({"M"} if cfg.measurement == "di" else set())
+
+
 def _config_items(command: str, cfg: RunConfig):
-    """(name, value) of each key the command reads (``_COMMANDS``), in field
+    """(name, value) of each key the command reads (``_reads``), in field
     order: the inputs that shaped its output, and no others.  No command
     reads output_path: where a file lives is not part of its content."""
-    reads = _COMMANDS[command][1]
+    reads = _reads(command, cfg)
     return [(name, getattr(cfg, name)) for name in _FIELD_TYPES if name in reads]
 
 
@@ -458,8 +471,7 @@ def _quadrature_gram(s_values) -> dict:
                 * _psf_points(d[rows].T[:, :, None], *points))
 
     half = 8.0 + half_s[:, 0]
-    values = np.array([value for value, _ in integrate_1d_many(
-        integrand, -half, half, abs_tol=1e-10, max_depth=40)])
+    values, _ = integrate_1d_many(integrand, -half, half, 1e-10)
     entries = (values[1:] / values[0]).reshape(len(_GRAM_ENTRIES), len(s_values))
     return dict(zip(_GRAM_ENTRIES, entries))
 
@@ -570,8 +582,9 @@ def cmd_optimize_waist(cfg: RunConfig) -> str:
 
 
 _SWEEP_KEYS = {"s_min", "s_max", "s_points", "kappa", "g", "raw"}
-# command -> its function and the configuration keys it reads, which its
-# output records (every command also takes output_path, never recorded)
+# command -> its function and the configuration keys it reads (a simulate
+# campaign fewer, ``_reads``), which its output records (every command also
+# takes output_path, never recorded)
 _COMMANDS = {
     "figure2": (cmd_figure2, _SWEEP_KEYS | {"ktilde_grid", "M", "tol"}),
     "figure3": (cmd_figure3, _SWEEP_KEYS | {"psi_grid", "a", "a_min", "a_max",
@@ -613,16 +626,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {"output_path": args.out}
     overrides.update((key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items())
-    command, reads = _COMMANDS[args.command]
+    command = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config, overrides=overrides)
-        ignored = sorted(cfg.explicit_keys - reads - {"output_path"})
+        ignored = sorted(cfg.explicit_keys - _reads(args.command, cfg) - {"output_path"})
         if ignored:
             # name a setting by its flag where a flag supplied it
             flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
                      if getattr(args, flag) is not None}
             raise ConfigError(f"{args.command} does not read "
                               f"{', '.join(flags.get(key, key) for key in ignored)}")
+        cfg.validate()
         path = command(cfg)
     except AdjudicationMismatch as exc:
         print(exc)

@@ -55,11 +55,6 @@ from .numerics import integrate_1d_many
 from .psf_modes import (_gamma_table, _mode_overlaps, _psf_gram, _require_finite,
                         _require_separation, _site_sums)
 
-def _require_finite_fields(owner: str, **fields):
-    # one numpy test per field; _require_finite's scan only names the failure
-    if not all(np.isfinite(v).all() for v in fields.values()):
-        _require_finite(owner, **fields)
-
 
 def _require_entries(ok, message: str, **shown):
     """Raise ValueError(message) unless ``ok`` (a bool, or one per scene) holds
@@ -84,9 +79,9 @@ class FisherReport:
     error_estimate: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        _require_finite_fields("FisherReport", value=self.value,
-                               normalized_value=self.normalized_value,
-                               error_estimate=self.error_estimate)
+        _require_finite("FisherReport", value=self.value,
+                        normalized_value=self.normalized_value,
+                        error_estimate=self.error_estimate)
         _require_entries(self.value >= 0.0, "Fisher information must be nonnegative",
                          value=self.value)
 
@@ -106,7 +101,7 @@ class QfiMatrix:
 
     def __post_init__(self):
         q_dd, q_dx0, q_x0x0 = self.q_dd, self.q_dx0, self.q_x0x0
-        _require_finite_fields("QfiMatrix", q_dd=q_dd, q_dx0=q_dx0, q_x0x0=q_x0x0)
+        _require_finite("QfiMatrix", q_dd=q_dd, q_dx0=q_dx0, q_x0x0=q_x0x0)
         _require_entries((q_dd >= 0.0) & (q_x0x0 >= 0.0),
                          "diagonal QFI entries must be nonnegative",
                          q_dd=q_dd, q_x0x0=q_x0x0)
@@ -382,11 +377,8 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
         # of a transposed array would depend on the number of rows
         return np.ascontiguousarray((weight * (right + left)).T)
 
-    # depth 43 on [0, h] keeps the finest cell at h / 2^43 = 2h / 2^44
-    results = integrate_1d_many(integrand, np.zeros(s.size),
-                                np.maximum(8.0, s / 2.0 + 8.0),
-                                abs_tol=abs_tol, max_depth=43)
-    norm, err = np.array(results).reshape(-1, 2).T
+    norm, err = integrate_1d_many(integrand, np.zeros(s.size),
+                                  np.maximum(8.0, s / 2.0 + 8.0), abs_tol)
     norm = np.maximum(norm, 0.0)
     scale = _scale(amps)
     return FisherReport(*_fields(np.ndim(amps.s), norm * scale, norm, err * scale))

@@ -1,17 +1,18 @@
 """Shared numerical kernels.
 
-Adaptive 1D Gauss-Kronrod quadrature (whose node and weight tables the
-binned camera model reuses), run as a lockstep batch: every member refines
-on its own and makes exactly the steps it would make alone, while one
-integrand call per round evaluates the new cells of every unfinished
-member.
+Adaptive 1D Gauss-Kronrod quadrature of real integrands (whose node and
+weight tables the binned camera model reuses), run as a lockstep batch:
+every member refines on its own and makes exactly the steps it would make
+alone, while one integrand call per round evaluates the new cells of every
+unfinished member.
 
-The quadrature keeps the cells of all members in padded (members x cells)
-arrays, in creation order.  Each round every unconverged member splits its
-cell of largest error, the oldest on ties (``argmax`` returns the first
-maximum); the exact error check and the final values add a member's cells
-left to right.  So the results are bit-identical from run to run and do
-not depend on the rest of the batch.
+The quadrature keeps the cells of all members in padded (cells x members)
+arrays, one column per member in creation order.  Each round a member stops
+once its cells' errors, added in creation order, are within the tolerance,
+and its value is its cells' values added the same way; every other member
+splits its cell of largest error, the oldest on ties (``argmax`` returns
+the first maximum).  So the results are bit-identical from run to run and do not
+depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -74,19 +75,22 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _ROUNDOFF_FLOOR = 1e-16
 
 # hard cap on the number of cells one call may create, so an unreachable
-# tolerance fails in bounded time instead of subdividing until max_depth
+# tolerance fails in bounded time instead of subdividing to _MAX_DEPTH
 _MAX_CELLS = 10_000
+
+# a member stalls when its worst cell is this many bisections of [a, b]
+# deep, so its finest cell is (b - a) / 2^43
+_MAX_DEPTH = 43
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive refinement hit its depth limit before reaching tolerance.
+    """Adaptive refinement failed to reach its tolerance.
 
-    Carries the best available estimate so callers can report it (an
-    array when the rule integrates several outputs at once).
+    Carries the member's best available estimate and its error, the
+    creation-order sum of its cells' errors, both floats.
     """
 
-    def __init__(self, message: str, estimate: float | complex | np.ndarray,
-                 error: float):
+    def __init__(self, message: str, estimate: float, error: float):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
@@ -99,19 +103,14 @@ def _gk_cells(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     mid = 0.5 * (lo + hi)
     x = mid[:, None] + half[:, None] * _XK
     y = f(rows, x)
+    if np.iscomplexobj(y):
+        # a real cell table would silently drop the imaginary part
+        raise TypeError("1D quadrature integrands must be real, got complex values")
     vk = half * np.add.reduce(_WK * y, axis=1)
-    # take, not y[:, _GAUSS_IDX]: that copy is Fortran-ordered, and numpy
-    # adds a complex row of it in an order that depends on the row count
+    # take gives a C-ordered copy, so each row is added in one order
+    # whatever the number of rows
     vg = half * np.add.reduce(_WG * y.take(_GAUSS_IDX, axis=1), axis=1)
     return vk, np.abs(vk - vg)
-
-
-def _widen(table: np.ndarray, members: int, fill) -> np.ndarray:
-    """A flat per-cell ``table`` (one run of slots per member, in member
-    order) with every run doubled, the new slots set to ``fill``."""
-    runs = table.reshape(members, -1, *table.shape[1:])
-    wide = np.concatenate([runs, np.full_like(runs, fill)], axis=1)
-    return wide.reshape(-1, *table.shape[1:])
 
 
 def _ordered_sums(table: np.ndarray) -> np.ndarray:
@@ -125,97 +124,83 @@ def integrate_1d_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: Sequence[float],
     b: Sequence[float],
-    abs_tol: float = 1e-10,
-    max_depth: int = 50,
-) -> list[tuple[float | complex, float]]:
-    """Adaptive 1D quadrature of a batch of integrals, refined in lockstep.
+    abs_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive 1D quadrature of a batch of real integrals, refined in
+    lockstep.
 
     Member i integrates ``f(rows, x)`` over [a[i], b[i]], where the integrand
     receives cell abscissae ``x`` of shape (n, 15) together with ``rows``,
-    the member index of each of the n cells, and returns values of that
-    shape; their dtype is shared, so a real member of a complex batch is
-    summed in complex arithmetic.  Each member keeps its own tolerance
-    test, cell budget and depth limit, and each round splits its worst
-    cell (the oldest on ties), exactly as it would alone; per round, the
-    cells of all unconverged members are evaluated in one integrand call.
-    Returns (value, error_estimate) per member; raises
-    :class:`ConvergenceError` naming the first member whose tolerance is
-    unreachable at ``max_depth`` bisections, with that member's estimate.
+    the member index of each of the n cells, and returns real values of
+    that shape (complex values raise TypeError).  A member stops once the
+    sum of its cells' errors, added in creation order, is at most
+    ``abs_tol``; until then each round splits its cell of largest error,
+    the oldest on ties, but never a cell whose error is within roundoff of
+    its value.  Each member keeps its own tolerance test, cell budget and
+    depth limit, exactly as it would alone; per round, the cells of all
+    unconverged members are evaluated in one integrand call.  Returns the
+    arrays (values, errors), one entry per member, each error that same
+    sum.  Raises :class:`ConvergenceError` naming the first member whose
+    tolerance is unreachable, with that member's estimate and error.
     """
     n = len(a)
-    width = 32  # slots per member, doubled as needed
-    # flat per-cell tables, member i's cells in slots i*width + 0, 1, ... in
-    # creation order; a split cell's value and error become zero and its
-    # split key (else the error, or -inf at the roundoff floor) -inf
-    val, err, c_lo, c_hi = (np.zeros(n * width) for _ in range(4))
-    key = np.full(n * width, -np.inf)
-    c_depth = np.zeros(n * width, dtype=int)
-    # unconverged members, their running error totals, and the member, slot,
-    # bounds and depth of each cell of the next call (left halves first)
-    active = rows = np.arange(n)
-    total = np.zeros(n)
-    slots = rows * width
+    # cell c of member i in slot c * n + i, each member's cells in creation
+    # order; a split cell's value and error become zero
+    val, err, c_lo, c_hi = (np.zeros(32 * n) for _ in range(4))
+    c_depth = np.zeros(32 * n, dtype=int)
+    values, errors = np.zeros(n), np.zeros(n)
+    # unconverged members, and the member, slot, bounds and depth of each
+    # cell of the next call (left halves first)
+    active = rows = slots = np.arange(n)
     lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
     depth = np.zeros(n, dtype=int)
     # a member active in a round was active in all earlier ones, so after
     # round r every active member has made cells = 2r - 1 cells
     cells = -1
-    while rows.size:
+    while active.size:
         cells += 2
-        if cells > width:
-            val, err, c_lo, c_hi, c_depth = (
-                _widen(t, n, 0) for t in (val, err, c_lo, c_hi, c_depth))
-            key = _widen(key, n, -np.inf)
-            slots += rows * width  # member m's slots move by m * width
-            width *= 2
+        if cells * n > val.size:
+            val, err, c_lo, c_hi, c_depth = (np.concatenate((t, np.zeros_like(t)))
+                                             for t in (val, err, c_lo, c_hi, c_depth))
         v, e = _gk_cells(f, rows, lo, hi)
-        if v.dtype != val.dtype:
-            val = val.astype(np.result_type(val, v))
-        val[slots], err[slots] = v, e
-        c_lo[slots], c_hi[slots], c_depth[slots] = lo, hi, depth
-        # cells at the roundoff floor cannot improve; keep their error but
-        # never split them, so an unreachable tolerance fails fast
-        key[slots] = np.where(e > _ROUNDOFF_FLOOR * abs(v), e, -np.inf)
-        total += e[:active.size]  # a member's cells in creation order
-        if e.size > active.size:
-            total += e[active.size:]
-
-        # the incremental total drifts by cancellation; verify exactly
-        low = total <= abs_tol
-        if np.count_nonzero(low):
-            total[low] = _ordered_sums(err.reshape(n, width)[active[low]])
-            keep = ~(total <= abs_tol)
+        for table, new in zip((val, err, c_lo, c_hi, c_depth), (v, e, lo, hi, depth)):
+            table[slots] = new
+        # the cells every active member has made, one column per member
+        v_cols = val[:cells * n].reshape(cells, n).take(active, axis=1)
+        e_cols = err[:cells * n].reshape(cells, n).take(active, axis=1)
+        total = _ordered_sums(e_cols.T)
+        done = total <= abs_tol
+        if np.count_nonzero(done):
+            values[active[done]] = _ordered_sums(v_cols.T[done])
+            errors[active[done]] = total[done]
+            keep = ~done
             active, total = active[keep], total[keep]
-        base = active * width
+            v_cols, e_cols = v_cols[:, keep], e_cols[:, keep]
+            if not active.size:
+                break
+        # a cell at the roundoff floor cannot improve: it keeps its error but
+        # is never split, so an unreachable tolerance fails fast
+        splittable = e_cols > _ROUNDOFF_FLOOR * np.abs(v_cols)
         # argmax takes the first of equal errors: the oldest cell
-        worst = base + key.reshape(n, width).take(active, axis=0).argmax(axis=1)
+        worst = np.where(splittable, e_cols, -np.inf).argmax(axis=0) * n + active
         worst_depth = c_depth.take(worst)
-        empty = key.take(worst) == -np.inf
-        failing = empty | (worst_depth >= max_depth)
+        empty = ~splittable.any(axis=0)
+        failing = empty | (worst_depth >= _MAX_DEPTH)
         if cells >= _MAX_CELLS or np.count_nonzero(failing):
             # the first member that fails; the budget binds them all at once
             k = 0 if cells >= _MAX_CELLS else failing.argmax()
-            i = active[k]
-            if empty[k] or cells >= _MAX_CELLS:
-                reason = ("at the roundoff floor" if empty[k]
-                          else f"exhausted its {_MAX_CELLS}-cell budget")
-                error = _ordered_sums(err.reshape(n, width)[i:i + 1])[0]
-            else:
-                reason, error = f"stalled at depth {max_depth}", total[k]
+            reason = ("at the roundoff floor" if empty[k]
+                      else f"exhausted its {_MAX_CELLS}-cell budget" if cells >= _MAX_CELLS
+                      else f"stalled at depth {_MAX_DEPTH}")
             raise ConvergenceError(
-                f"1D quadrature member {i} {reason} "
-                f"(error {error:.3e} > tol {abs_tol:.3e})",
-                _ordered_sums(val.reshape(n, width)[i:i + 1])[0], error)
-        total -= err.take(worst)
-        val[worst] = err[worst] = 0.0
-        key[worst] = -np.inf
+                f"1D quadrature member {active[k]} {reason} "
+                f"(error {total[k]:.3e} > tol {abs_tol:.3e})",
+                _ordered_sums(v_cols.T[k:k + 1])[0], total[k])
         left, right = c_lo.take(worst), c_hi.take(worst)
+        val[worst] = err[worst] = 0.0
         mid = 0.5 * (left + right)
         lo, hi = np.concatenate((left, mid)), np.concatenate((mid, right))
         depth = np.concatenate((worst_depth, worst_depth)) + 1
         rows = np.concatenate((active, active))
-        slots = base + cells
-        slots = np.concatenate((slots, slots + 1))
-
-    return list(zip(_ordered_sums(val.reshape(n, width)),
-                    _ordered_sums(err.reshape(n, width))))
+        slots = np.concatenate((active, active + n)) + cells * n
+    return values, errors

@@ -38,8 +38,9 @@ def _require_finite(owner: str, **fields):
     bad = []
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value = next((v for v in value.ravel().tolist()
-                          if not cmath.isfinite(v)), 0.0)
+            if np.isfinite(value).all():
+                continue
+            value = next(v for v in value.ravel().tolist() if not cmath.isfinite(v))
         if not cmath.isfinite(value):
             bad.append(f"{name}={value}")
     if bad:

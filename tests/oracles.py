@@ -717,11 +717,13 @@ def adaptive_gk_heap(f, member: int, a: float, b: float, abs_tol: float,
 
     Returns ("ok", value, error, evaluations) or ("fail", reason, estimate,
     error, evaluations), where evaluations counts the integrand calls made
-    up to the result.  The tolerance test uses a running error total that
-    is re-summed exactly once it drops below ``abs_tol``; sums run in cell
-    creation order.
+    up to the result.  After each call the error is the sum of the leaf
+    cells' errors and the value (or estimate) the sum of their values, both
+    in cell creation order; the quadrature stops once that error is at
+    most ``abs_tol``.
     """
-    heap, cells, counter, total, calls = [], {}, 0, 0.0, 0
+    # value and error of each leaf cell by creation index
+    heap, values, errors, counter, calls = [], {}, {}, 0, 0
     pending = [(a, b, 0)]
     while True:
         calls += 1
@@ -731,34 +733,28 @@ def adaptive_gk_heap(f, member: int, a: float, b: float, abs_tol: float,
         y = f(np.full(len(pending), member),
               mid[:, None] + half[:, None] * _QK15_NODES)
         kronrod = half * np.add.reduce(_QK15_KRONROD * y, axis=1)
-        # a C-ordered copy: numpy adds the complex rows of other layouts
-        # in an order that depends on the row count
         gauss = half * np.add.reduce(
             _QK15_GAUSS * np.take(y, _QK15_GAUSS_AT, axis=1), axis=1)
         for (lo_c, hi_c, depth), value, err in zip(pending, kronrod,
                                                    np.abs(kronrod - gauss)):
-            cells[counter] = (value, err)
-            total += err
+            values[counter], errors[counter] = value, err
             if err > 1e-16 * abs(value):
                 heapq.heappush(heap, (-err, counter, lo_c, hi_c, depth))
             counter += 1
+        total = sum(errors.values())
         if total <= abs_tol:
-            total = sum(err for _, err in cells.values())
-            if total <= abs_tol:
-                return "ok", sum(v for v, _ in cells.values()), total, calls
+            return "ok", sum(values.values()), total, calls
         fail = None
         if not heap:
-            fail = "at the roundoff floor", sum(e for _, e in cells.values())
+            fail = "at the roundoff floor"
         elif counter >= max_cells:
-            fail = (f"exhausted its {max_cells}-cell budget",
-                    sum(e for _, e in cells.values()))
+            fail = f"exhausted its {max_cells}-cell budget"
         else:
             _, index, lo_c, hi_c, depth = heapq.heappop(heap)
             if depth >= max_depth:
-                fail = f"stalled at depth {max_depth}", total
+                fail = f"stalled at depth {max_depth}"
         if fail:
-            estimate = sum(v for v, _ in cells.values())
-            return "fail", fail[0], estimate, fail[1], calls
-        total -= cells.pop(index)[1]
+            return "fail", fail, sum(values.values()), total, calls
+        del values[index], errors[index]
         mid_c = 0.5 * (lo_c + hi_c)
         pending = [(lo_c, mid_c, depth + 1), (mid_c, hi_c, depth + 1)]

@@ -44,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=15" in lines[0]
+    assert "schema=16" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -242,6 +242,8 @@ def test_every_config_key_parses_from_file_and_environment(tmp_path, field):
     ["simulate", "--raw"],
     ["adjudicate", "--modes", "3", "--tol", "0.5"],
     ["spectral-dump", "--seed", "4"],
+    # refused as unread before its value is checked
+    ["optimize-waist", "--seed", "-1"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
@@ -294,6 +296,9 @@ def test_each_output_records_exactly_the_keys_its_command_reads(tmp_path, comman
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
     reads = cli._COMMANDS[command][1]
+    if command == "simulate":
+        # a SPADE campaign of the plane wave reads neither a nor psi
+        reads = reads - {"a", "psi"}
     if command in ("adjudicate", "simulate"):
         recorded = list(json.loads(out.read_text())["config"])
         assert set(recorded) == reads
@@ -305,6 +310,29 @@ def test_each_output_records_exactly_the_keys_its_command_reads(tmp_path, comman
         # in RunConfig field order
         assert recorded == [f.name for f in dataclasses.fields(cli.RunConfig)
                             if f.name in reads]
+
+
+def test_direct_imaging_vortex_campaign_records_the_keys_it_reads(tmp_path):
+    cfg = _write_cfg(tmp_path, "sim.cfg", batches=2, measurement="di",
+                     family="vortex")
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    reads = cli._COMMANDS["simulate"][1] - {"M", "ktilde"}
+    assert set(json.loads(out.read_text())["config"]) == reads
+
+
+@pytest.mark.parametrize("settings,flags,unread", [
+    pytest.param({"measurement": "di"}, ["--modes", "3"], "--modes", id="di-modes"),
+    pytest.param({"a": 0.5}, [], "a", id="plane-a"),
+    pytest.param({"family": "vortex", "ktilde": 1.0}, [], "ktilde", id="vortex-ktilde"),
+])
+def test_simulate_refuses_keys_its_campaign_does_not_read(tmp_path, capsys, settings,
+                                                          flags, unread):
+    cfg = _write_cfg(tmp_path, "sim.cfg", batches=2, **settings)
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert f"simulate does not read {unread}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,settings,key", [
@@ -469,7 +497,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 15
+    assert doc["schema_version"] == 16
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates the default output of every carsfisher command, plus the
-# direct-imaging simulate campaign and the SPADE and direct-imaging
-# campaigns searched from s = 0 (search_lo=0, the only input that steps the
-# secant in u = s^2), from two source trees and compares them byte for
+# direct-imaging simulate campaigns of both families, the SPADE and
+# direct-imaging campaigns searched from s = 0 (search_lo=0, the only input
+# that steps the secant in u = s^2), and two sweeps that drive the DI
+# quadrature deep (figure2 at tol=1e-11, figure3 out to the dark vortex
+# tail at s_max=8), from two source trees and compares them byte for
 # byte.  Fails if any output differs while both trees carry the
 # same cli._SCHEMA_VERSION: an output may change only with a schema bump.
 # On a bump it prints, for each output, whether its data moved: all but
@@ -24,6 +26,8 @@ trap 'rm -rf "$work"' EXIT
 printf 'measurement=di\n' > "$work/di.cfg"
 printf 'search_lo=0\n' > "$work/spade0.cfg"
 printf 'measurement=di\nsearch_lo=0\n' > "$work/di0.cfg"
+printf 'measurement=di\nfamily=vortex\n' > "$work/di_vortex.cfg"
+printf 's_max=8\n' > "$work/tail.cfg"
 
 # the schema version of the carsfisher package under source tree $1
 schema() {
@@ -40,11 +44,14 @@ outputs() {
     mkdir -p "$2"
     run() { (cd "$work" && PYTHONPATH="$1" python3 -m carsfisher.cli "${@:2}" > /dev/null); }
     run "$1" figure2 --out "$2/figure2.csv"
+    run "$1" figure2 --tol 1e-11 --out "$2/figure2_tol_1e-11.csv"
     run "$1" figure3 --out "$2/figure3.csv"
+    run "$1" figure3 --config "$work/tail.cfg" --out "$2/figure3_s_max_8.csv"
     run "$1" convergence --out "$2/convergence.csv"
     run "$1" adjudicate --out "$2/adjudication.json"
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
+    run "$1" simulate --config "$work/di_vortex.cfg" --out "$2/simulation_di_vortex.json"
     run "$1" simulate --config "$work/spade0.cfg" --out "$2/simulation_spade_from_0.json"
     run "$1" simulate --config "$work/di0.cfg" --out "$2/simulation_di_from_0.json"
     run "$1" spectral-dump --out "$2/spectral.csv"
