@@ -25,12 +25,20 @@ byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
 and the value of every configuration key the command reads (``_reads``),
-as the JSON outputs' config object does.  The table commands (figure2,
-figure3, convergence, spectral-dump, optimize-waist) write CSV;
-adjudicate and simulate write JSON.
+as the JSON outputs' config object does.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric non-convergence,
-4 closed-form adjudication mismatch.
+Each command is a function of its configuration that opens no file.  The
+table commands (figure2, figure3, convergence, spectral-dump,
+optimize-waist) return their CSV table as (header, rows) or (header, rows,
+comments); adjudicate and simulate return their JSON payload.  ``main``
+renders the output with its provenance, writes it once, to --out or else
+to the command's default file in the working directory (figure2.csv,
+figure3.csv, convergence.csv, adjudication.json, simulation.json,
+spectral.csv, waist.csv), and prints its path.
+
+Exit codes: 0 success, 2 configuration error (an output file that cannot
+be written included), 3 numeric non-convergence, 4 closed-form
+adjudication mismatch (the report is still written and its path printed).
 """
 
 from __future__ import annotations
@@ -69,11 +77,6 @@ _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 class ConfigError(Exception):
     """Invalid configuration input."""
-
-
-class AdjudicationMismatch(Exception):
-    """A shipped closed form failed its oracle comparison (the report is
-    written; the message is its path)."""
 
 
 @dataclasses.dataclass
@@ -225,6 +228,10 @@ def load_config(path: str | None, env=None, overrides=None) -> RunConfig:
 
 
 def _fmt(x) -> str:
+    """A value as a CSV shows it: a float to 17 significant digits, a tuple
+    comma-joined."""
+    if isinstance(x, tuple):
+        return ",".join(_fmt(v) for v in x)
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -249,70 +256,39 @@ def _config_items(command: str, cfg: RunConfig):
     return [(name, getattr(cfg, name)) for name in _FIELD_TYPES if name in reads]
 
 
-def _config_comment(command: str, cfg: RunConfig) -> str:
-    parts = []
-    for name, value in _config_items(command, cfg):
-        if isinstance(value, tuple):
-            rendered = ",".join(_fmt(v) for v in value)
-        else:
-            rendered = _fmt(value)
-        parts.append(f"{name}={rendered}")
-    return " ".join(parts)
-
-
-def _write_csv(path: str, command: str, cfg: RunConfig, header: list[str],
-               rows: list[list], extra_comments: tuple[str, ...] = ()):
+def _csv_text(command: str, cfg: RunConfig, header: list[str], rows: list,
+              comments: tuple[str, ...] = ()) -> str:
+    """The CSV file of a table: provenance comments, header, one line per row."""
     lines = [
         f"# carsfisher {__version__} schema={_SCHEMA_VERSION}",
         f"# command={command}",
-        f"# config {_config_comment(command, cfg)}",
+        "# config " + " ".join(f"{name}={_fmt(value)}"
+                               for name, value in _config_items(command, cfg)),
     ]
-    lines.extend(f"# {comment}" for comment in extra_comments)
+    lines.extend(f"# {comment}" for comment in comments)
     lines.append(",".join(header))
     if rows:
         # one % template per table, as _fmt renders each cell of the first row
         template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
         lines.extend(template % tuple(row) for row in rows)
-    _write_text(path, "\r\n".join(lines) + "\r\n")
+    return "\r\n".join(lines) + "\r\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: str, command: str, cfg: RunConfig, payload: dict):
+def _json_text(command: str, cfg: RunConfig, payload: dict) -> str:
+    """The JSON document of a payload: its keys beside the provenance
+    keys, all sorted."""
     document = {
         "schema_version": _SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "config": {name: list(value) if isinstance(value, tuple) else value
-                   for name, value in _config_items(command, cfg)},
+        "config": dict(_config_items(command, cfg)),
     }
     document.update(payload)
-    _write_text(path, json.dumps(document, sort_keys=True, indent=2,
-                                 default=_json_default) + "\n")
-
-
-def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def _s_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.s_min, cfg.s_max, cfg.s_points)
-
-
-def _out_path(cfg: RunConfig, command: str, default_ext: str) -> str:
-    return cfg.output_path or f"{command}.{default_ext}"
 
 
 def _pick(report, cfg: RunConfig) -> list[float]:
@@ -336,8 +312,9 @@ def _curve(exc, s_grid, cfg: RunConfig):
                                               g=cfg.g, kappa=cfg.kappa))
 
 
-def cmd_figure2(cfg: RunConfig) -> str:
-    """Plane-wave FI sweep: one row per (ktilde, s)."""
+def cmd_figure2(cfg: RunConfig) -> tuple:
+    """Plane-wave FI sweep: the table of one row per (ktilde, s), with a
+    note on the ktilde grid."""
     s_grid = _s_grid(cfg)
     rows = []
     for kt in cfg.ktilde_grid:
@@ -346,17 +323,14 @@ def cmd_figure2(cfg: RunConfig) -> str:
         rows += zip(s_grid.tolist(), repeat(float(kt)), _pick(qfi_separation(curve), cfg),
                     _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
                     _pick(fi_spade(curve, cfg.M), cfg), repeat(cfg.M))
-    path = _out_path(cfg, "figure2", "csv")
-    _write_csv(path, "figure2", cfg,
-               ["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"],
-               rows,
-               extra_comments=("note: the ktilde grid is a tool default; "
-                               "override it with the ktilde_grid key",))
-    return path
+    return (["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"], rows,
+            ("note: the ktilde grid is a tool default; "
+             "override it with the ktilde_grid key",))
 
 
-def cmd_figure3(cfg: RunConfig) -> str:
-    """Vortex FI sweep over psi, with the waist-optimized envelope at psi=0."""
+def cmd_figure3(cfg: RunConfig) -> tuple:
+    """Vortex FI sweep: the table of one row per (psi, s), with the
+    waist-optimized envelope at psi=0 on every row."""
     s_grid = _s_grid(cfg)
     # waist-optimized envelope, computed on the psi = 0 axis
     a_opt, q_opt = optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
@@ -370,17 +344,15 @@ def cmd_figure3(cfg: RunConfig) -> str:
                     _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
                     _pick(fi_spade(curve, cfg.M), cfg), _ratio(di.value, qfi.value).tolist(),
                     *envelope)
-    path = _out_path(cfg, "figure3", "csv")
-    _write_csv(path, "figure3", cfg,
-               ["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
-                "di_over_qfi", "a_opt", "qfi_opt"], rows,
-               extra_comments=("a_opt/qfi_opt: waist-optimized envelope "
-                               "computed at psi=0, repeated for each s",))
-    return path
+    return (["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
+             "di_over_qfi", "a_opt", "qfi_opt"], rows,
+            ("a_opt/qfi_opt: waist-optimized envelope "
+             "computed at psi=0, repeated for each s",))
 
 
-def cmd_convergence(cfg: RunConfig) -> str:
-    """SPADE FI against mode cutoff M at fixed ktilde.
+def cmd_convergence(cfg: RunConfig) -> tuple:
+    """SPADE FI against mode cutoff M at fixed ktilde: the table of one row
+    per (s, M).
 
     One SPADE table at the largest cutoff serves every cutoff: each row's
     FI is a running sum over its modes, as ``fi_spade`` reports it.
@@ -395,49 +367,43 @@ def cmd_convergence(cfg: RunConfig) -> str:
                 s_grid.tolist(), _pick(qfi, cfg), (value if cfg.raw else norm).tolist(),
                 _ratio(value, qfi.value[:, None]).tolist())
             for m_cut, fi, ratio in zip(_CONVERGENCE_M, fi_row, ratio_row)]
-    path = _out_path(cfg, "convergence", "csv")
-    _write_csv(path, "convergence", cfg,
-               ["s", "ktilde", "M", "fi_spade", "qfi", "ratio"], rows)
-    return path
+    return ["s", "ktilde", "M", "fi_spade", "qfi", "ratio"], rows
 
 
-def _closed_form_record(tolerance: float, grid: str, pairs) -> dict:
+def _closed_form_record(tolerance: float, pairs) -> dict:
     """The record of a closed form checked against the general path: the
-    worst deviation of the normalized values over the (general, closed)
-    report pairs, and whether it stays below the tolerance."""
-    worst = max(float(np.max(np.abs(general.normalized_value - closed.normalized_value)))
-                for general, closed in pairs)
-    return {"tolerance": tolerance, "max_deviation": worst, "grid": grid,
-            "matches": worst < tolerance}
+    worst deviation over the (general, closed) pairs of normalized-value
+    arrays, and whether it stays below the tolerance."""
+    worst = max(float(np.max(np.abs(general - closed))) for general, closed in pairs)
+    return {"max_deviation": worst, "matches": worst < tolerance}
 
 
 def _adjudicate_plane() -> dict:
-    s_grid = np.linspace(0.01, 3.0, 120)
+    tolerance, s_grid = 1e-10, np.linspace(0.01, 3.0, 120)
     pairs = [(qfi_separation(image_amplitudes(PlaneWaveExcitation(ktilde=kt),
-                                              EmitterScene(s=s_grid))),
-              qfi_plane_closed(kt, s_grid)) for kt in (0.0, 1.0, 2.0, 4.0)]
-    return _closed_form_record(1e-10, "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
-                               pairs)
+                                              EmitterScene(s=s_grid))).normalized_value,
+              qfi_plane_closed(kt, s_grid).normalized_value) for kt in (0.0, 1.0, 2.0, 4.0)]
+    return {"tolerance": tolerance, "grid": "ktilde in {0,1,2,4} x 120 s-points in [0.01, 3]",
+            **_closed_form_record(tolerance, pairs)}
 
 
 def _adjudicate_vortex() -> dict:
-    devs = {"psi_dependent": 0.0, "psi_independent": 0.0}
-    s_grid = np.linspace(0.05, 3.0, 60)
-    for a in (0.5, math.sqrt(2.0) / 2.0, 1.0):
-        for psi in (0.0, 0.2):
-            amps = image_amplitudes(VortexExcitation(a=a, psi=psi), EmitterScene(s=s_grid))
-            general = qfi_separation(amps).normalized_value
-            for name, value in vortex_closed_variants(a, psi, s_grid).items():
-                devs[name] = max(devs[name], float(np.max(np.abs(general - value))))
-    matches = {name: dev < 1e-9 for name, dev in devs.items()}
+    tolerance, s_grid = 1e-9, np.linspace(0.05, 3.0, 60)
+    # (general-path values, {candidate: closed-form values}) per (a, psi)
+    cases = [(qfi_separation(image_amplitudes(VortexExcitation(a=a, psi=psi),
+                                              EmitterScene(s=s_grid))).normalized_value,
+              vortex_closed_variants(a, psi, s_grid))
+             for a in (0.5, math.sqrt(2.0) / 2.0, 1.0) for psi in (0.0, 0.2)]
+    candidates = {name: _closed_form_record(tolerance, [(general, closed[name])
+                                                        for general, closed in cases])
+                  for name in ("psi_dependent", "psi_independent")}
     return {
-        "tolerance": 1e-9,
+        "tolerance": tolerance,
         "grid": "a in {0.5, sqrt(2)/2, 1} x psi in {0, 0.2} x 60 s-points in [0.05, 3]",
-        "candidates": {name: {"max_deviation": devs[name], "matches": matches[name]}
-                       for name in sorted(devs)},
-        "exactly_one_match": sum(matches.values()) == 1,
+        "candidates": candidates,
+        "exactly_one_match": sum(c["matches"] for c in candidates.values()) == 1,
         "selected": "psi_dependent",
-        "selected_matches": matches["psi_dependent"],
+        "selected_matches": candidates["psi_dependent"]["matches"],
     }
 
 
@@ -494,14 +460,18 @@ def _adjudicate_geometry() -> dict:
 
 
 def _adjudicate_spade_closed() -> dict:
-    s_grid = np.linspace(0.05, 3.0, 60)
+    tolerance, s_grid = 1e-8, np.linspace(0.05, 3.0, 60)
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=0.0), EmitterScene(s=s_grid))
-    return _closed_form_record(1e-8, "ktilde=0, 60 s-points in [0.05, 3], M=30",
-                               [(fi_spade(curve, 30), spade_collinear_closed(s_grid))])
+    pairs = [(fi_spade(curve, 30).normalized_value,
+              spade_collinear_closed(s_grid).normalized_value)]
+    return {"tolerance": tolerance, "grid": "ktilde=0, 60 s-points in [0.05, 3], M=30",
+            **_closed_form_record(tolerance, pairs)}
 
 
-def cmd_adjudicate(cfg: RunConfig) -> str:
-    """Compare every shipped closed form against the general-path oracle."""
+def cmd_adjudicate(cfg: RunConfig) -> dict:
+    """Compare every shipped closed form against the general-path oracle:
+    the payload of one record per form, and all_match, False when any
+    shipped form fails (``main`` then writes it and exits 4)."""
     plane = _adjudicate_plane()
     vortex = _adjudicate_vortex()
     geometry = _adjudicate_geometry()
@@ -509,22 +479,19 @@ def cmd_adjudicate(cfg: RunConfig) -> str:
     passed = (plane["matches"] and vortex["exactly_one_match"]
               and vortex["selected_matches"] and geometry["matches"]
               and spade["matches"])
-    payload = {
+    return {
         "plane_qfi_closed": plane,
         "vortex_qfi_closed": vortex,
         "mode_geometry": geometry,
         "spade_collinear_closed": spade,
         "all_match": passed,
     }
-    path = _out_path(cfg, "adjudication", "json")
-    _write_json(path, "adjudicate", cfg, payload)
-    if not passed:
-        raise AdjudicationMismatch(path)
-    return path
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
-    """Monte Carlo campaign: sample counts, estimate s, compare to the CRB."""
+def cmd_simulate(cfg: RunConfig) -> dict:
+    """Monte Carlo campaign: sample counts, estimate s, compare to the CRB;
+    the payload is the campaign's report with the scene's n_total and the
+    measurement."""
     if cfg.family == "vortex":
         exc = VortexExcitation(a=cfg.a, psi=cfg.psi)
     else:
@@ -541,15 +508,13 @@ def cmd_simulate(cfg: RunConfig) -> str:
         raise ValueError(f"s_sim={s}: {err}") from err
     report = run_experiment(model, s, cfg.mu, cfg.batches, cfg.seed,
                             (cfg.search_lo, cfg.search_hi))
-    payload = {"report": {**dataclasses.asdict(report), "n_total": n_total,
-                          "method": cfg.measurement}}
-    path = _out_path(cfg, "simulation", "json")
-    _write_json(path, "simulate", cfg, payload)
-    return path
+    return {"report": {**dataclasses.asdict(report), "n_total": n_total,
+                       "method": cfg.measurement}}
 
 
-def cmd_spectral_dump(cfg: RunConfig) -> str:
-    """Tabulate the normalized spectral mode Phi(omega)."""
+def cmd_spectral_dump(cfg: RunConfig) -> tuple:
+    """The table of the normalized spectral mode Phi(omega), with the
+    coupling strength g as a comment."""
     res = RamanResonance(omega_vib=cfg.omega_vib, gamma_vib=cfg.gamma_vib,
                          polarizability_weight=cfg.weight)
     pump = PulseSpectrum(center=cfg.pump_center, bandwidth=cfg.pump_bandwidth,
@@ -562,42 +527,37 @@ def cmd_spectral_dump(cfg: RunConfig) -> str:
     re, im = values.real, values.imag
     # np.hypot rounds as the scalar abs(v) does; np.abs(values) does not
     rows = np.column_stack((grid, re, im, np.hypot(re, im))).tolist()
-    path = _out_path(cfg, "spectral", "csv")
-    _write_csv(path, "spectral-dump", cfg,
-               ["omega", "phi_re", "phi_im", "phi_abs"], rows,
-               extra_comments=(f"g={g:.17g}",))
-    return path
+    return ["omega", "phi_re", "phi_im", "phi_abs"], rows, (f"g={g:.17g}",)
 
 
-def cmd_optimize_waist(cfg: RunConfig) -> str:
-    """Per-separation optimal vortex waist ratio a*(s)."""
+def cmd_optimize_waist(cfg: RunConfig) -> tuple:
+    """The table of the optimal vortex waist ratio a*(s), one row per s."""
     s_grid = _s_grid(cfg)
     a_opt, q_opt = optimize_waist(cfg.psi, s_grid, (cfg.a_min, cfg.a_max),
                                   kappa=cfg.kappa, g=cfg.g)
     rows = list(zip(s_grid.tolist(), repeat(cfg.psi), a_opt.tolist(), _pick_raw(q_opt, cfg)))
-    path = _out_path(cfg, "waist", "csv")
-    _write_csv(path, "optimize-waist", cfg,
-               ["s", "psi", "a_opt", "qfi_opt"], rows)
-    return path
+    return ["s", "psi", "a_opt", "qfi_opt"], rows
 
 
 _SWEEP_KEYS = {"s_min", "s_max", "s_points", "kappa", "g", "raw"}
-# command -> its function and the configuration keys it reads (a simulate
-# campaign fewer, ``_reads``), which its output records (every command also
-# takes output_path, never recorded)
+# command -> its function, the configuration keys it reads (a simulate
+# campaign fewer, ``_reads``), which its output records, and the file it
+# writes without --out (every command also takes output_path, never recorded)
 _COMMANDS = {
-    "figure2": (cmd_figure2, _SWEEP_KEYS | {"ktilde_grid", "M", "tol"}),
+    "figure2": (cmd_figure2, _SWEEP_KEYS | {"ktilde_grid", "M", "tol"}, "figure2.csv"),
     "figure3": (cmd_figure3, _SWEEP_KEYS | {"psi_grid", "a", "a_min", "a_max",
-                                            "M", "tol"}),
-    "convergence": (cmd_convergence, _SWEEP_KEYS | {"ktilde"}),
-    "adjudicate": (cmd_adjudicate, set()),
+                                            "M", "tol"}, "figure3.csv"),
+    "convergence": (cmd_convergence, _SWEEP_KEYS | {"ktilde"}, "convergence.csv"),
+    "adjudicate": (cmd_adjudicate, set(), "adjudication.json"),
     "simulate": (cmd_simulate, {"family", "ktilde", "a", "psi", "s_sim", "kappa",
                                 "g", "measurement", "M", "mu", "batches", "seed",
-                                "search_lo", "search_hi"}),
+                                "search_lo", "search_hi"}, "simulation.json"),
     "spectral-dump": (cmd_spectral_dump, {
         "omega_vib", "gamma_vib", "weight", "pump_center", "pump_bandwidth",
-        "pump_amplitude", "stokes_center", "stokes_bandwidth", "stokes_amplitude"}),
-    "optimize-waist": (cmd_optimize_waist, _SWEEP_KEYS | {"psi", "a_min", "a_max"}),
+        "pump_amplitude", "stokes_center", "stokes_bandwidth", "stokes_amplitude"},
+        "spectral.csv"),
+    "optimize-waist": (cmd_optimize_waist, _SWEEP_KEYS | {"psi", "a_min", "a_max"},
+                       "waist.csv"),
 }
 # the configuration key each of these flags sets
 _FLAG_KEYS = {"seed": "seed", "modes": "M", "tol": "tol", "raw": "raw"}
@@ -626,7 +586,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {"output_path": args.out}
     overrides.update((key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items())
-    command = _COMMANDS[args.command][0]
+    command, _, default_file = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides=overrides)
         ignored = sorted(cfg.explicit_keys - _reads(args.command, cfg) - {"output_path"})
@@ -637,10 +597,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} does not read "
                               f"{', '.join(flags.get(key, key) for key in ignored)}")
         cfg.validate()
-        path = command(cfg)
-    except AdjudicationMismatch as exc:
-        print(exc)
-        return 4
+        output = command(cfg)
+        path = cfg.output_path or default_file
+        text = (_json_text(args.command, cfg, output) if isinstance(output, dict)
+                else _csv_text(args.command, cfg, *output))
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -652,7 +617,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     print(path)
-    return 0
+    # a failed adjudication still writes its report
+    return 4 if isinstance(output, dict) and output.get("all_match") is False else 0
 
 
 if __name__ == "__main__":

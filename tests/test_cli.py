@@ -268,13 +268,13 @@ def test_config_keys_a_command_does_not_read_are_usage_errors(tmp_path, capsys,
 
 
 def test_every_key_a_command_reads_is_a_config_key():
-    for command, (_, reads) in cli._COMMANDS.items():
+    for command, (_, reads, _) in cli._COMMANDS.items():
         assert reads <= set(cli._FIELD_TYPES), command
 
 
 def test_every_config_key_is_read_by_some_command():
     # output_path names where an output goes; every other key shapes one
-    read = set().union(*(reads for _, reads in cli._COMMANDS.values()))
+    read = set().union(*(reads for _, reads, _ in cli._COMMANDS.values()))
     assert set(cli._FIELD_TYPES) - read == {"output_path"}
 
 
@@ -516,6 +516,61 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert "output_path" not in doc["config"]
 
 
+def test_adjudication_mismatch_writes_its_report_and_exits_4(tmp_path, capsys,
+                                                              monkeypatch):
+    closed = cli.qfi_plane_closed
+
+    def off(ktilde, s):
+        report = closed(ktilde, s)
+        return dataclasses.replace(report,
+                                   normalized_value=report.normalized_value * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "qfi_plane_closed", off)
+    out = tmp_path / "adj.json"
+    assert cli.main(["adjudicate", "--out", str(out)]) == 4
+    assert capsys.readouterr().out.strip() == str(out)
+    doc = json.loads(out.read_text())
+    assert doc["all_match"] is False
+    assert doc["plane_qfi_closed"]["matches"] is False
+    assert doc["vortex_qfi_closed"]["selected_matches"] is True
+
+
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "waist.cfg", s_points=2)
+    out = tmp_path / "missing" / "waist.csv"
+    # main returns rather than raising, so no traceback reaches the user
+    assert cli.main(["optimize-waist", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"configuration error: cannot write output file {out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command,default_file", [
+    ("figure2", "figure2.csv"),
+    ("figure3", "figure3.csv"),
+    ("convergence", "convergence.csv"),
+    ("adjudicate", "adjudication.json"),
+    ("simulate", "simulation.json"),
+    ("spectral-dump", "spectral.csv"),
+    ("optimize-waist", "waist.csv"),
+])
+def test_each_command_writes_its_default_file_without_out(tmp_path, capsys, monkeypatch,
+                                                          command, default_file):
+    cfg = _write_cfg(tmp_path, "small.cfg", **_SMALL_SETTINGS[command])
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out == default_file + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["small.cfg", default_file])
+    out = tmp_path / default_file
+    if default_file.endswith(".json"):
+        assert json.loads(out.read_text())["command"] == command
+    else:
+        assert _read_lines(out)[1] == f"# command={command}"
+
+
 def test_simulate_spade_json(tmp_path):
     cfg = _write_cfg(tmp_path, "sim.cfg", family="plane", ktilde=2.0,
                      s_sim=1.0, mu=2000, batches=3, M=8,
@@ -613,12 +668,10 @@ def test_convergence_reads_every_cutoff_from_one_table(tmp_path, monkeypatch):
         assert row["fi_spade"] == fi_spade(amps, int(row["M"])).normalized_value
 
 
-def test_csv_rows_render_every_cell_like_fmt(tmp_path):
+def test_csv_rows_render_every_cell_like_fmt():
     rows = [[0.1, 1e-300, -0.0, float("inf"), float("nan"), 3, "x", np.float64(2.5e17)],
             [1.0 / 3.0, 5e-324, 1e22, -2.0, 0.0, -7, True, np.float64(-1e-5)]]
-    out = tmp_path / "t.csv"
-    cli._write_csv(str(out), "figure2", cli.RunConfig(), list("abcdefgh"), rows)
-    lines = _read_lines(out)
+    lines = cli._csv_text("figure2", cli.RunConfig(), list("abcdefgh"), rows).split("\r\n")
     assert lines[-len(rows) - 1:-1] == [",".join(cli._fmt(v) for v in row)
                                         for row in rows]
 

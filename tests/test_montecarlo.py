@@ -297,9 +297,10 @@ def test_binned_imager_builds_the_vortex_camera_at_s_5_5():
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ROADMAP item 2: fi_direct's absolute tolerance "
-                          "exceeds the dark vortex's DI value here, so the 2% "
-                          "check compares against an unconverged continuum")
+                   reason="needs DI as the QFI minus the phase loss: "
+                          "fi_direct's absolute tolerance exceeds the dark "
+                          "vortex's DI value here, so the 2% check compares "
+                          "against an unconverged continuum")
 def test_binned_imager_builds_the_vortex_camera_at_s_6_5():
     BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=6.5)
 

@@ -2,11 +2,13 @@
 # Regenerates the default output of every carsfisher command, plus the
 # direct-imaging simulate campaigns of both families, the SPADE and
 # direct-imaging campaigns searched from s = 0 (search_lo=0, the only input
-# that steps the secant in u = s^2), and two sweeps that drive the DI
+# that steps the secant in u = s^2), two sweeps that drive the DI
 # quadrature deep (figure2 at tol=1e-11, figure3 out to the dark vortex
-# tail at s_max=8), from two source trees and compares them byte for
-# byte.  Fails if any output differs while both trees carry the
-# same cli._SCHEMA_VERSION: an output may change only with a schema bump.
+# tail at s_max=8), and figure3 and convergence with --raw (between them
+# they run cli._pick, cli._pick_raw and convergence's own raw switch),
+# from two source trees and compares them byte for byte.  Fails if any
+# output differs while both trees carry the same cli._SCHEMA_VERSION: an
+# output may change only with a schema bump.
 # On a bump it prints, for each output, whether its data moved: all but
 # the provenance, which is a CSV's '#' lines and a JSON document's
 # schema_version, tool_version and config.
@@ -47,7 +49,9 @@ outputs() {
     run "$1" figure2 --tol 1e-11 --out "$2/figure2_tol_1e-11.csv"
     run "$1" figure3 --out "$2/figure3.csv"
     run "$1" figure3 --config "$work/tail.cfg" --out "$2/figure3_s_max_8.csv"
+    run "$1" figure3 --raw --out "$2/figure3_raw.csv"
     run "$1" convergence --out "$2/convergence.csv"
+    run "$1" convergence --raw --out "$2/convergence_raw.csv"
     run "$1" adjudicate --out "$2/adjudication.json"
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
