@@ -71,7 +71,7 @@ from .numerics import ConvergenceError, integrate_1d_many
 from .psf_modes import _psf_gram, _psf_points
 from .spectral import PulseSpectrum, RamanResonance, _sampled_weight
 
-_SCHEMA_VERSION = 16
+_SCHEMA_VERSION = 17
 _CONVERGENCE_M = (5, 10, 15, 20, 25)
 
 

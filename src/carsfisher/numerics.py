@@ -87,13 +87,15 @@ class ConvergenceError(RuntimeError):
     """Adaptive refinement failed to reach its tolerance.
 
     Carries the member's best available estimate and its error, the
-    creation-order sum of its cells' errors, both floats.
+    creation-order sum of its cells' errors, both floats, and the member's
+    index.
     """
 
-    def __init__(self, message: str, estimate: float, error: float):
+    def __init__(self, message: str, estimate: float, error: float, member: int):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
+        self.member = member
 
 
 def _gk_cells(f, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -195,7 +197,7 @@ def integrate_1d_many(
             raise ConvergenceError(
                 f"1D quadrature member {active[k]} {reason} "
                 f"(error {total[k]:.3e} > tol {abs_tol:.3e})",
-                _ordered_sums(v_cols.T[k:k + 1])[0], total[k])
+                _ordered_sums(v_cols.T[k:k + 1])[0], total[k], int(active[k]))
         left, right = c_lo.take(worst), c_hi.take(worst)
         val[worst] = err[worst] = 0.0
         mid = 0.5 * (left + right)

@@ -44,7 +44,7 @@ def test_figure2_csv_structure(tmp_path):
     assert raw.endswith(b"\r\n")
     lines = _read_lines(out)
     assert lines[0].startswith("# carsfisher ")
-    assert "schema=16" in lines[0]
+    assert "schema=17" in lines[0]
     assert lines[1] == "# command=figure2"
     assert lines[2].startswith("# config ")
     assert "output_path" not in lines[2]
@@ -74,6 +74,20 @@ def test_figure2_runs_where_sinh_overflows(tmp_path):
     assert s == 40.0
     # far apart, the normalized QFI reaches 1 + kt^2
     assert qfi == pytest.approx(1.0 + kt * kt, rel=1e-12)
+
+
+def test_figure2_from_zero_separation_writes_zero_information(tmp_path):
+    # at s = 0 the QFI is 0, and so are DI (0 <= DI <= QFI) and its error
+    out = tmp_path / "zero.csv"
+    cfg = _figure2_cfg(tmp_path, s_min=0)
+    assert cli.main(["figure2", "--config", cfg, "--out", str(out)]) == 0
+    lines = _read_lines(out)
+    header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    rows = [ln.split(",") for ln in lines[header_idx + 1:] if ln]
+    at_zero = [row for row in rows if float(row[0]) == 0.0]
+    assert len(at_zero) == 2  # one per ktilde
+    for s, kt, qfi, fi_di, fi_di_err, *_ in at_zero:
+        assert float(qfi) == float(fi_di) == float(fi_di_err) == 0.0
 
 
 def test_figure2_runs_are_byte_identical(tmp_path):
@@ -386,12 +400,13 @@ def _count_quadrature_work(monkeypatch):
 
 def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeypatch):
     # the lockstep batches split exactly the cells the per-scene rule
-    # splits: 69 integrand calls fill 10,748 cells of the folded DI
-    # windows for figure2 + figure3
+    # splits: 57 integrand calls fill 8,366 cells of the folded phase-loss
+    # windows for figure2 + figure3 (plane k~ = 0 and the vortex at
+    # psi = 0 take one round each)
     counts = _count_quadrature_work(monkeypatch)
     for command in ("figure2", "figure3"):
         assert cli.main([command, "--out", str(tmp_path / command)]) == 0
-    assert counts == {"calls": 69, "cells": 10_748}
+    assert counts == {"calls": 57, "cells": 8_366}
 
 
 def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
@@ -472,8 +487,9 @@ def test_simulate_with_a_negative_search_bound_is_a_usage_error(tmp_path, capsys
 
 
 def test_unreachable_tolerance_exits_nonconvergence(tmp_path, capsys):
+    # at ktilde = 0 the phase loss vanishes and DI converges at once
     cfg = _write_cfg(tmp_path, "stall.cfg", s_min=1.0, s_max=1.0, s_points=1,
-                     ktilde_grid="0", M=5)
+                     ktilde_grid="2", M=5)
     assert cli.main(["figure2", "--config", cfg, "--tol", "1e-30",
                      "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
@@ -497,7 +513,7 @@ def test_adjudicate_passes_and_reports(tmp_path, capsys):
     assert cli.main(["adjudicate", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 16
+    assert doc["schema_version"] == 17
     assert doc["all_match"] is True
     vortex = doc["vortex_qfi_closed"]
     assert vortex["exactly_one_match"] is True

@@ -15,6 +15,7 @@ from carsfisher import (
     fi_direct,
     fi_spade,
     image_amplitudes,
+    qfi_separation,
     run_experiment,
     sample_counts,
     spade_count_model,
@@ -296,13 +297,20 @@ def test_binned_imager_builds_the_vortex_camera_at_s_5_5():
     assert imager.fisher_information(5.5) > 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="needs DI as the QFI minus the phase loss: "
-                          "fi_direct's absolute tolerance exceeds the dark "
-                          "vortex's DI value here, so the 2% check compares "
-                          "against an unconverged continuum")
 def test_binned_imager_builds_the_vortex_camera_at_s_6_5():
+    # the 2% check compares against DI = QFI - L, which is the closed-form
+    # QFI here (L = 0 at psi = 0)
     BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=6.5)
+
+
+@pytest.mark.parametrize("s", [6.9, 8.0])
+def test_binned_imager_builds_the_dark_vortex_camera(s):
+    # in the dark vortex tail, where the QFI is far below fi_direct's
+    # tolerance, the binned value still tracks the QFI
+    exc = VortexExcitation(a=math.sqrt(0.5))
+    imager = BinnedImager(exc, domain_s=s)
+    qfi = qfi_separation(image_amplitudes(exc, EmitterScene(s=s))).value
+    assert imager.fisher_information(s) == pytest.approx(qfi, rel=0.02)
 
 
 @pytest.mark.parametrize("exc,sites", [

@@ -4,7 +4,8 @@
 # direct-imaging campaigns searched from s = 0 (search_lo=0, the only input
 # that steps the secant in u = s^2), two sweeps that drive the DI
 # quadrature deep (figure2 at tol=1e-11, figure3 out to the dark vortex
-# tail at s_max=8), and figure3 and convergence with --raw (between them
+# tail at s_max=8), figure2 from s_min=0 (where the QFI, and so DI, is 0),
+# and figure3 and convergence with --raw (between them
 # they run cli._pick, cli._pick_raw and convergence's own raw switch),
 # from two source trees and compares them byte for byte.  Fails if any
 # output differs while both trees carry the same cli._SCHEMA_VERSION: an
@@ -30,6 +31,7 @@ printf 'search_lo=0\n' > "$work/spade0.cfg"
 printf 'measurement=di\nsearch_lo=0\n' > "$work/di0.cfg"
 printf 'measurement=di\nfamily=vortex\n' > "$work/di_vortex.cfg"
 printf 's_max=8\n' > "$work/tail.cfg"
+printf 's_min=0\n' > "$work/from0.cfg"
 
 # the schema version of the carsfisher package under source tree $1
 schema() {
@@ -47,6 +49,7 @@ outputs() {
     run() { (cd "$work" && PYTHONPATH="$1" python3 -m carsfisher.cli "${@:2}" > /dev/null); }
     run "$1" figure2 --out "$2/figure2.csv"
     run "$1" figure2 --tol 1e-11 --out "$2/figure2_tol_1e-11.csv"
+    run "$1" figure2 --config "$work/from0.cfg" --out "$2/figure2_s_min_0.csv"
     run "$1" figure3 --out "$2/figure3.csv"
     run "$1" figure3 --config "$work/tail.cfg" --out "$2/figure3_s_max_8.csv"
     run "$1" figure3 --raw --out "$2/figure3_raw.csv"
