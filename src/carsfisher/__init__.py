@@ -23,7 +23,6 @@ from .fisher import (
     qfi_plane_closed,
     qfi_separation,
     qfi_vortex_closed,
-    spade_collinear_closed,
     vortex_closed_variants,
 )
 from .montecarlo import (
@@ -62,7 +61,6 @@ __all__ = [
     "qfi_vortex_closed",
     "run_experiment",
     "sample_counts",
-    "spade_collinear_closed",
     "spade_count_model",
     "spectral_weight",
     "vortex_closed_variants",

@@ -34,7 +34,9 @@ comments); adjudicate and simulate return their JSON payload.  ``main``
 renders the output with its provenance, writes it once, to --out or else
 to the command's default file in the working directory (figure2.csv,
 figure3.csv, convergence.csv, adjudication.json, simulation.json,
-spectral.csv, waist.csv), and prints its path.
+spectral.csv, waist.csv), and prints its path.  --out alone names the
+output; no configuration key does, so every key shapes what some command
+writes.
 
 Exit codes: 0 success, 2 configuration error (an output file that cannot
 be written included), 3 numeric non-convergence, 4 closed-form
@@ -63,7 +65,6 @@ from .fisher import (
     optimize_waist,
     qfi_plane_closed,
     qfi_separation,
-    spade_collinear_closed,
     vortex_closed_variants,
 )
 from .montecarlo import BinnedImager, run_experiment, spade_count_model
@@ -81,7 +82,10 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Flat run configuration; every field can come from file, env, or flag."""
+    """Flat run configuration.  Every field is a key that the config file
+    and the CARSFISHER_ variables can set and that some command reads
+    (``_COMMANDS``); the flags --seed, --modes, --tol and --raw set four of
+    them.  Where the output goes is no field: --out names it."""
 
     family: str = "plane"
     s_min: float = 0.01
@@ -95,7 +99,6 @@ class RunConfig:
     psi_grid: tuple = (0.0, 0.1, 0.2, 0.3)
     psi: float = 0.0
     M: int = 10
-    output_path: str = ""
     seed: int = 20260817
     tol: float = 1e-8
     raw: bool = False
@@ -250,8 +253,7 @@ def _reads(command: str, cfg: RunConfig) -> set[str]:
 
 def _config_items(command: str, cfg: RunConfig):
     """(name, value) of each key the command reads (``_reads``), in field
-    order: the inputs that shaped its output, and no others.  No command
-    reads output_path: where a file lives is not part of its content."""
+    order: the inputs that shaped its output, and no others."""
     reads = _reads(command, cfg)
     return [(name, getattr(cfg, name)) for name in _FIELD_TYPES if name in reads]
 
@@ -312,17 +314,32 @@ def _curve(exc, s_grid, cfg: RunConfig):
                                               g=cfg.g, kappa=cfg.kappa))
 
 
+def _fi_columns(exc, s_grid, cfg: RunConfig):
+    """The qfi, fi_di, fi_di_err and fi_spade_M columns of the sweep curve
+    of excitation ``exc`` over s_grid, as the output shows them, and its
+    raw DI over QFI (``_ratio``)."""
+    curve = _curve(exc, s_grid, cfg)
+    qfi, di = qfi_separation(curve), fi_direct(curve, abs_tol=cfg.tol)
+    return ((_pick(qfi, cfg), _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
+             _pick(fi_spade(curve, cfg.M), cfg)), _ratio(di.value, qfi.value))
+
+
+def _waist_envelope(psi: float, s_grid, cfg: RunConfig):
+    """The a_opt and qfi_opt columns of the optimal vortex waist at each
+    separation (``optimize_waist``), as the output shows them."""
+    a_opt, q_opt = optimize_waist(psi, s_grid, (cfg.a_min, cfg.a_max),
+                                  kappa=cfg.kappa, g=cfg.g)
+    return a_opt.tolist(), _pick_raw(q_opt, cfg)
+
+
 def cmd_figure2(cfg: RunConfig) -> tuple:
     """Plane-wave FI sweep: the table of one row per (ktilde, s), with a
     note on the ktilde grid."""
     s_grid = _s_grid(cfg)
     rows = []
     for kt in cfg.ktilde_grid:
-        curve = _curve(PlaneWaveExcitation(ktilde=float(kt)), s_grid, cfg)
-        di = fi_direct(curve, abs_tol=cfg.tol)
-        rows += zip(s_grid.tolist(), repeat(float(kt)), _pick(qfi_separation(curve), cfg),
-                    _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
-                    _pick(fi_spade(curve, cfg.M), cfg), repeat(cfg.M))
+        columns, _ = _fi_columns(PlaneWaveExcitation(ktilde=float(kt)), s_grid, cfg)
+        rows += zip(s_grid.tolist(), repeat(float(kt)), *columns, repeat(cfg.M))
     return (["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"], rows,
             ("note: the ktilde grid is a tool default; "
              "override it with the ktilde_grid key",))
@@ -332,18 +349,12 @@ def cmd_figure3(cfg: RunConfig) -> tuple:
     """Vortex FI sweep: the table of one row per (psi, s), with the
     waist-optimized envelope at psi=0 on every row."""
     s_grid = _s_grid(cfg)
-    # waist-optimized envelope, computed on the psi = 0 axis
-    a_opt, q_opt = optimize_waist(0.0, s_grid, (cfg.a_min, cfg.a_max),
-                                  kappa=cfg.kappa, g=cfg.g)
-    envelope = a_opt.tolist(), _pick_raw(q_opt, cfg)
+    envelope = _waist_envelope(0.0, s_grid, cfg)  # on the psi = 0 axis
     rows = []
     for psi in cfg.psi_grid:
-        curve = _curve(VortexExcitation(a=cfg.a, psi=float(psi)), s_grid, cfg)
-        qfi, di = qfi_separation(curve), fi_direct(curve, abs_tol=cfg.tol)
-        rows += zip(s_grid.tolist(), repeat(float(psi)), repeat(cfg.a), _pick(qfi, cfg),
-                    _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
-                    _pick(fi_spade(curve, cfg.M), cfg), _ratio(di.value, qfi.value).tolist(),
-                    *envelope)
+        columns, ratio = _fi_columns(VortexExcitation(a=cfg.a, psi=float(psi)), s_grid, cfg)
+        rows += zip(s_grid.tolist(), repeat(float(psi)), repeat(cfg.a), *columns,
+                    ratio.tolist(), *envelope)
     return (["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
              "di_over_qfi", "a_opt", "qfi_opt"], rows,
             ("a_opt/qfi_opt: waist-optimized envelope "
@@ -463,7 +474,7 @@ def _adjudicate_spade_closed() -> dict:
     tolerance, s_grid = 1e-8, np.linspace(0.05, 3.0, 60)
     curve = image_amplitudes(PlaneWaveExcitation(ktilde=0.0), EmitterScene(s=s_grid))
     pairs = [(fi_spade(curve, 30).normalized_value,
-              spade_collinear_closed(s_grid).normalized_value)]
+              qfi_plane_closed(0.0, s_grid).normalized_value)]
     return {"tolerance": tolerance, "grid": "ktilde=0, 60 s-points in [0.05, 3], M=30",
             **_closed_form_record(tolerance, pairs)}
 
@@ -533,16 +544,14 @@ def cmd_spectral_dump(cfg: RunConfig) -> tuple:
 def cmd_optimize_waist(cfg: RunConfig) -> tuple:
     """The table of the optimal vortex waist ratio a*(s), one row per s."""
     s_grid = _s_grid(cfg)
-    a_opt, q_opt = optimize_waist(cfg.psi, s_grid, (cfg.a_min, cfg.a_max),
-                                  kappa=cfg.kappa, g=cfg.g)
-    rows = list(zip(s_grid.tolist(), repeat(cfg.psi), a_opt.tolist(), _pick_raw(q_opt, cfg)))
+    rows = list(zip(s_grid.tolist(), repeat(cfg.psi), *_waist_envelope(cfg.psi, s_grid, cfg)))
     return ["s", "psi", "a_opt", "qfi_opt"], rows
 
 
 _SWEEP_KEYS = {"s_min", "s_max", "s_points", "kappa", "g", "raw"}
 # command -> its function, the configuration keys it reads (a simulate
 # campaign fewer, ``_reads``), which its output records, and the file it
-# writes without --out (every command also takes output_path, never recorded)
+# writes without --out
 _COMMANDS = {
     "figure2": (cmd_figure2, _SWEEP_KEYS | {"ktilde_grid", "M", "tol"}, "figure2.csv"),
     "figure3": (cmd_figure3, _SWEEP_KEYS | {"psi_grid", "a", "a_min", "a_max",
@@ -584,12 +593,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"output_path": args.out}
-    overrides.update((key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items())
+    overrides = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()}
     command, _, default_file = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides=overrides)
-        ignored = sorted(cfg.explicit_keys - _reads(args.command, cfg) - {"output_path"})
+        ignored = sorted(cfg.explicit_keys - _reads(args.command, cfg))
         if ignored:
             # name a setting by its flag where a flag supplied it
             flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
@@ -598,7 +606,7 @@ def main(argv=None) -> int:
                               f"{', '.join(flags.get(key, key) for key in ignored)}")
         cfg.validate()
         output = command(cfg)
-        path = cfg.output_path or default_file
+        path = args.out or default_file
         text = (_json_text(args.command, cfg, output) if isinstance(output, dict)
                 else _csv_text(args.command, cfg, *output))
         try:

@@ -166,7 +166,8 @@ def qfi_plane_closed(ktilde: float, s, kappa: float = 1.0, g: float = 1.0) -> Fi
     """Closed-form separation QFI for plane-wave excitation.
 
     Normalized value: 1 + kt^2 + e^{-s^2/2}[(s^2 - 1 - kt^2) cos(kt s)
-    + 2 kt s sin(kt s)].
+    + 2 kt s sin(kt s)].  At kt = 0 it is 1 + e^{-s^2/2} (s^2 - 1), also
+    the SPADE FI of the full mode sum, which saturates the QFI there.
     """
     _require_separation(s)
     kt = ktilde
@@ -237,14 +238,6 @@ def qfi_vortex_closed(a, psi: float, s, kappa: float = 1.0, g: float = 1.0) -> F
     (see vortex_closed_variants); it vanishes at s = 0 for every psi.
     """
     return _closed_report(_vortex_closed(a, psi, s), kappa, g)
-
-
-def spade_collinear_closed(s, kappa: float = 1.0, g: float = 1.0) -> FisherReport:
-    """Closed-form SPADE FI for collinear plane-wave excitation (kt = 0),
-    full mode sum: normalized 1 + e^{-s^2/2} (s^2 - 1)."""
-    _require_separation(s)
-    norm = 1.0 + np.exp(-s * s / 2.0) * (s * s - 1.0)
-    return _closed_report(norm, kappa, g)
 
 
 def _channel_terms(n, dn):
@@ -388,7 +381,8 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
     x-integrals of all scenes form one lockstep batch
     (``integrate_1d_many``, one integrand call per round), in which each
     refines as it would alone.  Raises ConvergenceError naming the first
-    scene whose quadrature stalls, with its estimate of F.
+    scene whose quadrature stalls, with its estimate of F, and quoting L's
+    error and its tolerance abs_tol * min(1, QFI) in F's units.
     """
     s = np.atleast_1d(amps.s)
     qfi = qfi_separation(amps)
@@ -414,10 +408,12 @@ def fi_direct(amps: ImageAmplitudes, abs_tol: float = 1e-8):
         loss, err = integrate_1d_many(integrand, np.zeros(s.size),
                                       np.maximum(8.0, s / 2.0 + 8.0), abs_tol)
     except ConvergenceError as exc:
+        # the kernel quotes L / min(1, QFI); quote L's error and tolerance
         k = exc.member
-        raise ConvergenceError(f"direct imaging at s={s[k]}: {exc}",
-                               max(q_norm[k] - m[k] * exc.estimate, 0.0),
-                               m[k] * exc.error, k) from None
+        reason, error = str(exc).rpartition(" (error ")[0], m[k] * exc.error
+        raise ConvergenceError(f"direct imaging at s={s[k]}: {reason} (error {error:.3e} "
+                               f"> tol {abs_tol * m[k]:.3e})",
+                               max(q_norm[k] - m[k] * exc.estimate, 0.0), error, k) from None
     loss, err = m * loss, m * err
     scale = _scale(amps)
     value = np.maximum(qfi.value - loss * scale, 0.0)

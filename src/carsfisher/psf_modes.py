@@ -19,9 +19,9 @@ of two fields (``_psf_gram``) and on the Hermite-Gauss demultiplexing
 modes of the same width (``_mode_overlaps``), and gives its site sums
 (``_site_sums``), over which the Gram matrix is nearly diagonal and from
 which ``fisher`` writes the DI profile as real forms on either side of
-the centroid.  The field at image points (``_psf_points``) no longer
-serves DI; it remains for ``adjudicate``'s quadrature of the Gram form,
-which shares nothing with ``_psf_gram``.
+the centroid.  The field at image points (``_psf_points``) serves
+``adjudicate``'s quadrature of the Gram form, which shares nothing with
+``_psf_gram``.
 """
 
 from __future__ import annotations

@@ -99,8 +99,9 @@ class RamanResonance:
 class PulseSpectrum:
     """Gaussian pulse spectrum with coherent amplitude.
 
-    profile(w) = (2 pi)^{1/4} bandwidth^{-1/2} exp(-(w - center)^2 /
-    (4 bandwidth^2)), normalized so Int |profile|^2 dw/2pi = 1.
+    Its profile psi(w) = (2 pi)^{1/4} bandwidth^{-1/2} exp(-(w - center)^2 /
+    (4 bandwidth^2)) is normalized so Int |psi|^2 dw/2pi = 1; it enters
+    only through the closed form of ``spectral_weight``.
     """
 
     center: float
@@ -112,11 +113,6 @@ class PulseSpectrum:
                         bandwidth=self.bandwidth, amplitude=self.amplitude)
         if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
-
-    def profile(self, omega):
-        arg = (np.asarray(omega, dtype=float) - self.center) / self.bandwidth
-        return ((2.0 * math.pi) ** 0.25 / math.sqrt(self.bandwidth)
-                * np.exp(-0.25 * arg * arg))
 
 
 def phi_grid(pump: PulseSpectrum, stokes: PulseSpectrum) -> np.ndarray:

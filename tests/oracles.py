@@ -190,10 +190,6 @@ def qfi_matrix_mpmath(a1, a2, g1, g2, s: float, kappa: float = 1.0,
         return metric(d_s, d_s), metric(d_s, d_x0), metric(d_x0, d_x0)
 
 
-def qfi_fd(amps, s: float, x0: float = 0.0, kappa: float = 1.0) -> float:
-    return qfi_matrix_fd(amps, s, x0, kappa)[0]
-
-
 # --------------------------------------------------------------------------
 # direct imaging: F = int (d_d I)^2 / I on the same 1D reduction
 # --------------------------------------------------------------------------

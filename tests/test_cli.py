@@ -212,7 +212,7 @@ def test_csv_only_commands_reject_json_format(tmp_path, capsys, command):
 
 
 # a valid non-default value of each string field
-_STRING_VALUES = {"family": "vortex", "measurement": "di", "output_path": "x.csv"}
+_STRING_VALUES = {"family": "vortex", "measurement": "di"}
 
 
 def _other_value(field):
@@ -287,9 +287,21 @@ def test_every_key_a_command_reads_is_a_config_key():
 
 
 def test_every_config_key_is_read_by_some_command():
-    # output_path names where an output goes; every other key shapes one
     read = set().union(*(reads for _, reads, _ in cli._COMMANDS.values()))
-    assert set(cli._FIELD_TYPES) - read == {"output_path"}
+    assert set(cli._FIELD_TYPES) - read == set()
+
+
+def test_output_path_is_no_config_key(tmp_path, capsys, monkeypatch):
+    # --out alone names where an output goes
+    out = tmp_path / "waist.csv"
+    cfg = _write_cfg(tmp_path, "out.cfg", output_path=str(out))
+    assert cli.main(["optimize-waist", "--config", cfg]) == 2
+    assert "unknown configuration key 'output_path'" in capsys.readouterr().err
+    monkeypatch.setenv("CARSFISHER_OUTPUT_PATH", str(out))
+    assert cli.main(["optimize-waist", "--out", str(out)]) == 2
+    assert ("unknown configuration variable 'CARSFISHER_OUTPUT_PATH'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # small settings each command reads, so that every command runs quickly
@@ -495,6 +507,22 @@ def test_unreachable_tolerance_exits_nonconvergence(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric non-convergence" in err
     assert "estimate" in err
+
+
+def test_nonconvergence_quotes_the_error_and_tolerance_of_di(tmp_path, capsys):
+    # below QFI = 1 the phase loss is held to tol * QFI: the message quotes
+    # that tolerance and the exception's own error (QFI 0.0536 here)
+    cfg = _write_cfg(tmp_path, "small.cfg", s_min=0.05, s_max=0.05, s_points=1,
+                     ktilde_grid="2")
+    assert cli.main(["figure2", "--config", cfg, "--tol", "1e-30",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "(error 3.731e-23 > tol 5.362e-32) (estimate " in err
+    amps = image_amplitudes(PlaneWaveExcitation(ktilde=2.0), EmitterScene(s=0.05))
+    with pytest.raises(numerics.ConvergenceError) as info:
+        fisher.fi_direct(amps, abs_tol=1e-30)
+    tol = 1e-30 * fisher.qfi_separation(amps).normalized_value
+    assert f"(error {info.value.error:.3e} > tol {tol:.3e})" in err
 
 
 def test_readme_documents_the_current_schema():

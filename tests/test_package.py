@@ -15,8 +15,10 @@ def test_all_names_resolve_without_duplicates():
 
 def test_one_estimator_per_job():
     # the estimators take array-valued records, so there are no per-list
-    # twins, and the QFI needs no PSF geometry record
-    for name in ("fi_direct_many", "fi_spade_many", "PsfGeometry", "psf_geometry"):
+    # twins, the QFI needs no PSF geometry record, and collinear SPADE's
+    # full mode sum is the plane-wave QFI closed form at ktilde = 0
+    for name in ("fi_direct_many", "fi_spade_many", "PsfGeometry", "psf_geometry",
+                 "spade_collinear_closed"):
         assert name not in carsfisher.__all__
         assert not hasattr(carsfisher, name)
 

@@ -74,14 +74,10 @@ def test_pulse_rejects_non_finite_fields(field, value):
 
 
 def test_pulse_validation_and_norm():
+    # the profile's norm enters through spectral_weight's closed form,
+    # which the oracle tests pin
     with pytest.raises(ValueError):
         PulseSpectrum(center=100.0, bandwidth=0.0)
-    # Int |profile|^2 dw / 2pi = 1
-    om = np.linspace(PUMP.center - 15.0, PUMP.center + 15.0, 200_001)
-    vals = PUMP.profile(om) ** 2
-    dw = om[1] - om[0]
-    norm = (vals.sum() - 0.5 * (vals[0] + vals[-1])) * dw / (2.0 * math.pi)
-    assert norm == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("omega", [104.0, 108.0, 110.0, 112.0, 116.0])

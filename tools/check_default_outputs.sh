@@ -7,6 +7,9 @@
 # tail at s_max=8), figure2 from s_min=0 (where the QFI, and so DI, is 0),
 # and figure3 and convergence with --raw (between them
 # they run cli._pick, cli._pick_raw and convergence's own raw switch),
+# and figure2, figure3 --raw and convergence --raw again at kappa=0.8,
+# g=1.3 (at kappa = g = 1 the scale 2 kappa g^2 is 2, so every conversion
+# between raw and normalized values is exact and hides a change in it),
 # from two source trees and compares them byte for byte.  Fails if any
 # output differs while both trees carry the same cli._SCHEMA_VERSION: an
 # output may change only with a schema bump.
@@ -32,6 +35,7 @@ printf 'measurement=di\nsearch_lo=0\n' > "$work/di0.cfg"
 printf 'measurement=di\nfamily=vortex\n' > "$work/di_vortex.cfg"
 printf 's_max=8\n' > "$work/tail.cfg"
 printf 's_min=0\n' > "$work/from0.cfg"
+printf 'kappa=0.8\ng=1.3\n' > "$work/scaled.cfg"
 
 # the schema version of the carsfisher package under source tree $1
 schema() {
@@ -55,6 +59,10 @@ outputs() {
     run "$1" figure3 --raw --out "$2/figure3_raw.csv"
     run "$1" convergence --out "$2/convergence.csv"
     run "$1" convergence --raw --out "$2/convergence_raw.csv"
+    run "$1" figure2 --config "$work/scaled.cfg" --out "$2/figure2_scaled.csv"
+    run "$1" figure3 --config "$work/scaled.cfg" --raw --out "$2/figure3_scaled_raw.csv"
+    run "$1" convergence --config "$work/scaled.cfg" --raw \
+        --out "$2/convergence_scaled_raw.csv"
     run "$1" adjudicate --out "$2/adjudication.json"
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
