@@ -286,7 +286,8 @@ def _di_coefficients(amps: ImageAmplitudes, slope: bool = True, phase: bool = Fa
     sides, scenes) for the sides x0 + u and x0 - u of every scene of
     ``amps``, in units of kappa times the PSF prefactor squared.  With
     ``phase`` the slope rows are those of J = Im(conj(A) 2 d_s A) instead,
-    so that J^2 / I is the density of the phase loss (``fi_direct``).
+    so that J^2 / I is the density of the phase loss (``fi_direct``, and
+    ``BinnedImager``'s 2% check).
 
     On a side whose near copy holds a_n, the field is A = Sigma F - a_n D
     with Sigma = a1 + a2.  With (c_f, c_f') and (c_n, c_n') the far and

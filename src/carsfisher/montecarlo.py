@@ -49,7 +49,7 @@ import numpy as np
 
 from .excitation import EmitterScene, image_amplitudes
 from .fisher import (_channel_terms, _di_coefficients, _di_products, _di_sides,
-                     _spade_table, fi_direct)
+                     _spade_table, qfi_separation)
 from .numerics import _WK, _XK, _ordered_sums
 
 _LOG_FLOOR = 1e-300
@@ -291,10 +291,13 @@ class BinnedImager:
     totals are a sufficient statistic for s.  Their expectations are
     N_i = P_i(s) Y, with the y-integral Y = kappa sqrt(2/pi)
     erf(sqrt(2) half) in closed form, and P_i the x-profile on a 15-node
-    Gauss-Kronrod rule per bin.  The Fisher information sums
-    (dN_i/ds)^2 / N_i, integrating the profile's analytic s-derivative on
-    the same nodes.  Construction verifies the 2% bound at domain_s and
-    raises ValueError where the bins are too coarse for it.
+    Gauss-Kronrod rule per bin.  Its Fisher information sums
+    (dN_i/ds)^2 / N_i over the columns (``_slope_fisher``), integrating
+    the profile's analytic s-derivative on the same nodes.  Construction
+    verifies the 2% bound at domain_s against the continuum value over
+    the view, QFI - L_view (``_view_fisher``): the closed-form QFI less
+    the phase loss summed on the same nodes, with no quadrature of its
+    own.  It raises ValueError where the bins are too coarse for it.
 
     It is a half camera: the view is mirror-symmetric about x0, so only
     the nodes of the 16 columns right of x0, at offsets u, are evaluated.
@@ -324,9 +327,9 @@ class BinnedImager:
         # x-bin rule times the y-integral of kappa * (2/pi) * exp(-2 y^2)
         column = kappa * math.sqrt(2.0 / math.pi) * math.erf(math.sqrt(2.0) * half)
         self._weights_x = _WK * half_bin * column
-        scene = EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa)
-        continuum = fi_direct(image_amplitudes(exc, scene)).value
-        binned = self.fisher_information(domain_s)
+        amps = image_amplitudes(exc, EmitterScene(s=domain_s, x0=x0, g=g, kappa=kappa))
+        continuum = self._view_fisher(amps)
+        binned = _slope_fisher(self.expectations, domain_s)[1]
         if abs(binned - continuum) > _BIN_FI_REL_TOL * continuum:
             raise ValueError(
                 f"BinnedImager: the {self._NBINS}-column DI Fisher information "
@@ -334,6 +337,18 @@ class BinnedImager:
                 f"{abs(binned - continuum) / continuum:.3%} from the "
                 f"continuum value (limit {_BIN_FI_REL_TOL:.0%}); the bins "
                 f"are too coarse for this separation")
+
+    def _view_fisher(self, amps) -> float:
+        """The continuum DI Fisher information over the view, QFI - L_view,
+        for the one scene of ``amps``: the closed-form QFI less the phase
+        loss J^2 / I (``fisher.fi_direct``'s integrand) summed on the
+        camera's own nodes and weights.  It leaves out only the phase loss
+        outside the view, so it is at least DI up to the node rule's
+        error, and exactly the QFI where J vanishes."""
+        products = _di_products(self._nodes_u.reshape(-1, 1), amps.s, moments=True)
+        terms = _channel_terms(*_di_sides(_di_coefficients(amps, phase=True), products))
+        loss = float(np.sum(terms.reshape(2, *self._nodes_u.shape) @ self._weights_x))
+        return qfi_separation(amps).value - loss
 
     def expectations(self, s_values, slope: bool = False):
         """Per-shot expected photon count in each of the 32 columns, one
@@ -355,11 +370,6 @@ class BinnedImager:
         rows = [np.concatenate((left[::-1].T, right.T), axis=1)
                 for right, left in (sides if slope else (sides,))]
         return tuple(rows) if slope else rows[0]
-
-    def fisher_information(self, s: float) -> float:
-        """Binned DI Fisher information at s, sum (dN_i/ds)^2 / N_i over the
-        columns, from the analytic derivative of the x-profile."""
-        return _slope_fisher(self.expectations, s)[1]
 
 
 def run_experiment(model, true_s: float, mu: float, batches: int, seed: int,

@@ -646,6 +646,25 @@ def test_simulate_direct_imaging_smoke(tmp_path):
     assert len(report["estimates"]) == 2
 
 
+def test_direct_imaging_simulate_runs_without_the_di_quadrature(tmp_path, monkeypatch):
+    # the camera checks its 2% contract on its own nodes, so building it
+    # and running a default DI campaign call neither fi_direct nor the
+    # adaptive kernel
+    cfg = _write_cfg(tmp_path, "di.cfg", measurement="di")
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(want)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the DI quadrature ran")
+
+    for module, name in ((fisher, "fi_direct"), (cli, "fi_direct"),
+                         (numerics, "integrate_1d_many"),
+                         (fisher, "integrate_1d_many"), (cli, "integrate_1d_many")):
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("family,s_sim", [("plane", 6.0)])
 def test_simulate_direct_imaging_beyond_the_camera_is_a_usage_error(
         tmp_path, capsys, family, s_sim):

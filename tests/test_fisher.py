@@ -522,7 +522,7 @@ def test_fi_direct_nonconvergence_carries_a_di_estimate():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 8: fi_di_err is L's Gauss-Kronrod estimate, not a bound, "
+    "ROADMAP item 3: fi_di_err is L's Gauss-Kronrod estimate, not a bound, "
     "and the tolerance rests on it; at this row the error is 7.7 times the "
     "reported one and 5.8 times tol * min(1, QFI)"))
 def test_fi_direct_meets_its_tolerance_in_the_vortex_tail_grid():

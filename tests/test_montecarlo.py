@@ -33,6 +33,11 @@ def _amps(exc, s):
     return image_amplitudes(exc, EmitterScene(s=s))
 
 
+def _binned_fi(imager, s):
+    # the camera's Fisher information, as run_experiment takes it for the CRB
+    return montecarlo._slope_fisher(imager.expectations, s)[1]
+
+
 def test_sample_counts_returns_nonnegative_integers():
     counts = sample_counts([0.0, 0.5, 3.0, 40.0], 5)
     assert counts.shape == (4,)
@@ -259,7 +264,7 @@ def test_binned_imager_conserves_photons():
 
 def test_binned_imager_tracks_continuum_fisher():
     imager = BinnedImager(PLANE_K2, domain_s=1.0)
-    binned = imager.fisher_information(1.0)
+    binned = _binned_fi(imager, 1.0)
     continuum = fi_direct(_amps(PLANE_K2, 1.0)).value
     assert abs(binned - continuum) / continuum < 0.02
 
@@ -280,7 +285,7 @@ def test_binned_fisher_information_equals_richardson_difference(exc, s):
 
     slope = (4.0 * central(5e-4) - central(1e-3)) / 3.0
     want = float(np.sum(slope ** 2 / imager.expectations([s])[0]))
-    assert imager.fisher_information(s) == pytest.approx(want, rel=1e-10)
+    assert _binned_fi(imager, s) == pytest.approx(want, rel=1e-10)
 
 
 def test_binned_imager_rejects_too_coarse_grid():
@@ -294,23 +299,59 @@ def test_binned_imager_builds_the_vortex_camera_at_s_5_5():
     # against converged values the 32 columns are within 0.03% of the
     # continuum out to s = 8 (vortex a = 1/sqrt(2))
     imager = BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=5.5)
-    assert imager.fisher_information(5.5) > 0.0
+    assert _binned_fi(imager, 5.5) > 0.0
 
 
 def test_binned_imager_builds_the_vortex_camera_at_s_6_5():
-    # the 2% check compares against DI = QFI - L, which is the closed-form
-    # QFI here (L = 0 at psi = 0)
+    # the 2% check compares against QFI - L_view, which is the closed-form
+    # QFI here (the phase-loss numerator J is 0 at psi = 0)
     BinnedImager(VortexExcitation(a=math.sqrt(0.5)), domain_s=6.5)
 
 
 @pytest.mark.parametrize("s", [6.9, 8.0])
 def test_binned_imager_builds_the_dark_vortex_camera(s):
-    # in the dark vortex tail, where the QFI is far below fi_direct's
-    # tolerance, the binned value still tracks the QFI
+    # in the dark vortex tail, where the QFI is far below 1, the binned
+    # value still tracks it
     exc = VortexExcitation(a=math.sqrt(0.5))
     imager = BinnedImager(exc, domain_s=s)
     qfi = qfi_separation(image_amplitudes(exc, EmitterScene(s=s))).value
-    assert imager.fisher_information(s) == pytest.approx(qfi, rel=0.02)
+    assert _binned_fi(imager, s) == pytest.approx(qfi, rel=0.02)
+
+
+@pytest.mark.parametrize("ktilde,s,builds", [
+    (2.0, 3.069, True), (2.0, 3.0705, False), (1.0, 1.8725, True), (1.0, 1.873, False),
+])
+def test_binned_imager_refusal_edges(ktilde, s, builds):
+    # the largest default-plane separations the 32 columns hold to 2%
+    exc = PlaneWaveExcitation(ktilde=ktilde)
+    if builds:
+        BinnedImager(exc, domain_s=s)
+    else:
+        with pytest.raises(ValueError, match="from the continuum value"):
+            BinnedImager(exc, domain_s=s)
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.7])
+@pytest.mark.parametrize("exc", [
+    *(pytest.param(PlaneWaveExcitation(ktilde=k), id=f"plane-{k}") for k in (0, 1, 2, 4, 8)),
+    *(pytest.param(VortexExcitation(a=a, psi=psi), id=f"vortex-{a:.3g}-{psi}")
+      for a, psi in ((math.sqrt(0.5), 0.0), (math.sqrt(0.5), 0.3), (1.2, 0.3), (0.5, 0.1))),
+])
+def test_binned_imager_reference_is_di_over_its_view(monkeypatch, exc, x0):
+    # the 2% check's reference, QFI - L_view, leaves out only the phase loss
+    # outside the view, so it lies at or above converged DI (up to the node
+    # rule's error), and is the QFI bit for bit where every amplitude is
+    # real; the check is lifted so that refused cameras build too
+    monkeypatch.setattr(montecarlo, "_BIN_FI_REL_TOL", math.inf)
+    real = getattr(exc, "ktilde", None) == 0.0 or getattr(exc, "psi", None) == 0.0
+    for s in (1e-6, 1e-3, 0.05, 0.5, 1.0, 2.0, 3.0, 5.5, 8.0):
+        amps = image_amplitudes(exc, EmitterScene(s=s, x0=x0))
+        reference = BinnedImager(exc, domain_s=s, x0=x0)._view_fisher(amps)
+        di = fi_direct(amps, abs_tol=1e-13).value
+        if real:
+            assert reference == di
+        else:
+            assert -2e-5 <= (reference - di) / di <= 2e-3
 
 
 @pytest.mark.parametrize("exc,sites", [
@@ -423,7 +464,7 @@ def test_crb_is_the_model_fisher_information_at_the_truth(measurement):
         fisher = fi_spade(_amps(exc, s), 12).value
     else:
         imager = BinnedImager(exc, domain_s=s)
-        model, fisher = imager.expectations, imager.fisher_information(s)
+        model, fisher = imager.expectations, _binned_fi(imager, s)
     report = run_experiment(model, s, mu, 4, 5, (0.5, 1.5))
     assert report.crb == pytest.approx(1.0 / (mu * fisher), rel=1e-14, abs=0.0)
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the default output of every carsfisher command, plus the
-# direct-imaging simulate campaigns of both families, the SPADE and
+# direct-imaging simulate campaigns of both families, two direct-imaging
+# campaigns next to the camera's 2% limit (the default plane wave at
+# s_sim=3, the last default scene before its refusal edge near 3.07, and
+# the dark vortex tail at s_sim=7), the SPADE and
 # direct-imaging campaigns searched from s = 0 (search_lo=0, the only input
 # that steps the secant in u = s^2), two sweeps that drive the DI
 # quadrature deep (figure2 at tol=1e-11, figure3 out to the dark vortex
@@ -33,6 +36,9 @@ printf 'measurement=di\n' > "$work/di.cfg"
 printf 'search_lo=0\n' > "$work/spade0.cfg"
 printf 'measurement=di\nsearch_lo=0\n' > "$work/di0.cfg"
 printf 'measurement=di\nfamily=vortex\n' > "$work/di_vortex.cfg"
+printf 'measurement=di\ns_sim=3.0\nsearch_lo=2.5\nsearch_hi=3.5\n' > "$work/di_edge.cfg"
+printf 'measurement=di\nfamily=vortex\ns_sim=7\nsearch_lo=6.5\nsearch_hi=7.5\nmu=7.16e22\n' \
+    > "$work/di_vortex_tail.cfg"
 printf 's_max=8\n' > "$work/tail.cfg"
 printf 's_min=0\n' > "$work/from0.cfg"
 printf 'kappa=0.8\ng=1.3\n' > "$work/scaled.cfg"
@@ -67,6 +73,9 @@ outputs() {
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
     run "$1" simulate --config "$work/di_vortex.cfg" --out "$2/simulation_di_vortex.json"
+    run "$1" simulate --config "$work/di_edge.cfg" --out "$2/simulation_di_s_3.json"
+    run "$1" simulate --config "$work/di_vortex_tail.cfg" \
+        --out "$2/simulation_di_vortex_s_7.json"
     run "$1" simulate --config "$work/spade0.cfg" --out "$2/simulation_spade_from_0.json"
     run "$1" simulate --config "$work/di0.cfg" --out "$2/simulation_di_from_0.json"
     run "$1" spectral-dump --out "$2/spectral.csv"
