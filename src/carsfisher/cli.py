@@ -21,7 +21,7 @@ not read (simulate reads M only for SPADE, ktilde only for the plane wave,
 a and psi only for the vortex); such a key is refused before any value is
 checked.
 Outputs are deterministic: a fixed config and seed reproduce files
-byte-for-byte (sweeps run sequentially in input-grid order).  CSV files are
+byte-for-byte (sweep rows follow the order of the input grids).  CSV files are
 RFC-4180 records (CRLF, '.' decimals, 17 significant digits) preceded by
 '#'-prefixed provenance comments carrying the schema version, tool version,
 and the value of every configuration key the command reads (``_reads``),
@@ -308,20 +308,35 @@ def _ratio(value, qfi) -> np.ndarray:
     return np.divide(value, qfi, out=np.zeros_like(value), where=qfi > 0.0)
 
 
-def _curve(exc, s_grid, cfg: RunConfig):
-    """The amplitude record of one sweep curve over the separations s_grid."""
-    return image_amplitudes(exc, EmitterScene(s=np.asarray(s_grid, dtype=float),
-                                              g=cfg.g, kappa=cfg.kappa))
+def _curves(excitations, s_grid, cfg: RunConfig):
+    """One amplitude record of the sweep curves of ``excitations`` over
+    the separations s_grid, curve-major: scene c * len(s_grid) + j is
+    curve c at s_grid[j]."""
+    curves = [image_amplitudes(exc, EmitterScene(s=s_grid, g=cfg.g, kappa=cfg.kappa))
+              for exc in excitations]
+    a1, a2, g1, g2 = (np.concatenate(sites) for sites in zip(
+        *(curve.site_amplitudes + curve.site_gradients for curve in curves)))
+    return dataclasses.replace(curves[0], site_amplitudes=(a1, a2), site_gradients=(g1, g2),
+                               s=np.tile(s_grid, len(curves)))
 
 
-def _fi_columns(exc, s_grid, cfg: RunConfig):
-    """The qfi, fi_di, fi_di_err and fi_spade_M columns of the sweep curve
-    of excitation ``exc`` over s_grid, as the output shows them, and its
-    raw DI over QFI (``_ratio``)."""
-    curve = _curve(exc, s_grid, cfg)
-    qfi, di = qfi_separation(curve), fi_direct(curve, abs_tol=cfg.tol)
-    return ((_pick(qfi, cfg), _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
-             _pick(fi_spade(curve, cfg.M), cfg)), _ratio(di.value, qfi.value))
+def _fi_columns(key: str, grid, excitation, s_grid, cfg: RunConfig):
+    """The s, ``key``, qfi, fi_di, fi_di_err and fi_spade_M columns of the
+    sweep curves excitation(v) over s_grid, one per value v of ``grid``,
+    as the output shows them, and their raw DI over QFI (``_ratio``): one
+    record (``_curves``) and one call of each estimator.  A DI quadrature
+    that stalls names its curve as key=v."""
+    grid = [float(v) for v in grid]
+    record = _curves([excitation(v) for v in grid], s_grid, cfg)
+    qfi = qfi_separation(record)
+    try:
+        di = fi_direct(record, abs_tol=cfg.tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{key}={grid[exc.member // s_grid.size]}: {exc}",
+                               exc.estimate, exc.error, exc.member) from None
+    return ((record.s.tolist(), np.repeat(grid, s_grid.size).tolist(), _pick(qfi, cfg),
+             _pick(di, cfg), _pick_raw(di.error_estimate, cfg),
+             _pick(fi_spade(record, cfg.M), cfg)), _ratio(di.value, qfi.value))
 
 
 def _waist_envelope(psi: float, s_grid, cfg: RunConfig):
@@ -335,12 +350,10 @@ def _waist_envelope(psi: float, s_grid, cfg: RunConfig):
 def cmd_figure2(cfg: RunConfig) -> tuple:
     """Plane-wave FI sweep: the table of one row per (ktilde, s), with a
     note on the ktilde grid."""
-    s_grid = _s_grid(cfg)
-    rows = []
-    for kt in cfg.ktilde_grid:
-        columns, _ = _fi_columns(PlaneWaveExcitation(ktilde=float(kt)), s_grid, cfg)
-        rows += zip(s_grid.tolist(), repeat(float(kt)), *columns, repeat(cfg.M))
-    return (["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"], rows,
+    columns, _ = _fi_columns("ktilde", cfg.ktilde_grid,
+                             lambda kt: PlaneWaveExcitation(ktilde=kt), _s_grid(cfg), cfg)
+    return (["s", "ktilde", "qfi", "fi_di", "fi_di_err", "fi_spade_M", "M"],
+            list(zip(*columns, repeat(cfg.M))),
             ("note: the ktilde grid is a tool default; "
              "override it with the ktilde_grid key",))
 
@@ -349,12 +362,12 @@ def cmd_figure3(cfg: RunConfig) -> tuple:
     """Vortex FI sweep: the table of one row per (psi, s), with the
     waist-optimized envelope at psi=0 on every row."""
     s_grid = _s_grid(cfg)
-    envelope = _waist_envelope(0.0, s_grid, cfg)  # on the psi = 0 axis
-    rows = []
-    for psi in cfg.psi_grid:
-        columns, ratio = _fi_columns(VortexExcitation(a=cfg.a, psi=float(psi)), s_grid, cfg)
-        rows += zip(s_grid.tolist(), repeat(float(psi)), repeat(cfg.a), *columns,
-                    ratio.tolist(), *envelope)
+    a_opt, q_opt = _waist_envelope(0.0, s_grid, cfg)  # on the psi = 0 axis
+    (s, psi, *columns), ratio = _fi_columns(
+        "psi", cfg.psi_grid, lambda psi: VortexExcitation(a=cfg.a, psi=psi), s_grid, cfg)
+    curves = len(cfg.psi_grid)
+    rows = list(zip(s, psi, repeat(cfg.a), *columns, ratio.tolist(),
+                    a_opt * curves, q_opt * curves))
     return (["s", "psi", "a", "qfi", "fi_di", "fi_di_err", "fi_spade_M",
              "di_over_qfi", "a_opt", "qfi_opt"], rows,
             ("a_opt/qfi_opt: waist-optimized envelope "
@@ -369,7 +382,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
     FI is a running sum over its modes, as ``fi_spade`` reports it.
     """
     s_grid = _s_grid(cfg)
-    curve = _curve(PlaneWaveExcitation(ktilde=cfg.ktilde), s_grid, cfg)
+    curve = _curves([PlaneWaveExcitation(ktilde=cfg.ktilde)], s_grid, cfg)
     norm = _spade_running_fi(curve, max(_CONVERGENCE_M))[:, list(_CONVERGENCE_M)]  # s x M
     value = norm * (2.0 * cfg.kappa * cfg.g**2)
     qfi = qfi_separation(curve)

@@ -22,9 +22,9 @@ phase loss, with Im(conj(A) 2 d_s A) in place of dN/ds).
 Lengths are in units of the PSF width w, and everything an estimator needs
 comes from the scene's ImageAmplitudes record: the site amplitudes a1, a2
 and their x-gradients g1, g2.  Every estimator takes a record of one scene
-or of an array of separations (one sweep curve, evaluated as arrays: the
-DI integrals of a curve refine as one lockstep batch) and returns one
-report: numbers for one scene, else arrays with one entry per separation
+or of an array of separations (all curves of a sweep command, evaluated
+as arrays: their DI integrals refine as one lockstep batch) and returns one
+report: numbers for one scene, else arrays with one entry per scene
 (so do the closed forms for an array s).  All reports carry both the raw
 value (units 1/w^2) and the dimensionless normalization
 w^2 F / (2 kappa g^2) used throughout for plotting and comparisons.

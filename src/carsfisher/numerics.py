@@ -74,9 +74,12 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # double-precision roundoff; splitting it cannot reduce the estimated error
 _ROUNDOFF_FLOOR = 1e-16
 
-# hard cap on the number of cells one call may create, so an unreachable
-# tolerance fails in bounded time instead of subdividing to _MAX_DEPTH
-_MAX_CELLS = 10_000
+# hard cap on the number of cells one member may create, so an unreachable
+# tolerance fails in bounded time instead of subdividing to _MAX_DEPTH.
+# Each round re-sums every active member's cells, so a batch of failing
+# members costs time quadratic in the cap.  It is ample: a DI member of
+# the shipped sweeps makes at most 33 cells, and at most 125 at tol=1e-15
+_MAX_CELLS = 1_000
 
 # a member stalls when its worst cell is this many bisections of [a, b]
 # deep, so its finest cell is (b - a) / 2^43

@@ -707,7 +707,7 @@ _QK15_GAUSS = np.array([
 
 
 def adaptive_gk_heap(f, member: int, a: float, b: float, abs_tol: float,
-                     max_depth: int, max_cells: int = 10_000):
+                     max_depth: int, max_cells: int = 1_000):
     """Adaptive Gauss-Kronrod quadrature of member ``member`` of the batch
     integrand ``f(rows, x)`` over [a, b], alone.
 

@@ -12,7 +12,8 @@ import pytest
 
 import numpy as np
 
-from carsfisher import EmitterScene, PlaneWaveExcitation, cli, fisher, numerics
+from carsfisher import (EmitterScene, PlaneWaveExcitation, VortexExcitation, cli, fisher,
+                        numerics)
 from carsfisher import fi_spade, image_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +127,37 @@ def test_figure3_defaults_to_vortex_family(tmp_path):
     # on-axis rows: direct imaging saturates the bound
     for row in data[:3]:
         assert float(row[7]) == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("figure2", {}), ("figure3", {}),
+    ("figure2", dict(ktilde_grid=(4.0, 0.5, 4.0), kappa=0.8, g=1.3)),
+    ("figure3", dict(psi_grid=(0.3, 0.0), kappa=0.8, g=1.3)),
+])
+def test_one_record_of_all_curves_changes_no_bit(command, settings):
+    # each row's columns are those of per-curve estimator calls, in the
+    # order of the grid, repeats included
+    cfg = cli.RunConfig(**settings)
+    _, rows, _ = cli._COMMANDS[command][0](cfg)
+    s_grid = cli._s_grid(cfg)
+    if command == "figure2":
+        curves = [PlaneWaveExcitation(ktilde=kt) for kt in cfg.ktilde_grid]
+    else:
+        curves = [VortexExcitation(a=cfg.a, psi=psi) for psi in cfg.psi_grid]
+    expected = []
+    for exc in curves:
+        amps = image_amplitudes(exc, EmitterScene(s=s_grid, g=cfg.g, kappa=cfg.kappa))
+        di = fisher.fi_direct(amps, abs_tol=cfg.tol)
+        expected += zip(fisher.qfi_separation(amps).normalized_value.tolist(),
+                        di.normalized_value.tolist(),
+                        (di.error_estimate / (2.0 * cfg.kappa * cfg.g**2)).tolist(),
+                        fi_spade(amps, cfg.M).normalized_value.tolist())
+    # s and the curve's key (and a), then qfi, fi_di, fi_di_err, fi_spade_M
+    start = 2 if command == "figure2" else 3
+    columns = np.array([row[start:start + 4] for row in rows])
+    assert columns.tobytes() == np.array(expected).tobytes()
+    keys = cfg.ktilde_grid if command == "figure2" else cfg.psi_grid
+    assert [row[:2] for row in rows] == [(s, key) for key in keys for s in s_grid.tolist()]
 
 
 def _table(path):
@@ -412,13 +444,28 @@ def _count_quadrature_work(monkeypatch):
 
 def test_default_sweeps_make_a_fixed_amount_of_quadrature_work(tmp_path, monkeypatch):
     # the lockstep batches split exactly the cells the per-scene rule
-    # splits: 57 integrand calls fill 8,366 cells of the folded phase-loss
-    # windows for figure2 + figure3 (plane k~ = 0 and the vortex at
-    # psi = 0 take one round each)
+    # splits: 8,366 cells of the folded phase-loss windows for figure2 +
+    # figure3, in one batch of all four curves per command, so 20
+    # integrand calls: 13 rounds for figure2 and 7 for figure3, as many as
+    # its slowest scene takes
     counts = _count_quadrature_work(monkeypatch)
     for command in ("figure2", "figure3"):
         assert cli.main([command, "--out", str(tmp_path / command)]) == 0
-    assert counts == {"calls": 57, "cells": 8_366}
+    assert counts == {"calls": 20, "cells": 8_366}
+
+
+@pytest.mark.parametrize("command,curve", [("figure2", "ktilde=1.0: "),
+                                           ("figure3", "psi=0.1: ")])
+def test_unreachable_tolerance_fails_within_the_cell_budget(tmp_path, capsys, monkeypatch,
+                                                            command, curve):
+    # all 360 failing scenes of a sweep refine in one batch; the budget
+    # binds in round 501, when each has made 1,001 cells
+    counts = _count_quadrature_work(monkeypatch)
+    assert cli.main([command, "--tol", "1e-30", "--out", str(tmp_path / "x.csv")]) == 3
+    assert counts["calls"] == 501
+    err = capsys.readouterr().err
+    assert f"numeric non-convergence: {curve}direct imaging at s=0.01: " in err
+    assert "exhausted its 1000-cell budget" in err
 
 
 def test_geometry_check_runs_in_few_quadrature_rounds(monkeypatch):
@@ -509,6 +556,16 @@ def test_unreachable_tolerance_exits_nonconvergence(tmp_path, capsys):
     assert "estimate" in err
 
 
+def test_nonconvergence_names_the_curve_that_fails(tmp_path, capsys):
+    # scene 1 of the batch is the ktilde = 2 curve; ktilde = 0 converges
+    cfg = _write_cfg(tmp_path, "two.cfg", s_min=1.0, s_max=1.0, s_points=1,
+                     ktilde_grid="0,2")
+    assert cli.main(["figure2", "--config", cfg, "--tol", "1e-30",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    assert ("numeric non-convergence: ktilde=2.0: direct imaging at s=1.0: "
+            "1D quadrature member 1 ") in capsys.readouterr().err
+
+
 def test_nonconvergence_quotes_the_error_and_tolerance_of_di(tmp_path, capsys):
     # below QFI = 1 the phase loss is held to tol * QFI: the message quotes
     # that tolerance and the exception's own error (QFI 0.0536 here)
@@ -517,7 +574,7 @@ def test_nonconvergence_quotes_the_error_and_tolerance_of_di(tmp_path, capsys):
     assert cli.main(["figure2", "--config", cfg, "--tol", "1e-30",
                      "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
-    assert "(error 3.731e-23 > tol 5.362e-32) (estimate " in err
+    assert "(error 7.878e-22 > tol 5.362e-32) (estimate " in err
     amps = image_amplitudes(PlaneWaveExcitation(ktilde=2.0), EmitterScene(s=0.05))
     with pytest.raises(numerics.ConvergenceError) as info:
         fisher.fi_direct(amps, abs_tol=1e-30)

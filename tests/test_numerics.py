@@ -194,12 +194,13 @@ def test_integrate_1d_many_matches_the_heap_reference(members, log_tol, max_dept
 
 def test_integrate_1d_many_budget_failure_matches_the_heap_reference():
     # member 0 converges on its first cell; member 1 refines a cusp until
-    # it has made 10,000 cells
+    # it exhausts its 1,000-cell budget
     def f(rows, x):
         with np.errstate(divide="ignore"):  # a node may land on the cusp
             return np.where(rows[:, None] == 0, 3.0 * x**2,
                             np.abs(x - 0.3) ** -0.5 + np.sin(40.0 * x))
 
+    assert adaptive_gk_heap(f, 1, 0.0, 1.0, 1e-13, 60)[1] == "exhausted its 1000-cell budget"
     _assert_matches_heap_reference(f, np.array([0.0, 0.0]),
                                    np.array([1.0, 1.0]), 1e-13, 60)
 

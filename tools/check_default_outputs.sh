@@ -13,7 +13,10 @@
 # and figure2, figure3 --raw and convergence --raw again at kappa=0.8,
 # g=1.3 (at kappa = g = 1 the scale 2 kappa g^2 is 2, so every conversion
 # between raw and normalized values is exact and hides a change in it),
-# from two source trees and compares them byte for byte.  Fails if any
+# and figure2 at ktilde_grid=4,0.5,4 and figure3 at psi_grid=0.3,0 (grids
+# out of order, one with a repeat, so a curve written under another
+# curve's key or s shows: each sweep evaluates all its curves as one
+# curve-major record), from two source trees and compares them byte for byte.  Fails if any
 # output differs while both trees carry the same cli._SCHEMA_VERSION: an
 # output may change only with a schema bump.
 # On a bump it prints, for each output, whether its data moved: all but
@@ -42,6 +45,8 @@ printf 'measurement=di\nfamily=vortex\ns_sim=7\nsearch_lo=6.5\nsearch_hi=7.5\nmu
 printf 's_max=8\n' > "$work/tail.cfg"
 printf 's_min=0\n' > "$work/from0.cfg"
 printf 'kappa=0.8\ng=1.3\n' > "$work/scaled.cfg"
+printf 'ktilde_grid=4,0.5,4\n' > "$work/ktilde_order.cfg"
+printf 'psi_grid=0.3,0\n' > "$work/psi_order.cfg"
 
 # the schema version of the carsfisher package under source tree $1
 schema() {
@@ -69,6 +74,8 @@ outputs() {
     run "$1" figure3 --config "$work/scaled.cfg" --raw --out "$2/figure3_scaled_raw.csv"
     run "$1" convergence --config "$work/scaled.cfg" --raw \
         --out "$2/convergence_scaled_raw.csv"
+    run "$1" figure2 --config "$work/ktilde_order.cfg" --out "$2/figure2_ktilde_order.csv"
+    run "$1" figure3 --config "$work/psi_order.cfg" --out "$2/figure3_psi_order.csv"
     run "$1" adjudicate --out "$2/adjudication.json"
     run "$1" simulate --out "$2/simulation_spade.json"
     run "$1" simulate --config "$work/di.cfg" --out "$2/simulation_di.json"
